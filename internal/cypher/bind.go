@@ -34,28 +34,68 @@ func Run(eng *engine.Engine, q *Query, params map[string]any) (*Result, error) {
 	return RunContext(context.Background(), eng, q, params)
 }
 
-// RunContext is Run with trace propagation. Every call counts into the
-// query metrics (total, failed, in-flight). When q.Profile is set and ctx
+// RunContext is Run with trace propagation. When q.Profile is set and ctx
 // has no trace yet, a trace is created and its snapshot attached to
 // Result.Profile; when the caller already traces ctx (the server's
 // slow-query path), its spans accumulate there instead and Profile is left
-// for the caller to fill.
-//
-// Every executed query also registers with telemetry.DefaultQueries: it is
-// visible on /debug/queries and SHOW QUERIES while running, killable by id
-// (KILL cancels the context this function derives, which the engine
-// observes cooperatively), and lands in the history ring on completion.
-func RunContext(ctx context.Context, eng *engine.Engine, q *Query, params map[string]any) (res *Result, err error) {
+// for the caller to fill. Every executed query runs registered and metered
+// (see registered).
+func RunContext(ctx context.Context, eng *engine.Engine, q *Query, params map[string]any) (*Result, error) {
 	// Plain EXPLAIN renders the plan without executing — no metrics and no
 	// registry entry, the query never runs.
 	if q.Explain && !q.Analyze {
-		plan, eerr := ExplainQuery(eng, q, params)
-		if eerr != nil {
-			return nil, eerr
+		plan, err := ExplainQuery(eng, q, params)
+		if err != nil {
+			return nil, err
 		}
 		return &Result{Plan: plan}, nil
 	}
 
+	var res *Result
+	err := registered(ctx, q, func(ctx context.Context, rows *int64) error {
+		if q.Explain && q.Analyze {
+			a, err := AnalyzeQuery(ctx, eng, q, params)
+			if err != nil {
+				return err
+			}
+			res = &Result{Analysis: a}
+			*rows = a.Count
+			return nil
+		}
+
+		var root *telemetry.Span
+		if q.Profile && telemetry.CurrentSpan(ctx) == nil {
+			ctx, root = telemetry.NewTrace(ctx, "query")
+		}
+		r, err := runAll(ctx, eng, q, params)
+		// End the profiling root on the failure path too: leaving it open
+		// would wedge the trace tree for the next query on this context.
+		root.End()
+		if err != nil {
+			return err
+		}
+		if root != nil {
+			r.Profile = root.Snapshot()
+		}
+		res = r
+		*rows = int64(len(r.Rows))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// registered runs one query execution under the process-wide bookkeeping
+// both entry points (RunContext, Stream) share. The query counts into the
+// query metrics (total, failed, in-flight) and registers with
+// telemetry.DefaultQueries: it is visible on /debug/queries and SHOW
+// QUERIES while running, killable by id (KILL cancels the context run
+// receives, which the engine observes cooperatively), and lands in the
+// history ring on completion with *rows — which run may advance live — as
+// its row count.
+func registered(ctx context.Context, q *Query, run func(ctx context.Context, rows *int64) error) (err error) {
 	telemetry.QueriesInFlight.Add(1)
 	defer telemetry.QueriesInFlight.Add(-1)
 	defer telemetry.QueriesTotal.Inc()
@@ -63,51 +103,21 @@ func RunContext(ctx context.Context, eng *engine.Engine, q *Query, params map[st
 	qctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	qi := telemetry.DefaultQueries.Register(q.Raw, telemetry.RequestIDFromContext(ctx), cancel)
-	ctx = telemetry.WithQuery(qctx, qi)
+	var rows int64
 	defer func() {
 		// Runs during panic unwinding too (the server's recover middleware
 		// reports the 500; here the registry entry moves to history instead
 		// of leaking as forever-running).
 		if r := recover(); r != nil {
-			telemetry.DefaultQueries.Complete(qi, 0, fmt.Errorf("panic: %v", r))
+			telemetry.DefaultQueries.Complete(qi, rows, fmt.Errorf("panic: %v", r))
 			panic(r)
 		}
-		var rows int64
-		if res != nil {
-			rows = int64(len(res.Rows))
-			if res.Analysis != nil {
-				rows = res.Analysis.Count
-			}
+		if err != nil {
+			telemetry.QueriesFailed.Inc()
 		}
 		telemetry.DefaultQueries.Complete(qi, rows, err)
 	}()
-
-	if q.Explain && q.Analyze {
-		a, aerr := AnalyzeQuery(ctx, eng, q, params)
-		if aerr != nil {
-			telemetry.QueriesFailed.Inc()
-			return nil, aerr
-		}
-		return &Result{Analysis: a}, nil
-	}
-
-	var root *telemetry.Span
-	if q.Profile && telemetry.CurrentSpan(ctx) == nil {
-		ctx, root = telemetry.NewTrace(ctx, "query")
-	}
-	res, err = runAll(ctx, eng, q, params)
-	if err != nil {
-		telemetry.QueriesFailed.Inc()
-		// End the profiling root on the failure path too: leaving it open
-		// would wedge the trace tree for the next query on this context.
-		root.End()
-		return nil, err
-	}
-	if root != nil {
-		root.End()
-		res.Profile = root.Snapshot()
-	}
-	return res, nil
+	return run(telemetry.WithQuery(qctx, qi), &rows)
 }
 
 func runAll(ctx context.Context, eng *engine.Engine, q *Query, params map[string]any) (*Result, error) {
@@ -359,15 +369,8 @@ func runOnce(ctx context.Context, eng *engine.Engine, q *Query, params map[strin
 		return nil, fmt.Errorf("cypher: shortestPath mixed with other pattern edges is not supported")
 	}
 
-	columns := make([]string, len(q.Return))
-	for i, item := range q.Return {
-		columns[i] = item.Column()
-	}
-
-	// Fast path: a single COUNT(DISTINCT …) over plain variables covering
-	// the whole pattern — the engine counts without materializing.
-	if len(q.Return) == 1 && q.Return[0].Agg == "count" && q.Return[0].Distinct &&
-		allPlainVars(q.Return[0].Args) && len(q.Return[0].Args) == len(b.pat.Vertices) && q.Unwind == nil {
+	columns := Columns(q)
+	if countsWholePattern(q, b) {
 		res, err := eng.MatchContext(ctx, b.pat, engine.MatchOptions{CountOnly: true})
 		if err != nil {
 			return nil, err
@@ -390,8 +393,18 @@ func runOnce(ctx context.Context, eng *engine.Engine, q *Query, params map[strin
 	return out, nil
 }
 
-func allPlainVars(args []Expr) bool {
-	for _, a := range args {
+// countsWholePattern reports the COUNT fast path: a single COUNT(DISTINCT …)
+// over plain variables covering the whole pattern, which the engine counts
+// without materializing (§5.1).
+func countsWholePattern(q *Query, b *boundQuery) bool {
+	if len(q.Return) != 1 || q.Unwind != nil {
+		return false
+	}
+	item := q.Return[0]
+	if item.Agg != "count" || !item.Distinct || len(item.Args) != len(b.pat.Vertices) {
+		return false
+	}
+	for _, a := range item.Args {
 		if a.IsLength || a.Prop != "" {
 			return false
 		}
@@ -419,17 +432,15 @@ func runShortest(eng *engine.Engine, q *Query, b *boundQuery, params map[string]
 	if err != nil {
 		return nil, err
 	}
-	columns := make([]string, len(q.Return))
 	row := make([]any, len(q.Return))
 	for i, item := range q.Return {
-		columns[i] = item.Column()
 		if len(item.Args) == 1 && item.Args[0].IsLength {
 			row[i] = int64(l)
 		} else {
 			return nil, fmt.Errorf("cypher: shortestPath queries may only return length(p)")
 		}
 	}
-	return &Result{Columns: columns, Rows: [][]any{row}, Timings: tm}, nil
+	return &Result{Columns: Columns(q), Rows: [][]any{row}, Timings: tm}, nil
 }
 
 func shortestVia(eng *engine.Engine, src, dst graph.VertexID, d pattern.Determiner) (int, engine.Timings, error) {
@@ -472,12 +483,7 @@ func AnalyzeQuery(ctx context.Context, eng *engine.Engine, q *Query, params map[
 	if b.shortest != nil {
 		return nil, fmt.Errorf("cypher: EXPLAIN ANALYZE does not support shortestPath")
 	}
-	// Mirror runOnce's COUNT(DISTINCT …) fast path so the analyzed
-	// execution is the one a plain run would take.
-	opts := engine.MatchOptions{}
-	if len(q.Return) == 1 && q.Return[0].Agg == "count" && q.Return[0].Distinct &&
-		allPlainVars(q.Return[0].Args) && len(q.Return[0].Args) == len(b.pat.Vertices) {
-		opts.CountOnly = true
-	}
+	// Take the execution a plain run would take (runOnce's COUNT fast path).
+	opts := engine.MatchOptions{CountOnly: countsWholePattern(q, b)}
 	return eng.ExplainAnalyze(ctx, b.pat, opts)
 }

@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -364,18 +365,22 @@ func TestCase10ViaCypherMatchesEngine(t *testing.T) {
 	}
 }
 
-func TestCase11ViaCypherMatchesEngine(t *testing.T) {
-	e, lay := finEngine(t)
-	g := e.Graph()
-	ids := g.Prop("id").(graph.Int64Column)
-	withdraw := g.Edges("withdraw")
-	var a graph.VertexID
+// withdrawTarget returns the first account some other account withdraws to
+// (Case 11's anchor).
+func withdrawTarget(e *engine.Engine, lay *datagen.FinLayout) graph.VertexID {
+	withdraw := e.Graph().Edges("withdraw")
 	for v := lay.AccountLo; v < lay.AccountHi; v++ {
 		if len(withdraw.Neighbors(v, graph.Reverse)) > 0 {
-			a = v
-			break
+			return v
 		}
 	}
+	return 0
+}
+
+func TestCase11ViaCypherMatchesEngine(t *testing.T) {
+	e, lay := finEngine(t)
+	ids := e.Graph().Prop("id").(graph.Int64Column)
+	a := withdrawTarget(e, lay)
 	res := run(t, e, paperQueries[10], map[string]any{"id": ids[a]})
 	want, _, err := e.Case11(ids[a])
 	if err != nil {
@@ -501,6 +506,81 @@ func TestDistinctRowsAreDistinct(t *testing.T) {
 		seen[id] = true
 	}
 	sort.SliceIsSorted(res.Rows, func(i, j int) bool { return true })
+}
+
+// TestStreamMatchesRunContext pins the two cypher entry points against each
+// other: they share one projector over one engine path, so every streamable
+// query returns the same rows either way.
+func TestStreamMatchesRunContext(t *testing.T) {
+	type parityCase struct {
+		eng    *engine.Engine
+		src    string
+		params map[string]any
+	}
+	social := socialEngine(t)
+	cases := []parityCase{
+		// Every pattern vertex projected bare: no dedup state on either side.
+		{social, `MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN p, q`, nil},
+		// Omits p, so rows deduplicate through the seen-set.
+		{social, `MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN DISTINCT q`, nil},
+		// Property projection.
+		{social, `MATCH (p:SIGA)-[:knows]-(q:Person) RETURN p, q.id`, nil},
+		// Single-vertex pattern (no join).
+		{social, `MATCH (p:SIGA) RETURN p`, nil},
+	}
+	// Plus every streamable query of the paper's twelve.
+	for i, src := range paperQueries {
+		q, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !Streamable(q) {
+			continue
+		}
+		switch i + 1 {
+		case 7:
+			cases = append(cases, parityCase{bankEngine(t), src, map[string]any{"rid": int64(1042)}})
+		case 11:
+			e, lay := finEngine(t)
+			ids := e.Graph().Prop("id").(graph.Int64Column)
+			cases = append(cases, parityCase{e, src, map[string]any{"id": ids[withdrawTarget(e, lay)]}})
+		default:
+			t.Fatalf("streamable paper query %d has no parity fixture", i+1)
+		}
+	}
+
+	sorted := func(rows [][]any) []string {
+		out := make([]string, len(rows))
+		for i, row := range rows {
+			out[i] = fmt.Sprint(row...)
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, c := range cases {
+		q, err := Parse(c.src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", c.src, err)
+		}
+		want, err := RunContext(context.Background(), c.eng, q, c.params)
+		if err != nil {
+			t.Fatalf("run %q: %v", c.src, err)
+		}
+		var got [][]any
+		err = Stream(context.Background(), c.eng, q, c.params, func(_ context.Context, row []any) error {
+			got = append(got, row)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("stream %q: %v", c.src, err)
+		}
+		if len(got) == 0 {
+			t.Fatalf("%q returned no rows; the fixture proves nothing", c.src)
+		}
+		if !reflect.DeepEqual(sorted(got), sorted(want.Rows)) {
+			t.Fatalf("%q: Stream returned %d rows, RunContext %d, or they differ", c.src, len(got), len(want.Rows))
+		}
+	}
 }
 
 func TestRelationshipPropertyFilter(t *testing.T) {

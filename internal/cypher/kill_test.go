@@ -94,3 +94,52 @@ poll:
 	}
 	t.Fatalf("killed query %d not recorded in history", id)
 }
+
+// TestStreamPhasesAndPlanningCPU pins that a streamed query is registered
+// like a materialized one: by the time its first row arrives the registry
+// shows it past "start" and carrying attributed CPU time. The single-vertex
+// stream never schedules an operator, so its phase is still "plan" and its
+// CPU is the planning time alone.
+func TestStreamPhasesAndPlanningCPU(t *testing.T) {
+	eng := socialEngine(t)
+	atFirstRow := func(src string) telemetry.QuerySnapshot {
+		t.Helper()
+		q, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap *telemetry.QuerySnapshot
+		err = Stream(context.Background(), eng, q, nil, func(ctx context.Context, _ []any) error {
+			if snap != nil {
+				return nil
+			}
+			id := telemetry.CurrentQuery(ctx).ID()
+			active, _ := telemetry.DefaultQueries.Snapshot()
+			for i := range active {
+				if active[i].ID == id {
+					snap = &active[i]
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap == nil {
+			t.Fatalf("%q: not in the registry at its first row", src)
+		}
+		return *snap
+	}
+	for _, c := range []struct{ src, phase string }{
+		{`MATCH (p:SIGA) RETURN p`, "plan"},
+		{`MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN p, q`, "execute"},
+	} {
+		snap := atFirstRow(c.src)
+		if snap.Phase != c.phase {
+			t.Errorf("%q: phase at first row = %q, want %q", c.src, snap.Phase, c.phase)
+		}
+		if snap.Cost.CPUMs <= 0 {
+			t.Errorf("%q: no CPU time attributed before the first row", c.src)
+		}
+	}
+}

@@ -10,12 +10,120 @@ import (
 	"repro/internal/graph"
 )
 
+// projector evaluates RETURN expressions against matched tuples — the one
+// expression evaluator behind both the materializing project() and Stream.
+type projector struct {
+	g      *graph.Graph
+	q      *Query
+	b      *boundQuery
+	params map[string]any
+	ids    graph.Int64Column // the "id" property bare variables project
+	hasID  bool
+	// lengths holds the precomputed minimal walk lengths per path variable
+	// (project fills it for length() projections; never set when streaming).
+	lengths map[string]map[[2]graph.VertexID]int
+	// seen deduplicates plain-projection rows (VertexSurge queries return
+	// distinct rows, §2.2). It is nil when every pattern vertex is projected
+	// as a bare variable: the row then determines the tuple, the engine's
+	// tuples are distinct, and no dedup state is kept at all.
+	seen map[string]bool
+}
+
+func newProjector(eng *engine.Engine, q *Query, b *boundQuery, params map[string]any) *projector {
+	p := &projector{g: eng.Graph(), q: q, b: b, params: params}
+	p.ids, p.hasID = p.g.Prop("id").(graph.Int64Column)
+
+	covered := make([]bool, len(b.pat.Vertices))
+	for _, item := range q.Return {
+		for _, a := range item.Args {
+			if a.Prop != "" || a.IsLength {
+				continue
+			}
+			if idx, ok := b.varIdx[a.Var]; ok {
+				covered[idx] = true
+			}
+		}
+	}
+	for _, c := range covered {
+		if !c {
+			p.seen = map[string]bool{}
+			break
+		}
+	}
+	return p
+}
+
+// eval computes one expression for one tuple (pattern declaration order).
+func (p *projector) eval(e Expr, tuple []graph.VertexID) (any, error) {
+	if e.IsLength {
+		bp := p.b.paths[e.PathVar]
+		key := [2]graph.VertexID{tuple[p.b.varIdx[bp.srcVar]], tuple[p.b.varIdx[bp.dstVar]]}
+		l, ok := p.lengths[e.PathVar][key]
+		if !ok {
+			return nil, fmt.Errorf("cypher: no path length for %v", key)
+		}
+		return int64(l), nil
+	}
+	if idx, ok := p.b.varIdx[e.Var]; ok {
+		v := tuple[idx]
+		if e.Prop != "" {
+			col := p.g.Prop(e.Prop)
+			if col == nil {
+				return nil, fmt.Errorf("cypher: unknown property %q", e.Prop)
+			}
+			return col.Value(int(v)), nil
+		}
+		// A bare variable projects the vertex's id property when
+		// present, else its internal index.
+		if p.hasID {
+			return p.ids[v], nil
+		}
+		return int64(v), nil
+	}
+	// Not a pattern variable: maybe the UNWIND alias.
+	if p.q.Unwind != nil && e.Var == p.q.Unwind.Alias {
+		val, ok := p.params[p.q.Unwind.Alias]
+		if !ok {
+			return nil, fmt.Errorf("cypher: unbound alias %q", e.Var)
+		}
+		return val, nil
+	}
+	return nil, fmt.Errorf("cypher: unknown variable %q", e.Var)
+}
+
+// row projects one tuple of a plain (aggregate-free) RETURN into a freshly
+// allocated output row, reporting dup=true for a row already produced.
+func (p *projector) row(tuple []graph.VertexID) (row []any, dup bool, err error) {
+	row = make([]any, len(p.q.Return))
+	for i, item := range p.q.Return {
+		v, err := p.eval(item.Args[0], tuple)
+		if err != nil {
+			return nil, false, err
+		}
+		row[i] = v
+	}
+	if p.seen != nil {
+		k := rowKey(row)
+		if p.seen[k] {
+			return nil, true, nil
+		}
+		p.seen[k] = true
+	}
+	return row, false, nil
+}
+
 // project turns matched tuples into output rows: evaluates expressions,
 // applies grouping and aggregation, and deduplicates RETURN DISTINCT rows.
 func project(ctx context.Context, eng *engine.Engine, q *Query, b *boundQuery, params map[string]any, res *engine.MatchResult) ([][]any, error) {
+	proj := newProjector(eng, q, b, params)
+
 	// Precompute path lengths for length() expressions.
-	lengths := map[string]map[[2]graph.VertexID]int{}
+	proj.lengths = map[string]map[[2]graph.VertexID]int{}
+	hasAgg := false
 	for _, item := range q.Return {
+		if item.Agg != "" {
+			hasAgg = true
+		}
 		for _, e := range item.Args {
 			if !e.IsLength {
 				continue
@@ -28,71 +136,18 @@ func project(ctx context.Context, eng *engine.Engine, q *Query, b *boundQuery, p
 			if err != nil {
 				return nil, err
 			}
-			lengths[e.PathVar] = m
-		}
-	}
-
-	// evalExpr computes one expression for one tuple.
-	evalExpr := func(e Expr, tuple []graph.VertexID) (any, error) {
-		if e.IsLength {
-			bp := b.paths[e.PathVar]
-			key := [2]graph.VertexID{tuple[b.varIdx[bp.srcVar]], tuple[b.varIdx[bp.dstVar]]}
-			l, ok := lengths[e.PathVar][key]
-			if !ok {
-				return nil, fmt.Errorf("cypher: no path length for %v", key)
-			}
-			return int64(l), nil
-		}
-		if idx, ok := b.varIdx[e.Var]; ok {
-			v := tuple[idx]
-			if e.Prop != "" {
-				col := eng.Graph().Prop(e.Prop)
-				if col == nil {
-					return nil, fmt.Errorf("cypher: unknown property %q", e.Prop)
-				}
-				return col.Value(int(v)), nil
-			}
-			// A bare variable projects the vertex's id property when
-			// present, else its internal index.
-			if col, ok := eng.Graph().Prop("id").(graph.Int64Column); ok {
-				return col[v], nil
-			}
-			return int64(v), nil
-		}
-		// Not a pattern variable: maybe the UNWIND alias.
-		if q.Unwind != nil && e.Var == q.Unwind.Alias {
-			val, ok := params[q.Unwind.Alias]
-			if !ok {
-				return nil, fmt.Errorf("cypher: unbound alias %q", e.Var)
-			}
-			return val, nil
-		}
-		return nil, fmt.Errorf("cypher: unknown variable %q", e.Var)
-	}
-
-	hasAgg := false
-	for _, item := range q.Return {
-		if item.Agg != "" {
-			hasAgg = true
+			proj.lengths[e.PathVar] = m
 		}
 	}
 
 	if !hasAgg {
-		// Plain projection. VertexSurge only supports queries returning
-		// distinct tuples (§2.2), so rows always deduplicate.
 		var rows [][]any
-		seen := map[string]bool{}
 		for _, tuple := range res.Tuples {
-			row := make([]any, len(q.Return))
-			for i, item := range q.Return {
-				v, err := evalExpr(item.Args[0], tuple)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
+			row, dup, err := proj.row(tuple)
+			if err != nil {
+				return nil, err
 			}
-			if k := rowKey(row); !seen[k] {
-				seen[k] = true
+			if !dup {
 				rows = append(rows, row)
 			}
 		}
@@ -115,7 +170,7 @@ func project(ctx context.Context, eng *engine.Engine, q *Query, b *boundQuery, p
 			if item.Agg != "" {
 				continue
 			}
-			v, err := evalExpr(item.Args[0], tuple)
+			v, err := proj.eval(item.Args[0], tuple)
 			if err != nil {
 				return nil, err
 			}
@@ -137,7 +192,7 @@ func project(ctx context.Context, eng *engine.Engine, q *Query, b *boundQuery, p
 			}
 			var vals []any
 			for _, a := range item.Args {
-				v, err := evalExpr(a, tuple)
+				v, err := proj.eval(a, tuple)
 				if err != nil {
 					return nil, err
 				}

@@ -3,11 +3,9 @@ package cypher
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/telemetry"
 )
 
 // ErrNotStreamable reports that a query cannot execute row-at-a-time and
@@ -64,179 +62,71 @@ func Columns(q *Query) []string {
 
 // Stream executes a streamable query row-at-a-time: every projected row is
 // passed to emit, in join order, without materializing the result set. Rows
-// deduplicate exactly as the materializing path does (VertexSurge queries
-// return distinct rows, §2.2); when the projection covers every pattern
-// vertex with a bare variable, the engine's distinct-tuple guarantee makes
-// rows distinct by construction and no dedup state is kept at all —
-// server-side memory is then constant in the result cardinality.
+// deduplicate exactly as the materializing path does — both go through one
+// projector — so when the projection covers every pattern vertex with a
+// bare variable no dedup state is kept at all and server-side memory is
+// constant in the result cardinality.
 //
-// Stream has full registry/metrics parity with RunContext: it counts into
-// vs_queries_total/failed/in_flight, registers with
-// telemetry.DefaultQueries (visible in SHOW QUERIES and /debug/queries with
-// live row counts, killable by id), and lands in the history ring on
-// completion with the emitted row count.
+// Stream runs under the same registry/metrics wrapper as RunContext (see
+// registered): it counts into vs_queries_total/failed/in_flight, is visible
+// in SHOW QUERIES and /debug/queries with live row counts, killable by id,
+// and lands in the history ring on completion with the emitted row count.
 //
 // emit returning an error stops the stream and surfaces that error; emit
 // may block, but must watch the context it receives — that context is the
 // registered query context, canceled by KILL, by the caller's deadline, and
 // by Stream's own unwinding, so a blocked emit (a full cursor buffer with no
 // client fetching) unblocks the moment the query dies.
-func Stream(ctx context.Context, eng *engine.Engine, q *Query, params map[string]any, emit func(ctx context.Context, row []any) error) (err error) {
+func Stream(ctx context.Context, eng *engine.Engine, q *Query, params map[string]any, emit func(ctx context.Context, row []any) error) error {
 	if !Streamable(q) {
 		return ErrNotStreamable
 	}
-	if verr := q.validate(); verr != nil {
-		return verr
+	if err := q.validate(); err != nil {
+		return err
 	}
-
-	telemetry.QueriesInFlight.Add(1)
-	defer telemetry.QueriesInFlight.Add(-1)
-	defer telemetry.QueriesTotal.Inc()
-
-	qctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	qi := telemetry.DefaultQueries.Register(q.Raw, telemetry.RequestIDFromContext(ctx), cancel)
-	ctx = telemetry.WithQuery(qctx, qi)
-
-	var rows int64
-	defer func() {
-		// Runs during panic unwinding too, mirroring RunContext: the registry
-		// entry moves to history instead of leaking as forever-running.
-		if r := recover(); r != nil {
-			telemetry.DefaultQueries.Complete(qi, rows, fmt.Errorf("panic: %v", r))
-			panic(r)
-		}
-		telemetry.DefaultQueries.Complete(qi, rows, err)
-	}()
-
-	b, berr := bind(q, params)
-	if berr != nil {
-		telemetry.QueriesFailed.Inc()
-		return berr
-	}
-
-	proj := newStreamProjector(eng, q, b)
-	limit := int64(q.Limit)
-	var stopErr error
-	runErr := eng.MatchForEachOpts(ctx, b.pat, engine.MatchOptions{}, func(tuple []graph.VertexID) {
-		if stopErr != nil {
-			return // unwinding: the engine notices the canceled ctx shortly
-		}
-		row, dup, perr := proj.row(tuple)
-		if perr != nil {
-			stopErr = perr
-			cancel()
-			return
-		}
-		if dup {
-			return
-		}
-		if eerr := emit(ctx, row); eerr != nil {
-			stopErr = eerr
-			cancel()
-			return
-		}
-		rows++
-		if limit > 0 && rows >= limit {
-			stopErr = errStreamLimit
-			cancel()
-		}
-	})
-	switch {
-	case stopErr == errStreamLimit:
-		err = nil // LIMIT satisfied; the induced cancellation is not a failure
-	case stopErr != nil:
-		err = stopErr
-	default:
-		err = runErr
-	}
-	if err != nil {
-		telemetry.QueriesFailed.Inc()
-	}
-	return err
-}
-
-// streamProjector evaluates the projection for one tuple at a time. Rows
-// deduplicate through a seen-set unless the projection provably yields
-// distinct rows (every pattern vertex appears as a bare variable — then the
-// row determines the tuple, and tuples are distinct).
-type streamProjector struct {
-	eng   *engine.Engine
-	q     *Query
-	b     *boundQuery
-	ids   graph.Int64Column
-	hasID bool
-	dedup bool
-	seen  map[string]bool
-}
-
-func newStreamProjector(eng *engine.Engine, q *Query, b *boundQuery) *streamProjector {
-	p := &streamProjector{eng: eng, q: q, b: b}
-	p.ids, p.hasID = eng.Graph().Prop("id").(graph.Int64Column)
-
-	covered := make([]bool, len(b.pat.Vertices))
-	for _, item := range q.Return {
-		for _, a := range item.Args {
-			if a.Prop != "" || a.IsLength {
-				continue
-			}
-			if idx, ok := b.varIdx[a.Var]; ok {
-				covered[idx] = true
-			}
-		}
-	}
-	for _, c := range covered {
-		if !c {
-			p.dedup = true
-			break
-		}
-	}
-	if p.dedup {
-		p.seen = map[string]bool{}
-	}
-	return p
-}
-
-// row projects one tuple into a freshly allocated output row (the consumer
-// retains it), reporting dup=true for a row already emitted.
-func (p *streamProjector) row(tuple []graph.VertexID) (row []any, dup bool, err error) {
-	row = make([]any, len(p.q.Return))
-	for i, item := range p.q.Return {
-		v, err := p.eval(item.Args[0], tuple)
+	return registered(ctx, q, func(ctx context.Context, rows *int64) error {
+		b, err := bind(q, params)
 		if err != nil {
-			return nil, false, err
+			return err
 		}
-		row[i] = v
-	}
-	if p.dedup {
-		k := rowKey(row)
-		if p.seen[k] {
-			return nil, true, nil
+		// The engine's per-tuple callback cannot return an error: stop it
+		// by canceling the context it polls.
+		ctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		proj := newProjector(eng, q, b, params)
+		limit := int64(q.Limit)
+		var stopErr error
+		stop := func(err error) {
+			stopErr = err
+			cancel()
 		}
-		p.seen[k] = true
-	}
-	return row, false, nil
-}
-
-// eval mirrors the materializing projector's expression evaluation for the
-// streamable subset: bare variables and property accesses.
-func (p *streamProjector) eval(e Expr, tuple []graph.VertexID) (any, error) {
-	idx, ok := p.b.varIdx[e.Var]
-	if !ok {
-		return nil, fmt.Errorf("cypher: unknown variable %q", e.Var)
-	}
-	v := tuple[idx]
-	if e.Prop != "" {
-		col := p.eng.Graph().Prop(e.Prop)
-		if col == nil {
-			return nil, fmt.Errorf("cypher: unknown property %q", e.Prop)
+		runErr := eng.MatchForEachOpts(ctx, b.pat, engine.MatchOptions{}, func(tuple []graph.VertexID) {
+			if stopErr != nil {
+				return // unwinding: the engine notices the canceled ctx shortly
+			}
+			row, dup, err := proj.row(tuple)
+			if err != nil {
+				stop(err)
+				return
+			}
+			if dup {
+				return
+			}
+			if err := emit(ctx, row); err != nil {
+				stop(err)
+				return
+			}
+			*rows++
+			if limit > 0 && *rows >= limit {
+				stop(errStreamLimit)
+			}
+		})
+		switch {
+		case stopErr == errStreamLimit:
+			return nil // LIMIT satisfied; the induced cancellation is not a failure
+		case stopErr != nil:
+			return stopErr
 		}
-		return col.Value(int(v)), nil
-	}
-	// A bare variable projects the vertex's id property when present, else
-	// its internal index — identical to the materializing path.
-	if p.hasID {
-		return p.ids[v], nil
-	}
-	return int64(v), nil
+		return runErr
+	})
 }

@@ -3,10 +3,14 @@
 // VLGPM query execution (§3, §5), with the per-stage timing breakdown the
 // paper reports in Figure 8.
 //
-// The generic entry point is Match, which executes an arbitrary
-// variable-length graph pattern. The twelve evaluation queries of §6.2
-// (social cases 1–5, bank cases 6–7, FinBench cases 8–12) are provided as
-// methods in cases.go.
+// There is one execution path (run/execute in this file): plan, schedule
+// the distinct expansions through the exec DAG, assemble the join input,
+// and run the Generic Join on the calling goroutine with the consumer
+// plugged in at the leaf. MatchContext is that path with no consumer (the
+// join counts or collects), MatchForEachOpts the same path with a per-tuple
+// callback; Match and MatchForEach are their context-free shorthands. The
+// twelve evaluation queries of §6.2 (social cases 1–5, bank cases 6–7,
+// FinBench cases 8–12) are provided as methods in cases.go.
 package engine
 
 import (
@@ -32,9 +36,12 @@ const DefaultCacheBytes int64 = 64 << 20
 
 // Options configures an Engine.
 type Options struct {
-	// Workers bounds expand parallelism; 0 = GOMAXPROCS. It bounds both
-	// intra-operator workers (stack partitioning) and the scheduler's
-	// concurrent independent operators.
+	// Workers bounds parallelism. For expansion, 0 = GOMAXPROCS: it bounds
+	// both VExpand's intra-operator workers (stack partitioning) and the
+	// scheduler's concurrently running expands. The join is different:
+	// MIntersect partitions its seed columns only when Workers > 1 (and the
+	// match neither streams nor carries a Limit), so at the default 0 — and
+	// at 1 — the join is single-threaded.
 	Workers int
 	// Kernel pins the VExpand kernel; Auto by default.
 	Kernel vexpand.Kernel
@@ -178,14 +185,48 @@ func (e *Engine) Match(pat *pattern.Pattern, opts MatchOptions) (*MatchResult, e
 	return e.MatchContext(context.Background(), pat, opts)
 }
 
-// MatchContext is Match with trace propagation: when ctx carries an active
-// trace (internal/telemetry), execution records one span per operator call
-// — "plan" for the planner build, one "expand" per planned edge (with
-// kernel, source count, stack count, matrix bytes, and memo hit/miss),
-// "intersect" for the Generic Join, and "aggregate" for tuple reordering.
-// Every completed Match also feeds the per-stage latency histograms and
-// expand matrix byte counter of the default metrics registry.
+// MatchContext is Match with cancellation and trace propagation: the
+// engine's execution core (see run) with no per-tuple consumer, so the join
+// counts (CountOnly) or collects, seed-partitioned across goroutines when
+// Options.Workers > 1.
 func (e *Engine) MatchContext(ctx context.Context, pat *pattern.Pattern, opts MatchOptions) (*MatchResult, error) {
+	return e.run(ctx, pat, opts, nil)
+}
+
+// MatchForEach runs the pattern and streams every distinct matched tuple
+// to fn, in pattern declaration order, without materializing the result
+// set. The tuple slice is reused between calls — copy it to retain it.
+func (e *Engine) MatchForEach(pat *pattern.Pattern, fn func(tuple []graph.VertexID)) error {
+	return e.MatchForEachOpts(context.Background(), pat, MatchOptions{}, fn)
+}
+
+// MatchForEachOpts is MatchForEach with cancellation, trace propagation and
+// MatchOptions: the same execution core as MatchContext with fn plugged in
+// as the join's per-tuple consumer. The join enumerates serially on the
+// calling goroutine, so fn may block (transport backpressure) and a panic
+// in fn unwinds through the caller. Order forces the join order (planner
+// ablation) and Limit stops the stream after that many tuples. CountOnly is
+// meaningless when streaming (fn receives the tuples) and is ignored.
+func (e *Engine) MatchForEachOpts(ctx context.Context, pat *pattern.Pattern, opts MatchOptions, fn func(tuple []graph.VertexID)) error {
+	opts.CountOnly = false
+	_, err := e.run(ctx, pat, opts, fn)
+	return err
+}
+
+// run is the engine's one execution path; MatchContext and MatchForEachOpts
+// are its two wrappers. It owns the per-match bookkeeping — the stats-sink
+// span subtree, total wall time, the stage histograms, the sink observation
+// — around execute, which does the work. With a nil emit the match counts
+// or collects into the result; otherwise every tuple goes to emit and the
+// result carries only Count, Plan, ExpandStats and Timings.
+//
+// When ctx carries an active trace (internal/telemetry), execution records
+// one span per operator call — "plan" for the planner build, one "expand"
+// per planned edge (with kernel, source count, stack count, matrix bytes,
+// and memo hit/miss), "intersect" for the Generic Join, and "aggregate" for
+// the hand-off of the result (tuple count; the reorder of collected tuples
+// when materializing).
+func (e *Engine) run(ctx context.Context, pat *pattern.Pattern, opts MatchOptions, emit func(tuple []graph.VertexID)) (*MatchResult, error) {
 	start := time.Now()
 	qi := telemetry.CurrentQuery(ctx)
 	// With a stats sink attached, wrap the match in its own span subtree so
@@ -203,7 +244,29 @@ func (e *Engine) MatchContext(ctx context.Context, pat *pattern.Pattern, opts Ma
 	for _, v := range pat.Vertices {
 		res.Names = append(res.Names, v.Name)
 	}
+	err := e.execute(ctx, qi, pat, opts, emit, res)
+	ssp.End()
+	if err != nil {
+		return nil, err
+	}
+	res.Timings.Total = time.Since(start)
 
+	t := res.Timings
+	telemetry.ObserveStages(t.Scan, t.Expand, t.UpdateVisit, t.Intersect, t.Aggregate, t.Total)
+	if res.ExpandStats.MatrixBytes > 0 {
+		telemetry.ExpandMatrixBytes.Add(res.ExpandStats.MatrixBytes)
+	}
+	// Sink write failures never fail the query — statistics are advisory.
+	_ = sink.Observe(qi.ID(), e.g, pat, res, ssp.Snapshot())
+	return res, nil
+}
+
+// execute plans pat, schedules its expansions through the operator DAG
+// (independent expands overlap, bounded by Options.Workers), assembles the
+// join input and runs the Generic Join and the join-order -> declaration-
+// order reorder on the calling goroutine: both consume every expansion, so
+// there is nothing for the scheduler to overlap them with.
+func (e *Engine) execute(ctx context.Context, qi *telemetry.QueryInfo, pat *pattern.Pattern, opts MatchOptions, emit func(tuple []graph.VertexID), res *MatchResult) error {
 	qi.SetPhase(telemetry.PhasePlan)
 	t0 := time.Now()
 	_, psp := telemetry.StartSpan(ctx, "plan")
@@ -216,8 +279,7 @@ func (e *Engine) MatchContext(ctx context.Context, pat *pattern.Pattern, opts Ma
 	}
 	if err != nil {
 		psp.End()
-		ssp.End()
-		return nil, err
+		return err
 	}
 	psp.SetInt("vertices", int64(len(pat.Vertices)))
 	psp.SetInt("edges", int64(len(plan.Edges)))
@@ -229,38 +291,45 @@ func (e *Engine) MatchContext(ctx context.Context, pat *pattern.Pattern, opts Ma
 	qi.AddCPUNanos(int64(res.Timings.Scan))
 
 	n := len(pat.Vertices)
+	buf := make([]graph.VertexID, n) // emit's reused tuple; reorder scratch when collecting
 	if n == 1 {
 		// Degenerate single-vertex pattern: candidates are the matches.
-		for _, v := range plan.CandList[0] {
-			res.Count++
-			if !opts.CountOnly {
+		cands := plan.CandList[0]
+		if opts.Limit > 0 && int64(len(cands)) > opts.Limit {
+			cands = cands[:opts.Limit]
+		}
+		res.Count = int64(len(cands))
+		for _, v := range cands {
+			if emit != nil {
+				buf[0] = v
+				emit(buf)
+				qi.AddRows(1)
+			} else if !opts.CountOnly {
 				res.Tuples = append(res.Tuples, []graph.VertexID{v})
 			}
-			if opts.Limit > 0 && res.Count >= opts.Limit {
-				break
-			}
 		}
-		res.Timings.Total = time.Since(start)
-		e.recordMatch(res)
-		e.observeStats(sink, ssp, qi, pat, res)
-		return res, nil
+		if emit == nil {
+			qi.AddRows(res.Count)
+		}
+		return nil
 	}
 
-	// Lower the plan into its physical-operator DAG and schedule it:
-	// independent expands run concurrently (bounded by Options.Workers),
-	// the intersect waits on all of them, the aggregate on the intersect.
 	qi.SetPhase(telemetry.PhaseExecute)
 	qc := exec.NewQueryContext(ctx, e.acct, e.opts.Workers)
-	expandOps, dag, expandNodes := e.lowerExpands(plan)
+	expandOps, dag := e.lowerExpands(plan)
+	if err := dag.Run(qc); err != nil {
+		return err
+	}
+	collectExpandStats(res, expandOps)
+
+	// Assembly, join and reorder run here, outside the scheduler's operator
+	// boundaries — attribute their busy time to the query on every exit.
+	t1 := time.Now()
+	defer func() { qi.AddCPUNanos(int64(time.Since(t1))) }()
 	iop := &exec.IntersectOp{
 		NumPatternVertices: n,
 		FirstCols:          plan.CandList[plan.Order[0]],
 		RowCandidates:      rowCandidates(plan),
-		Opts: mintersect.Options{
-			CountOnly: opts.CountOnly,
-			Limit:     opts.Limit,
-			Workers:   e.opts.Workers,
-		},
 	}
 	for i := range plan.Edges {
 		pe := &plan.Edges[i]
@@ -268,41 +337,65 @@ func (e *Engine) MatchContext(ctx context.Context, pat *pattern.Pattern, opts Ma
 			EarlierPos: pe.EarlierPos, LaterPos: pe.LaterPos, Src: expandOps[i],
 		})
 	}
-	inode := dag.Add(iop, expandNodes...)
-	aop := &exec.AggregateOp{Intersect: iop, Order: plan.Order, N: n, CountOnly: opts.CountOnly}
-	dag.Add(aop, inode)
-
-	if err := dag.Run(qc); err != nil {
-		ssp.End()
-		return nil, err
+	in, cloned, err := iop.Assemble(qc)
+	if err != nil {
+		return fmt.Errorf("intersect: %w", err)
 	}
+	defer e.acct.Release(cloned)
 
-	collectExpandStats(res, expandOps)
-	res.Timings.Intersect = iop.Wall
-	res.Timings.Aggregate = aop.Wall
-	res.Count = aop.Count
-	res.Tuples = aop.Tuples
-	res.Timings.Total = time.Since(start)
-	e.recordMatch(res)
-	e.observeStats(sink, ssp, qi, pat, res)
-	return res, nil
+	t2 := time.Now()
+	jopts := mintersect.Options{CountOnly: opts.CountOnly, Limit: opts.Limit}
+	var jr *mintersect.Result
+	if emit == nil {
+		jopts.Workers = e.opts.Workers
+		jr, err = mintersect.RunContext(ctx, in, jopts)
+	} else {
+		// Rows count live, per delivered tuple, so SHOW QUERIES and
+		// /debug/queries report a streaming query's progress while the
+		// client is still fetching (emit may block on transport
+		// backpressure between tuples).
+		jr = &mintersect.Result{}
+		err = mintersect.ForEachContext(ctx, in, jopts, func(tuple []graph.VertexID) {
+			toDeclarationOrder(buf, tuple, plan.Order)
+			emit(buf)
+			qi.AddRows(1)
+		}, jr)
+	}
+	res.Timings.Intersect = time.Since(t2)
+	if err != nil {
+		return fmt.Errorf("intersect: %w", err)
+	}
+	res.Count = jr.Count
+
+	t3 := time.Now()
+	_, asp := telemetry.StartSpan(ctx, "aggregate")
+	if emit == nil {
+		// The join's tuples are private copies: permute each in place.
+		for _, tuple := range jr.Tuples {
+			copy(buf, tuple)
+			toDeclarationOrder(tuple, buf, plan.Order)
+		}
+		res.Tuples = jr.Tuples
+		qi.AddRows(res.Count)
+	}
+	asp.SetInt("tuples", res.Count)
+	asp.End()
+	res.Timings.Aggregate = time.Since(t3)
+	return nil
 }
 
-// observeStats ends the stats span subtree and appends the match's
-// per-operator est-vs-actual records to the attached sink (no-op without
-// one). Sink write failures never fail the query.
-func (e *Engine) observeStats(sink *StatsSink, ssp *telemetry.Span, qi *telemetry.QueryInfo, pat *pattern.Pattern, res *MatchResult) {
-	ssp.End()
-	if sink == nil {
-		return
+// toDeclarationOrder writes a join-order tuple into dst in pattern
+// declaration order (order[pos] = pattern-vertex index at join position pos).
+func toDeclarationOrder(dst, tuple []graph.VertexID, order []int) {
+	for pos, v := range tuple {
+		dst[order[pos]] = v
 	}
-	_ = sink.Observe(qi.ID(), e.g, pat, res, ssp.Snapshot())
 }
 
 // lowerExpands builds one ExpandOp per distinct expansion of the plan
 // (planner.Plan.Operators' dedup — the §2.3.2 symmetry memo as DAG
 // construction) and returns, per planned edge, the op serving it.
-func (e *Engine) lowerExpands(plan *planner.Plan) (perEdge []*exec.ExpandOp, dag *exec.DAG, nodes []*exec.Node) {
+func (e *Engine) lowerExpands(plan *planner.Plan) (perEdge []*exec.ExpandOp, dag *exec.DAG) {
 	dag = exec.NewDAG()
 	perEdge = make([]*exec.ExpandOp, len(plan.Edges))
 	for _, spec := range plan.Operators() {
@@ -330,9 +423,9 @@ func (e *Engine) lowerExpands(plan *planner.Plan) (perEdge []*exec.ExpandOp, dag
 			op.Edges = append(op.Edges, plan.Edges[ei].PatternEdge)
 			perEdge[ei] = op
 		}
-		nodes = append(nodes, dag.Add(op))
+		dag.Add(op)
 	}
-	return perEdge, dag, nodes
+	return perEdge, dag
 }
 
 // rowCandidates lists the candidates per join position (position 0 unused).
@@ -366,125 +459,6 @@ func collectExpandStats(res *MatchResult, ops []*exec.ExpandOp) {
 		res.Timings.Expand += op.Wall - r.Stats.UpdateVisitTime
 		res.Timings.UpdateVisit += r.Stats.UpdateVisitTime
 	}
-}
-
-// recordMatch feeds one completed Match into the metrics registry.
-func (e *Engine) recordMatch(res *MatchResult) {
-	t := res.Timings
-	telemetry.ObserveStages(t.Scan, t.Expand, t.UpdateVisit, t.Intersect, t.Aggregate, t.Total)
-	if res.ExpandStats.MatrixBytes > 0 {
-		telemetry.ExpandMatrixBytes.Add(res.ExpandStats.MatrixBytes)
-	}
-}
-
-// MatchForEach runs the pattern and streams every distinct matched tuple
-// to fn, in pattern declaration order, without materializing the result
-// set. The tuple slice is reused between calls — copy it to retain it.
-// Streaming runs the join serially (no seed partitioning), but independent
-// expands still schedule concurrently.
-func (e *Engine) MatchForEach(pat *pattern.Pattern, fn func(tuple []graph.VertexID)) error {
-	return e.MatchForEachContext(context.Background(), pat, fn)
-}
-
-// MatchForEachContext is MatchForEach with trace propagation (see
-// MatchContext for the span model). Like MatchContext, every completed
-// stream feeds the per-stage latency histograms and expand byte counters.
-func (e *Engine) MatchForEachContext(ctx context.Context, pat *pattern.Pattern, fn func(tuple []graph.VertexID)) error {
-	return e.MatchForEachOpts(ctx, pat, MatchOptions{}, fn)
-}
-
-// MatchForEachOpts is MatchForEachContext honoring MatchOptions: Order
-// forces the join order (planner ablation) and Limit stops the stream
-// after that many tuples. CountOnly is meaningless when streaming (fn
-// receives the tuples) and is ignored.
-func (e *Engine) MatchForEachOpts(ctx context.Context, pat *pattern.Pattern, opts MatchOptions, fn func(tuple []graph.VertexID)) error {
-	start := time.Now()
-	res := &MatchResult{}
-
-	t0 := time.Now()
-	_, psp := telemetry.StartSpan(ctx, "plan")
-	var plan *planner.Plan
-	var err error
-	if opts.Order != nil {
-		plan, err = planner.BuildOrdered(e.g, pat, opts.Order)
-	} else {
-		plan, err = planner.Build(e.g, pat)
-	}
-	psp.End()
-	if err != nil {
-		return err
-	}
-	res.Plan = plan
-	res.Timings.Scan = time.Since(t0)
-
-	qi := telemetry.CurrentQuery(ctx)
-	n := len(pat.Vertices)
-	if n == 1 {
-		buf := make([]graph.VertexID, 1)
-		for _, v := range plan.CandList[0] {
-			buf[0] = v
-			fn(buf)
-			qi.AddRows(1)
-			res.Count++
-			if opts.Limit > 0 && res.Count >= opts.Limit {
-				break
-			}
-		}
-		res.Timings.Total = time.Since(start)
-		e.recordMatch(res)
-		return nil
-	}
-
-	// Schedule the expand operators through the DAG (concurrent when
-	// independent), then stream the join serially on this goroutine.
-	qc := exec.NewQueryContext(ctx, e.acct, e.opts.Workers)
-	expandOps, dag, _ := e.lowerExpands(plan)
-	iop := &exec.IntersectOp{
-		NumPatternVertices: n,
-		FirstCols:          plan.CandList[plan.Order[0]],
-		RowCandidates:      rowCandidates(plan),
-	}
-	for i := range plan.Edges {
-		pe := &plan.Edges[i]
-		iop.Edges = append(iop.Edges, exec.JoinEdge{
-			EarlierPos: pe.EarlierPos, LaterPos: pe.LaterPos, Src: expandOps[i],
-		})
-	}
-	if err := dag.Run(qc); err != nil {
-		return err
-	}
-	collectExpandStats(res, expandOps)
-
-	in, cloned, err := iop.Assemble(qc)
-	if err != nil {
-		return err
-	}
-	defer e.acct.Release(cloned)
-
-	t1 := time.Now()
-	buf := make([]graph.VertexID, n)
-	var jr mintersect.Result
-	// Rows count live, per delivered tuple, so SHOW QUERIES and /debug/queries
-	// report a streaming query's progress while the client is still fetching
-	// (fn may block on transport backpressure between tuples).
-	err = mintersect.ForEachContext(ctx, in, mintersect.Options{Limit: opts.Limit}, func(tuple []graph.VertexID) {
-		for pos, v := range tuple {
-			buf[plan.Order[pos]] = v
-		}
-		fn(buf)
-		qi.AddRows(1)
-	}, &jr)
-	res.Timings.Intersect = time.Since(t1)
-	res.Count = jr.Count
-	res.Timings.Total = time.Since(start)
-	// The streaming join runs on this goroutine, outside the scheduler —
-	// attribute its busy time here.
-	qc.Query().AddCPUNanos(int64(res.Timings.Intersect))
-	if err != nil {
-		return err
-	}
-	e.recordMatch(res)
-	return nil
 }
 
 // Expand exposes the VExpand operator directly: reachability from sources

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -808,40 +810,77 @@ func TestWorkersDeterminism(t *testing.T) {
 	}
 }
 
-// TestMatchForEachStreamsSameTuples pins the streaming API against the
-// materializing Match.
+// TestMatchForEachStreamsSameTuples pins the engine's two wrappers against
+// each other: MatchContext and MatchForEachOpts are one execution path, so
+// across worker counts, cache settings, join orders and limits they return
+// the same multiset of tuples.
 func TestMatchForEachStreamsSameTuples(t *testing.T) {
 	g := socialGraph(t)
-	e := New(g, Options{})
-	d := knowsDet(1, 2)
-	pat := &pattern.Pattern{
-		Vertices: []pattern.Vertex{
-			{Name: "a", Labels: []string{"SIGA"}},
-			{Name: "b", Labels: []string{"SIGB"}},
-			{Name: "c", Labels: []string{"SIGC"}},
-		},
-		Edges: []pattern.Edge{
-			{Src: "a", Dst: "b", D: d},
-			{Src: "b", Dst: "c", D: d},
-			{Src: "a", Dst: "c", D: d},
-		},
-	}
-	var streamed [][]graph.VertexID
-	if err := e.MatchForEach(pat, func(tuple []graph.VertexID) {
-		streamed = append(streamed, append([]graph.VertexID(nil), tuple...))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	full, err := e.Match(pat, MatchOptions{})
+	pat := trianglePattern(2)
+	ref, err := New(g, Options{}).Match(pat, MatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortTuples(streamed)
-	sortTuples(full.Tuples)
-	if !reflect.DeepEqual(streamed, full.Tuples) {
-		t.Fatalf("streamed %d tuples, materialized %d", len(streamed), len(full.Tuples))
+	sortTuples(ref.Tuples)
+	inRef := make(map[[3]graph.VertexID]bool, len(ref.Tuples))
+	for _, tup := range ref.Tuples {
+		inRef[[3]graph.VertexID{tup[0], tup[1], tup[2]}] = true
 	}
 
+	shapes := []struct {
+		name string
+		opts MatchOptions
+	}{
+		{"default order", MatchOptions{}},
+		{"forced order", MatchOptions{Order: []int{2, 0, 1}}},
+		{"limit", MatchOptions{Limit: 7}},
+	}
+	for _, workers := range []int{1, 4} {
+		for _, cacheBytes := range []int64{0, DefaultCacheBytes} {
+			e := New(g, Options{Workers: workers, CacheBytes: cacheBytes})
+			for _, shape := range shapes {
+				name := fmt.Sprintf("workers=%d/cache=%d/%s", workers, cacheBytes, shape.name)
+				full, err := e.MatchContext(context.Background(), pat, shape.opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				var streamed [][]graph.VertexID
+				err = e.MatchForEachOpts(context.Background(), pat, shape.opts, func(tuple []graph.VertexID) {
+					streamed = append(streamed, append([]graph.VertexID(nil), tuple...))
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				sortTuples(full.Tuples)
+				sortTuples(streamed)
+				if shape.opts.Limit == 0 {
+					if !reflect.DeepEqual(full.Tuples, ref.Tuples) || !reflect.DeepEqual(streamed, ref.Tuples) {
+						t.Fatalf("%s: materialized %d tuples, streamed %d, want %d identical",
+							name, len(full.Tuples), len(streamed), len(ref.Tuples))
+					}
+					continue
+				}
+				// Which Limit tuples arrive is the enumeration's choice:
+				// equal counts, each a distinct tuple of the full result.
+				if int64(len(streamed)) != shape.opts.Limit || full.Count != shape.opts.Limit || len(full.Tuples) != len(streamed) {
+					t.Fatalf("%s: materialized %d (count %d), streamed %d, want %d",
+						name, len(full.Tuples), full.Count, len(streamed), shape.opts.Limit)
+				}
+				for _, got := range [][][]graph.VertexID{full.Tuples, streamed} {
+					for i, tup := range got {
+						if !inRef[[3]graph.VertexID{tup[0], tup[1], tup[2]}] {
+							t.Fatalf("%s: tuple %v is not in the full result", name, tup)
+						}
+						if i > 0 && reflect.DeepEqual(tup, got[i-1]) {
+							t.Fatalf("%s: tuple %v delivered twice", name, tup)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	e := New(g, Options{})
 	// Single-vertex streaming.
 	single := &pattern.Pattern{Vertices: []pattern.Vertex{{Name: "p", Labels: []string{"SIGB"}}}}
 	count := 0

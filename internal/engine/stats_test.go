@@ -7,9 +7,11 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/pattern"
 	"repro/internal/telemetry"
 )
@@ -91,6 +93,38 @@ func TestStatsSinkObservations(t *testing.T) {
 	}
 	if !sawExpand {
 		t.Fatalf("no expand observation among %d records", len(recs))
+	}
+
+	// A streamed match of the same pattern is the same execution with a
+	// consumer plugged in: the sink must receive the same operator records
+	// as the materialized run (wall times aside).
+	opRecords := func(run func() error) []StatsObservation {
+		t.Helper()
+		buf.Reset()
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		var out []StatsObservation
+		dec := json.NewDecoder(&buf)
+		for dec.More() {
+			var rec StatsObservation
+			if err := dec.Decode(&rec); err != nil {
+				t.Fatal(err)
+			}
+			rec.TsUnixMs, rec.TimeMs = 0, 0
+			out = append(out, rec)
+		}
+		return out
+	}
+	materialized := opRecords(func() error {
+		_, err := e.MatchContext(context.Background(), pat, MatchOptions{})
+		return err
+	})
+	streamed := opRecords(func() error {
+		return e.MatchForEachOpts(context.Background(), pat, MatchOptions{}, func([]graph.VertexID) {})
+	})
+	if len(streamed) == 0 || !reflect.DeepEqual(streamed, materialized) {
+		t.Fatalf("streamed match observed\n%+v\nmaterialized match observed\n%+v", streamed, materialized)
 	}
 }
 

@@ -1,14 +1,16 @@
 // Package exec is VertexSurge's physical execution layer: a per-query
-// QueryContext (deadline, cancellation, memory budget, trace), physical
-// operators (ExpandOp, IntersectOp, AggregateOp), and a small
-// dependency-aware scheduler that runs independent operators concurrently.
+// QueryContext (deadline, cancellation, memory budget, trace), the ExpandOp
+// physical operator, the join-input assembly (IntersectOp.Assemble), and a
+// small dependency-aware scheduler that runs independent operators
+// concurrently.
 //
-// The engine lowers a planner.Plan into a DAG — one ExpandOp per distinct
-// expansion, an IntersectOp depending on all of them, an AggregateOp
-// depending on the intersect — and Run schedules it: every operator whose
+// The engine lowers a planner.Plan's expansions into a DAG — one ExpandOp
+// per distinct expansion — and Run schedules it: every operator whose
 // dependencies completed is eligible, and eligible operators execute in
 // parallel bounded by the worker count. Independent VExpands therefore
 // overlap, which the serial edge loop the paper describes (§5) never did.
+// The join and the tuple reorder consume every expansion, overlap with
+// nothing, and so run on the engine's calling goroutine, not in the DAG.
 package exec
 
 import (
@@ -53,10 +55,6 @@ func NewQueryContext(ctx context.Context, budget *Accountant, workers int) *Quer
 		query:   telemetry.CurrentQuery(ctx),
 	}
 }
-
-// Query returns the registry entry of the running query (nil when the
-// execution is not registered).
-func (qc *QueryContext) Query() *telemetry.QueryInfo { return qc.query }
 
 // Context returns the query's context (carries deadline and trace).
 func (qc *QueryContext) Context() context.Context { return qc.ctx }

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/graph"
 )
 
 // testOp is a scriptable operator for scheduler tests.
@@ -289,5 +291,40 @@ func TestAccountantNilSafe(t *testing.T) {
 	a.Release(10)
 	if a.InUse() != 0 || a.Limit() != 0 {
 		t.Fatal("nil accountant reported usage")
+	}
+}
+
+// TestAssembleReleasesClonesOnError pins Assemble's contract: parallel edges
+// clone on AND and report the reserved bytes, and a clone the budget refuses
+// fails the assembly with nothing left reserved.
+func TestAssembleReleasesClonesOnError(t *testing.T) {
+	src := func() *ExpandOp { return &ExpandOp{Result: result64(32)} }
+	one := int64(src().Result.Reach.SizeBytes())
+	// Two join slots, each with a parallel edge: two clones wanted.
+	op := &IntersectOp{
+		NumPatternVertices: 3,
+		RowCandidates:      make([][]graph.VertexID, 3),
+		Edges: []JoinEdge{
+			{EarlierPos: 0, LaterPos: 1, Src: src()}, {EarlierPos: 0, LaterPos: 1, Src: src()},
+			{EarlierPos: 1, LaterPos: 2, Src: src()}, {EarlierPos: 1, LaterPos: 2, Src: src()},
+		},
+	}
+
+	acct := NewAccountant(2 * one)
+	in, cloned, err := op.Assemble(NewQueryContext(context.Background(), acct, 1))
+	if err != nil || in.First == nil || len(in.Ext[2]) != 1 {
+		t.Fatalf("Assemble = %+v, %v", in, err)
+	}
+	if cloned != 2*one || acct.InUse() != cloned {
+		t.Fatalf("cloned %d, in use %d, want %d", cloned, acct.InUse(), 2*one)
+	}
+
+	acct = NewAccountant(one) // room for the first clone only
+	_, cloned, err = op.Assemble(NewQueryContext(context.Background(), acct, 1))
+	if !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("Assemble over budget = %v, want ErrBudgetExceeded", err)
+	}
+	if cloned != 0 || acct.InUse() != 0 {
+		t.Fatalf("failed Assemble left %d cloned, %d in use", cloned, acct.InUse())
 	}
 }

@@ -130,52 +130,23 @@ type JoinEdge struct {
 	Src                  *ExpandOp
 }
 
-// IntersectOp assembles the MIntersect input from its dependency ExpandOps
-// and runs the Generic Join. Parallel edges sharing one (earlier, later)
-// position pair AND into a private clone (copy-on-AND): single-use
-// matrices are shared with the expansion result — and possibly the cache —
-// without copying.
+// IntersectOp describes the MIntersect input in terms of the ExpandOps that
+// computed its matrices. Parallel edges sharing one (earlier, later)
+// position pair AND into a private clone (copy-on-AND): single-use matrices
+// are shared with the expansion result — and possibly the cache — without
+// copying.
 type IntersectOp struct {
 	NumPatternVertices int
 	FirstCols          []graph.VertexID
 	RowCandidates      [][]graph.VertexID
 	Edges              []JoinEdge
-	Opts               mintersect.Options
-
-	// Result and Wall are set by Run.
-	Result *mintersect.Result
-	Wall   time.Duration
 }
 
-// Name implements Op.
-func (op *IntersectOp) Name() string { return "intersect" }
-
-// Run implements Op.
-func (op *IntersectOp) Run(qc *QueryContext) error {
-	in, cloned, err := op.assemble(qc)
-	if err != nil {
-		return err
-	}
-	defer qc.Budget().Release(cloned)
-	t0 := time.Now()
-	res, err := mintersect.RunContext(qc.Context(), in, op.Opts)
-	if err != nil {
-		return err
-	}
-	op.Wall = time.Since(t0)
-	op.Result = res
-	return nil
-}
-
-// Assemble builds the MIntersect input without running the join — the
-// streaming path (MatchForEach) drives mintersect.ForEach itself. The
-// caller must Release the returned clone bytes on qc's budget when the
-// join is done.
+// Assemble builds the MIntersect input from the expansion results; the
+// caller runs the join. It returns the clone bytes reserved on qc's budget,
+// which the caller must Release when the join is done; on error nothing
+// stays reserved.
 func (op *IntersectOp) Assemble(qc *QueryContext) (*mintersect.Input, int64, error) {
-	return op.assemble(qc)
-}
-
-func (op *IntersectOp) assemble(qc *QueryContext) (*mintersect.Input, int64, error) {
 	type key struct{ earlier, later int }
 	matrices := make(map[key]*bitMatrix)
 	cloned := int64(0)
@@ -186,7 +157,8 @@ func (op *IntersectOp) assemble(qc *QueryContext) (*mintersect.Input, int64, err
 			n, err := m.andShared(r.Reach, qc.Budget())
 			cloned += n
 			if err != nil {
-				return nil, cloned, err
+				qc.Budget().Release(cloned)
+				return nil, 0, err
 			}
 		} else {
 			matrices[k] = &bitMatrix{m: r.Reach}
@@ -260,46 +232,4 @@ func (m *bitMatrix) promote(budget *Accountant) (int64, error) {
 	m.m = m.m.Clone()
 	m.owned = true
 	return size, nil
-}
-
-// AggregateOp reorders join-order tuples back to pattern declaration
-// order — the final DAG node.
-type AggregateOp struct {
-	Intersect *IntersectOp
-	// Order maps join position → pattern-vertex index; N is the pattern
-	// vertex count.
-	Order     []int
-	N         int
-	CountOnly bool
-
-	// Tuples, Count, and Wall are set by Run.
-	Tuples [][]graph.VertexID
-	Count  int64
-	Wall   time.Duration
-}
-
-// Name implements Op.
-func (op *AggregateOp) Name() string { return "aggregate" }
-
-// Run implements Op.
-func (op *AggregateOp) Run(qc *QueryContext) error {
-	jr := op.Intersect.Result
-	t0 := time.Now()
-	_, sp := telemetry.StartSpan(qc.Context(), "aggregate")
-	op.Count = jr.Count
-	if !op.CountOnly {
-		op.Tuples = make([][]graph.VertexID, len(jr.Tuples))
-		for i, tup := range jr.Tuples {
-			out := make([]graph.VertexID, op.N)
-			for pos, v := range tup {
-				out[op.Order[pos]] = v
-			}
-			op.Tuples[i] = out
-		}
-	}
-	sp.SetInt("tuples", op.Count)
-	sp.End()
-	qc.query.AddRows(op.Count)
-	op.Wall = time.Since(t0)
-	return nil
 }

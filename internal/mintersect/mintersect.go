@@ -219,16 +219,12 @@ func runSerial(ctx context.Context, in *Input, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// ForEach runs the join, invoking fn for each materialized tuple. When
-// opts.CountOnly is set fn is never called and only statistics and the
-// count accumulate in res.
-func ForEach(in *Input, opts Options, fn func(tuple []graph.VertexID), res *Result) error {
-	return ForEachContext(context.Background(), in, opts, fn, res)
-}
-
-// ForEachContext is ForEach with trace propagation (see RunContext) and
-// cooperative cancellation: the join periodically observes ctx and returns
-// its error when canceled mid-enumeration.
+// ForEachContext runs the join serially on the calling goroutine, invoking
+// fn for each matched tuple (in join order; the slice is reused between
+// calls). When opts.CountOnly is set fn is never called and only statistics
+// and the count accumulate in res. Like RunContext it records an
+// "intersect" span under an active trace and observes ctx cooperatively,
+// returning its error when canceled mid-enumeration.
 func ForEachContext(ctx context.Context, in *Input, opts Options, fn func(tuple []graph.VertexID), res *Result) error {
 	_, sp := telemetry.StartSpan(ctx, "intersect")
 	err := forEach(ctx, in, opts, fn, res)

@@ -10,14 +10,17 @@
 // (sessions are cheap — the HTTP transport opens one per streamed request,
 // the wire transport one per connection), Session.Run starts a query and
 // returns a Cursor, and the client drives the result with Fetch(n) /
-// Discard. Streamable queries (see cypher.Streamable) execute through
-// cypher.Stream feeding a bounded row buffer — server-side result memory
-// is capped at one fetch batch regardless of result cardinality, with
-// backpressure propagating into the engine's cooperative poll points when
-// the client fetches slower than the join produces. Everything else
-// (aggregates, ORDER BY, UNWIND, EXPLAIN variants) materializes through
-// cypher.RunContext and serves the rows through the same Cursor interface,
-// so transports never branch on query shape.
+// Discard. The cypher layer has two entry points over one execution path
+// (one engine core, one projector, one registry/metrics wrapper), differing
+// only in who consumes the rows. Streamable queries (see cypher.Streamable)
+// execute through cypher.Stream, whose per-row callback feeds a bounded row
+// buffer — server-side result memory is capped at one fetch batch
+// regardless of result cardinality, and a full buffer blocks the join
+// itself (it runs on the producer's goroutine) when the client fetches
+// slower than the join produces. Everything else (aggregates, ORDER BY,
+// UNWIND, EXPLAIN variants) needs the complete result first: it collects
+// through cypher.RunContext and serves the rows through the same Cursor
+// interface, so transports never branch on query shape.
 //
 // Cursor buffers and materialized results are metered through the engine's
 // shared Accountant: a streamed cursor reserves one batch's worth of row

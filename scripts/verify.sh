@@ -65,6 +65,11 @@ fi
 step "go test ./..."
 go test ./...
 
+step "benchmark module (go vet + go test -C benchmark)"
+# benchmark/ is a nested module, invisible to ./...: without this step a
+# refactor can break the perf ledger's compile surface and still pass.
+go vet -C benchmark ./... && go test -C benchmark ./...
+
 step "go test -race ./..."
 go test -race ./...
 
