@@ -32,23 +32,27 @@ var (
 
 func dataset(b *testing.B, name string) *datagen.Dataset {
 	b.Helper()
+	return datasetAt(b, name, benchScale)
+}
+
+func datasetAt(b *testing.B, name string, scale float64) *datagen.Dataset {
+	b.Helper()
 	dsMu.Lock()
 	defer dsMu.Unlock()
-	if ds, ok := dsCache[name]; ok {
+	key := fmt.Sprintf("%s@%g", name, scale)
+	if ds, ok := dsCache[key]; ok {
 		return ds
 	}
-	ds, err := datagen.Generate(name, benchScale)
+	ds, err := datagen.Generate(name, scale)
 	if err != nil {
 		b.Fatal(err)
 	}
 	// Warm up the Hilbert-ordered COO for every edge label (§6.2's
 	// warm-up query) so one-time sorting stays out of the timed region.
 	for _, label := range ds.Graph.EdgeLabels() {
-		ds.Graph.Edges(label).COO(graph.Both)
-		ds.Graph.Edges(label).COO(graph.Forward)
-		ds.Graph.Edges(label).COO(graph.Reverse)
+		ds.Graph.Edges(label).COO()
 	}
-	dsCache[name] = ds
+	dsCache[key] = ds
 	return ds
 }
 
@@ -67,6 +71,11 @@ func scaledSources(g *graph.Graph) []graph.VertexID {
 func socialDet(kmin, kmax int) pattern.Determiner {
 	return pattern.Determiner{KMin: kmin, KMax: kmax, Dir: graph.Both, Type: pattern.Any,
 		EdgeLabels: []string{"knows"}}
+}
+
+func transferDet(kmax int) pattern.Determiner {
+	return pattern.Determiner{KMin: 1, KMax: kmax, Dir: graph.Forward, Type: pattern.Any,
+		EdgeLabels: []string{"transfer"}}
 }
 
 // --- Figure 2b: community triangle vs k_max, three systems ---
@@ -371,6 +380,45 @@ func BenchmarkKernelCrossover(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkExpandLedgerShapes runs the expansions behind the perf ledger's
+// four VExpand-bound workloads (benchmark/workloads.go) at the ledger's own
+// dataset scales, source counts, k and direction, per kernel and at
+// Workers 1 and 0 (GOMAXPROCS) — the seconds-long loop for kernel work that
+// the 25 s harness run is too slow for. It is not a gate. The BFS kernel
+// on the two social shapes takes seconds per op; filter with -bench.
+func BenchmarkExpandLedgerShapes(b *testing.B) {
+	shapes := []struct {
+		name, dataset string
+		scale         float64
+		sources       int
+		det           pattern.Determiner
+	}{
+		{"expand_miss", "LDBC-SN-SF100", 0.05, 1024, socialDet(1, 3)},
+		{"triangle_join", "LDBC-SN-SF100", 0.02, 512, socialDet(1, 2)},
+		{"stream_rows", "Rabobank", 0.1, 1024, transferDet(2)},
+		{"point_lookup", "Rabobank", 0.1, 1, transferDet(3)},
+	}
+	for _, sh := range shapes {
+		g := datasetAt(b, sh.dataset, sh.scale).Graph
+		// A mid-graph id range, as the ledger's uniform draws average out to.
+		sources := make([]graph.VertexID, sh.sources)
+		for i := range sources {
+			sources[i] = graph.VertexID(g.NumVertices()/2 + i)
+		}
+		for _, k := range []vexpand.Kernel{vexpand.Auto, vexpand.BFS, vexpand.Hilbert} {
+			for _, workers := range []int{1, 0} {
+				b.Run(fmt.Sprintf("%s/%s/workers=%d", sh.name, k, workers), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := vexpand.Expand(g, sources, sh.det, vexpand.Options{Kernel: k, Workers: workers}); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

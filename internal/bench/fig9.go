@@ -54,7 +54,7 @@ func Fig9(cfg Config, kmax int) ([]Fig9Row, error) {
 	// Warm-up (§6.2: "A warm-up query is executed before the performance
 	// test"): build the Hilbert-ordered COO once so the one-time sort is
 	// not charged to the first kernel that needs it.
-	g.Edges("knows").COO(graph.Both)
+	g.Edges("knows").COO()
 
 	var rows []Fig9Row
 	var strawman time.Duration

@@ -78,7 +78,7 @@ func TestEdgeSetFilter(t *testing.T) {
 		t.Fatal("Filter disturbed the original set")
 	}
 	// COO of the subset covers exactly the kept edges.
-	from, to := sub.COO(Forward)
+	from, to := sub.COO()
 	pairs := map[[2]uint32]bool{}
 	for i := range from {
 		pairs[[2]uint32{from[i], to[i]}] = true

@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -96,8 +97,7 @@ func buildCSR(n int, src, dst []uint32) *CSR {
 	// searchable.
 	c := &CSR{Offsets: offsets, Targets: targets}
 	for v := 0; v < n; v++ {
-		adj := c.Neighbors(VertexID(v))
-		sort.Slice(adj, func(a, b int) bool { return adj[a] < adj[b] })
+		slices.Sort(c.Neighbors(VertexID(v)))
 	}
 	return c
 }
@@ -116,10 +116,11 @@ type EdgeSet struct {
 	out *CSR // forward adjacency
 	in  *CSR // reverse adjacency
 
-	// Hilbert-ordered COO variants, built lazily per direction.
-	hilbertOnce [3]sync.Once
-	hilbertSrc  [3][]uint32
-	hilbertDst  [3][]uint32
+	// Hilbert-ordered COO, built lazily on the first matrix-kernel
+	// expansion that multiplies by this label.
+	hilbertOnce sync.Once
+	hilbertSrc  []uint32
+	hilbertDst  []uint32
 }
 
 // Label returns the edge label.
@@ -137,31 +138,19 @@ func (e *EdgeSet) In() *CSR { return e.in }
 // Edge returns the i-th edge in insertion order.
 func (e *EdgeSet) Edge(i int) (src, dst VertexID) { return e.src[i], e.dst[i] }
 
-// COO returns the edge list for traversal in the given direction, sorted in
-// Hilbert order over the (from, to) plane (§4.2). For Both, the list
-// contains each edge in both orientations. The returned slices are shared
-// and must not be modified.
-func (e *EdgeSet) COO(dir Direction) (from, to []uint32) {
-	i := int(dir)
-	e.hilbertOnce[i].Do(func() {
-		var f, t []uint32
-		switch dir {
-		case Forward:
-			f = append([]uint32(nil), e.src...)
-			t = append([]uint32(nil), e.dst...)
-		case Reverse:
-			f = append([]uint32(nil), e.dst...)
-			t = append([]uint32(nil), e.src...)
-		case Both:
-			f = make([]uint32, 0, 2*len(e.src))
-			t = make([]uint32, 0, 2*len(e.src))
-			f = append(append(f, e.src...), e.dst...)
-			t = append(append(t, e.dst...), e.src...)
-		}
-		hilbert.SortPairs(f, t)
-		e.hilbertSrc[i], e.hilbertDst[i] = f, t
+// COO returns the edge list sorted in Hilbert order over the (src, dst)
+// plane (§4.2), built once per label. The other traversal directions are
+// views of the same list: swapping the two slices gives the reverse edges
+// in the order of the transposed curve, which has the same locality, and an
+// undirected pass is the list taken both ways. The returned slices are
+// shared and must not be modified.
+func (e *EdgeSet) COO() (src, dst []uint32) {
+	e.hilbertOnce.Do(func() {
+		e.hilbertSrc = slices.Clone(e.src)
+		e.hilbertDst = slices.Clone(e.dst)
+		hilbert.SortPairs(e.hilbertSrc, e.hilbertDst)
 	})
-	return e.hilbertSrc[i], e.hilbertDst[i]
+	return e.hilbertSrc, e.hilbertDst
 }
 
 // Neighbors returns the adjacency of v in the given direction. For Both the

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/hilbert"
 )
 
 // paperGraph builds the example social network of Figure 3: six persons,
@@ -87,41 +89,29 @@ func TestCOOHilbertOrderingPreservesEdges(t *testing.T) {
 	knows := g.Edges("knows")
 
 	type pair struct{ f, t uint32 }
-	collect := func(dir Direction) map[pair]int {
-		f, to := knows.COO(dir)
-		if len(f) != len(to) {
-			t.Fatalf("COO slices mismatched")
-		}
-		m := map[pair]int{}
-		for i := range f {
-			m[pair{f[i], to[i]}]++
-		}
-		return m
+	src, dst := knows.COO()
+	if len(src) != len(dst) {
+		t.Fatalf("COO slices mismatched")
 	}
-
-	fwd := collect(Forward)
-	wantFwd := map[pair]int{{0, 1}: 1, {1, 2}: 1, {2, 3}: 1, {2, 4}: 1, {3, 5}: 1}
-	if !reflect.DeepEqual(fwd, wantFwd) {
-		t.Fatalf("forward COO = %v", fwd)
+	got := map[pair]int{}
+	for i := range src {
+		got[pair{src[i], dst[i]}]++
 	}
-	rev := collect(Reverse)
-	wantRev := map[pair]int{{1, 0}: 1, {2, 1}: 1, {3, 2}: 1, {4, 2}: 1, {5, 3}: 1}
-	if !reflect.DeepEqual(rev, wantRev) {
-		t.Fatalf("reverse COO = %v", rev)
+	want := map[pair]int{{0, 1}: 1, {1, 2}: 1, {2, 3}: 1, {2, 4}: 1, {3, 5}: 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("COO = %v", got)
 	}
-	both := collect(Both)
-	if len(both) != 10 {
-		t.Fatalf("both COO has %d distinct pairs, want 10", len(both))
-	}
-	for p := range wantFwd {
-		if both[p] != 1 || both[pair{p.t, p.f}] != 1 {
-			t.Fatalf("both COO missing orientation of %v", p)
+	// One sorted list serves every direction: it is in curve order as
+	// stored, and the swapped view is in the order of the transposed curve.
+	order := hilbert.OrderFor(g.NumVertices())
+	for i := 1; i < len(src); i++ {
+		if hilbert.D(order, src[i-1], dst[i-1]) > hilbert.D(order, src[i], dst[i]) {
+			t.Fatalf("COO not in Hilbert order at %d", i)
 		}
 	}
 	// Calling COO twice must return the same (cached) slices.
-	f1, _ := knows.COO(Forward)
-	f2, _ := knows.COO(Forward)
-	if &f1[0] != &f2[0] {
+	s2, _ := knows.COO()
+	if &src[0] != &s2[0] {
 		t.Fatal("COO not cached")
 	}
 }

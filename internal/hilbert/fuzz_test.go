@@ -24,6 +24,9 @@ func FuzzHilbertRoundTrip(f *testing.F) {
 		y &= mask
 
 		d := D(order, x, y)
+		if want := refD(order, x, y); d != want {
+			t.Fatalf("D(%d, %d, %d) = %d, bit-loop reference %d", order, x, y, d, want)
+		}
 		if max := uint64(1) << (2 * order); d >= max {
 			t.Fatalf("D(%d, %d, %d) = %d, outside curve length %d", order, x, y, d, max)
 		}

@@ -7,26 +7,55 @@
 // prefetch in the expand kernel effective and the traversal cache-oblivious.
 package hilbert
 
-import "sort"
+// The curve is walked as a four-state machine: descending one level either
+// keeps the remaining low bits of (x, y) as they are, swaps them, complements
+// both, or does both (the two operations commute). State bit 0 is "swapped",
+// bit 1 is "complemented".
+//
+// nibbleStep advances the machine four levels at once. It is indexed by
+// state<<8 | xNibble<<4 | yNibble; the low byte of an entry holds the four
+// base-4 curve digits those levels contribute, bits 8-9 the state after them.
+var nibbleStep [4 << 8]uint16
+
+func init() {
+	for i := range nibbleStep {
+		state, xn, yn := i>>8, i>>4&15, i&15
+		var digits int
+		for bit := 3; bit >= 0; bit-- {
+			rx, ry := xn>>bit&1, yn>>bit&1
+			if state&1 != 0 {
+				rx, ry = ry, rx
+			}
+			if state&2 != 0 {
+				rx, ry = rx^1, ry^1
+			}
+			digits = digits<<2 | ((3 * rx) ^ ry)
+			if ry == 0 {
+				if rx == 1 {
+					state ^= 2
+				}
+				state ^= 1
+			}
+		}
+		nibbleStep[i] = uint16(state<<8 | digits)
+	}
+}
 
 // D returns the distance along the Hilbert curve of order `order` (a 2^order
-// × 2^order grid) for the cell (x, y). x and y must be < 2^order.
+// × 2^order grid) for the cell (x, y). x and y must be < 2^order, and order
+// at most 32.
 func D(order uint, x, y uint32) uint64 {
-	var rx, ry uint32
+	// The table consumes four levels per lookup, so the order is rounded up
+	// to whole nibbles. Each padding level sees the bit pair (0, 0), which
+	// contributes digit 0 and swaps the axes: an odd pad starts swapped.
+	nibbles := (order + 3) / 4
+	state := uint((nibbles*4 - order) & 1)
 	var d uint64
-	for s := uint32(1) << (order - 1); s > 0; s >>= 1 {
-		if x&s > 0 {
-			rx = 1
-		} else {
-			rx = 0
-		}
-		if y&s > 0 {
-			ry = 1
-		} else {
-			ry = 0
-		}
-		d += uint64(s) * uint64(s) * uint64((3*rx)^ry)
-		x, y = rot(s, x, y, rx, ry)
+	for n := nibbles; n > 0; n-- {
+		shift := (n - 1) * 4
+		e := uint(nibbleStep[state<<8|uint(x>>shift&15)<<4|uint(y>>shift&15)])
+		d = d<<8 | uint64(e&0xff)
+		state = e >> 8
 	}
 	return d
 }
@@ -38,22 +67,16 @@ func XY(order uint, d uint64) (x, y uint32) {
 	for s := uint32(1); s < 1<<order; s <<= 1 {
 		rx := uint32(1) & uint32(t/2)
 		ry := uint32(1) & (uint32(t) ^ rx)
-		x, y = rot(s, x, y, rx, ry)
+		if ry == 0 {
+			if rx == 1 {
+				x = s - 1 - x
+				y = s - 1 - y
+			}
+			x, y = y, x
+		}
 		x += s * rx
 		y += s * ry
 		t /= 4
-	}
-	return x, y
-}
-
-// rot rotates/flips a quadrant appropriately.
-func rot(s, x, y, rx, ry uint32) (uint32, uint32) {
-	if ry == 0 {
-		if rx == 1 {
-			x = s - 1 - x
-			y = s - 1 - y
-		}
-		x, y = y, x
 	}
 	return x, y
 }
@@ -68,9 +91,19 @@ func OrderFor(n int) uint {
 	return order
 }
 
+// cell is one pair with its curve distance, the unit SortPairs moves.
+type cell struct {
+	d    uint64
+	x, y uint32
+}
+
+// radixBits is the digit width of SortPairs' LSD radix sort.
+const radixBits = 8
+
 // SortPairs sorts the parallel slices (xs, ys) in place by Hilbert distance
 // over a grid large enough to cover both coordinate spaces. It is the edge
-// reordering applied to COO edge lists before matrix-kernel expansion.
+// reordering applied to COO edge lists before matrix-kernel expansion. Equal
+// pairs keep their relative order.
 func SortPairs(xs, ys []uint32) {
 	if len(xs) != len(ys) {
 		panic("hilbert: coordinate slices of different length")
@@ -80,29 +113,34 @@ func SortPairs(xs, ys []uint32) {
 	}
 	maxC := uint32(0)
 	for i := range xs {
-		if xs[i] > maxC {
-			maxC = xs[i]
-		}
-		if ys[i] > maxC {
-			maxC = ys[i]
-		}
+		maxC = max(maxC, xs[i], ys[i])
 	}
 	order := OrderFor(int(maxC) + 1)
-	keys := make([]uint64, len(xs))
+	cells := make([]cell, len(xs))
 	for i := range xs {
-		keys[i] = D(order, xs[i], ys[i])
+		cells[i] = cell{D(order, xs[i], ys[i]), xs[i], ys[i]}
 	}
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
+	// LSD radix sort over the 2*order significant key bits: one counting
+	// pass per digit, ping-ponging between two buffers.
+	scratch := make([]cell, len(cells))
+	for shift := uint(0); shift < 2*order; shift += radixBits {
+		var count [1 << radixBits]int
+		for i := range cells {
+			count[cells[i].d>>shift&(1<<radixBits-1)]++
+		}
+		pos := 0
+		for digit, c := range count {
+			count[digit] = pos
+			pos += c
+		}
+		for i := range cells {
+			digit := cells[i].d >> shift & (1<<radixBits - 1)
+			scratch[count[digit]] = cells[i]
+			count[digit]++
+		}
+		cells, scratch = scratch, cells
 	}
-	sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	outX := make([]uint32, len(xs))
-	outY := make([]uint32, len(ys))
-	for i, j := range idx {
-		outX[i] = xs[j]
-		outY[i] = ys[j]
+	for i, c := range cells {
+		xs[i], ys[i] = c.x, c.y
 	}
-	copy(xs, outX)
-	copy(ys, outY)
 }

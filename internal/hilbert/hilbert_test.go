@@ -2,10 +2,104 @@ package hilbert
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// refD is the bit-at-a-time Hilbert mapping D used before it became
+// table-driven, kept as the reference the table must reproduce exactly:
+// edge lists stored or compared across versions rely on the same order.
+func refD(order uint, x, y uint32) uint64 {
+	var rx, ry uint32
+	var d uint64
+	for s := uint32(1) << (order - 1); s > 0; s >>= 1 {
+		if x&s > 0 {
+			rx = 1
+		} else {
+			rx = 0
+		}
+		if y&s > 0 {
+			ry = 1
+		} else {
+			ry = 0
+		}
+		d += uint64(s) * uint64(s) * uint64((3*rx)^ry)
+		if ry == 0 {
+			if rx == 1 {
+				x = s - 1 - x
+				y = s - 1 - y
+			}
+			x, y = y, x
+		}
+	}
+	return d
+}
+
+func TestDMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for order := uint(1); order <= 32; order++ {
+		mask := uint32(1)<<order - 1
+		if order <= 4 {
+			// Small grids exhaustively.
+			for x := uint32(0); x <= mask; x++ {
+				for y := uint32(0); y <= mask; y++ {
+					if got, want := D(order, x, y), refD(order, x, y); got != want {
+						t.Fatalf("D(%d, %d, %d) = %d, reference %d", order, x, y, got, want)
+					}
+				}
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			x, y := rng.Uint32()&mask, rng.Uint32()&mask
+			if got, want := D(order, x, y), refD(order, x, y); got != want {
+				t.Fatalf("D(%d, %d, %d) = %d, reference %d", order, x, y, got, want)
+			}
+		}
+		for _, c := range [][2]uint32{{0, 0}, {mask, 0}, {0, mask}, {mask, mask}} {
+			if got, want := D(order, c[0], c[1]), refD(order, c[0], c[1]); got != want {
+				t.Fatalf("D(%d, %d, %d) = %d, reference %d", order, c[0], c[1], got, want)
+			}
+		}
+	}
+}
+
+// SortPairs must return a permutation of its input in non-decreasing curve
+// order at every size around the radix sort's pass and buffer boundaries.
+func TestSortPairsSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	sizes := []int{0, 1}
+	for k := 1; k <= 13; k++ {
+		sizes = append(sizes, 1<<k-1, 1<<k+1)
+	}
+	type pair struct{ x, y uint32 }
+	for _, n := range sizes {
+		// Coordinate ranges from a single nibble to several radix digits.
+		for _, span := range []int{3, 300, 70000} {
+			xs, ys := make([]uint32, n), make([]uint32, n)
+			count := map[pair]int{}
+			maxC := uint32(0)
+			for i := range xs {
+				xs[i], ys[i] = uint32(rng.Intn(span)), uint32(rng.Intn(span))
+				count[pair{xs[i], ys[i]}]++
+				maxC = max(maxC, xs[i], ys[i])
+			}
+			SortPairs(xs, ys)
+			// The grid SortPairs orders on is the smallest covering its input.
+			order := OrderFor(int(maxC) + 1)
+			for i := range xs {
+				count[pair{xs[i], ys[i]}]--
+				if i > 0 && refD(order, xs[i-1], ys[i-1]) > refD(order, xs[i], ys[i]) {
+					t.Fatalf("n=%d span=%d: not in curve order at %d", n, span, i)
+				}
+			}
+			for p, c := range count {
+				if c != 0 {
+					t.Fatalf("n=%d span=%d: pair %v count off by %d", n, span, p, c)
+				}
+			}
+		}
+	}
+}
 
 func TestDOrder1(t *testing.T) {
 	// The order-1 curve visits (0,0) → (0,1) → (1,1) → (1,0).
@@ -172,11 +266,11 @@ func TestSortPairsIsDeterministic(t *testing.T) {
 	if !equalU32(xs1, xs2) || !equalU32(ys1, ys2) {
 		t.Fatal("SortPairs not deterministic")
 	}
-	if !sort.SliceIsSorted(xs1, func(a, b int) bool {
-		o := OrderFor(6)
-		return D(o, xs1[a], ys1[a]) < D(o, xs1[b], ys1[b])
-	}) {
-		t.Fatal("not sorted by Hilbert key")
+	o := OrderFor(6)
+	for i := 1; i < len(xs1); i++ {
+		if D(o, xs1[i-1], ys1[i-1]) > D(o, xs1[i], ys1[i]) {
+			t.Fatal("not sorted by Hilbert key")
+		}
 	}
 }
 

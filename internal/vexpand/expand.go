@@ -11,12 +11,29 @@
 // kernel over a (Hilbert-ordered) COO edge list. The matrix kernel comes in
 // the ablation variants of Figure 9 (Strawman, ColumnMajor, SIMD, Hilbert,
 // Prefetch). All kernels compute identical results.
+//
+// Both families do only the work the frontier needs:
+//
+//   - The stacked-columnar rungs never multiply the identity frontier: step
+//     1 is written straight from CSR adjacency (seedFromCSR) and the COO
+//     loop starts at step 2, so a k-step expansion makes k−1 edge passes.
+//   - An edge label has one Hilbert-sorted COO (graph.EdgeSet.COO). The
+//     reverse direction is the same list with its two slices swapped, the
+//     undirected one is both passes; cooStep hoists one window per 512-row
+//     stack out of the edge loop and ORs fixed 8-word views of it.
+//   - The BFS kernel keeps each source's frontier as a vertex list and its
+//     seen set as one |V|-bit bitmap cleaned bit by bit, so a source costs
+//     O(edges visited), independent of |V|.
+//   - Auto (chooseKernel) compares the two in one unit — BFS edge visits
+//     against column ORs times a measured cost ratio — and resolves to BFS
+//     or Hilbert.
 package vexpand
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -94,7 +111,9 @@ type Stats struct {
 	// ExpandTime is time spent multiplying frontiers with the edge list.
 	ExpandTime time.Duration
 	// UpdateVisitTime is time spent maintaining the visited set
-	// (SHORTEST only; ANY spends none, matching Figure 8's C11/C12).
+	// (SHORTEST only; ANY spends none, matching Figure 8's C11/C12). The
+	// BFS kernel tests and marks visited as part of each edge visit, so it
+	// reports that work under ExpandTime and leaves this zero.
 	UpdateVisitTime time.Duration
 	// MatrixBytes is the peak bit-matrix allocation, for the Table 2
 	// memory comparison.
@@ -255,16 +274,38 @@ func annotateSpan(sp *telemetry.Span, res *Result, d pattern.Determiner) {
 	sp.SetInt("pairs", int64(res.PairCount()))
 }
 
-// chooseKernel makes the planner's "fast online decision" (§5.2): it
-// estimates the per-source frontier work of the BFS kernel against the
-// matrix kernel's fixed cost of one full edge pass per step per 512-row
-// stack, and picks the cheaper. Dense frontiers (high degree, larger
-// k_max) favor the matrix kernel even for small source sets; sparse
-// single-source expansions favor BFS.
+// orCostInVisits is what one matrix column OR costs, in BFS edge visits.
+// Measured single-worker on the social graph (deg 96 undirected) as the time
+// step 2 adds to each kernel, divided by the ORs or visits it performs:
+// |V|=9600: 5.9 ns/OR against 4.8 ns/visit (ratio 1.20-1.25 at |S|=512 and
+// 1024); |V|=24000: 6.5 ns/OR against 6.5-6.6 ns/visit (ratio 1.0). Both
+// stream memory — an OR moves two cache lines it mostly finds in cache thanks
+// to the Hilbert order, a visit reads a CSR target and flips a bit — so the
+// ratio is near one; the larger measured value is used, which leans a close
+// call toward BFS, the kernel whose cost falls with the frontier.
+const orCostInVisits = 1.2
+
+// chooseKernel makes the planner's "fast online decision" (§5.2) between
+// the per-source BFS kernel and the stacked-columnar matrix kernel, from
+// |S|, |V|, |E|, direction and k only. Both kernels do the same work for
+// step 1 (the matrix kernel seeds it from CSR: |S|·deg bit sets, exactly
+// BFS's first frontier), so the decision is about steps 2..kmax:
+//
+//   - BFS visits, per source, the adjacency of every frontier vertex; the
+//     frontier is estimated to grow by the average degree per step (never
+//     to shrink, never beyond |V|).
+//   - The matrix kernel ORs one column per directed edge per 512-row stack
+//     per step, whatever the frontier holds; orCostInVisits converts ORs to
+//     visits. A ragged last stack is charged pro rata so that adding
+//     sources never flips the choice back to BFS.
+//
+// Dense frontiers (high degree, larger kmax) favor the matrix kernel even
+// for small source sets; sparse expansions favor BFS, as does a tie (BFS
+// allocates one matrix, not three). The matrix choice is always the Hilbert
+// rung: the Prefetch rung's lookahead touch has not beaten it on any shape
+// measured (EXPERIMENTS.md, Figure 9) and stays selectable for that
+// ablation only.
 func chooseKernel(g *graph.Graph, sources []graph.VertexID, d pattern.Determiner, sets []*graph.EdgeSet) Kernel {
-	if len(sources) == 0 {
-		return BFS
-	}
 	nV := float64(g.NumVertices())
 	var edges float64
 	for _, es := range sets {
@@ -273,7 +314,7 @@ func chooseKernel(g *graph.Graph, sources []graph.VertexID, d pattern.Determiner
 	if d.Dir == graph.Both {
 		edges *= 2
 	}
-	if nV == 0 || edges == 0 {
+	if len(sources) == 0 || nV == 0 || edges == 0 {
 		return BFS
 	}
 	deg := edges / nV
@@ -281,20 +322,18 @@ func chooseKernel(g *graph.Graph, sources []graph.VertexID, d pattern.Determiner
 	if kmax == pattern.Unbounded || kmax > 32 {
 		kmax = 32
 	}
-	// BFS: each step visits every frontier vertex's adjacency, per source.
-	frontier, bfsCost := 1.0, 0.0
-	for c := 1; c <= kmax; c++ {
-		bfsCost += frontier * deg
-		frontier = min(frontier*deg, nV)
+	frontier, visitsPerSource := 1.0, 0.0
+	for c := 2; c <= kmax; c++ {
+		frontier = min(frontier*max(deg, 1), nV)
+		visitsPerSource += frontier * deg
 	}
-	bfsCost *= float64(len(sources))
-	// Matrix: every step ORs one 8-word column per edge per stack.
-	stacks := float64((len(sources) + bitmatrix.StackRows - 1) / bitmatrix.StackRows)
-	matrixCost := stacks * edges * float64(kmax) * float64(bitmatrix.WordsPerColumn)
-	if bfsCost < matrixCost {
+	bfsVisits := float64(len(sources)) * visitsPerSource
+	stacks := max(1, float64(len(sources))/bitmatrix.StackRows)
+	matrixORs := stacks * edges * float64(kmax-1)
+	if bfsVisits <= matrixORs*orCostInVisits {
 		return BFS
 	}
-	return Prefetch
+	return Hilbert
 }
 
 // expansion carries the state of one Expand call.
@@ -391,17 +430,27 @@ func (e *expansion) runMatrix() (*Result, error) {
 	}
 
 	// Edge lists per set, resolved once: Hilbert-ordered for the Hilbert
-	// and Prefetch rungs, insertion order below them.
+	// and Prefetch rungs, insertion order below them. Step 1 is seeded from
+	// CSR, so a one-step expansion never needs (or builds) them.
+	maxSteps := e.maxSteps()
 	var coos []cooList
-	if e.kernel != Strawman {
+	if e.kernel != Strawman && maxSteps > 1 {
 		for _, es := range e.sets {
-			var from, to []uint32
+			var src, dst []uint32
 			if e.kernel == Hilbert || e.kernel == Prefetch {
-				from, to = es.COO(e.d.Dir)
+				src, dst = es.COO()
 			} else {
-				from, to = insertionCOO(es, e.d.Dir)
+				src, dst = insertionCOO(es)
 			}
-			coos = append(coos, cooList{from, to})
+			// One list serves all three directions: the reverse pass is
+			// the same list with its slices swapped, the undirected pass
+			// is both.
+			if e.d.Dir != graph.Reverse {
+				coos = append(coos, cooList{src, dst})
+			}
+			if e.d.Dir != graph.Forward {
+				coos = append(coos, cooList{dst, src})
+			}
 		}
 	}
 
@@ -417,7 +466,6 @@ func (e *expansion) runMatrix() (*Result, error) {
 		return nil, err
 	}
 
-	maxSteps := e.maxSteps()
 	for step := 1; step <= maxSteps; step++ {
 		// Cooperative cancellation checkpoint: one check per expand step
 		// (each step is a full edge-list pass, so the check is amortized).
@@ -431,7 +479,11 @@ func (e *expansion) runMatrix() (*Result, error) {
 			next.CopyFrom(rowNext.toStacked())
 		} else {
 			next.Reset()
-			e.parallelCOOStep(cur, next, coos)
+			if step == 1 {
+				e.seedFromCSR(next)
+			} else {
+				e.parallelCOOStep(cur, next, coos)
+			}
 		}
 		res.Stats.ExpandTime += time.Since(t0)
 
@@ -536,38 +588,51 @@ func (e *expansion) parallelCOOStep(cur, next *bitmatrix.Matrix, coos []cooList)
 	wg.Wait()
 }
 
-// insertionCOO returns the edge list in insertion order for the requested
-// direction (the pre-Hilbert rungs of the ladder).
-func insertionCOO(es *graph.EdgeSet, dir graph.Direction) (from, to []uint32) {
-	n := es.Len()
-	switch dir {
-	case graph.Forward:
-		from = make([]uint32, n)
-		to = make([]uint32, n)
-		for i := 0; i < n; i++ {
-			from[i], to[i] = es.Edge(i)
-		}
-	case graph.Reverse:
-		from = make([]uint32, n)
-		to = make([]uint32, n)
-		for i := 0; i < n; i++ {
-			to[i], from[i] = es.Edge(i)
-		}
-	default:
-		from = make([]uint32, 0, 2*n)
-		to = make([]uint32, 0, 2*n)
-		for i := 0; i < n; i++ {
-			s, d := es.Edge(i)
-			from = append(from, s, d)
-			to = append(to, d, s)
-		}
+// seedFromCSR writes the step-1 frontier: row i gets the neighbours of
+// source i. It is the product of the identity frontier with the edge list
+// without streaming the edge list — |S|·deg bit sets instead of one column
+// OR per edge per stack.
+func (e *expansion) seedFromCSR(next *bitmatrix.Matrix) {
+	for i, s := range e.sources {
+		e.adjacency(s, func(adj []uint32) {
+			for _, j := range adj {
+				next.Set(i, int(j))
+			}
+		})
 	}
-	return from, to
 }
 
-// runBFS executes the per-source BFS kernel: each source gets frontier and
-// visited bitmaps over CSR adjacency. Sources are partitioned across
-// workers; each writes only its own matrix rows.
+// adjacency calls fn with every CSR adjacency list of v the determiner
+// follows: out-lists for →, in-lists for ←, both for −, per edge label.
+// The lists are the CSR's own storage; nothing is merged or copied.
+func (e *expansion) adjacency(v graph.VertexID, fn func(adj []uint32)) {
+	for _, es := range e.sets {
+		if e.d.Dir != graph.Reverse {
+			fn(es.Out().Neighbors(v))
+		}
+		if e.d.Dir != graph.Forward {
+			fn(es.In().Neighbors(v))
+		}
+	}
+}
+
+// insertionCOO returns the edge list in insertion order (the pre-Hilbert
+// rungs of the ladder).
+func insertionCOO(es *graph.EdgeSet) (src, dst []uint32) {
+	n := es.Len()
+	src = make([]uint32, n)
+	dst = make([]uint32, n)
+	for i := 0; i < n; i++ {
+		src[i], dst[i] = es.Edge(i)
+	}
+	return src, dst
+}
+
+// runBFS executes the per-source BFS kernel over CSR adjacency. A source's
+// frontier is a vertex list and its seen set a |V|-bit bitmap that is
+// cleaned by un-setting exactly the bits that source set, so a source costs
+// O(edges visited) however large the graph is. Sources are partitioned
+// across workers; each writes only its own matrix rows.
 func (e *expansion) runBFS() (*Result, error) {
 	n := e.g.NumVertices()
 	rows := len(e.sources)
@@ -583,7 +648,6 @@ func (e *expansion) runBFS() (*Result, error) {
 	if err := e.reserve(int64(res.Reach.SizeBytes())); err != nil {
 		return nil, err
 	}
-	maxSteps := e.maxSteps()
 	if e.opts.KeepPerStep {
 		// The BFS kernel records sparse per-row distances rather than
 		// 512-row-padded step matrices; each worker writes disjoint rows.
@@ -593,139 +657,161 @@ func (e *expansion) runBFS() (*Result, error) {
 		}
 	}
 
-	type rowStat struct {
-		steps        int
-		intermediate int64
-		expand       time.Duration
-		visit        time.Duration
-	}
-
 	// Workers are partitioned on 512-row STACK boundaries, not plain row
 	// ranges: two rows of the same stack share backing words in the
 	// stacked-columnar Reach matrix, so row-level partitioning would race
 	// on Matrix.Set's read-modify-write.
 	stackCount := (rows + bitmatrix.StackRows - 1) / bitmatrix.StackRows
-	workers := e.workers()
-	if workers > stackCount {
-		workers = stackCount
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(e.workers(), stackCount))
 
-	stats := make([]rowStat, workers)
+	stats := make([]bfsStats, workers)
 	var wg sync.WaitGroup
 	perStacks := (stackCount + workers - 1) / workers
 	per := perStacks * bitmatrix.StackRows
 	for w := 0; w < workers; w++ {
-		lo, hi := w*per, (w+1)*per
-		if hi > rows {
-			hi = rows
-		}
+		lo, hi := w*per, min((w+1)*per, rows)
 		if lo >= hi {
 			continue
 		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(st *bfsStats, lo, hi int) {
 			defer wg.Done()
-			frontier := bitmatrix.NewBitmap(n)
-			nextFrontier := bitmatrix.NewBitmap(n)
-			// Visited pruning is mandatory for SHORTEST; for ANY with
-			// kmin ≤ 1 it is a pure optimization — the union of pruned
-			// frontiers over steps 1..kmax equals the walk-reach union,
-			// and frontiers shrink instead of churning. (For kmin ≥ 2
-			// walk semantics needs true walk frontiers: a vertex may be
-			// walk-reachable at step 2 but BFS-discovered at step 1.)
-			var visited *bitmatrix.Bitmap
-			if e.d.Type == pattern.Shortest || e.d.KMin <= 1 {
-				visited = bitmatrix.NewBitmap(n)
-			}
-			// Under ANY semantics the source itself is walk-reachable
-			// through any closed walk (e.g. out-and-back on an undirected
-			// edge), so it must stay discoverable: only SHORTEST pre-marks
-			// the source as visited (dist(s,s)=0 excludes it by
-			// definition).
-			markSource := e.d.Type == pattern.Shortest
-			st := &stats[w]
-			for r := lo; r < hi; r++ {
-				// Cooperative cancellation: workers cannot return errors,
-				// so they drain quietly and runBFS reports ctx.Err() after
-				// the join below.
-				if e.ctx.Err() != nil {
-					return
-				}
-				rowSteps := 0
-				frontier.Reset()
-				frontier.Set(int(e.sources[r]))
-				if visited != nil {
-					visited.Reset()
-					if markSource {
-						visited.Set(int(e.sources[r]))
-					}
-				}
-				if e.d.KMin == 0 {
-					res.Reach.Set(r, int(e.sources[r]))
-				}
-				for step := 1; step <= maxSteps; step++ {
-					if e.ctx.Err() != nil {
-						return
-					}
-					t0 := time.Now()
-					nextFrontier.Reset()
-					frontier.ForEach(func(v int) {
-						for _, es := range e.sets {
-							for _, j := range es.Neighbors(graph.VertexID(v), e.d.Dir) {
-								nextFrontier.Set(int(j))
-							}
-						}
-					})
-					st.expand += time.Since(t0)
-					if visited != nil {
-						t1 := time.Now()
-						nextFrontier.AndNot(visited)
-						visited.Or(nextFrontier)
-						st.visit += time.Since(t1)
-					}
-					rowSteps = step
-					// Shared popcount: per-worker stats plus the live
-					// query-progress pairs counter (atomic, nil-safe).
-					stepPairs := int64(nextFrontier.PopCount())
-					st.intermediate += stepPairs
-					e.query.AddPairs(stepPairs)
-					if step >= e.d.KMin {
-						nextFrontier.ForEach(func(j int) { res.Reach.Set(r, j) })
-					}
-					if e.opts.KeepPerStep {
-						dist := res.bfsDist[r]
-						nextFrontier.ForEach(func(j int) {
-							if _, seen := dist[graph.VertexID(j)]; !seen {
-								dist[graph.VertexID(j)] = step
-							}
-						})
-					}
-					if !nextFrontier.Any() {
-						break
-					}
-					frontier, nextFrontier = nextFrontier, frontier
-				}
-				if rowSteps > st.steps {
-					st.steps = rowSteps
-				}
-			}
-		}(w, lo, hi)
+			t0 := time.Now()
+			e.bfsRows(res, st, lo, hi)
+			st.expand = time.Since(t0)
+		}(&stats[w], lo, hi)
 	}
 	wg.Wait()
 	if err := e.ctx.Err(); err != nil {
 		return nil, err
 	}
 	for _, st := range stats {
-		if st.steps > res.Stats.Steps {
-			res.Stats.Steps = st.steps
-		}
+		res.Stats.Steps = max(res.Stats.Steps, st.steps)
 		res.Stats.IntermediateResults += st.intermediate
+		// The visited test is folded into the edge visit, so the BFS kernel
+		// has no separate UpdateVisitTime to report.
 		res.Stats.ExpandTime += st.expand
-		res.Stats.UpdateVisitTime += st.visit
 	}
 	res.Stats.MatrixBytes = int64(res.Reach.SizeBytes())
 	return res, nil
+}
+
+// bfsStats is what one BFS worker reports back.
+type bfsStats struct {
+	steps        int
+	intermediate int64
+	expand       time.Duration
+}
+
+// bfsRows expands sources[lo:hi], one BFS per row, on the calling worker.
+// It cannot return an error: on cancellation it drains quietly and runBFS
+// reports ctx.Err() after the join.
+func (e *expansion) bfsRows(res *Result, st *bfsStats, lo, hi int) {
+	maxSteps := e.maxSteps()
+	// Visited pruning is mandatory for SHORTEST; for ANY with kmin ≤ 1 it
+	// is a pure optimization — the union of pruned frontiers over steps
+	// 1..kmax equals the walk-reach union, and frontiers shrink instead of
+	// churning. (For kmin ≥ 2 walk semantics needs true walk frontiers: a
+	// vertex may be walk-reachable at step 2 but BFS-discovered at step 1.)
+	// Without pruning, seen only de-duplicates within one step.
+	prune := e.d.Type == pattern.Shortest || e.d.KMin <= 1
+	// Under ANY semantics the source itself is walk-reachable through any
+	// closed walk (e.g. out-and-back on an undirected edge), so it must
+	// stay discoverable: only SHORTEST pre-marks the source as seen
+	// (dist(s,s)=0 excludes it by definition).
+	markSource := e.d.Type == pattern.Shortest
+	seen := make([]uint64, (e.g.NumVertices()+63)/64)
+	// queue[level:] is the current frontier; each step appends the next
+	// one behind it. With pruning a vertex enters at most once, so the
+	// queue is also the list of bits to clear when the row is done.
+	var queue []uint32
+	// visit appends the not-yet-seen vertices of one adjacency list and
+	// marks them seen. It is branch-free per edge (whether a neighbour was
+	// seen is a coin flip on dense frontiers): every neighbour is written
+	// at the tail, and the tail only advances past the new ones.
+	visit := func(adj []uint32) {
+		queue = slices.Grow(queue, len(adj))
+		tail := queue[len(queue):cap(queue)]
+		n := 0
+		for _, j := range adj {
+			if n >= len(tail) || int(j>>6) >= len(seen) {
+				break // unreachable: Grow reserved len(adj) slots, CSR targets are < |V|
+			}
+			old := seen[j>>6]
+			seen[j>>6] = old | 1<<(j&63)
+			tail[n] = j
+			n += int(^old >> (j & 63) & 1)
+		}
+		queue = queue[:len(queue)+n]
+	}
+	unsee := func(vs []uint32) {
+		for _, j := range vs {
+			seen[j>>6] &^= 1 << (j & 63)
+		}
+	}
+	for r := lo; r < hi; r++ {
+		if e.ctx.Err() != nil {
+			return
+		}
+		src := e.sources[r]
+		queue = append(queue[:0], src)
+		level := 0
+		if markSource {
+			seen[src>>6] |= 1 << (src & 63)
+		}
+		if e.d.KMin == 0 {
+			res.Reach.Set(r, int(src))
+		}
+		// Row r's bit within a column of its stack of the Reach matrix.
+		reachWin := stackWindow(res.Reach, r/bitmatrix.StackRows)
+		reachWord, reachBit := r%bitmatrix.StackRows/64, uint64(1)<<(r%64)
+		rowSteps := 0
+		for step := 1; step <= maxSteps; step++ {
+			if e.ctx.Err() != nil {
+				return
+			}
+			end := len(queue)
+			for _, v := range queue[level:end] {
+				e.adjacency(v, visit)
+			}
+			reached := queue[end:]
+			rowSteps = step
+			// Shared count: per-worker stats plus the live query-progress
+			// pairs counter (atomic, nil-safe).
+			st.intermediate += int64(len(reached))
+			e.query.AddPairs(int64(len(reached)))
+			if step >= e.d.KMin {
+				for _, j := range reached {
+					if col := column(reachWin, j); reachWord < len(col) {
+						col[reachWord] |= reachBit
+					}
+				}
+			}
+			if e.opts.KeepPerStep {
+				dist := res.bfsDist[r]
+				for _, j := range reached {
+					if _, known := dist[j]; !known {
+						dist[j] = step
+					}
+				}
+			}
+			if len(reached) == 0 {
+				break
+			}
+			if prune {
+				level = end
+			} else {
+				unsee(reached)
+				queue = queue[:copy(queue, reached)]
+				level = 0
+			}
+		}
+		st.steps = max(st.steps, rowSteps)
+		// Clean seen for the next row. With pruning everything set is on
+		// the queue (the source is queue[0]); without, each step already
+		// cleaned up after itself.
+		if prune {
+			unsee(queue)
+		}
+	}
 }

@@ -292,8 +292,8 @@ func TestAutoKernelSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Stats.Kernel != Prefetch {
-		t.Errorf("large source set resolved to %v, want Prefetch", r.Stats.Kernel)
+	if r.Stats.Kernel != Hilbert {
+		t.Errorf("large source set resolved to %v, want Hilbert", r.Stats.Kernel)
 	}
 }
 
@@ -395,6 +395,282 @@ func TestQuickKernelEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// oracleRun is referenceExpand extended to everything a kernel reports:
+// the reach pairs, the minimal walk length of every reachable pair, and the
+// Steps / IntermediateResults a kernel family must count. The matrix rungs
+// step all rows together over true frontiers (walk frontiers for ANY,
+// newly-reached ones for SHORTEST); the BFS kernel steps each row on its
+// own and prunes visited vertices whenever that cannot change the answer
+// (SHORTEST, or ANY with kmin ≤ 1).
+type oracleRun struct {
+	reach              map[[2]int]bool
+	minLen             map[[2]int]int
+	matrixSteps        int
+	matrixIntermediate int64
+	bfsSteps           int
+	bfsIntermediate    int64
+}
+
+func oracle(g *graph.Graph, sources []graph.VertexID, d pattern.Determiner, maxSteps int) oracleRun {
+	sets, err := g.EdgeSets(d.EdgeLabels)
+	if err != nil {
+		panic(err)
+	}
+	if d.KMax != pattern.Unbounded {
+		maxSteps = d.KMax
+	}
+	expand := func(cur map[int]bool) map[int]bool {
+		next := map[int]bool{}
+		for v := range cur {
+			for _, es := range sets {
+				for _, j := range es.Neighbors(graph.VertexID(v), d.Dir) {
+					next[int(j)] = true
+				}
+			}
+		}
+		return next
+	}
+	o := oracleRun{reach: map[[2]int]bool{}, minLen: map[[2]int]int{}}
+	perStep := make([]int64, maxSteps+1) // matrix kernels: frontier bits per step over all rows
+	for i, s := range sources {
+		if d.KMin == 0 {
+			o.reach[[2]int{i, int(s)}] = true
+		}
+		// True frontiers: reach, minimal lengths, the matrix kernels' counts.
+		cur, visited := map[int]bool{int(s): true}, map[int]bool{int(s): true}
+		for step := 1; step <= maxSteps; step++ {
+			next := expand(cur)
+			if d.Type == pattern.Shortest {
+				for v := range visited {
+					delete(next, v)
+				}
+				for v := range next {
+					visited[v] = true
+				}
+			}
+			perStep[step] += int64(len(next))
+			for v := range next {
+				if step >= d.KMin {
+					o.reach[[2]int{i, v}] = true
+				}
+				if _, ok := o.minLen[[2]int{i, v}]; !ok {
+					o.minLen[[2]int{i, v}] = step
+				}
+			}
+			if len(next) == 0 {
+				break
+			}
+			cur = next
+		}
+		// The BFS kernel's own frontiers.
+		prune := d.Type == pattern.Shortest || d.KMin <= 1
+		cur, visited = map[int]bool{int(s): true}, map[int]bool{}
+		if d.Type == pattern.Shortest {
+			visited[int(s)] = true
+		}
+		for step := 1; step <= maxSteps; step++ {
+			next := expand(cur)
+			if prune {
+				for v := range visited {
+					delete(next, v)
+				}
+				for v := range next {
+					visited[v] = true
+				}
+			}
+			o.bfsSteps = max(o.bfsSteps, step)
+			o.bfsIntermediate += int64(len(next))
+			if len(next) == 0 {
+				break
+			}
+			cur = next
+		}
+	}
+	// The matrix kernels stop after the first step whose frontier is empty
+	// in every row.
+	for step := 1; step <= maxSteps; step++ {
+		o.matrixSteps = step
+		o.matrixIntermediate += perStep[step]
+		if perStep[step] == 0 {
+			break
+		}
+	}
+	return o
+}
+
+// propertyGraph builds a random multigraph with everything the kernels must
+// not trip over: two edge labels, self-loops, parallel edges, and a block of
+// isolated vertices.
+func propertyGraph(rng *rand.Rand, n int) *graph.Graph {
+	b := graph.NewBuilder(n)
+	live := n - n/5 // the last fifth has no edges at all
+	labels := []string{"e1", "e2"}
+	b.AddEdge("e1", 0, 1)
+	b.AddEdge("e2", 1, 0)
+	for i := 0; i < 2*n; i++ {
+		src, dst := uint32(rng.Intn(live)), uint32(rng.Intn(live))
+		l := labels[rng.Intn(2)]
+		b.AddEdge(l, src, dst)
+		switch rng.Intn(8) {
+		case 0:
+			b.AddEdge(l, src, dst) // parallel edge
+		case 1:
+			b.AddEdge(l, src, src) // self-loop
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestKernelEquivalenceProperty is the contract of §4 — every optimization
+// rung preserves semantics — over the full option space: every kernel
+// returns the same Reach and the same MinLength for every pair, and within
+// a kernel family the same Stats.Steps and Stats.IntermediateResults (Table
+// 2 must not depend on how step 1 is computed or on the worker count).
+func TestKernelEquivalenceProperty(t *testing.T) {
+	const maxSteps = 5 // caps the unbounded determiners
+	rng := rand.New(rand.NewSource(20240427))
+	matrixRungs := map[Kernel]bool{Strawman: true, ColumnMajor: true, SIMD: true, Hilbert: true, Prefetch: true}
+	for _, rows := range []int{1, 511, 512, 513} {
+		g := propertyGraph(rng, 24+rng.Intn(12))
+		n := g.NumVertices()
+		sources := make([]graph.VertexID, rows)
+		for i := range sources {
+			sources[i] = graph.VertexID(rng.Intn(n)) // duplicates and isolated sources included
+		}
+		// MinLength is probed on every pair of a sample of rows.
+		var probeRows []int
+		for r := 0; r < rows; r += 61 {
+			probeRows = append(probeRows, r)
+		}
+		probeRows = append(probeRows, rows-1)
+		for _, dir := range []graph.Direction{graph.Forward, graph.Reverse, graph.Both} {
+			for _, kmin := range []int{0, 1, 2} {
+				for _, kmax := range []int{1, 2, 4, pattern.Unbounded} {
+					for _, typ := range []pattern.PathType{pattern.Any, pattern.Shortest} {
+						d := pattern.Determiner{KMin: kmin, KMax: kmax, Dir: dir, Type: typ,
+							EdgeLabels: [][]string{{"e1"}, {"e1", "e2"}}[rng.Intn(2)]}
+						if d.Validate() != nil {
+							continue // kmin > kmax
+						}
+						want := oracle(g, sources, d, maxSteps)
+						for _, keep := range []bool{false, true} {
+							for _, workers := range []int{1, 4} {
+								for _, k := range allKernels {
+									r, err := Expand(g, sources, d, Options{Kernel: k, Workers: workers, KeepPerStep: keep, MaxSteps: maxSteps})
+									if err != nil {
+										t.Fatalf("rows=%d %v keep=%v workers=%d %v: %v", rows, d, keep, workers, k, err)
+									}
+									fail := func(format string, args ...any) {
+										t.Helper()
+										t.Fatalf("rows=%d %v keep=%v workers=%d kernel %v: "+format,
+											append([]any{rows, d, keep, workers, k}, args...)...)
+									}
+									if got := resultPairs(r); !reflect.DeepEqual(got, want.reach) {
+										fail("%d reach pairs, want %d", len(got), len(want.reach))
+									}
+									wantSteps, wantInter := want.bfsSteps, want.bfsIntermediate
+									if matrixRungs[k] {
+										wantSteps, wantInter = want.matrixSteps, want.matrixIntermediate
+									}
+									if r.Stats.Steps != wantSteps || r.Stats.IntermediateResults != wantInter {
+										fail("Steps/IntermediateResults = %d/%d, want %d/%d",
+											r.Stats.Steps, r.Stats.IntermediateResults, wantSteps, wantInter)
+									}
+									if !keep {
+										continue
+									}
+									for _, row := range probeRows {
+										for v := 0; v < n; v++ {
+											wl, wok := want.minLen[[2]int{row, v}]
+											if l, ok := r.MinLength(row, graph.VertexID(v)); ok != wok || l != wl {
+												fail("MinLength(%d,%d) = %d,%v want %d,%v", row, v, l, ok, wl, wok)
+											}
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// ledgerShape builds a synthetic graph with the |V|, |E| and single edge
+// label of one perf-ledger dataset; the chooser reads nothing else.
+func ledgerShape(nV, nE int) *graph.Graph {
+	b := graph.NewBuilder(nV)
+	for i := 0; i < nE; i++ {
+		b.AddEdge("e", uint32(i%nV), uint32((i*7+1+i/nV)%nV))
+	}
+	return b.MustBuild()
+}
+
+// TestChooseKernelLedgerShapes pins the online decision on the four
+// VExpand-bound shapes of the perf ledger (benchmark/workloads.go), and its
+// monotonicity: adding sources or raising kmax only ever makes frontiers
+// denser, so it may flip BFS → matrix but never back.
+func TestChooseKernelLedgerShapes(t *testing.T) {
+	social05 := ledgerShape(24000, 1150000) // LDBC-SN-SF100 at scale 0.05
+	social02 := ledgerShape(9600, 460000)   // ... at scale 0.02
+	bank := ledgerShape(162000, 413000)     // Rabobank at scale 0.1
+	det := func(kmax int, dir graph.Direction) pattern.Determiner {
+		return pattern.Determiner{KMin: 1, KMax: kmax, Dir: dir, Type: pattern.Any, EdgeLabels: []string{"e"}}
+	}
+	choose := func(g *graph.Graph, nSources int, d pattern.Determiner) Kernel {
+		sets, err := pattern.ResolveEdgeSets(g, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return chooseKernel(g, make([]graph.VertexID, nSources), d, sets)
+	}
+	shapes := []struct {
+		name    string
+		g       *graph.Graph
+		sources int
+		d       pattern.Determiner
+		want    Kernel
+	}{
+		{"expand_miss", social05, 1024, det(3, graph.Both), Hilbert},
+		{"triangle_join", social02, 512, det(2, graph.Both), Hilbert},
+		{"triangle_join/community side", social02, 826, det(2, graph.Both), Hilbert},
+		{"stream_rows", bank, 1024, det(2, graph.Forward), BFS},
+		{"point_lookup", bank, 1, det(3, graph.Forward), BFS},
+	}
+	for _, sh := range shapes {
+		if got := choose(sh.g, sh.sources, sh.d); got != sh.want {
+			t.Errorf("%s: |S|=%d %v resolved to %v, want %v", sh.name, sh.sources, sh.d, got, sh.want)
+		}
+	}
+	sourceCounts := []int{1, 2, 7, 64, 300, 511, 512, 513, 1023, 1024, 1025, 2000, 4096, 20000}
+	for _, sh := range shapes {
+		for _, dir := range []graph.Direction{graph.Forward, graph.Reverse, graph.Both} {
+			// Along |S| at every kmax, and along kmax at every |S|.
+			for kmax := 1; kmax <= 8; kmax++ {
+				matrix := false
+				for _, n := range sourceCounts {
+					k := choose(sh.g, n, det(kmax, dir))
+					if matrix && k == BFS {
+						t.Errorf("%s dir %v kmax %d: |S|=%d flipped matrix → BFS", sh.name, dir, kmax, n)
+					}
+					matrix = matrix || k != BFS
+				}
+			}
+			for _, n := range sourceCounts {
+				matrix := false
+				for _, kmax := range []int{1, 2, 3, 4, 5, 6, 8, 16, 32, pattern.Unbounded} {
+					k := choose(sh.g, n, det(kmax, dir))
+					if matrix && k == BFS {
+						t.Errorf("%s dir %v |S|=%d: kmax=%d flipped matrix → BFS", sh.name, dir, n, kmax)
+					}
+					matrix = matrix || k != BFS
+				}
+			}
+		}
 	}
 }
 

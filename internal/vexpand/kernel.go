@@ -13,8 +13,9 @@ import (
 type Kernel int
 
 const (
-	// Auto picks BFS for small source sets and the fully optimized matrix
-	// kernel otherwise (§3: kernels "suited for different scenarios").
+	// Auto picks, per invocation, BFS when frontiers stay sparse and the
+	// Hilbert matrix kernel otherwise (§3: kernels "suited for different
+	// scenarios"; see chooseKernel).
 	Auto Kernel = iota
 	// Strawman is the §4.1 baseline: a row-major bit matrix updated with
 	// per-bit set_bit (explicit word/bit address computation) while
@@ -30,10 +31,12 @@ const (
 	// Hilbert is SIMD over the Hilbert-ordered COO edge list (§4.2).
 	Hilbert
 	// Prefetch is Hilbert plus a lookahead touch of the columns used by
-	// the (x+Lookahead)-th edge, the software-prefetch stand-in.
+	// the (x+Lookahead)-th edge, the software-prefetch stand-in. It is the
+	// last rung of the Figure 9 ablation and nothing else: Auto never
+	// resolves to it.
 	Prefetch
-	// BFS expands each source independently with frontier bitmaps over
-	// CSR adjacency; preferable when |S| is small.
+	// BFS expands each source independently over CSR adjacency, its
+	// frontier a vertex list; preferable when frontiers stay sparse.
 	BFS
 )
 
@@ -155,25 +158,40 @@ func strawmanStep(cur, next *rowMatrix, sets []*graph.EdgeSet, dir graph.Directi
 	}
 }
 
-// orColumnLoop ORs src's column srcCol into dst's column dstCol within one
-// stack using a plain loop — the ColumnMajor rung of the ladder.
-//
-//vs:hotpath
-func orColumnLoop(dst, src *bitmatrix.Matrix, stack, srcCol, dstCol int) {
-	d := dst.ColumnWords(stack, dstCol)
-	s := src.ColumnWords(stack, srcCol)
-	if len(d) < bitmatrix.WordsPerColumn || len(s) < bitmatrix.WordsPerColumn {
-		return
+// stackWindow returns the words of stack s of m — the contiguous run holding
+// every column of that 512-row band — or nil when s is out of range. The
+// COO kernels take it once per stack so the edge loop only has to add
+// column*8 to a base it already holds.
+func stackWindow(m *bitmatrix.Matrix, s int) []uint64 {
+	w := m.Words()
+	span := m.Cols() * bitmatrix.WordsPerColumn
+	lo := s * span
+	hi := lo + span
+	if s < 0 || span < 0 || lo < 0 || hi < lo || hi > len(w) || hi > cap(w) {
+		return nil
 	}
-	for i, w := range s[:bitmatrix.WordsPerColumn] {
-		d[i] |= w
+	return w[lo:hi:hi]
+}
+
+// column returns the eight words of column c inside a stack window, or nil
+// when c lies outside it. As with Matrix.ColumnWords, the explicit guard is
+// what lets the prove pass drop the bounds checks here and on the constant
+// indices the callers apply after one len test.
+func column(win []uint64, c uint32) []uint64 {
+	lo := int(c) * bitmatrix.WordsPerColumn
+	hi := lo + bitmatrix.WordsPerColumn
+	if lo < 0 || hi < lo || hi > len(win) || hi > cap(win) {
+		return nil
 	}
+	return win[lo:hi:hi]
 }
 
 // cooStep performs one expand step of the stacked-columnar kernel over a
 // COO edge list: for every stack and every edge (k → j), OR column k of cur
-// into column j of next (Figure 4c). The unrolled flag selects the
-// "SIMD" 8-word unrolled OR; lookahead > 0 adds the prefetch touch.
+// into column j of next (Figure 4c) — the or_column primitive of §4.2, one
+// cache line per operand. The unrolled flag selects the "SIMD" 8-word
+// unrolled OR (the stand-in for one VPORD); lookahead > 0 adds the prefetch
+// touch.
 //
 //vs:hotpath
 func cooStep(cur, next *bitmatrix.Matrix, from, to []uint32, stackLo, stackHi int, unrolled bool, lookahead int) {
@@ -183,26 +201,33 @@ func cooStep(cur, next *bitmatrix.Matrix, from, to []uint32, stackLo, stackHi in
 		return
 	}
 	for s := stackLo; s < stackHi; s++ {
-		switch {
-		case lookahead > 0:
-			n := len(from)
-			for x := 0; x < n; x++ {
-				if ahead := x + lookahead; uint(ahead) < uint(n) {
-					// Demand-load the cache lines the (x+lookahead)-th
-					// edge will need, as §4.2's prefetcht0 would.
-					_ = cur.TouchColumn(s, int(from[ahead]))
-					_ = next.TouchColumn(s, int(to[ahead]))
+		cw, nw := stackWindow(cur, s), stackWindow(next, s)
+		for x := range from {
+			if ahead := x + lookahead; lookahead > 0 && uint(ahead) < uint(len(from)) {
+				// Demand-load the cache lines the (x+lookahead)-th
+				// edge will need, as §4.2's prefetcht0 would.
+				_ = cur.TouchColumn(s, int(from[ahead]))
+				_ = next.TouchColumn(s, int(to[ahead]))
+			}
+			src, dst := column(cw, from[x]), column(nw, to[x])
+			if len(src) < bitmatrix.WordsPerColumn || len(dst) < bitmatrix.WordsPerColumn {
+				continue // out-of-range column: caller bug, but keep the kernel branch-only
+			}
+			if !unrolled {
+				// The ColumnMajor rung: a plain loop over the column.
+				for i, w := range src[:bitmatrix.WordsPerColumn] {
+					dst[i] |= w
 				}
-				next.OrColumnFrom(cur, s, int(from[x]), int(to[x]))
+				continue
 			}
-		case unrolled:
-			for x := range from {
-				next.OrColumnFrom(cur, s, int(from[x]), int(to[x]))
-			}
-		default:
-			for x := range from {
-				orColumnLoop(next, cur, s, int(from[x]), int(to[x]))
-			}
+			dst[0] |= src[0]
+			dst[1] |= src[1]
+			dst[2] |= src[2]
+			dst[3] |= src[3]
+			dst[4] |= src[4]
+			dst[5] |= src[5]
+			dst[6] |= src[6]
+			dst[7] |= src[7]
 		}
 	}
 }
