@@ -18,6 +18,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/pattern"
+	"repro/internal/planner"
 	"repro/internal/vexpand"
 )
 
@@ -420,6 +421,75 @@ func BenchmarkExpandLedgerShapes(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkPlanLedgerShapes runs planner.Build on the perf ledger's five
+// query patterns (benchmark/workloads.go) at the ledger's dataset scales and
+// id spans, with allocations reported — the seconds-long loop for planner
+// work, since the per-query candidate scan is what a cached or selective
+// query is left paying. It is not a gate.
+func BenchmarkPlanLedgerShapes(b *testing.B) {
+	idRange := func(name string, lo int64, span int64, labels ...string) pattern.Vertex {
+		return pattern.Vertex{Name: name, Labels: labels, PropCmp: []pattern.PropFilter{
+			{Prop: "id", Op: pattern.CmpGe, Value: lo},
+			{Prop: "id", Op: pattern.CmpLt, Value: lo + span},
+		}}
+	}
+	labeled := func(name string, labels ...string) pattern.Vertex {
+		return pattern.Vertex{Name: name, Labels: labels}
+	}
+	expand := func(lo int64) *pattern.Pattern {
+		return &pattern.Pattern{
+			Vertices: []pattern.Vertex{idRange("p", lo, 1024, "Person"), labeled("q", "SIGB")},
+			Edges:    []pattern.Edge{{Src: "p", Dst: "q", D: socialDet(1, 3)}},
+		}
+	}
+	shapes := []struct {
+		name, dataset string
+		scale         float64
+		pat           func(lo int64) *pattern.Pattern
+	}{
+		{"expand_miss", "LDBC-SN-SF100", 0.05, expand},
+		{"expand_hit", "LDBC-SN-SF100", 0.05, expand},
+		{"triangle_join", "LDBC-SN-SF100", 0.02, func(lo int64) *pattern.Pattern {
+			return &pattern.Pattern{
+				Vertices: []pattern.Vertex{idRange("a", lo, 512, "Person"), labeled("b", "Person", "SIGB"), labeled("c", "Person", "SIGC")},
+				Edges: []pattern.Edge{
+					{Src: "a", Dst: "b", D: socialDet(1, 2)},
+					{Src: "b", Dst: "c", D: socialDet(1, 2)},
+					{Src: "a", Dst: "c", D: socialDet(1, 2)},
+				},
+			}
+		}},
+		{"point_lookup", "Rabobank", 0.1, func(lo int64) *pattern.Pattern {
+			a := labeled("a", "Account")
+			a.PropEq = map[string]any{"id": lo}
+			return &pattern.Pattern{
+				Vertices: []pattern.Vertex{a, labeled("b", "Account")},
+				Edges:    []pattern.Edge{{Src: "a", Dst: "b", D: transferDet(3)}},
+			}
+		}},
+		{"stream_rows", "Rabobank", 0.1, func(lo int64) *pattern.Pattern {
+			return &pattern.Pattern{
+				Vertices: []pattern.Vertex{idRange("a", lo, 1024, "Account"), labeled("b", "Account")},
+				Edges:    []pattern.Edge{{Src: "a", Dst: "b", D: transferDet(2)}},
+			}
+		}},
+	}
+	for _, sh := range shapes {
+		g := datasetAt(b, sh.dataset, sh.scale).Graph
+		// Datagen ids are vertex index + 1000; a mid-graph range, as the
+		// ledger's uniform draws average out to.
+		pat := sh.pat(1000 + int64(g.NumVertices()/2))
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := planner.Build(g, pat); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -126,7 +126,10 @@ func (m *Matrix) Clear(r, c int) {
 func (m *Matrix) Get(r, c int) bool {
 	m.boundsCheck(r, c)
 	stack, off := r/StackRows, r%StackRows
-	return m.words[m.columnBase(stack, c)+off/64]&(1<<uint(off%64)) != 0
+	// Same uint guard as Set: boundsCheck proved it, prove can consume it.
+	w := m.words
+	i := m.columnBase(stack, c) + off/64
+	return uint(i) < uint(len(w)) && w[i]&(1<<uint(off%64)) != 0
 }
 
 func (m *Matrix) boundsCheck(r, c int) {

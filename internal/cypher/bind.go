@@ -426,8 +426,9 @@ func runShortest(eng *engine.Engine, q *Query, b *boundQuery, params map[string]
 	if srcCands.PopCount() != 1 || dstCands.PopCount() != 1 {
 		return nil, fmt.Errorf("cypher: shortestPath requires uniquely identified endpoints")
 	}
-	src := graph.VertexID(srcCands.Bits()[0])
-	dst := graph.VertexID(dstCands.Bits()[0])
+	var src, dst graph.VertexID
+	srcCands.ForEach(func(i int) { src = graph.VertexID(i) })
+	dstCands.ForEach(func(i int) { dst = graph.VertexID(i) })
 	l, tm, err := shortestVia(eng, src, dst, sp.d)
 	if err != nil {
 		return nil, err

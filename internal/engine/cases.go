@@ -44,11 +44,11 @@ func (e *Engine) groupCountVLP(p, q pattern.Vertex, d pattern.Determiner, limit 
 	start := time.Now()
 
 	t0 := time.Now()
-	pCands, err := e.candidateBitmap(p)
+	pCands, err := pattern.Candidates(e.g, p)
 	if err != nil {
 		return nil, tm, err
 	}
-	qCands, err := e.candidateBitmap(q)
+	qCands, err := pattern.Candidates(e.g, q)
 	if err != nil {
 		return nil, tm, err
 	}
@@ -263,7 +263,7 @@ func (e *Engine) Case8(accountID int64, kmax int) ([]NeighborDist, Timings, erro
 	if err != nil {
 		return nil, tm, err
 	}
-	blockedMediums, err := e.candidateBitmap(pattern.Vertex{
+	blockedMediums, err := pattern.Candidates(e.g, pattern.Vertex{
 		Name: "medium", Labels: []string{"Medium"}, PropEq: map[string]any{"isBlocked": true}})
 	if err != nil {
 		return nil, tm, err

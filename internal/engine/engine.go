@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bitmatrix"
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/mintersect"
@@ -476,11 +475,6 @@ func (e *Engine) ExpandContext(ctx context.Context, sources []graph.VertexID, d 
 		Workers:     e.opts.Workers,
 		KeepPerStep: keepPerStep,
 	})
-}
-
-// candidateBitmap evaluates a pattern vertex against the graph.
-func (e *Engine) candidateBitmap(v pattern.Vertex) (*bitmatrix.Bitmap, error) {
-	return pattern.Candidates(e.g, v)
 }
 
 // vertexByID resolves an int64 "id" property to a vertex.

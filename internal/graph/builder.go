@@ -134,6 +134,16 @@ func (b *Builder) Build() (*Graph, error) {
 		edges:      make(map[string]*EdgeSet, len(b.edgeOrder)),
 		edgeOrder:  b.edgeOrder,
 		epoch:      nextEpoch.Add(1),
+		labelLists: make(map[string]*lazyVertices, len(b.labels)),
+		orders:     make(map[string]*lazyVertices),
+	}
+	for name := range b.labels {
+		g.labelLists[name] = &lazyVertices{}
+	}
+	for name, col := range b.props {
+		if _, ok := col.(Int64Column); ok {
+			g.orders[name] = &lazyVertices{}
+		}
 	}
 	for _, label := range b.edgeOrder {
 		src, dst := b.edgeSrc[label], b.edgeDst[label]

@@ -9,6 +9,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -277,9 +278,18 @@ type Graph struct {
 	edgeOrder  []string
 	epoch      uint64
 
-	idIndexOnce sync.Once
-	idIndex     map[string]map[int64]VertexID
-	idIndexMu   sync.Mutex
+	// Vertex lists derived from the immutable data above on first use: per
+	// vertex label its members, per int64 property column its ordered index.
+	// Build creates every entry, so the maps themselves are read-only.
+	labelLists map[string]*lazyVertices
+	orders     map[string]*lazyVertices
+}
+
+// lazyVertices is a vertex list built once, by whichever query needs it
+// first, and shared read-only afterwards (as EdgeSet.COO is).
+type lazyVertices struct {
+	once sync.Once
+	ids  []VertexID
 }
 
 // nextEpoch numbers every Graph built in this process; see Epoch.
@@ -319,15 +329,21 @@ func (g *Graph) HasLabel(v VertexID, name string) bool {
 	return bm != nil && bm.Get(int(v))
 }
 
-// LabelVertices returns the vertices carrying the label, ascending.
+// LabelVertices returns the vertices carrying the label in strictly
+// ascending order, or nil if the label does not exist. The list is built
+// once per label and shared — the planner hands it out as a candidate list
+// and MIntersect relies on its order — so it must not be modified.
 func (g *Graph) LabelVertices(name string) []VertexID {
-	bm := g.labels[name]
-	if bm == nil {
+	l := g.labelLists[name]
+	if l == nil {
 		return nil
 	}
-	out := make([]VertexID, 0, bm.PopCount())
-	bm.ForEach(func(i int) { out = append(out, VertexID(i)) })
-	return out
+	l.once.Do(func() {
+		bm := g.labels[name]
+		l.ids = make([]VertexID, 0, bm.PopCount())
+		bm.ForEach(func(i int) { l.ids = append(l.ids, VertexID(i)) })
+	})
+	return l.ids
 }
 
 // Edges returns the edge set of the given label, or nil if absent.
@@ -381,29 +397,48 @@ func (g *Graph) AvgDegree(labels []string) float64 {
 	return float64(total) / float64(g.n)
 }
 
-// FindByInt64 returns the vertices whose int64 property `name` equals v.
-// The first call per property builds a hash index; subsequent lookups are
-// O(1).
+// OrderedInt64 returns the int64 vertex column `name` and its ordered index:
+// position i of the index holds the vertex with the i-th smallest value,
+// equal values in vertex order. A nil perm means the column is already
+// non-decreasing (every datagen `id` is), so position i is vertex i and the
+// index cost one pass; otherwise perm is that vertex permutation, sorted on
+// first use. col is nil when the graph has no int64 column of that name. Both
+// slices are shared and must not be modified.
+func (g *Graph) OrderedInt64(name string) (col Int64Column, perm []VertexID) {
+	o := g.orders[name]
+	if o == nil {
+		return nil, nil
+	}
+	col = g.props[name].(Int64Column)
+	o.once.Do(func() {
+		if slices.IsSorted(col) {
+			return
+		}
+		o.ids = make([]VertexID, len(col))
+		for i := range o.ids {
+			o.ids[i] = VertexID(i)
+		}
+		slices.SortStableFunc(o.ids, func(a, b VertexID) int { return cmp.Compare(col[a], col[b]) })
+	})
+	return col, o.ids
+}
+
+// FindByInt64 returns the vertex whose int64 property `name` equals v, by
+// binary search on the column's ordered index. When several vertices carry
+// the value it returns the first in vertex order.
 func (g *Graph) FindByInt64(name string, v int64) (VertexID, bool) {
-	g.idIndexMu.Lock()
-	defer g.idIndexMu.Unlock()
-	if g.idIndex == nil {
-		g.idIndex = make(map[string]map[int64]VertexID)
-	}
-	idx, ok := g.idIndex[name]
-	if !ok {
-		col, isInt := g.props[name].(Int64Column)
-		if !isInt {
-			return 0, false
+	col, perm := g.OrderedInt64(name)
+	at := func(i int) VertexID {
+		if perm == nil {
+			return VertexID(i)
 		}
-		idx = make(map[int64]VertexID, len(col))
-		for i, val := range col {
-			idx[val] = VertexID(i)
-		}
-		g.idIndex[name] = idx
+		return perm[i]
 	}
-	id, ok := idx[v]
-	return id, ok
+	i := sort.Search(len(col), func(i int) bool { return col[at(i)] >= v })
+	if i == len(col) || col[at(i)] != v {
+		return 0, false
+	}
+	return at(i), true
 }
 
 // SizeBytes estimates the in-memory footprint of the graph: edge arrays,

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -290,4 +291,93 @@ func containsU32(xs []uint32, v uint32) bool {
 		}
 	}
 	return false
+}
+
+// The ordered index: a non-decreasing column is its own index (nil perm),
+// anything else gets a permutation sorted by value with ties in vertex
+// order; FindByInt64 answers from it and returns the first vertex carrying a
+// duplicated value (the hash index it replaced silently kept the last).
+func TestOrderedInt64AndFindDuplicates(t *testing.T) {
+	b := NewBuilder(6)
+	b.SetProp("sorted", Int64Column{10, 20, 20, 20, 30, 30})
+	b.SetProp("unsorted", Int64Column{30, 10, 20, 10, 30, -5})
+	b.SetProp("name", StringColumn{"a", "b", "c", "d", "e", "f"})
+	g := b.MustBuild()
+
+	if col, perm := g.OrderedInt64("sorted"); len(col) != 6 || perm != nil {
+		t.Fatalf("sorted column: col %v perm %v, want the column as its own index", col, perm)
+	}
+	col, perm := g.OrderedInt64("unsorted")
+	if want := []VertexID{5, 1, 3, 2, 0, 4}; !reflect.DeepEqual(perm, want) {
+		t.Fatalf("unsorted perm = %v, want %v", perm, want)
+	}
+	if _, again := g.OrderedInt64("unsorted"); &again[0] != &perm[0] || len(col) != 6 {
+		t.Fatal("ordered index rebuilt on second use")
+	}
+	for _, name := range []string{"name", "nope"} {
+		if col, perm := g.OrderedInt64(name); col != nil || perm != nil {
+			t.Fatalf("OrderedInt64(%q) = %v, %v; want nil, nil", name, col, perm)
+		}
+	}
+
+	finds := []struct {
+		prop string
+		val  int64
+		want VertexID
+		ok   bool
+	}{
+		{"sorted", 20, 1, true}, {"sorted", 30, 4, true}, {"sorted", 10, 0, true},
+		{"sorted", 25, 0, false}, {"sorted", 5, 0, false}, {"sorted", 31, 0, false},
+		{"unsorted", 10, 1, true}, {"unsorted", 30, 0, true}, {"unsorted", -5, 5, true},
+		{"unsorted", 0, 0, false}, {"name", 1, 0, false},
+	}
+	for _, f := range finds {
+		if v, ok := g.FindByInt64(f.prop, f.val); ok != f.ok || v != f.want {
+			t.Errorf("FindByInt64(%s, %d) = %d,%v; want %d,%v", f.prop, f.val, v, ok, f.want, f.ok)
+		}
+	}
+}
+
+// The label lists and ordered indexes are built by whichever query needs
+// them first; concurrent first uses must agree on one shared result (run
+// under -race).
+func TestLazyVertexListsConcurrentFirstUse(t *testing.T) {
+	const n = 2000
+	rng := rand.New(rand.NewSource(5))
+	b := NewBuilder(n)
+	ids := make(Int64Column, n)
+	for v := range ids {
+		ids[v] = int64(rng.Intn(n))
+		if v%3 == 0 {
+			b.SetLabel(VertexID(v), "Third")
+		}
+	}
+	g := b.SetProp("id", ids).MustBuild()
+
+	const workers = 8
+	lists, perms := make([][]VertexID, workers), make([][]VertexID, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			lists[w] = g.LabelVertices("Third")
+			_, perms[w] = g.OrderedInt64("id")
+			if v, ok := g.FindByInt64("id", ids[w]); !ok || ids[v] != ids[w] {
+				t.Errorf("FindByInt64(%d) = %d,%v", ids[w], v, ok)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		if &lists[w][0] != &lists[0][0] || &perms[w][0] != &perms[0][0] {
+			t.Fatalf("worker %d got its own copy of a shared list", w)
+		}
+	}
+	if len(lists[0]) != (n+2)/3 || !sort.SliceIsSorted(perms[0], func(i, j int) bool {
+		a, b := perms[0][i], perms[0][j]
+		return ids[a] < ids[b] || ids[a] == ids[b] && a < b
+	}) {
+		t.Fatal("shared lists are wrong")
+	}
 }

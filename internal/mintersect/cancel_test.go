@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bitmatrix"
 	"repro/internal/graph"
 	"repro/internal/pattern"
 	"repro/internal/vexpand"
@@ -82,10 +83,9 @@ func TestRunContextPreCanceled(t *testing.T) {
 }
 
 // TestRunContextCancelsMidIntersect cancels a long join shortly after it
-// starts and requires a prompt cooperative return — the extend hot path
-// polls the context every cancelCheckMask+1 calls, the seed loop every
-// seed. Run under -race this proves the cancellation path is race-free
-// across partition workers.
+// starts and requires a prompt cooperative return — seeds and extend calls
+// together poll the context every cancelCheckMask+1 units. Run under -race
+// this proves the cancellation path is race-free across partition workers.
 func TestRunContextCancelsMidIntersect(t *testing.T) {
 	mk := cancelInput(t, 3600, 3)
 	t0 := time.Now()
@@ -107,6 +107,56 @@ func TestRunContextCancelsMidIntersect(t *testing.T) {
 		}
 		if elapsed > full {
 			t.Fatalf("workers=%d: canceled join still took %v (full run: %v)", workers, elapsed, full)
+		}
+	}
+}
+
+// A streaming two-vertex join draws seeds and delivered tuples from one poll
+// budget: after the context is canceled (here from inside the k-th
+// delivery) it may spend at most cancelCheckMask+1 further units before it
+// stops, whether those units are tuples or seeds whose columns are empty.
+func TestStreamingTwoVertexCancelBound(t *testing.T) {
+	const numSeeds, k = 6000, 5
+	seeds := make([]graph.VertexID, numSeeds)
+	for i := range seeds {
+		seeds[i] = graph.VertexID(i)
+	}
+	rows := []graph.VertexID{numSeeds, numSeeds + 1}
+	for _, tc := range []struct {
+		name       string
+		seedsAlive int // leading seeds whose column holds both rows; the rest are empty
+	}{{"every seed delivers", numSeeds}, {"empty seeds after the cancel", k}} {
+		m := bitmatrix.New(len(rows), numSeeds+2)
+		for s := 0; s < tc.seedsAlive; s++ {
+			m.Set(0, s)
+			m.Set(1, s)
+		}
+		in := &Input{
+			NumPatternVertices: 2,
+			FirstCols:          seeds,
+			First:              &EdgeMatrix{EarlierPos: 0, M: m},
+			RowCandidates:      [][]graph.VertexID{nil, rows},
+			Ext:                [][]*EdgeMatrix{nil, nil},
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		delivered, after := 0, 0
+		seedsAfter := map[graph.VertexID]bool{}
+		err := ForEachContext(ctx, in, Options{}, func(tuple []graph.VertexID) {
+			delivered++
+			if delivered == k {
+				cancel()
+			} else if delivered > k {
+				after++
+				seedsAfter[tuple[0]] = true
+			}
+		}, &Result{})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: join returned %v after %d tuples, want context.Canceled", tc.name, err, delivered)
+		}
+		if spent := after + len(seedsAfter); spent > cancelCheckMask+1 {
+			t.Fatalf("%s: %d tuples over %d seeds after the cancel, budget is %d units",
+				tc.name, after, len(seedsAfter), cancelCheckMask+1)
 		}
 	}
 }

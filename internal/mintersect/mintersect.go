@@ -39,13 +39,18 @@ type Input struct {
 	// NumPatternVertices is n, the number of pattern vertices (≥ 2).
 	NumPatternVertices int
 	// FirstCols are the candidates of join-order position 0, whose
-	// columns of First are scanned to enumerate the seed pairs.
+	// columns of First are scanned to enumerate the seed pairs. The planner
+	// produces them strictly ascending, like RowCandidates.
 	FirstCols []graph.VertexID
 	// First is the matrix of the edge between positions 0 and 1, with
 	// rows = candidates of position 1.
 	First *EdgeMatrix
 	// RowCandidates[t] lists the candidates of position t (t ≥ 1); row i
 	// of every matrix for position t corresponds to RowCandidates[t][i].
+	// Lists come from planner.Plan.CandList and are strictly ascending; the
+	// two-vertex count relies on that order for FirstCols and
+	// RowCandidates[1] (it merges them), and a hand-built input without it
+	// is rejected.
 	RowCandidates [][]graph.VertexID
 	// Ext[t] (t ≥ 2) holds one EdgeMatrix per pattern edge between
 	// position t and an earlier position. Every position ≥ 2 must have at
@@ -81,7 +86,9 @@ type Result struct {
 	Stats  Stats
 }
 
-func (in *Input) validate() error {
+// validate checks the input's shape and, for the two-vertex count, the order
+// its merge relies on. It runs once per join, before any partitioning.
+func (in *Input) validate(opts Options) error {
 	n := in.NumPatternVertices
 	if n < 2 {
 		return fmt.Errorf("mintersect: need at least 2 pattern vertices, got %d", n)
@@ -113,7 +120,20 @@ func (in *Input) validate() error {
 		return fmt.Errorf("mintersect: first matrix has %d rows, want %d",
 			in.First.M.Rows(), len(in.RowCandidates[1]))
 	}
+	if n == 2 && opts.CountOnly && !(ascending(in.FirstCols) && ascending(in.RowCandidates[1])) {
+		return fmt.Errorf("mintersect: two-vertex count needs strictly ascending FirstCols and RowCandidates[1]")
+	}
 	return nil
+}
+
+// ascending reports whether list is strictly ascending.
+func ascending(list []graph.VertexID) bool {
+	for i := 1; i < len(list); i++ {
+		if list[i-1] >= list[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Run executes the Generic Join and returns the distinct matched tuples (or
@@ -158,15 +178,15 @@ func annotateSpan(sp *telemetry.Span, res *Result, opts Options) {
 }
 
 func run(ctx context.Context, in *Input, opts Options) (*Result, error) {
+	if err := in.validate(opts); err != nil {
+		return nil, err
+	}
 	workers := opts.Workers
 	if workers > len(in.FirstCols) {
 		workers = len(in.FirstCols)
 	}
 	if workers <= 1 || opts.Limit > 0 {
 		return runSerial(ctx, in, opts)
-	}
-	if err := in.validate(); err != nil {
-		return nil, err
 	}
 
 	parts := make([]*Result, workers)
@@ -227,7 +247,10 @@ func runSerial(ctx context.Context, in *Input, opts Options) (*Result, error) {
 // returning its error when canceled mid-enumeration.
 func ForEachContext(ctx context.Context, in *Input, opts Options, fn func(tuple []graph.VertexID), res *Result) error {
 	_, sp := telemetry.StartSpan(ctx, "intersect")
-	err := forEach(ctx, in, opts, fn, res)
+	err := in.validate(opts)
+	if err == nil {
+		err = forEach(ctx, in, opts, fn, res)
+	}
 	if err == nil {
 		annotateSpan(sp, res, opts)
 	}
@@ -235,10 +258,8 @@ func ForEachContext(ctx context.Context, in *Input, opts Options, fn func(tuple 
 	return err
 }
 
+// forEach runs the join over an input its caller has validated.
 func forEach(ctx context.Context, in *Input, opts Options, fn func(tuple []graph.VertexID), res *Result) error {
-	if err := in.validate(); err != nil {
-		return err
-	}
 	e := &executor{
 		ctx:   ctx,
 		in:    in,
@@ -247,9 +268,11 @@ func forEach(ctx context.Context, in *Input, opts Options, fn func(tuple []graph
 		res:   res,
 		bound: make([]graph.VertexID, in.NumPatternVertices),
 	}
-	// Row-index maps for bijection enforcement: position → vertex → row.
+	// Row-index maps for bijection enforcement in extend: position → vertex
+	// → row. Position 1 needs none: its rows are bound by the seed loop,
+	// which compares vertices directly.
 	e.rowIndex = make([]map[graph.VertexID]int, in.NumPatternVertices)
-	for t := 1; t < in.NumPatternVertices; t++ {
+	for t := 2; t < in.NumPatternVertices; t++ {
 		idx := make(map[graph.VertexID]int, len(in.RowCandidates[t]))
 		for i, v := range in.RowCandidates[t] {
 			idx[v] = i
@@ -265,9 +288,10 @@ func forEach(ctx context.Context, in *Input, opts Options, fn func(tuple []graph
 	return e.run()
 }
 
-// cancelCheckMask gates how often extend polls the context: one check per
-// 1024 extension calls keeps the hot path branch-predictable while bounding
-// cancellation latency to ~1k column intersections.
+// cancelCheckMask gates how often the join polls the context: seeds and
+// extension calls draw on one budget of cancelCheckMask+1 units per poll,
+// which keeps both loops free of the context's mutex while bounding
+// cancellation latency to ~1k column operations.
 const cancelCheckMask = 1<<10 - 1
 
 type executor struct {
@@ -280,37 +304,58 @@ type executor struct {
 	rowIndex []map[graph.VertexID]int
 	scratch  [][]uint64
 	stopped  bool
-	// calls counts extend invocations for the periodic cancellation poll;
-	// err latches the context error that stopped the enumeration.
+	// calls counts seeds and extend invocations for the periodic
+	// cancellation poll; err latches the context error that stopped the
+	// enumeration.
 	calls uint
 	err   error
 }
 
+// canceled spends one unit of the poll budget and reports whether the join
+// must stop. It inlines to a counter test in both loops; only every
+// cancelCheckMask+1-th unit reaches poll.
+func (e *executor) canceled() bool {
+	e.calls++
+	return e.calls&cancelCheckMask == 0 && e.poll()
+}
+
+// poll asks the context; a cancellation latches err and stops the join.
+func (e *executor) poll() bool {
+	if err := e.ctx.Err(); err != nil {
+		e.err = err
+		e.stopped = true
+		return true
+	}
+	return false
+}
+
 func (e *executor) run() error {
+	// A join on a canceled context fails before any seed.
+	if err := e.ctx.Err(); err != nil {
+		return err
+	}
 	first := e.in.First.M
 	cand1 := e.in.RowCandidates[1]
-	n := e.in.NumPatternVertices
-	for _, c0 := range e.in.FirstCols {
-		if e.stopped {
-			break
+	if e.in.NumPatternVertices == 2 && e.opts.CountOnly {
+		// Counting fast path: popcount every seed column, then take out the
+		// self-matches (bijection) in one merge over the two lists, which
+		// validate has checked are ascending.
+		pairs := -selfMatches(first, e.in.FirstCols, cand1)
+		for _, c0 := range e.in.FirstCols {
+			if e.canceled() {
+				return e.err
+			}
+			pairs += int64(first.ColumnPopCount(int(c0)))
 		}
-		// Per-seed cancellation checkpoint (the outer loop is cold).
-		if err := e.ctx.Err(); err != nil {
-			e.err = err
+		e.res.Count += pairs
+		e.res.Stats.SeedPairs += pairs
+		return nil
+	}
+	for _, c0 := range e.in.FirstCols {
+		if e.stopped || e.canceled() {
 			break
 		}
 		e.bound[0] = c0
-		if n == 2 && e.opts.CountOnly {
-			// Counting fast path: popcount the column, excluding a
-			// self-match of c0 (bijection).
-			cnt := first.ColumnPopCount(int(c0))
-			if row, ok := e.rowIndex[1][c0]; ok && first.Get(row, int(c0)) {
-				cnt--
-			}
-			e.res.Count += int64(cnt)
-			e.res.Stats.SeedPairs += int64(cnt)
-			continue
-		}
 		first.ForEachInColumn(int(c0), func(row int) {
 			if e.stopped {
 				return
@@ -327,20 +372,39 @@ func (e *executor) run() error {
 	return e.err
 }
 
+// selfMatches counts the vertices that are both a seed and a row candidate
+// and reach themselves in first — the pairs a column popcount includes and
+// the bijection forbids — by one merge over the two strictly ascending lists.
+//
+//vs:hotpath
+func selfMatches(first *bitmatrix.Matrix, seeds, rows []graph.VertexID) int64 {
+	var n int64
+	// Unsigned cursors: the loop condition is then the bounds proof.
+	var i, j uint
+	for i < uint(len(seeds)) && j < uint(len(rows)) {
+		switch s, r := seeds[i], rows[j]; {
+		case s < r:
+			i++
+		case s > r:
+			j++
+		default:
+			if first.Get(int(j), int(s)) {
+				n++
+			}
+			i++
+			j++
+		}
+	}
+	return n
+}
+
 // extend binds join position t by intersecting the columns selected by the
 // already-bound vertices, then recurses (Generic Join's extension step).
 //
 //vs:hotpath
 func (e *executor) extend(t int) {
-	// Counter-gated cancellation poll: alloc-free and amortized to one
-	// ctx.Err() per cancelCheckMask+1 extension calls.
-	e.calls++
-	if e.calls&cancelCheckMask == 0 {
-		if err := e.ctx.Err(); err != nil {
-			e.err = err
-			e.stopped = true
-			return
-		}
+	if e.canceled() {
+		return
 	}
 	n := e.in.NumPatternVertices
 	if t == n {

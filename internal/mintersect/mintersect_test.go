@@ -3,7 +3,9 @@ package mintersect
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -288,6 +290,11 @@ func TestQuickGenericJoinMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
+		if nP == 2 {
+			// The two-vertex count merges these lists and rejects unsorted ones.
+			slices.Sort(cands[0])
+			slices.Sort(cands[1])
+		}
 
 		// Random symmetric-ish reachability per pattern edge: first edge
 		// (0,1), and each t ≥ 2 connects to 1 + rng.Intn(t) earlier
@@ -455,5 +462,99 @@ func TestQuickParallelRunEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// countInput builds a two-vertex join over a random undirected graph in
+// which walks return to their start (every vertex with a neighbour reaches
+// itself at length 2), so seeds that are also row candidates carry
+// self-match bits the count must take out.
+func countInput(t *testing.T, seeds, rows []graph.VertexID) *Input {
+	t.Helper()
+	const n = 60
+	rng := rand.New(rand.NewSource(11))
+	b := graph.NewBuilder(n)
+	for i := 0; i < 2*n; i++ {
+		b.AddEdge("knows", uint32(rng.Intn(n)), uint32(rng.Intn(n)))
+	}
+	g := b.MustBuild()
+	d := pattern.Determiner{KMin: 1, KMax: 2, Dir: graph.Both, Type: pattern.Any, EdgeLabels: []string{"knows"}}
+	return &Input{
+		NumPatternVertices: 2,
+		FirstCols:          seeds,
+		First:              &EdgeMatrix{EarlierPos: 0, M: edgeMatrix(t, g, rows, d)},
+		RowCandidates:      [][]graph.VertexID{nil, rows},
+		Ext:                [][]*EdgeMatrix{nil, nil},
+	}
+}
+
+func vertexRange(lo, hi int) []graph.VertexID {
+	out := make([]graph.VertexID, 0, hi-lo)
+	for v := lo; v < hi; v++ {
+		out = append(out, graph.VertexID(v))
+	}
+	return out
+}
+
+// The two-vertex COUNT (column popcounts minus one merge for the
+// self-matches) equals the enumerated count however the seed and row lists
+// overlap, serial and partitioned; lists that are not strictly ascending —
+// which the planner never produces — are rejected, never miscounted.
+func TestTwoVertexCountMatchesEnumeration(t *testing.T) {
+	reversed := func(l []graph.VertexID) []graph.VertexID {
+		out := slices.Clone(l)
+		slices.Reverse(out)
+		return out
+	}
+	cases := []struct {
+		name        string
+		seeds, rows []graph.VertexID
+		selfMatches bool
+		rejected    bool
+	}{
+		{"full overlap", vertexRange(0, 40), vertexRange(0, 40), true, false},
+		{"partial overlap", vertexRange(0, 40), vertexRange(25, 60), true, false},
+		{"rows inside seeds", vertexRange(0, 60), vertexRange(30, 33), true, false},
+		{"disjoint", vertexRange(0, 30), vertexRange(30, 60), false, false},
+		{"seeds descending", reversed(vertexRange(0, 40)), vertexRange(25, 60), true, true},
+		{"rows descending", vertexRange(0, 40), reversed(vertexRange(25, 60)), true, true},
+		{"duplicate seeds", []graph.VertexID{3, 3, 7, 30, 30}, vertexRange(0, 40), true, true},
+	}
+	for _, c := range cases {
+		in := countInput(t, c.seeds, c.rows)
+		self := 0
+		for row, v := range c.rows {
+			if slices.Contains(c.seeds, v) && in.First.M.Get(row, int(v)) {
+				self++
+			}
+		}
+		if (self > 0) != c.selfMatches {
+			t.Fatalf("%s: fixture has %d self-matches", c.name, self)
+		}
+		enumerated, err := Run(in, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tuple := range enumerated.Tuples {
+			if tuple[0] == tuple[1] {
+				t.Fatalf("%s: enumerated a self pair %v", c.name, tuple)
+			}
+		}
+		for _, workers := range []int{1, 3} {
+			counted, err := Run(in, Options{CountOnly: true, Workers: workers})
+			if c.rejected {
+				if err == nil || !strings.Contains(err.Error(), "strictly ascending") {
+					t.Errorf("%s, workers=%d: counted %v, err %v; want the input rejected", c.name, workers, counted, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if counted.Count != int64(len(enumerated.Tuples)) || counted.Stats.SeedPairs != counted.Count {
+				t.Errorf("%s, workers=%d: counted %d (seed pairs %d), enumerated %d",
+					c.name, workers, counted.Count, counted.Stats.SeedPairs, len(enumerated.Tuples))
+			}
+		}
 	}
 }

@@ -6,7 +6,8 @@ package pattern
 import (
 	"fmt"
 	"math"
-	"strings"
+	"math/bits"
+	"sort"
 
 	"repro/internal/bitmatrix"
 	"repro/internal/graph"
@@ -230,28 +231,38 @@ func (p *Pattern) Validate() error {
 
 // Candidates evaluates a pattern vertex's property comparator against g and
 // returns the bitmap of graph vertices that match: all required labels
-// present, no excluded label present, and all property equalities satisfied.
-// A vertex with no constraints matches everything.
+// present, no excluded label present, and every property predicate satisfied.
+// A vertex with no constraints matches everything. Set bits enumerate in
+// ascending vertex order, which is the order the planner's candidate lists
+// and MIntersect's merge rely on.
+//
+// Evaluation is typed and costs what the predicates select, not |V| boxed
+// compares: each filter switches once on the column's concrete type and
+// converts its literal once; an int64 column answers =, <, <=, >, >= from the
+// graph's ordered index (graph.OrderedInt64) by binary search, and everything
+// else runs one typed loop over the bits still set.
 func Candidates(g *graph.Graph, v Vertex) (*bitmatrix.Bitmap, error) {
-	out := bitmatrix.NewBitmap(g.NumVertices())
-	first := true
+	var out *bitmatrix.Bitmap
 	for _, l := range v.Labels {
 		bm := g.Label(l)
 		if bm == nil {
 			return nil, fmt.Errorf("pattern: unknown vertex label %q", l)
 		}
-		if first {
-			out.CopyFrom(bm)
-			first = false
+		if out == nil {
+			out = bm.Clone()
 		} else {
 			out.And(bm)
 		}
 	}
-	if first {
+	if out == nil {
 		// No required labels: start from all vertices.
-		for i := 0; i < g.NumVertices(); i++ {
-			out.Set(i)
+		n := g.NumVertices()
+		out = bitmatrix.NewBitmap(n)
+		words := out.Words()
+		for i := range words {
+			words[i] = ^uint64(0)
 		}
+		clearRange(words, n, len(words)*64)
 	}
 	for _, l := range v.NotLabels {
 		if bm := g.Label(l); bm != nil {
@@ -259,102 +270,271 @@ func Candidates(g *graph.Graph, v Vertex) (*bitmatrix.Bitmap, error) {
 		}
 	}
 	for name, want := range v.PropEq {
-		col := g.Prop(name)
-		if col == nil {
-			return nil, fmt.Errorf("pattern: unknown vertex property %q", name)
+		if err := filter(g, out, PropFilter{Prop: name, Op: CmpEq, Value: want}); err != nil {
+			return nil, err
 		}
-		filtered := bitmatrix.NewBitmap(g.NumVertices())
-		out.ForEach(func(i int) {
-			if propEqual(col.Value(i), want) {
-				filtered.Set(i)
-			}
-		})
-		out = filtered
 	}
 	for _, pf := range v.PropCmp {
-		col := g.Prop(pf.Prop)
-		if col == nil {
-			return nil, fmt.Errorf("pattern: unknown vertex property %q", pf.Prop)
+		if err := filter(g, out, pf); err != nil {
+			return nil, err
 		}
-		filtered := bitmatrix.NewBitmap(g.NumVertices())
-		var cmpErr error
-		out.ForEach(func(i int) {
-			ok, err := propCompare(col.Value(i), pf.Op, pf.Value)
-			if err != nil && cmpErr == nil {
-				cmpErr = err
-			}
-			if ok {
-				filtered.Set(i)
-			}
-		})
-		if cmpErr != nil {
-			return nil, cmpErr
-		}
-		out = filtered
 	}
 	return out, nil
 }
 
-// propCompare evaluates `have op want`. Numeric values compare across
-// int/int64/float64; strings compare lexicographically; booleans support
-// only equality operators.
-func propCompare(have any, op CmpOp, want any) (bool, error) {
+// A typed kernel compares a column value with the literal once and lands in
+// one of four states; the operator is the set of states it keeps. Unordered
+// is a NaN on either side (the ordering operators treat it as "neither less
+// nor greater", so <= and >= keep it and = does not) and any pair of values
+// that can only be unequal.
+const (
+	stLess = iota
+	stEqual
+	stGreater
+	stUnordered
+)
+
+func keptStates(op CmpOp) uint {
 	switch op {
 	case CmpEq:
-		return propEqual(have, want), nil
+		return 1 << stEqual
 	case CmpNe:
-		return !propEqual(have, want), nil
-	}
-	// Ordering operators.
-	hf, hok := toNumber(have)
-	wf, wok := toNumber(want)
-	if hok && wok {
-		return ordHolds(op, compareFloats(hf, wf)), nil
-	}
-	hs, hok2 := have.(string)
-	ws, wok2 := want.(string)
-	if hok2 && wok2 {
-		return ordHolds(op, strings.Compare(hs, ws)), nil
-	}
-	return false, fmt.Errorf("pattern: cannot order %T against %T", have, want)
-}
-
-func toNumber(v any) (float64, bool) {
-	switch x := v.(type) {
-	case int64:
-		return float64(x), true
-	case int:
-		return float64(x), true
-	case float64:
-		return x, true
-	default:
-		return 0, false
-	}
-}
-
-func compareFloats(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+		return 1<<stLess | 1<<stGreater | 1<<stUnordered
+	case CmpLt:
+		return 1 << stLess
+	case CmpLe:
+		return 1<<stLess | 1<<stEqual | 1<<stUnordered
+	case CmpGt:
+		return 1 << stGreater
+	case CmpGe:
+		return 1<<stGreater | 1<<stEqual | 1<<stUnordered
 	default:
 		return 0
 	}
 }
 
-func ordHolds(op CmpOp, c int) bool {
-	switch op {
+// filter clears from set every vertex whose property fails pf. Numeric
+// literals (int, int64, float64) compare with numeric columns: = and <>
+// against an integer literal in int64 (a float column truncated), everything
+// else in float64. Strings order lexicographically; booleans only test
+// equality. A value that cannot equal the literal's type is unequal, except
+// that a non-numeric column reads as math.MinInt64 to a numeric literal; one
+// that cannot be ordered against it is an error as soon as a vertex is left
+// to compare.
+func filter(g *graph.Graph, set *bitmatrix.Bitmap, pf PropFilter) error {
+	col := g.Prop(pf.Prop)
+	if col == nil {
+		return fmt.Errorf("pattern: unknown vertex property %q", pf.Prop)
+	}
+	keep := keptStates(pf.Op)
+	equality := pf.Op == CmpEq || pf.Op == CmpNe
+	wi, isInt := pf.Value.(int64)
+	if x, ok := pf.Value.(int); ok {
+		wi, isInt = int64(x), true
+	}
+	wf, isFloat := pf.Value.(float64)
+	if isInt {
+		wf = float64(wi)
+	}
+	numeric := isInt || isFloat
+	words := set.Words()
+
+	switch c := col.(type) {
+	case graph.Int64Column:
+		if !numeric {
+			break
+		}
+		exact := equality && isInt
+		if pf.Op != CmpNe && wf == wf {
+			filterByIndex(g, set, pf, exact, wi, wf)
+			return nil
+		}
+		if exact {
+			filterNumeric(words, c, wi, keep)
+		} else {
+			filterNumeric(words, c, wf, keep)
+		}
+		return nil
+	case graph.Float64Column:
+		if !numeric {
+			break
+		}
+		if equality && isInt {
+			filterNumeric(words, c, wi, keep)
+		} else {
+			filterNumeric(words, c, wf, keep)
+		}
+		return nil
+	case graph.StringColumn:
+		if ws, ok := pf.Value.(string); ok {
+			filterString(words, c, ws, keep)
+			return nil
+		}
+	case graph.BoolColumn:
+		if wb, ok := pf.Value.(bool); ok && equality {
+			filterBool(words, c, wb, keep)
+			return nil
+		}
+	}
+
+	// No value of this column compares with this literal individually: the
+	// outcome is the same for every vertex.
+	if !equality {
+		if set.Any() {
+			return fmt.Errorf("pattern: cannot order %s against %T", col.Kind(), pf.Value)
+		}
+		return nil
+	}
+	state := uint(stUnordered)
+	if isInt && wi == math.MinInt64 || isFloat && wf == float64(math.MinInt64) {
+		state = stEqual // only string and bool columns get here with a numeric literal
+	}
+	if keep>>state&1 == 0 {
+		set.Reset()
+	}
+	return nil
+}
+
+// filterByIndex answers an =, <, <=, >, >= filter on an int64 column from the
+// column's ordered index: the satisfying vertices are one run [lo, hi) of it,
+// found by two binary searches. On a column that is its own index the run is
+// a vertex range and the filter a word-range mask; otherwise the run's
+// vertices are ANDed in through a scratch bitmap.
+func filterByIndex(g *graph.Graph, set *bitmatrix.Bitmap, pf PropFilter, exact bool, wi int64, wf float64) {
+	col, perm := g.OrderedInt64(pf.Prop)
+	n := len(col)
+	at := func(i int) int64 {
+		if perm != nil {
+			i = int(perm[i])
+		}
+		return col[i]
+	}
+	// Both domains are monotone along the index: float64() never reorders
+	// int64 values, it only merges neighbours.
+	var lower, upper int // first position not before / first position after the literal
+	if exact {
+		lower = sort.Search(n, func(i int) bool { return at(i) >= wi })
+		upper = sort.Search(n, func(i int) bool { return at(i) > wi })
+	} else {
+		lower = sort.Search(n, func(i int) bool { return float64(at(i)) >= wf })
+		upper = sort.Search(n, func(i int) bool { return float64(at(i)) > wf })
+	}
+	lo, hi := 0, 0
+	switch pf.Op {
+	case CmpEq:
+		lo, hi = lower, upper
 	case CmpLt:
-		return c < 0
+		hi = lower
 	case CmpLe:
-		return c <= 0
+		hi = upper
 	case CmpGt:
-		return c > 0
+		lo, hi = upper, n
 	case CmpGe:
-		return c >= 0
-	default:
-		return false
+		lo, hi = lower, n
+	}
+	if perm == nil {
+		words := set.Words()
+		clearRange(words, 0, lo)
+		clearRange(words, hi, n)
+		return
+	}
+	run := bitmatrix.NewBitmap(n)
+	run.FillFrom(perm[lo:hi])
+	set.And(run)
+}
+
+// clearRange clears bits [lo, hi) of words.
+func clearRange(words []uint64, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	first, last := lo/64, (hi-1)/64
+	fromLo := ^uint64(0) << uint(lo%64)
+	toHi := ^uint64(0) >> uint(63-(hi-1)%64)
+	if first == last {
+		words[first] &^= fromLo & toHi
+		return
+	}
+	words[first] &^= fromLo
+	clear(words[first+1 : last])
+	words[last] &^= toHi
+}
+
+// filterNumeric clears from words every set vertex whose column value,
+// converted to the literal's type, compares with w in a state keep excludes.
+//
+//vs:hotpath
+func filterNumeric[C, L int64 | float64](words []uint64, col []C, w L, keep uint) {
+	for wi, word := range words {
+		for rest := word; rest != 0; rest &= rest - 1 {
+			tz := bits.TrailingZeros64(rest)
+			i := wi*64 + tz
+			if uint(i) >= uint(len(col)) {
+				break
+			}
+			x := L(col[i])
+			state := uint(stUnordered)
+			if x < w {
+				state = stLess
+			} else if x == w {
+				state = stEqual
+			} else if x > w {
+				state = stGreater
+			}
+			if keep>>state&1 == 0 {
+				word &^= 1 << uint(tz)
+			}
+		}
+		words[wi] = word
+	}
+}
+
+// filterString is filterNumeric for a string column and literal.
+//
+//vs:hotpath
+func filterString(words []uint64, col []string, w string, keep uint) {
+	for wi, word := range words {
+		for rest := word; rest != 0; rest &= rest - 1 {
+			tz := bits.TrailingZeros64(rest)
+			i := wi*64 + tz
+			if uint(i) >= uint(len(col)) {
+				break
+			}
+			state := uint(stGreater)
+			if x := col[i]; x < w {
+				state = stLess
+			} else if x == w {
+				state = stEqual
+			}
+			if keep>>state&1 == 0 {
+				word &^= 1 << uint(tz)
+			}
+		}
+		words[wi] = word
+	}
+}
+
+// filterBool is filterNumeric for a bool column and literal, which are equal
+// or unordered.
+//
+//vs:hotpath
+func filterBool(words []uint64, col []bool, w bool, keep uint) {
+	for wi, word := range words {
+		for rest := word; rest != 0; rest &= rest - 1 {
+			tz := bits.TrailingZeros64(rest)
+			i := wi*64 + tz
+			if uint(i) >= uint(len(col)) {
+				break
+			}
+			state := uint(stUnordered)
+			if col[i] == w {
+				state = stEqual
+			}
+			if keep>>state&1 == 0 {
+				word &^= 1 << uint(tz)
+			}
+		}
+		words[wi] = word
 	}
 }
 

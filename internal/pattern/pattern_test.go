@@ -1,10 +1,15 @@
 package pattern
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/quick"
 
+	"repro/internal/bitmatrix"
 	"repro/internal/graph"
 )
 
@@ -231,5 +236,267 @@ func TestResolveEdgeSetsWithFilter(t *testing.T) {
 	d.EdgePropEq = map[string]any{"nope": 1}
 	if _, err := ResolveEdgeSets(g, d); err == nil {
 		t.Fatal("unknown edge property accepted")
+	}
+}
+
+// refCandidates is the boxed evaluator Candidates replaced, kept verbatim as
+// the reference the typed one must agree with: one Column.Value per set bit
+// per filter, compared through propCompare/propEqual.
+func refCandidates(g *graph.Graph, v Vertex) (*bitmatrix.Bitmap, error) {
+	out := bitmatrix.NewBitmap(g.NumVertices())
+	first := true
+	for _, l := range v.Labels {
+		bm := g.Label(l)
+		if bm == nil {
+			return nil, fmt.Errorf("pattern: unknown vertex label %q", l)
+		}
+		if first {
+			out.CopyFrom(bm)
+			first = false
+		} else {
+			out.And(bm)
+		}
+	}
+	if first {
+		for i := 0; i < g.NumVertices(); i++ {
+			out.Set(i)
+		}
+	}
+	for _, l := range v.NotLabels {
+		if bm := g.Label(l); bm != nil {
+			out.AndNot(bm)
+		}
+	}
+	for name, want := range v.PropEq {
+		col := g.Prop(name)
+		if col == nil {
+			return nil, fmt.Errorf("pattern: unknown vertex property %q", name)
+		}
+		filtered := bitmatrix.NewBitmap(g.NumVertices())
+		out.ForEach(func(i int) {
+			if propEqual(col.Value(i), want) {
+				filtered.Set(i)
+			}
+		})
+		out = filtered
+	}
+	for _, pf := range v.PropCmp {
+		col := g.Prop(pf.Prop)
+		if col == nil {
+			return nil, fmt.Errorf("pattern: unknown vertex property %q", pf.Prop)
+		}
+		filtered := bitmatrix.NewBitmap(g.NumVertices())
+		var cmpErr error
+		out.ForEach(func(i int) {
+			ok, err := propCompare(col.Value(i), pf.Op, pf.Value)
+			if err != nil && cmpErr == nil {
+				cmpErr = err
+			}
+			if ok {
+				filtered.Set(i)
+			}
+		})
+		if cmpErr != nil {
+			return nil, cmpErr
+		}
+		out = filtered
+	}
+	return out, nil
+}
+
+func propCompare(have any, op CmpOp, want any) (bool, error) {
+	switch op {
+	case CmpEq:
+		return propEqual(have, want), nil
+	case CmpNe:
+		return !propEqual(have, want), nil
+	}
+	hf, hok := toNumber(have)
+	wf, wok := toNumber(want)
+	if hok && wok {
+		return ordHolds(op, compareFloats(hf, wf)), nil
+	}
+	hs, hok2 := have.(string)
+	ws, wok2 := want.(string)
+	if hok2 && wok2 {
+		return ordHolds(op, strings.Compare(hs, ws)), nil
+	}
+	return false, fmt.Errorf("pattern: cannot order %T against %T", have, want)
+}
+
+func toNumber(v any) (float64, bool) {
+	switch x := v.(type) {
+	case int64:
+		return float64(x), true
+	case int:
+		return float64(x), true
+	case float64:
+		return x, true
+	default:
+		return 0, false
+	}
+}
+
+func compareFloats(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0
+	}
+}
+
+func ordHolds(op CmpOp, c int) bool {
+	switch op {
+	case CmpLt:
+		return c < 0
+	case CmpLe:
+		return c <= 0
+	case CmpGt:
+		return c > 0
+	case CmpGe:
+		return c >= 0
+	default:
+		return false
+	}
+}
+
+// Property: the typed, index-backed evaluator returns the bitmap — or the
+// error text — of the boxed reference, over random graphs with all four
+// column kinds (int64 columns sorted, unsorted, constant and duplicate-heavy,
+// so both index forms and the scan fallback run), 0–2 labels plus NotLabels,
+// every operator, and literals of every type the binder can produce,
+// including math.MinInt64, NaN, values outside the column's range and
+// fractional floats against int columns.
+func TestQuickCandidatesMatchReference(t *testing.T) {
+	labels := []string{"A", "B", "C"}
+	props := []string{"sorted", "unsorted", "constant", "dups", "big", "f", "s", "b", "nope"}
+	ops := []CmpOp{CmpEq, CmpNe, CmpLt, CmpLe, CmpGt, CmpGe, CmpOp(9)}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(200)
+		b := graph.NewBuilder(n)
+		sorted, unsorted := make(graph.Int64Column, n), make(graph.Int64Column, n)
+		constant, dups, big := make(graph.Int64Column, n), make(graph.Int64Column, n), make(graph.Int64Column, n)
+		fl, st, bo := make(graph.Float64Column, n), make(graph.StringColumn, n), make(graph.BoolColumn, n)
+		for v := 0; v < n; v++ {
+			for _, l := range labels {
+				if rng.Intn(3) > 0 {
+					b.SetLabel(graph.VertexID(v), l)
+				}
+			}
+			sorted[v] = 1000 + int64(v)/int64(1+seed&1) // strictly increasing or pairwise equal
+			unsorted[v] = int64(rng.Intn(2*n)) - int64(n/2)
+			constant[v] = 7
+			dups[v] = int64(rng.Intn(4))
+			// Neighbours float64() cannot tell apart, and the extremes.
+			big[v] = []int64{1 << 53, 1<<53 + 1, -(1 << 53) - 1, math.MaxInt64, math.MinInt64, 0}[rng.Intn(6)]
+			fl[v] = []float64{float64(rng.Intn(8)) / 2, -1.5, math.NaN(), math.Inf(1), 1e300}[rng.Intn(5)]
+			st[v] = string(rune('a' + rng.Intn(5)))
+			bo[v] = rng.Intn(2) == 0
+		}
+		b.SetProp("sorted", sorted).SetProp("unsorted", unsorted).SetProp("constant", constant)
+		b.SetProp("dups", dups).SetProp("big", big).SetProp("f", fl).SetProp("s", st).SetProp("b", bo)
+		g := b.MustBuild()
+
+		literal := func() any {
+			switch rng.Intn(14) {
+			case 0:
+				return rng.Intn(2*n) - n/2
+			case 1:
+				return int64(1000 + rng.Intn(n+2) - 1)
+			case 2:
+				return float64(rng.Intn(8)) / 2
+			case 3:
+				return float64(1000+rng.Intn(n)) + 0.5
+			case 4:
+				return string(rune('a' + rng.Intn(6)))
+			case 5:
+				return rng.Intn(2) == 0
+			case 6:
+				return int64(math.MinInt64)
+			case 7:
+				return math.MinInt64
+			case 8:
+				return float64(math.MinInt64)
+			case 9:
+				return math.NaN()
+			case 10:
+				return []int64{1 << 53, 1<<53 + 1, math.MaxInt64}[rng.Intn(3)]
+			case 11:
+				return []float64{1 << 53, 1e300, math.Inf(-1)}[rng.Intn(3)]
+			case 12:
+				return int32(7) // a type no column value has
+			default:
+				return nil
+			}
+		}
+		pick := func(from []string, max int) []string {
+			var out []string
+			for i := rng.Intn(max + 1); i > 0; i-- {
+				out = append(out, from[rng.Intn(len(from))])
+			}
+			return out
+		}
+		for trial := 0; trial < 60; trial++ {
+			v := Vertex{Name: "v", Labels: pick(labels, 2), NotLabels: pick(append(labels, "Nope"), 1)}
+			if rng.Intn(8) == 0 {
+				v.Labels = append(v.Labels, "Nope")
+			}
+			if rng.Intn(3) == 0 {
+				// At most one entry: with several, which unknown property
+				// is reported depends on map order in both evaluators.
+				v.PropEq = map[string]any{props[rng.Intn(len(props))]: literal()}
+			}
+			for i := rng.Intn(3); i > 0; i-- {
+				v.PropCmp = append(v.PropCmp, PropFilter{
+					Prop: props[rng.Intn(len(props)-rng.Intn(2))], Op: ops[rng.Intn(len(ops))], Value: literal()})
+			}
+			want, wantErr := refCandidates(g, v)
+			got, gotErr := Candidates(g, v)
+			if (wantErr == nil) != (gotErr == nil) || wantErr != nil && wantErr.Error() != gotErr.Error() {
+				t.Logf("seed %d: %+v: error %v, reference %v", seed, v, gotErr, wantErr)
+				return false
+			}
+			if wantErr == nil && !got.Equal(want) {
+				t.Logf("seed %d: %+v: candidates %v, reference %v", seed, v, got.Bits(), want.Bits())
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
+	}
+}
+
+// The ledger's expand_hit vertex — (p:Person) WHERE p.id >= lo AND p.id < hi
+// on a sorted id column — must cost the same number of allocations on a
+// graph ten times the size: nothing per vertex is boxed or closed over.
+func TestCandidatesAllocsIndependentOfGraphSize(t *testing.T) {
+	allocs := func(n int) float64 {
+		b := graph.NewBuilder(n)
+		id := make(graph.Int64Column, n)
+		for v := range id {
+			b.SetLabel(graph.VertexID(v), "Person")
+			id[v] = 1000 + int64(v)
+		}
+		g := b.SetProp("id", id).MustBuild()
+		v := Vertex{Name: "p", Labels: []string{"Person"}, PropCmp: []PropFilter{
+			{Prop: "id", Op: CmpGe, Value: int64(1000 + n/2)},
+			{Prop: "id", Op: CmpLt, Value: int64(1000 + n/2 + 64)},
+		}}
+		return testing.AllocsPerRun(20, func() {
+			bm, err := Candidates(g, v)
+			if err != nil || bm.PopCount() != 64 {
+				t.Fatalf("n=%d: %v candidates, err %v", n, bm.PopCount(), err)
+			}
+		})
+	}
+	small, large := allocs(2_000), allocs(20_000)
+	if small != large || small > 8 {
+		t.Fatalf("Candidates allocations: %v at |V|=2000, %v at |V|=20000; want equal and small", small, large)
 	}
 }

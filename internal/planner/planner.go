@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/bitmatrix"
 	"repro/internal/graph"
 	"repro/internal/pattern"
 )
@@ -42,10 +41,11 @@ type Plan struct {
 	Order []int
 	// PosOf maps pattern-vertex index → join position.
 	PosOf []int
-	// Candidates and CandList hold the scan results per pattern-vertex
-	// index (bitmap and dense list forms).
-	Candidates []*bitmatrix.Bitmap
-	CandList   [][]graph.VertexID
+	// CandList holds the scan result per pattern-vertex index: the matching
+	// graph vertices in strictly ascending order (VExpand's rows and
+	// MIntersect's merge rely on it). A list may be the graph's shared
+	// per-label list (Graph.LabelVertices), so it is read-only.
+	CandList [][]graph.VertexID
 	// Edges lists every pattern edge annotated; the edge whose endpoints
 	// are positions 0 and 1 comes first.
 	Edges []PlannedEdge
@@ -139,10 +139,9 @@ func build(g *graph.Graph, pat *pattern.Pattern, forced []int) (*Plan, error) {
 		}
 	}
 	plan := &Plan{
-		Order:      make([]int, 0, n),
-		PosOf:      make([]int, n),
-		Candidates: make([]*bitmatrix.Bitmap, n),
-		CandList:   make([][]graph.VertexID, n),
+		Order:    make([]int, 0, n),
+		PosOf:    make([]int, n),
+		CandList: make([][]graph.VertexID, n),
 	}
 	for i := range plan.PosOf {
 		plan.PosOf[i] = -1
@@ -151,13 +150,10 @@ func build(g *graph.Graph, pat *pattern.Pattern, forced []int) (*Plan, error) {
 	// Step 1: scan vertices based on filters (candidate sets and sizes).
 	sizes := make([]float64, n)
 	for i, v := range pat.Vertices {
-		bm, err := pattern.Candidates(g, v)
+		list, err := candidateList(g, v)
 		if err != nil {
 			return nil, err
 		}
-		plan.Candidates[i] = bm
-		list := make([]graph.VertexID, 0, bm.PopCount())
-		bm.ForEach(func(x int) { list = append(list, graph.VertexID(x)) })
 		plan.CandList[i] = list
 		sizes[i] = float64(len(list))
 	}
@@ -236,6 +232,25 @@ func build(g *graph.Graph, pat *pattern.Pattern, forced []int) (*Plan, error) {
 	}
 
 	return finishPlan(pat, plan, est)
+}
+
+// candidateList scans one pattern vertex. A vertex constrained by exactly one
+// label takes the graph's shared list for it, so `(q:SIGB)` costs no
+// per-query allocation; anything else is evaluated by pattern.Candidates and
+// listed once.
+func candidateList(g *graph.Graph, v pattern.Vertex) ([]graph.VertexID, error) {
+	if len(v.Labels) == 1 && len(v.NotLabels) == 0 && len(v.PropEq) == 0 && len(v.PropCmp) == 0 {
+		if list := g.LabelVertices(v.Labels[0]); list != nil {
+			return list, nil
+		}
+	}
+	bm, err := pattern.Candidates(g, v)
+	if err != nil {
+		return nil, err
+	}
+	list := make([]graph.VertexID, 0, bm.PopCount())
+	bm.ForEach(func(x int) { list = append(list, graph.VertexID(x)) })
+	return list, nil
 }
 
 // finishPlan orients every edge for expansion from its later endpoint and

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -110,18 +111,57 @@ func checkPlanInvariants(t *testing.T, g *graph.Graph, pat *pattern.Pattern, p *
 			t.Fatalf("position %d has no connecting edge", pos)
 		}
 	}
-	// Candidates respect labels.
+	// Candidates respect labels, and each list is exactly the evaluator's
+	// set, ascending.
 	for i, v := range pat.Vertices {
-		p.Candidates[i].ForEach(func(x int) {
+		for _, x := range p.CandList[i] {
 			for _, l := range v.Labels {
-				if !g.HasLabel(graph.VertexID(x), l) {
+				if !g.HasLabel(x, l) {
 					t.Fatalf("candidate %d of %s lacks label %s", x, v.Name, l)
 				}
 			}
-		})
-		if len(p.CandList[i]) != p.Candidates[i].PopCount() {
-			t.Fatalf("CandList and Candidates disagree for %s", v.Name)
 		}
+		bm, err := pattern.Candidates(g, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []graph.VertexID
+		bm.ForEach(func(x int) { want = append(want, graph.VertexID(x)) })
+		if !slices.Equal(p.CandList[i], want) {
+			t.Fatalf("CandList and pattern.Candidates disagree for %s", v.Name)
+		}
+	}
+}
+
+// A vertex that is exactly one label takes the graph's shared list; a
+// filtered vertex over the same label must get a list of its own, and
+// planning must leave the shared one as it was.
+func TestSharedLabelListNotAliased(t *testing.T) {
+	g := socialGraph(t)
+	shared := g.LabelVertices("Person")
+	before := slices.Clone(shared)
+	d := pattern.Determiner{KMin: 1, KMax: 2, Dir: graph.Both, Type: pattern.Any, EdgeLabels: []string{"knows"}}
+	pat := &pattern.Pattern{
+		Vertices: []pattern.Vertex{
+			{Name: "p", Labels: []string{"Person"}, PropCmp: []pattern.PropFilter{
+				{Prop: "id", Op: pattern.CmpGe, Value: int64(0)}}}, // keeps every Person
+			{Name: "q", Labels: []string{"Person"}},
+		},
+		Edges: []pattern.Edge{{Src: "p", Dst: "q", D: d}},
+	}
+	p, err := Build(g, pat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPlanInvariants(t, g, pat, p)
+	if &p.CandList[1][0] != &shared[0] {
+		t.Error("label-only vertex did not take the shared label list")
+	}
+	if &p.CandList[0][0] == &shared[0] {
+		t.Error("filtered vertex aliases the shared label list")
+	}
+	if !slices.Equal(p.CandList[0], shared) || !slices.Equal(shared, before) {
+		t.Error("planning changed the shared label list")
 	}
 }
 
@@ -145,7 +185,7 @@ func TestSingleVertexPlan(t *testing.T) {
 	if len(p.Order) != 1 || len(p.Edges) != 0 {
 		t.Fatalf("single-vertex plan = %+v", p)
 	}
-	if p.Candidates[0].PopCount() == 0 {
+	if len(p.CandList[0]) == 0 {
 		t.Fatal("no SIGA candidates")
 	}
 }

@@ -42,7 +42,11 @@ import (
 // Re-exported core types: the typed query API is shared with the internal
 // engine so programmatic and Cypher queries compose.
 type (
-	// Graph is an immutable labeled property graph.
+	// Graph is an immutable labeled property graph. What its accessors
+	// return is shared with every query and read-only: Label's bitmap,
+	// Prop's columns and LabelVertices' list (query plans hand that list out
+	// as a candidate list, so sorting or writing it in place corrupts later
+	// queries; slices.Clone it first).
 	Graph = graph.Graph
 	// GraphBuilder assembles a Graph.
 	GraphBuilder = graph.Builder
