@@ -232,7 +232,7 @@ func BenchmarkFig8ExpandStage(b *testing.B) {
 	g := ds.Graph
 	sources := g.LabelVertices("SIGA")
 	for i := 0; i < b.N; i++ {
-		if _, err := vexpand.Expand(g, sources, socialDet(1, 3), vexpand.Options{Kernel: vexpand.Prefetch}); err != nil {
+		if _, err := vexpand.Expand(g, sources, socialDet(1, 3), vexpand.Options{Kernel: vexpand.Hilbert}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -281,7 +281,7 @@ func BenchmarkFig9Kernels(b *testing.B) {
 	// (§4.2's "high occupancy" observation).
 	det := socialDet(1, 3)
 	for _, k := range []vexpand.Kernel{
-		vexpand.Strawman, vexpand.ColumnMajor, vexpand.SIMD, vexpand.Hilbert, vexpand.Prefetch,
+		vexpand.Strawman, vexpand.ColumnMajor, vexpand.SIMD, vexpand.Hilbert,
 	} {
 		b.Run(k.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -373,7 +373,7 @@ func BenchmarkKernelCrossover(b *testing.B) {
 		for i := range sources {
 			sources[i] = graph.VertexID(i % g.NumVertices())
 		}
-		for _, k := range []vexpand.Kernel{vexpand.BFS, vexpand.Prefetch} {
+		for _, k := range []vexpand.Kernel{vexpand.BFS, vexpand.Hilbert} {
 			b.Run(fmt.Sprintf("S=%d/%s", nSources, k), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := vexpand.Expand(g, sources, det, vexpand.Options{Kernel: k}); err != nil {

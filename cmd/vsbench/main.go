@@ -5,7 +5,6 @@
 //
 //	vsbench -exp all -scale 0.02
 //	vsbench -exp fig9 -scale 0.05 -kmax 3
-//	vsbench -exp fig9 -scale 0.02 -json out/
 //
 // Experiments: table1, fig2b, fig6, fig7, fig8, table2, fig9, ablations,
 // cache, all. The cache experiment measures the engine-level
@@ -13,10 +12,6 @@
 // Scale 1.0 means the paper's dataset sizes (Twitter2010 at scale 1.0
 // needs a very large machine; the default regenerates every shape in
 // seconds).
-//
-// With -json DIR each experiment additionally writes a machine-readable
-// BENCH_<exp>_<scale>.json record (schema, host fingerprint, per-case
-// median/p95 ns) that scripts/benchdiff.go compares across runs.
 package main
 
 import (
@@ -24,6 +19,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 	"strings"
 
 	"repro/internal/bench"
@@ -39,35 +35,16 @@ func main() {
 		workers = flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
 		kmax    = flag.Int("kmax", 0, "override the experiment's k_max sweep upper bound")
 		social  = flag.String("social", "", "comma-separated social datasets for fig6 (default LastFM,Epinions,LDBC-SN-SF100)")
-		jsonDir = flag.String("json", "", "also write BENCH_<exp>_<scale>.json records into this directory")
 	)
 	flag.Parse()
 
 	cfg := bench.Config{Scale: *scale, Budget: *budget, Workers: *workers}
 	w := os.Stdout
-	// The text output opens with the same host fingerprint the JSON
-	// records carry, so saved bench_results_*.txt files are
-	// self-describing.
-	host := bench.CollectHost()
+	// The output opens with a host line so saved bench_results_*.txt files
+	// are self-describing.
 	fmt.Fprintf(w, "VertexSurge evaluation harness — scale %g, budget %d tuples\n", *scale, *budget)
-	fmt.Fprintf(w, "host: %s %s/%s GOMAXPROCS=%d cpus=%d git=%s\n",
-		host.GoVersion, host.GOOS, host.GOARCH, host.GOMAXPROCS, host.NumCPU, host.GitSHA)
-	if host.CPUModel != "" {
-		fmt.Fprintf(w, "cpu:  %s\n", host.CPUModel)
-	}
-
-	// emit writes the experiment's JSON record when -json is set.
-	emit := func(rec *bench.Record) error {
-		if *jsonDir == "" {
-			return nil
-		}
-		path, err := rec.Write(*jsonDir)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", path)
-		return nil
-	}
+	fmt.Fprintf(w, "host: %s %s/%s GOMAXPROCS=%d cpus=%d\n",
+		runtime.Version(), runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0), runtime.NumCPU())
 
 	pick := func(def int) int {
 		if *kmax > 0 {
@@ -87,7 +64,7 @@ func main() {
 				return err
 			}
 			bench.PrintTable1(w, cfg, rows)
-			return emit(bench.RecordTable1(cfg, rows))
+			return nil
 		},
 		"fig2b": func() error {
 			rows, err := bench.Fig2b(cfg, pick(4))
@@ -95,7 +72,7 @@ func main() {
 				return err
 			}
 			bench.PrintFig2b(w, rows)
-			return emit(bench.RecordFig2b(cfg, rows))
+			return nil
 		},
 		"fig6": func() error {
 			cells, err := bench.Fig6(cfg, socialList)
@@ -103,7 +80,7 @@ func main() {
 				return err
 			}
 			bench.PrintFig6(w, cells)
-			return emit(bench.RecordFig6(cfg, cells))
+			return nil
 		},
 		"fig7": func() error {
 			rows, err := bench.Fig7(cfg, pick(6))
@@ -111,7 +88,7 @@ func main() {
 				return err
 			}
 			bench.PrintFig7(w, rows)
-			return emit(bench.RecordFig7(cfg, rows))
+			return nil
 		},
 		"fig8": func() error {
 			rows, err := bench.Fig8(cfg)
@@ -119,7 +96,7 @@ func main() {
 				return err
 			}
 			bench.PrintFig8(w, rows)
-			return emit(bench.RecordFig8(cfg, rows))
+			return nil
 		},
 		"table2": func() error {
 			rows, err := bench.Table2(cfg, pick(3))
@@ -127,7 +104,7 @@ func main() {
 				return err
 			}
 			bench.PrintTable2(w, rows)
-			return emit(bench.RecordTable2(cfg, rows))
+			return nil
 		},
 		"ablations": func() error {
 			rows, err := bench.Ablations(cfg)
@@ -135,7 +112,7 @@ func main() {
 				return err
 			}
 			bench.PrintAblations(w, rows)
-			return emit(bench.RecordAblations(cfg, rows))
+			return nil
 		},
 		"fig9": func() error {
 			rows, err := bench.Fig9(cfg, pick(3))
@@ -143,7 +120,7 @@ func main() {
 				return err
 			}
 			bench.PrintFig9(w, rows)
-			return emit(bench.RecordFig9(cfg, rows))
+			return nil
 		},
 		"cache": func() error {
 			rows, err := bench.Cache(cfg)
@@ -151,7 +128,7 @@ func main() {
 				return err
 			}
 			bench.PrintCache(w, rows)
-			return emit(bench.RecordCache(cfg, rows))
+			return nil
 		},
 	}
 

@@ -1,41 +1,30 @@
 // Command vslint runs VertexSurge's project-specific static analysis over
 // the module containing the current directory. It is built entirely on the
-// stdlib go/* packages — see internal/vslint for the analyzers.
+// stdlib go/* packages — see internal/vslint for the analyzers. Every run
+// is whole-program: the per-package analyzers, then the call graph and
+// function summaries behind the interprocedural ones, then the audit that
+// fails on any //vs:nolint that no longer suppresses a finding.
 //
 // Usage:
 //
 //	go run ./cmd/vslint ./...
 //	go run ./cmd/vslint -format github ./internal/storage
-//	go run ./cmd/vslint -interproc -callgraph-dot out/callgraph.dot ./...
 //	go run ./cmd/vslint -compiler -json ./...
 //	go run ./cmd/vslint -compiler -write-baseline ./...
 //
-// Modes:
+// Flags:
 //
 //	-list           list analyzers and exit
 //	-json           machine-readable output (findings, per-analyzer wall
 //	                time, compiler report)
 //	-format github  ::error/::notice workflow annotations instead of text
-//	-format sarif   a SARIF 2.1.0 log on stdout, for GitHub code scanning
-//	-interproc      build the whole-program call graph and function
-//	                summaries, and run the interprocedural analyzers
-//	                (lock-order, hotpath-closure, cross-function
-//	                resource-balance and ctx-propagation, plus the
-//	                concurrency tier: guarded-by, atomic-consistency,
-//	                channel-hygiene) on top of the per-package ones
-//	-nolint-audit   report stale //vs:nolint directives that suppress
-//	                nothing anymore (implies -interproc)
-//	-callgraph-dot  write the call graph in Graphviz DOT form (implies the
-//	                graph build; most useful with -interproc)
-//	-summary-cache  persist function summaries keyed by package content
-//	                hash; unchanged packages reuse the cached summaries
 //	-compiler       additionally run the compiler-feedback gate: rebuild
 //	                with -gcflags='-m=1 -d=ssa/check_bce/debug=1' and fail
 //	                on heap escapes or bounds checks inside //vs:hotpath
 //	                functions beyond the checked-in baseline
-//	-baseline       baseline path (default bench/vslint_baseline.json)
+//	-baseline       baseline path (default bench/vslint_baseline.json); its
+//	                escape counts also exempt helpers from hotpath-closure
 //	-write-baseline rewrite the baseline from this run instead of diffing
-//	-tolerance      allowed per-function count increase before failing
 //
 // Exit status is 1 when any error-severity finding survives //vs:nolint
 // suppression or the compiler gate regresses; info-severity findings
@@ -77,15 +66,10 @@ type jsonOutput struct {
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON on stdout")
-	format := flag.String("format", "text", "finding output format: text, github, or sarif")
-	interproc := flag.Bool("interproc", false, "run the interprocedural analyzers over the whole-program call graph")
-	nolintAudit := flag.Bool("nolint-audit", false, "report stale //vs:nolint directives that no finding hits (implies -interproc)")
-	callgraphDot := flag.String("callgraph-dot", "", "write the call graph in Graphviz DOT form to this path")
-	summaryCache := flag.String("summary-cache", "", "function-summary cache path (keyed by package content hash)")
+	format := flag.String("format", "text", "finding output format: text or github")
 	compiler := flag.Bool("compiler", false, "also run the compiler-feedback gate over //vs:hotpath functions")
 	baseline := flag.String("baseline", "bench/vslint_baseline.json", "compiler-gate baseline, relative to the module root")
 	writeBaseline := flag.Bool("write-baseline", false, "rewrite the compiler-gate baseline from this run")
-	tolerance := flag.Int("tolerance", 0, "allowed per-function diagnostic-count increase before the compiler gate fails")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: vslint [flags] [packages]\n\npackages default to ./...\n\nflags:\n")
 		flag.PrintDefaults()
@@ -97,8 +81,8 @@ func main() {
 		printAnalyzers(os.Stdout)
 		return
 	}
-	if *format != "text" && *format != "github" && *format != "sarif" {
-		fmt.Fprintf(os.Stderr, "vslint: unknown -format %q (want text, github, or sarif)\n", *format)
+	if *format != "text" && *format != "github" {
+		fmt.Fprintf(os.Stderr, "vslint: unknown -format %q (want text or github)\n", *format)
 		os.Exit(2)
 	}
 
@@ -124,30 +108,14 @@ func main() {
 		basePath = filepath.Join(root, basePath)
 	}
 
-	opts := vslint.Options{
-		Interproc:        *interproc || *callgraphDot != "" || *nolintAudit,
-		SummaryCachePath: *summaryCache,
-		NolintAudit:      *nolintAudit,
+	var opts vslint.Options
+	// The hotpath-closure analyzer trusts the compiler gate's escape counts
+	// over its syntactic may-allocate guess; a missing baseline just means
+	// the syntactic view stands alone.
+	if base, err := vslint.ReadCompilerBaseline(basePath); err == nil {
+		opts.Baseline = base
 	}
-	if opts.Interproc {
-		// The hotpath-closure analyzer trusts the compiler gate's escape
-		// counts over its syntactic may-allocate guess; a missing baseline
-		// just means the syntactic view stands alone.
-		if base, err := vslint.ReadCompilerBaseline(basePath); err == nil {
-			opts.Baseline = base
-		}
-	}
-	res, err := vslint.CheckModule(mod, pkgs, opts)
-	if err != nil {
-		fatal(err)
-	}
-
-	if *callgraphDot != "" && res.Graph != nil {
-		if err := writeDOTFile(*callgraphDot, res.Graph); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "vslint: wrote %s\n", *callgraphDot)
-	}
+	res := vslint.CheckModule(mod, pkgs, opts)
 
 	out := jsonOutput{Findings: []jsonFinding{}, Timings: res.Timings}
 	errors := 0
@@ -164,13 +132,8 @@ func main() {
 			Severity: f.Severity,
 			Approx:   f.Approx,
 		})
-		if !*jsonOut && *format != "sarif" {
+		if !*jsonOut {
 			printFinding(*format, out.Findings[len(out.Findings)-1])
-		}
-	}
-	if *format == "sarif" && !*jsonOut {
-		if err := vslint.WriteSARIF(os.Stdout, res.Findings, root); err != nil {
-			fatal(err)
 		}
 	}
 
@@ -191,8 +154,7 @@ func main() {
 			if err != nil {
 				fatal(fmt.Errorf("vslint: %w (run with -write-baseline to create it)", err))
 			}
-			diffOut := os.Stderr
-			regressions = vslint.DiffCompilerBaseline(report, base, *tolerance, diffOut)
+			regressions = vslint.DiffCompilerBaseline(report, base, os.Stderr)
 			if *format == "github" && regressions > 0 {
 				for _, d := range report.Diags {
 					fmt.Printf("::error file=%s,line=%d,col=%d::[vslint-compiler] %s (%s)\n", d.File, d.Line, d.Col, d.Message, d.Kind)
@@ -225,27 +187,10 @@ func printAnalyzers(w *os.File) {
 	for _, a := range vslint.All() {
 		fmt.Fprintf(w, "  %-18s %s\n", a.Name, a.Doc)
 	}
-	fmt.Fprintf(w, "\ninterprocedural (with -interproc):\n")
+	fmt.Fprintf(w, "\ninterprocedural (whole-program):\n")
 	for _, a := range vslint.AllInterproc() {
 		fmt.Fprintf(w, "  %-18s %s\n", a.Name, a.Doc)
 	}
-}
-
-func writeDOTFile(path string, g *vslint.CallGraph) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := g.WriteDOT(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // printFinding renders one finding in the selected format.

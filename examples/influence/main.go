@@ -74,7 +74,7 @@ func main() {
 	fmt.Println("\nkernel comparison on the same expansion:")
 	for _, k := range []vertexsurge.Kernel{
 		vertexsurge.KernelStrawman, vertexsurge.KernelSIMD,
-		vertexsurge.KernelHilbert, vertexsurge.KernelPrefetch, vertexsurge.KernelBFS,
+		vertexsurge.KernelHilbert, vertexsurge.KernelBFS,
 	} {
 		kdb := vertexsurge.FromGraph(g, vertexsurge.Options{Kernel: k})
 		t0 := time.Now()

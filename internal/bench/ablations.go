@@ -70,7 +70,7 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		for i := range sources {
 			sources[i] = graph.VertexID(i % g.NumVertices())
 		}
-		for _, k := range []vexpand.Kernel{vexpand.BFS, vexpand.Prefetch} {
+		for _, k := range []vexpand.Kernel{vexpand.BFS, vexpand.Hilbert} {
 			if err := add("kernel-crossover", fmt.Sprintf("S=%d/%s", nSources, k), func() error {
 				_, err := vexpand.Expand(g, sources, det, vexpand.Options{Kernel: k, Workers: cfg.Workers})
 				return err

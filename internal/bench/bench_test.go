@@ -177,7 +177,7 @@ func TestFig9LadderAgreesAndPrints(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	PrintFig9(&buf, rows)
-	for _, want := range []string{"strawman", "column-major", "simd", "hilbert", "prefetch"} {
+	for _, want := range []string{"strawman", "column-major", "simd", "hilbert"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("print output missing kernel %s", want)
 		}

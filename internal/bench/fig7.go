@@ -31,13 +31,13 @@ func Fig7(cfg Config, maxK int) ([]Fig7Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	engSN := engine.New(dSN.Graph, engine.Options{Workers: cfg.Workers, Kernel: vexpand.Prefetch})
+	engSN := engine.New(dSN.Graph, engine.Options{Workers: cfg.Workers, Kernel: vexpand.Hilbert})
 	cpSN := paramsFor(dSN)
 	dRB, err := ds.get("Rabobank")
 	if err != nil {
 		return nil, err
 	}
-	engRB := engine.New(dRB.Graph, engine.Options{Workers: cfg.Workers, Kernel: vexpand.Prefetch})
+	engRB := engine.New(dRB.Graph, engine.Options{Workers: cfg.Workers, Kernel: vexpand.Hilbert})
 	cpRB := paramsFor(dRB)
 
 	runs := []struct {

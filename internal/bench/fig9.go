@@ -23,7 +23,6 @@ var Fig9Ladder = []vexpand.Kernel{
 	vexpand.ColumnMajor,
 	vexpand.SIMD,
 	vexpand.Hilbert,
-	vexpand.Prefetch,
 }
 
 // Fig9 regenerates Figure 9: a single VExpand (k_max = kmax, ANY,

@@ -132,6 +132,10 @@ func (m *Matrix) Get(r, c int) bool {
 	return uint(i) < uint(len(w)) && w[i]&(1<<uint(off%64)) != 0
 }
 
+// boundsCheck panics on an out-of-range bit. It allocates only to format
+// the panic message, so it is the hot kernels' declared slow path.
+//
+//vs:coldpath
 func (m *Matrix) boundsCheck(r, c int) {
 	if r < 0 || r >= m.rows || c < 0 || c >= m.cols {
 		panic(fmt.Sprintf("bitmatrix: index (%d,%d) out of range %d×%d", r, c, m.rows, m.cols))
@@ -160,19 +164,6 @@ func (m *Matrix) OrColumnFrom(src *Matrix, stack, srcCol, dstCol int) {
 	d[5] |= s[5]
 	d[6] |= s[6]
 	d[7] |= s[7]
-}
-
-// TouchColumn reads one word of column c in the given stack and returns it.
-// It is the software-prefetch stand-in: a demand load of the first word
-// pulls the column's cache line, as the paper's prefetcht0 would.
-//
-//vs:hotpath
-func (m *Matrix) TouchColumn(stack, c int) uint64 {
-	w := m.words
-	if i := m.columnBase(stack, c); uint(i) < uint(len(w)) {
-		return w[i]
-	}
-	return 0
 }
 
 // Or computes m |= other element-wise. The matrices must have identical
@@ -236,6 +227,10 @@ func (m *Matrix) Xor(other *Matrix) {
 	}
 }
 
+// dimCheck panics on mismatched dimensions; like boundsCheck it allocates
+// only to format the panic message.
+//
+//vs:coldpath
 func (m *Matrix) dimCheck(other *Matrix) {
 	if m.rows != other.rows || m.cols != other.cols {
 		panic(fmt.Sprintf("bitmatrix: dimension mismatch %d×%d vs %d×%d",

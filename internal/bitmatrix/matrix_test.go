@@ -281,17 +281,6 @@ func TestStringSmall(t *testing.T) {
 	}
 }
 
-func TestTouchColumnReturnsFirstWord(t *testing.T) {
-	m := New(512, 2)
-	m.Set(5, 1)
-	if got := m.TouchColumn(0, 1); got != 1<<5 {
-		t.Errorf("TouchColumn = %#x, want %#x", got, uint64(1)<<5)
-	}
-	if got := m.TouchColumn(0, 0); got != 0 {
-		t.Errorf("TouchColumn of empty column = %#x, want 0", got)
-	}
-}
-
 // Property: for any set of coordinates, PopCount equals the number of
 // distinct coordinates, and Get returns true exactly for those coordinates.
 func TestQuickSetGetPopCount(t *testing.T) {

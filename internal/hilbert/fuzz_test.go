@@ -6,7 +6,7 @@ import "testing"
 // order and any cell inside the order's grid, XY(D(x, y)) must return
 // exactly (x, y). Edge lists are reordered by D before matrix-kernel
 // expansion, so a collision or drift here silently reorders (or merges)
-// edges and corrupts every Hilbert/Prefetch expansion.
+// edges and corrupts every Hilbert expansion.
 func FuzzHilbertRoundTrip(f *testing.F) {
 	f.Add(uint(1), uint32(0), uint32(0))
 	f.Add(uint(1), uint32(1), uint32(1))

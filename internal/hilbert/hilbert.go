@@ -3,8 +3,9 @@
 //
 // Sorting edges (src, dst) by their position along a Hilbert curve over the
 // (src, dst) plane makes consecutive edges touch nearby rows of both the
-// source and the destination bit matrices, which is what makes the lookahead
-// prefetch in the expand kernel effective and the traversal cache-oblivious.
+// source and the destination bit matrices, which is what makes the
+// traversal cache-oblivious (the paper's lookahead prefetch builds on the
+// same locality).
 package hilbert
 
 // The curve is walked as a four-state machine: descending one level either

@@ -283,7 +283,7 @@ func (sn *SpanSnapshot) Walk(fn func(*SpanSnapshot)) {
 //
 //	query                                      12.41ms
 //	├─ plan                                     0.12ms
-//	├─ expand memo=miss kernel=prefetch …       5.08ms
+//	├─ expand memo=miss kernel=hilbert …        5.08ms
 //	└─ intersect tuples=42 workers=4            6.95ms
 func (sn *SpanSnapshot) Render() string {
 	var b strings.Builder

@@ -177,7 +177,7 @@ func (ts *TimeSeries) Start() {
 	}
 	ts.started = true
 	ts.mu.Unlock()
-	go func() { //vs:nolint(ctx-propagation) process-lifetime sampler; the stop channel (Close) is its cancellation carrier
+	go func() {
 		tick := time.NewTicker(ts.interval)
 		defer tick.Stop()
 		for {

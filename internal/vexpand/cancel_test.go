@@ -24,7 +24,7 @@ func cancelCases() []struct {
 		kernel Kernel
 		d      pattern.Determiner
 	}{
-		{"matrix", Prefetch, pattern.Determiner{KMin: 1, KMax: 6, Dir: graph.Both, Type: pattern.Any, EdgeLabels: []string{"knows"}}},
+		{"matrix", Hilbert, pattern.Determiner{KMin: 1, KMax: 6, Dir: graph.Both, Type: pattern.Any, EdgeLabels: []string{"knows"}}},
 		{"bfs", BFS, pattern.Determiner{KMin: 1, KMax: 6, Dir: graph.Both, Type: pattern.Shortest, EdgeLabels: []string{"knows"}}},
 	}
 }
@@ -118,7 +118,7 @@ func TestExpandBudgetReserveAndRelease(t *testing.T) {
 
 	// Generous budget: expansion succeeds and the balance returns to zero.
 	b := &failingBudget{limit: 1 << 30}
-	r, err := Expand(g, sources, d, Options{Kernel: Prefetch, Workers: 2, Budget: b})
+	r, err := Expand(g, sources, d, Options{Kernel: Hilbert, Workers: 2, Budget: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestExpandBudgetReserveAndRelease(t *testing.T) {
 	// A budget smaller than one result matrix fails the expansion cleanly
 	// and leaves nothing reserved.
 	tight := &failingBudget{limit: 64}
-	_, err = Expand(g, sources, d, Options{Kernel: Prefetch, Workers: 2, Budget: tight})
+	_, err = Expand(g, sources, d, Options{Kernel: Hilbert, Workers: 2, Budget: tight})
 	if err == nil {
 		t.Fatal("64-byte budget accepted a full expansion")
 	}

@@ -9,8 +9,8 @@
 // Two kernel families are provided: a per-source BFS kernel over CSR
 // adjacency, and the paper's stacked-columnar bit-matrix-multiplication
 // kernel over a (Hilbert-ordered) COO edge list. The matrix kernel comes in
-// the ablation variants of Figure 9 (Strawman, ColumnMajor, SIMD, Hilbert,
-// Prefetch). All kernels compute identical results.
+// the ablation variants of Figure 9 (Strawman, ColumnMajor, SIMD, Hilbert).
+// All kernels compute identical results.
 //
 // Both families do only the work the frontier needs:
 //
@@ -44,11 +44,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// DefaultLookahead is the prefetch distance: while processing the x-th edge
-// the kernel touches the columns needed by edge x+20, the constant the
-// paper reports (§4.2).
-const DefaultLookahead = 20
-
 // Budget meters bit-matrix memory against a shared limit. It is satisfied
 // by exec.Accountant; the interface is structural so vexpand (a leaf
 // operator package) never imports the execution layer.
@@ -69,9 +64,6 @@ type Options struct {
 	// Work is partitioned by 512-row stack (matrix kernels) or by source
 	// (BFS), which is conflict-free (Figure 4a).
 	Workers int
-	// Lookahead is the prefetch distance for the Prefetch kernel;
-	// 0 means DefaultLookahead.
-	Lookahead int
 	// KeepPerStep retains the per-step "newly reached" matrices so
 	// callers can recover the minimal path length per (source, dst) pair
 	// (needed by queries returning length(p), e.g. TCR1/TCR8).
@@ -302,9 +294,7 @@ const orCostInVisits = 1.2
 // Dense frontiers (high degree, larger kmax) favor the matrix kernel even
 // for small source sets; sparse expansions favor BFS, as does a tie (BFS
 // allocates one matrix, not three). The matrix choice is always the Hilbert
-// rung: the Prefetch rung's lookahead touch has not beaten it on any shape
-// measured (EXPERIMENTS.md, Figure 9) and stays selectable for that
-// ablation only.
+// rung, the top of the ladder.
 func chooseKernel(g *graph.Graph, sources []graph.VertexID, d pattern.Determiner, sets []*graph.EdgeSet) Kernel {
 	nV := float64(g.NumVertices())
 	var edges float64
@@ -369,13 +359,6 @@ func (e *expansion) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (e *expansion) lookahead() int {
-	if e.opts.Lookahead > 0 {
-		return e.opts.Lookahead
-	}
-	return DefaultLookahead
-}
-
 // reserve claims n bytes on the expansion's budget (no-op without one)
 // and tracks the total for releaseAll.
 func (e *expansion) reserve(n int64) error {
@@ -430,14 +413,14 @@ func (e *expansion) runMatrix() (*Result, error) {
 	}
 
 	// Edge lists per set, resolved once: Hilbert-ordered for the Hilbert
-	// and Prefetch rungs, insertion order below them. Step 1 is seeded from
+	// rung, insertion order below it. Step 1 is seeded from
 	// CSR, so a one-step expansion never needs (or builds) them.
 	maxSteps := e.maxSteps()
 	var coos []cooList
 	if e.kernel != Strawman && maxSteps > 1 {
 		for _, es := range e.sets {
 			var src, dst []uint32
-			if e.kernel == Hilbert || e.kernel == Prefetch {
+			if e.kernel == Hilbert {
 				src, dst = es.COO()
 			} else {
 				src, dst = insertionCOO(es)
@@ -557,13 +540,9 @@ func (e *expansion) parallelCOOStep(cur, next *bitmatrix.Matrix, coos []cooList)
 		workers = stacks
 	}
 	unrolled := e.kernel != ColumnMajor
-	lookahead := 0
-	if e.kernel == Prefetch {
-		lookahead = e.lookahead()
-	}
 	if workers <= 1 {
 		for _, c := range coos {
-			cooStep(cur, next, c.from, c.to, 0, stacks, unrolled, lookahead)
+			cooStep(cur, next, c.from, c.to, 0, stacks, unrolled)
 		}
 		return
 	}
@@ -581,7 +560,7 @@ func (e *expansion) parallelCOOStep(cur, next *bitmatrix.Matrix, coos []cooList)
 		go func(lo, hi int) {
 			defer wg.Done()
 			for _, c := range coos {
-				cooStep(cur, next, c.from, c.to, lo, hi, unrolled, lookahead)
+				cooStep(cur, next, c.from, c.to, lo, hi, unrolled)
 			}
 		}(lo, hi)
 	}

@@ -94,7 +94,7 @@ func resultPairs(r *Result) map[[2]int]bool {
 	return out
 }
 
-var allKernels = []Kernel{Strawman, ColumnMajor, SIMD, Hilbert, Prefetch, BFS}
+var allKernels = []Kernel{Strawman, ColumnMajor, SIMD, Hilbert, BFS}
 
 func expandWith(t *testing.T, g *graph.Graph, sources []graph.VertexID, d pattern.Determiner, k Kernel) *Result {
 	t.Helper()
@@ -182,7 +182,7 @@ func TestDirectedChainDirections(t *testing.T) {
 func TestWalkVsShortestSemantics(t *testing.T) {
 	g := chain(t, 3) // 0→1→2
 	dAny := pattern.Determiner{KMin: 2, KMax: 2, Dir: graph.Both, Type: pattern.Any, EdgeLabels: []string{"e"}}
-	r := expandWith(t, g, []graph.VertexID{0}, dAny, Prefetch)
+	r := expandWith(t, g, []graph.VertexID{0}, dAny, Hilbert)
 	if !r.Reach.Get(0, 0) {
 		t.Error("ANY walk of length 2 should return to the source")
 	}
@@ -191,7 +191,7 @@ func TestWalkVsShortestSemantics(t *testing.T) {
 	}
 	dShort := dAny
 	dShort.Type = pattern.Shortest
-	r = expandWith(t, g, []graph.VertexID{0}, dShort, Prefetch)
+	r = expandWith(t, g, []graph.VertexID{0}, dShort, Hilbert)
 	if r.Reach.Get(0, 0) {
 		t.Error("SHORTEST must not rediscover the source at distance 2")
 	}
@@ -223,7 +223,7 @@ func TestUnboundedShortest(t *testing.T) {
 func TestPerStepMinLength(t *testing.T) {
 	g := chain(t, 8)
 	d := pattern.Determiner{KMin: 1, KMax: 5, Dir: graph.Forward, Type: pattern.Any, EdgeLabels: []string{"e"}}
-	for _, k := range []Kernel{BFS, Prefetch, Strawman} {
+	for _, k := range []Kernel{BFS, Hilbert, Strawman} {
 		r, err := Expand(g, []graph.VertexID{0, 2}, d, Options{Kernel: k, KeepPerStep: true})
 		if err != nil {
 			t.Fatal(err)
@@ -532,7 +532,7 @@ func propertyGraph(rng *rand.Rand, n int) *graph.Graph {
 func TestKernelEquivalenceProperty(t *testing.T) {
 	const maxSteps = 5 // caps the unbounded determiners
 	rng := rand.New(rand.NewSource(20240427))
-	matrixRungs := map[Kernel]bool{Strawman: true, ColumnMajor: true, SIMD: true, Hilbert: true, Prefetch: true}
+	matrixRungs := map[Kernel]bool{Strawman: true, ColumnMajor: true, SIMD: true, Hilbert: true}
 	for _, rows := range []int{1, 511, 512, 513} {
 		g := propertyGraph(rng, 24+rng.Intn(12))
 		n := g.NumVertices()
@@ -720,8 +720,8 @@ func TestQuickParallelDeterminism(t *testing.T) {
 		}
 		d := pattern.Determiner{KMin: 1, KMax: 3, Dir: graph.Both, Type: pattern.Any,
 			EdgeLabels: []string{"e1", "e2"}}
-		r1, err1 := Expand(g, sources, d, Options{Kernel: Prefetch, Workers: 1})
-		r4, err4 := Expand(g, sources, d, Options{Kernel: Prefetch, Workers: 4})
+		r1, err1 := Expand(g, sources, d, Options{Kernel: Hilbert, Workers: 1})
+		r4, err4 := Expand(g, sources, d, Options{Kernel: Hilbert, Workers: 4})
 		if err1 != nil || err4 != nil {
 			return false
 		}
@@ -734,7 +734,7 @@ func TestQuickParallelDeterminism(t *testing.T) {
 
 func TestKernelString(t *testing.T) {
 	names := map[Kernel]string{Auto: "auto", Strawman: "strawman", ColumnMajor: "column-major",
-		SIMD: "simd", Hilbert: "hilbert", Prefetch: "prefetch", BFS: "bfs", Kernel(99): "unknown"}
+		SIMD: "simd", Hilbert: "hilbert", BFS: "bfs", Kernel(99): "unknown"}
 	for k, want := range names {
 		if k.String() != want {
 			t.Errorf("Kernel(%d).String = %q, want %q", int(k), k.String(), want)

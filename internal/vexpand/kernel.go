@@ -28,13 +28,11 @@ const (
 	// SIMD is ColumnMajor with the 8-word OR fully unrolled on slice
 	// views — the Go stand-in for one AVX-512 VPORD (see DESIGN.md).
 	SIMD
-	// Hilbert is SIMD over the Hilbert-ordered COO edge list (§4.2).
+	// Hilbert is SIMD over the Hilbert-ordered COO edge list (§4.2), the
+	// last rung of the Figure 9 ladder. The paper's prefetch rung has no
+	// Go stand-in: a discarded load of the lookahead column is dead code to
+	// the compiler (EXPERIMENTS.md, Figure 9).
 	Hilbert
-	// Prefetch is Hilbert plus a lookahead touch of the columns used by
-	// the (x+Lookahead)-th edge, the software-prefetch stand-in. It is the
-	// last rung of the Figure 9 ablation and nothing else: Auto never
-	// resolves to it.
-	Prefetch
 	// BFS expands each source independently over CSR adjacency, its
 	// frontier a vertex list; preferable when frontiers stay sparse.
 	BFS
@@ -53,8 +51,6 @@ func (k Kernel) String() string {
 		return "simd"
 	case Hilbert:
 		return "hilbert"
-	case Prefetch:
-		return "prefetch"
 	case BFS:
 		return "bfs"
 	default:
@@ -190,11 +186,10 @@ func column(win []uint64, c uint32) []uint64 {
 // COO edge list: for every stack and every edge (k → j), OR column k of cur
 // into column j of next (Figure 4c) — the or_column primitive of §4.2, one
 // cache line per operand. The unrolled flag selects the "SIMD" 8-word
-// unrolled OR (the stand-in for one VPORD); lookahead > 0 adds the prefetch
-// touch.
+// unrolled OR (the stand-in for one VPORD).
 //
 //vs:hotpath
-func cooStep(cur, next *bitmatrix.Matrix, from, to []uint32, stackLo, stackHi int, unrolled bool, lookahead int) {
+func cooStep(cur, next *bitmatrix.Matrix, from, to []uint32, stackLo, stackHi int, unrolled bool) {
 	// The COO arrays are always built parallel; restating the equality as
 	// a branch makes every from[x]/to[x] below provably in range.
 	if len(from) != len(to) {
@@ -203,12 +198,6 @@ func cooStep(cur, next *bitmatrix.Matrix, from, to []uint32, stackLo, stackHi in
 	for s := stackLo; s < stackHi; s++ {
 		cw, nw := stackWindow(cur, s), stackWindow(next, s)
 		for x := range from {
-			if ahead := x + lookahead; lookahead > 0 && uint(ahead) < uint(len(from)) {
-				// Demand-load the cache lines the (x+lookahead)-th
-				// edge will need, as §4.2's prefetcht0 would.
-				_ = cur.TouchColumn(s, int(from[ahead]))
-				_ = next.TouchColumn(s, int(to[ahead]))
-			}
 			src, dst := column(cw, from[x]), column(nw, to[x])
 			if len(src) < bitmatrix.WordsPerColumn || len(dst) < bitmatrix.WordsPerColumn {
 				continue // out-of-range column: caller bug, but keep the kernel branch-only

@@ -52,7 +52,7 @@ func TestParallelExpandMatchesSerialUnderRace(t *testing.T) {
 		kernel Kernel
 		d      pattern.Determiner
 	}{
-		{"prefetch/any", Prefetch, pattern.Determiner{KMin: 1, KMax: 3, Dir: graph.Both, Type: pattern.Any, EdgeLabels: []string{"knows"}}},
+		{"hilbert/any", Hilbert, pattern.Determiner{KMin: 1, KMax: 3, Dir: graph.Both, Type: pattern.Any, EdgeLabels: []string{"knows"}}},
 		{"simd/shortest", SIMD, pattern.Determiner{KMin: 1, KMax: 3, Dir: graph.Forward, Type: pattern.Shortest, EdgeLabels: []string{"knows"}}},
 		{"bfs/shortest", BFS, pattern.Determiner{KMin: 1, KMax: 3, Dir: graph.Both, Type: pattern.Shortest, EdgeLabels: []string{"knows"}}},
 	} {

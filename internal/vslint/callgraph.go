@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"io"
 	"sort"
 	"strings"
 )
@@ -720,40 +719,6 @@ func (g *CallGraph) computeSCCs() {
 			visit(v)
 		}
 	}
-}
-
-// WriteDOT renders the graph in Graphviz DOT form. Approximate edges are
-// dashed; go-spawned calls are bold; hotpath nodes are filled.
-func (g *CallGraph) WriteDOT(w io.Writer) error {
-	var buf strings.Builder
-	buf.WriteString("digraph callgraph {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n")
-	for _, n := range g.Nodes {
-		attrs := ""
-		switch {
-		case n == g.Unknown:
-			attrs = ", style=dotted"
-		case n.Hotpath:
-			attrs = ", style=filled, fillcolor=\"#ffd7d7\""
-		case n.Coldpath:
-			attrs = ", style=filled, fillcolor=\"#d7e4ff\""
-		}
-		fmt.Fprintf(&buf, "  n%d [label=%q%s];\n", n.ID, n.Name, attrs)
-	}
-	for _, n := range g.Nodes {
-		for _, e := range n.Out {
-			style := ""
-			if e.Kind.Approx() {
-				style = ", style=dashed"
-			}
-			if e.Go {
-				style += ", penwidth=2"
-			}
-			fmt.Fprintf(&buf, "  n%d -> n%d [label=%q%s];\n", e.Caller.ID, e.Callee.ID, e.Kind.String(), style)
-		}
-	}
-	buf.WriteString("}\n")
-	_, err := io.WriteString(w, buf.String())
-	return err
 }
 
 // edgesSummary renders a node's outgoing edges compactly for tests:

@@ -269,26 +269,6 @@ func TestCallGraphOnRepoExecAndEngine(t *testing.T) {
 	}
 }
 
-func TestCallGraphWriteDOT(t *testing.T) {
-	g := buildGraphFromSrc(t, `package seed
-
-//vs:hotpath
-func hot() { helper() }
-
-func helper() {}
-`)
-	var sb strings.Builder
-	if err := g.WriteDOT(&sb); err != nil {
-		t.Fatal(err)
-	}
-	dot := sb.String()
-	for _, want := range []string{"digraph callgraph", "seed.hot", "seed.helper", "->"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT output lacks %q:\n%s", want, dot)
-		}
-	}
-}
-
 func FuzzCallGraphBuild(f *testing.F) {
 	f.Add(`package p
 func a() { b() }

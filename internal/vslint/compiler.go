@@ -21,8 +21,8 @@ import (
 // escape analysis moved to the heap and every bounds check the SSA
 // backend failed to eliminate; those diagnostics are attributed to
 // //vs:hotpath functions through the annotation index and diffed against
-// a checked-in baseline (bench/vslint_baseline.json), the same
-// shape-with-tolerance gate scripts/benchdiff.go applies to timings.
+// a checked-in baseline (bench/vslint_baseline.json): any count above the
+// baseline fails.
 //
 // The syntactic hotpath-alloc analyzer and this gate are complementary:
 // the analyzer catches categorical mistakes (a composite literal in a
@@ -331,10 +331,10 @@ func WriteCompilerBaseline(path string, report *CompilerReport) error {
 
 // DiffCompilerBaseline prints one line per hotpath function and returns
 // the number of regressions: functions whose escape or bounds-check count
-// exceeds the baseline by more than tolerance. Functions missing from the
+// exceeds the baseline. Functions missing from the
 // baseline gate against zero, so a newly annotated function must come up
 // clean (or the baseline must be regenerated deliberately).
-func DiffCompilerBaseline(report *CompilerReport, base *CompilerBaseline, tolerance int, out io.Writer) int {
+func DiffCompilerBaseline(report *CompilerReport, base *CompilerBaseline, out io.Writer) int {
 	names := make([]string, 0, len(report.Functions))
 	for name := range report.Functions {
 		names = append(names, name)
@@ -349,7 +349,7 @@ func DiffCompilerBaseline(report *CompilerReport, base *CompilerBaseline, tolera
 		if !known {
 			status = "NEW"
 		}
-		if c.Escapes > b.Escapes+tolerance || c.BoundsChecks > b.BoundsChecks+tolerance {
+		if c.Escapes > b.Escapes || c.BoundsChecks > b.BoundsChecks {
 			status = "REGRESSED"
 			regressions++
 		}
@@ -368,7 +368,6 @@ func DiffCompilerBaseline(report *CompilerReport, base *CompilerBaseline, tolera
 			fmt.Fprintf(out, "MISSING   %-60s (in baseline only; annotation removed?)\n", name)
 		}
 	}
-	fmt.Fprintf(out, "compiler gate: %d hotpath function(s), %d regression(s), tolerance %d\n",
-		len(names), regressions, tolerance)
+	fmt.Fprintf(out, "compiler gate: %d hotpath function(s), %d regression(s)\n", len(names), regressions)
 	return regressions
 }

@@ -89,13 +89,8 @@ func TestCompilerGateAttributesDeliberateViolations(t *testing.T) {
 
 	// A fresh (empty) baseline gates every nonzero count.
 	empty := &CompilerBaseline{Schema: CompilerSchema, Functions: map[string]FunctionCounts{}}
-	if n := DiffCompilerBaseline(report, empty, 0, io.Discard); n == 0 {
+	if n := DiffCompilerBaseline(report, empty, io.Discard); n == 0 {
 		t.Error("deliberate escape did not fail the gate against an empty baseline")
-	}
-
-	// Tolerance absorbs the regressions.
-	if n := DiffCompilerBaseline(report, empty, 99, io.Discard); n != 0 {
-		t.Errorf("tolerance 99 should absorb all regressions, got %d", n)
 	}
 
 	// Round-trip: write the baseline, read it back, diff is clean.
@@ -107,7 +102,7 @@ func TestCompilerGateAttributesDeliberateViolations(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadCompilerBaseline: %v", err)
 	}
-	if n := DiffCompilerBaseline(report, base, 0, io.Discard); n != 0 {
+	if n := DiffCompilerBaseline(report, base, io.Discard); n != 0 {
 		t.Errorf("report vs its own baseline: want 0 regressions, got %d", n)
 	}
 }
@@ -137,7 +132,7 @@ func TestDiffReportsNewAndMissingFunctions(t *testing.T) {
 		},
 	}
 	var sb strings.Builder
-	if n := DiffCompilerBaseline(report, base, 0, &sb); n != 0 {
+	if n := DiffCompilerBaseline(report, base, &sb); n != 0 {
 		t.Errorf("clean new function must not be a regression, got %d", n)
 	}
 	out := sb.String()

@@ -20,8 +20,9 @@ import (
 //     carrier struct such as *QueryContext) must not call
 //     context.Background or context.TODO: that silently detaches the work
 //     from the caller's cancellation.
-//   - A function that spawns goroutines must receive a Context or a
-//     carrier, so the fan-out can be cancelled.
+//
+// Spawns and detaches in functions without a Context are CtxChains' job,
+// which reports them only when a caller had a context to thread.
 var CtxPropagation = &Analyzer{
 	Name: "ctx-propagation",
 	Doc:  "context.Context must be threaded through parameters, never stored in fields or replaced by Background/TODO",
@@ -45,49 +46,28 @@ func runCtxPropagation(p *Pass) {
 	}
 
 	forEachFuncDecl(p, func(fd *ast.FuncDecl) {
-		carrier := hasContextCarrier(p, fd)
-		if carrier {
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if name, ok := contextPackageCall(p, call); ok && (name == "Background" || name == "TODO") {
-					p.Reportf(call.Pos(), "%s receives a Context but calls context.%s, detaching this work from the caller's cancellation", fd.Name.Name, name)
-				}
-				return true
-			})
+		if !hasContextCarrier(p, fd) {
 			return
 		}
-		// main is where the root context is created; it has no caller to
-		// receive one from.
-		if fd.Name.Name == "main" && p.Pkg != nil && p.Pkg.Name() == "main" {
-			return
-		}
-		// In interprocedural mode the CtxChains module analyzer owns this
-		// rule: it reports only spawns whose caller chain actually had a
-		// context to thread, with the path that lost it.
-		if p.Interproc {
-			return
-		}
-		// No carrier: spawning concurrent work is a violation — there is
-		// no way to cancel the fan-out.
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok {
-				p.Reportf(g.Pos(), "%s spawns a goroutine but receives no context.Context (or carrier such as *QueryContext) to propagate cancellation", fd.Name.Name)
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if name, ok := contextPackageCall(p, call); ok && (name == "Background" || name == "TODO") {
+				p.Reportf(call.Pos(), "%s receives a Context but calls context.%s, detaching this work from the caller's cancellation", fd.Name.Name, name)
 			}
 			return true
 		})
 	})
 }
 
-// CtxChains is the interprocedural upgrade of the goroutine rule above
-// (same analyzer name: -interproc swaps it in). Instead of flagging every
-// context-less spawner, it walks the call graph backwards from each
-// spawning or Background-detaching function to the nearest caller that
-// does receive a Context (or carrier), and reports the exact call path
-// along which the context was dropped. Chains rooted only at main (or at
-// nothing) stay silent: there was no context to lose.
+// CtxChains reports under ctx-propagation's name. It walks the call graph
+// backwards from each context-less function that spawns a goroutine or
+// calls context.Background/TODO to the nearest caller that does receive a
+// Context (or carrier), and reports the exact call path along which the
+// context was dropped. Chains rooted only at main (or at nothing) stay
+// silent: there was no context to lose.
 var CtxChains = &ModuleAnalyzer{
 	Name: CtxPropagation.Name,
 	Doc:  "report the interprocedural call path along which a context was dropped before a goroutine spawn or Background detach",

@@ -285,16 +285,6 @@ func detach(ctx context.Context) context.Context {
 	wantFinding(t, findings, "ctx-propagation", "detaching this work")
 }
 
-func TestCtxPropagationCatchesContextlessGoroutine(t *testing.T) {
-	findings := checkSrc(t, `package seed
-
-func spawn() {
-	go func() {}()
-}
-`)
-	wantFinding(t, findings, "ctx-propagation", "spawns a goroutine")
-}
-
 func TestCtxPropagationCarrierIsClean(t *testing.T) {
 	findings := checkSrc(t, `package seed
 
@@ -341,39 +331,6 @@ func wantNoFindingMatching(t *testing.T, findings []Finding, analyzer, substr st
 }
 
 // --- severity ----------------------------------------------------------
-
-func TestGoroutineLoopCaptureIsAdvisory(t *testing.T) {
-	findings := checkSrc(t, `package seed
-
-import "sync"
-
-func use(int) {}
-
-func loop(items []int) {
-	var wg sync.WaitGroup
-	for _, it := range items {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			use(it)
-		}()
-	}
-	wg.Wait()
-}
-`)
-	found := false
-	for _, f := range findings {
-		if f.Analyzer == "goroutine-hygiene" && strings.Contains(f.Message, "captures loop variable") {
-			found = true
-			if f.Severity != SeverityInfo {
-				t.Errorf("loop-capture severity = %q, want %q (go 1.22 per-iteration variables)", f.Severity, SeverityInfo)
-			}
-		}
-	}
-	if !found {
-		t.Errorf("no loop-capture advisory; got:\n%s", renderFindings(findings))
-	}
-}
 
 func TestDataflowLeakFindingsAreErrors(t *testing.T) {
 	findings := checkSrc(t, `package seed

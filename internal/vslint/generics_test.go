@@ -75,10 +75,7 @@ func TestInterprocOnGenericModule(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadModule: %v", err)
 	}
-	res, err := CheckModule(mod, mod.Pkgs, Options{Interproc: true, NolintAudit: true})
-	if err != nil {
-		t.Fatalf("CheckModule: %v", err)
-	}
+	res := CheckModule(mod, mod.Pkgs, Options{})
 	wantFinding(t, res.Findings, "guarded-by", "write of synthgen.Box.v without holding synthgen.Box.mu")
 	wantNoFinding(t, res.Findings, "nolint-audit")
 }

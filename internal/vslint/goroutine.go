@@ -2,16 +2,13 @@ package vslint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
 // GoroutineHygiene enforces the fan-out discipline of VExpand's and
-// MIntersect's worker pools:
+// MIntersect's worker pools. (Loop-variable capture needs no rule: go.mod
+// declares go 1.22, whose per-iteration loop variables make it correct.)
 //
-//   - a goroutine spawned inside a loop must not capture the loop variable
-//     in its closure body (pass it as an argument; keeps the fan-outs
-//     correct under pre-1.22 loop semantics and obvious under any);
 //   - sync.WaitGroup.Add must run in the spawning goroutine, before the go
 //     statement, never inside the spawned closure (Add-after-Wait race);
 //   - a function that Adds to or Dones a locally declared WaitGroup must
@@ -19,110 +16,15 @@ import (
 //     barrier).
 var GoroutineHygiene = &Analyzer{
 	Name: "goroutine-hygiene",
-	Doc:  "flag loop-variable capture in goroutines, WaitGroup.Add inside the spawned goroutine, and missing Wait",
+	Doc:  "flag WaitGroup.Add inside the spawned goroutine and a missing Wait",
 	Run:  runGoroutineHygiene,
 }
 
 func runGoroutineHygiene(p *Pass) {
 	for _, f := range p.Files {
-		checkLoopCapture(p, f)
 		checkWaitGroupAddPlacement(p, f)
 		checkMissingWait(p, f)
 	}
-}
-
-// loopScope records one loop's variables and body extent.
-type loopScope struct {
-	vars map[types.Object]string
-	body *ast.BlockStmt
-}
-
-// checkLoopCapture flags goroutine closures that reference a loop variable
-// of an enclosing for/range statement.
-func checkLoopCapture(p *Pass, f *ast.File) {
-	var loops []loopScope
-
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			vars := map[types.Object]string{}
-			for _, e := range []ast.Expr{n.Key, n.Value} {
-				if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-					if obj := p.Info.Defs[id]; obj != nil {
-						vars[obj] = id.Name
-					}
-				}
-			}
-			loops = append(loops, loopScope{vars: vars, body: n.Body})
-			if n.Key != nil {
-				ast.Inspect(n.Key, walk)
-			}
-			if n.Value != nil {
-				ast.Inspect(n.Value, walk)
-			}
-			ast.Inspect(n.X, walk)
-			ast.Inspect(n.Body, walk)
-			loops = loops[:len(loops)-1]
-			return false
-		case *ast.ForStmt:
-			vars := map[types.Object]string{}
-			if init, ok := n.Init.(*ast.AssignStmt); ok && init.Tok == token.DEFINE {
-				for _, lhs := range init.Lhs {
-					if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-						if obj := p.Info.Defs[id]; obj != nil {
-							vars[obj] = id.Name
-						}
-					}
-				}
-			}
-			loops = append(loops, loopScope{vars: vars, body: n.Body})
-			if n.Init != nil {
-				ast.Inspect(n.Init, walk)
-			}
-			if n.Cond != nil {
-				ast.Inspect(n.Cond, walk)
-			}
-			if n.Post != nil {
-				ast.Inspect(n.Post, walk)
-			}
-			ast.Inspect(n.Body, walk)
-			loops = loops[:len(loops)-1]
-			return false
-		case *ast.GoStmt:
-			lit, ok := n.Call.Fun.(*ast.FuncLit)
-			if !ok {
-				return true
-			}
-			// Arguments are evaluated at the go statement; only the closure
-			// body captures by reference.
-			reported := map[types.Object]bool{}
-			ast.Inspect(lit.Body, func(m ast.Node) bool {
-				id, ok := m.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				obj := p.Info.Uses[id]
-				if obj == nil || reported[obj] {
-					return true
-				}
-				for _, l := range loops {
-					if name, ok := l.vars[obj]; ok {
-						reported[obj] = true
-						// Advisory only: go.mod declares go 1.22, whose
-						// per-iteration loop variables make the capture
-						// correct. It stays flagged because an argument
-						// makes the data flow explicit and keeps the
-						// closure safe under copy-paste into older code.
-						p.Advisef(id.Pos(), "goroutine closure captures loop variable %q; prefer passing it as an argument (per-iteration loop variables under go 1.22 make this correct)", name)
-					}
-				}
-				return true
-			})
-		}
-		return true
-	}
-	ast.Inspect(f, walk)
 }
 
 // checkWaitGroupAddPlacement flags sync.WaitGroup.Add calls inside the body

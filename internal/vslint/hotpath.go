@@ -1,6 +1,7 @@
 package vslint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -24,47 +25,81 @@ func runHotpathAlloc(p *Pass) {
 			if !ok || fd.Body == nil || !hasDirective(fd.Doc, hotpathDirective) {
 				continue
 			}
-			checkHotFunc(p, fd)
+			forEachAlloc(p, fd, func(pos token.Pos, what string) bool {
+				p.Reportf(pos, "%s in hot path", what)
+				return true
+			})
 		}
 	}
 }
 
-func checkHotFunc(p *Pass, fd *ast.FuncDecl) {
+// forEachAlloc is the one decision of whether a function body may
+// allocate: it calls report with every allocating or boxing construct in
+// fn's body (fn is a *ast.FuncDecl or *ast.FuncLit) until report returns
+// false. hotpath-alloc reports them all; the summaries keep the first as
+// the may-allocate witness hotpath-closure checks. A nested func literal is
+// reported as a closure and not entered: its body is its own call-graph
+// node.
+func forEachAlloc(p *Pass, fn ast.Node, report func(pos token.Pos, what string) bool) {
+	var body *ast.BlockStmt
 	var sig *types.Signature
-	if obj, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-		sig = obj.Type().(*types.Signature)
+	switch fn := fn.(type) {
+	case *ast.FuncDecl:
+		body = fn.Body
+		if obj, ok := p.Info.Defs[fn.Name].(*types.Func); ok {
+			sig, _ = obj.Type().(*types.Signature)
+		}
+	case *ast.FuncLit:
+		body = fn.Body
+		sig, _ = p.typeOf(fn).(*types.Signature)
 	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	if body == nil {
+		return
+	}
+	stopped := false
+	emit := func(pos token.Pos, format string, args ...any) {
+		if !stopped && !report(pos, fmt.Sprintf(format, args...)) {
+			stopped = true
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		if stopped {
+			return false
+		}
 		switch n := n.(type) {
-		case *ast.CallExpr:
-			checkHotCall(p, n)
 		case *ast.FuncLit:
-			p.Reportf(n.Pos(), "closure (func literal) allocates in hot path")
+			emit(n.Pos(), "closure (func literal) allocates")
+			return false
+		case *ast.CallExpr:
+			allocCall(p, n, emit)
 		case *ast.CompositeLit:
-			p.Reportf(n.Pos(), "composite literal allocates in hot path")
+			emit(n.Pos(), "composite literal allocates")
 		case *ast.GoStmt:
-			p.Reportf(n.Pos(), "goroutine launch in hot path")
+			emit(n.Pos(), "goroutine launch")
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD {
 				if t := p.typeOf(n); t != nil && isStringType(t) {
-					p.Reportf(n.Pos(), "string concatenation allocates in hot path")
+					emit(n.Pos(), "string concatenation allocates")
 				}
 			}
 		case *ast.AssignStmt:
-			checkHotAssign(p, n)
+			allocAssign(p, n, emit)
 		case *ast.ValueSpec:
-			checkHotValueSpec(p, n)
+			allocValueSpec(p, n, emit)
 		case *ast.ReturnStmt:
-			checkHotReturn(p, sig, n)
+			allocReturn(p, sig, n, emit)
 		}
 		return true
 	})
 }
 
-// checkHotCall flags allocating builtins, allocating conversions, and
+// allocEmit receives one allocation finding from the forEachAlloc helpers.
+type allocEmit func(pos token.Pos, format string, args ...any)
+
+// allocCall reports allocating builtins, allocating conversions, and
 // implicit concrete-to-interface conversions at call boundaries.
-func checkHotCall(p *Pass, call *ast.CallExpr) {
-	// Conversion T(x): flag boxing and string<->slice copies.
+func allocCall(p *Pass, call *ast.CallExpr, emit allocEmit) {
+	// Conversion T(x): boxing and string<->slice copies.
 	if tv, ok := p.Info.Types[unparen(call.Fun)]; ok && tv.IsType() {
 		if len(call.Args) != 1 {
 			return
@@ -76,10 +111,10 @@ func checkHotCall(p *Pass, call *ast.CallExpr) {
 		}
 		switch {
 		case types.IsInterface(dst) && !types.IsInterface(src) && !isUntypedNil(p, call.Args[0]):
-			p.Reportf(call.Pos(), "conversion of %s to interface %s allocates in hot path", src, dst)
+			emit(call.Pos(), "conversion of %s to interface %s allocates", src, dst)
 		case isStringType(dst) && isByteOrRuneSlice(src),
 			isByteOrRuneSlice(dst) && isStringType(src):
-			p.Reportf(call.Pos(), "string/slice conversion %s -> %s copies in hot path", src, dst)
+			emit(call.Pos(), "string/slice conversion %s -> %s copies", src, dst)
 		}
 		return
 	}
@@ -89,11 +124,11 @@ func checkHotCall(p *Pass, call *ast.CallExpr) {
 		if b, ok := p.Info.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
 			case "make":
-				p.Reportf(call.Pos(), "make allocates in hot path")
+				emit(call.Pos(), "make allocates")
 			case "new":
-				p.Reportf(call.Pos(), "new allocates in hot path")
+				emit(call.Pos(), "new allocates")
 			case "append":
-				p.Reportf(call.Pos(), "append may grow its backing array in hot path")
+				emit(call.Pos(), "append may grow its backing array")
 			}
 			return
 		}
@@ -127,13 +162,13 @@ func checkHotCall(p *Pass, call *ast.CallExpr) {
 		if at == nil || types.IsInterface(at) || isUntypedNil(p, arg) {
 			continue
 		}
-		p.Reportf(arg.Pos(), "implicit conversion of %s to interface parameter allocates in hot path", at)
+		emit(arg.Pos(), "implicit conversion of %s to interface parameter allocates", at)
 	}
 }
 
-// checkHotAssign flags concrete-to-interface conversions on plain
+// allocAssign reports concrete-to-interface conversions on plain
 // assignments (x = v where x has interface type).
-func checkHotAssign(p *Pass, as *ast.AssignStmt) {
+func allocAssign(p *Pass, as *ast.AssignStmt, emit allocEmit) {
 	if as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
 		return // := never converts; multi-value rhs handled at the call site
 	}
@@ -147,14 +182,14 @@ func checkHotAssign(p *Pass, as *ast.AssignStmt) {
 			continue
 		}
 		if types.IsInterface(lt) && !types.IsInterface(rt) && !isUntypedNil(p, as.Rhs[i]) {
-			p.Reportf(as.Rhs[i].Pos(), "assignment converts %s to interface %s in hot path", rt, lt)
+			emit(as.Rhs[i].Pos(), "assignment converts %s to interface %s", rt, lt)
 		}
 	}
 }
 
-// checkHotValueSpec flags var declarations with an explicit interface type
+// allocValueSpec reports var declarations with an explicit interface type
 // initialized from concrete values.
-func checkHotValueSpec(p *Pass, vs *ast.ValueSpec) {
+func allocValueSpec(p *Pass, vs *ast.ValueSpec, emit allocEmit) {
 	if vs.Type == nil {
 		return
 	}
@@ -165,13 +200,13 @@ func checkHotValueSpec(p *Pass, vs *ast.ValueSpec) {
 	for _, v := range vs.Values {
 		rt := p.typeOf(v)
 		if rt != nil && !types.IsInterface(rt) && !isUntypedNil(p, v) {
-			p.Reportf(v.Pos(), "var declaration converts %s to interface %s in hot path", rt, lt)
+			emit(v.Pos(), "var declaration converts %s to interface %s", rt, lt)
 		}
 	}
 }
 
-// checkHotReturn flags concrete values returned through interface results.
-func checkHotReturn(p *Pass, sig *types.Signature, ret *ast.ReturnStmt) {
+// allocReturn reports concrete values returned through interface results.
+func allocReturn(p *Pass, sig *types.Signature, ret *ast.ReturnStmt, emit allocEmit) {
 	if sig == nil {
 		return
 	}
@@ -186,7 +221,7 @@ func checkHotReturn(p *Pass, sig *types.Signature, ret *ast.ReturnStmt) {
 		}
 		lt := results.At(i).Type()
 		if types.IsInterface(lt) && !types.IsInterface(rt) && !isUntypedNil(p, r) {
-			p.Reportf(r.Pos(), "return converts %s to interface %s in hot path", rt, lt)
+			emit(r.Pos(), "return converts %s to interface %s", rt, lt)
 		}
 	}
 }

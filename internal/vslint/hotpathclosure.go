@@ -11,10 +11,11 @@ import (
 // root through the call graph and requires every member of that closure to
 // be one of:
 //
-//   - allocation-free: no syntactic may-allocate construct, or proven
-//     clean by the compiler baseline (zero escapes recorded for it in
-//     bench/vslint_baseline.json — the escape analysis outranks the
-//     syntactic guess, so a stack-allocated make is fine);
+//   - allocation-free: nothing forEachAlloc reports (the rules hotpath-alloc
+//     applies to the root itself), or proven clean by the compiler baseline
+//     (zero escapes recorded for it in bench/vslint_baseline.json — the
+//     escape analysis outranks the syntactic guess, so a stack-allocated
+//     make is fine);
 //   - annotated //vs:coldpath: an explicit declaration that the call is a
 //     slow-path branch (eviction, error handling) whose cost is accepted;
 //   - marked //go:noinline: the conventional shape for a deliberately
@@ -66,7 +67,7 @@ func runHotpathClosure(mp *ModulePass) {
 			chain := append(append([]string{}, path...), callee.Name)
 			if !v.reported && !callee.Hotpath {
 				sum := mp.Sums.Of(callee)
-				if sum.MayAlloc && !baselineClean(mp.Baseline, callee.Name) {
+				if sum.AllocReason != "" && !baselineClean(mp.Baseline, callee.Name) {
 					v.reported = true
 					mp.reportAt(sum.AllocPos, edgeApprox,
 						"%s is reachable from //vs:hotpath root %s (via %s) and may allocate (%s); make it allocation-free or mark it //vs:coldpath or //go:noinline",

@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// This file orchestrates the interprocedural analysis mode (`vslint
-// -interproc`): build the whole-program call graph, compute function
-// summaries bottom-up, then run the module-level analyzers that need
-// cross-function facts — lock-order, hotpath-closure, and the upgraded
-// resource-balance and ctx-propagation — alongside the per-package ones.
+// This file orchestrates a vslint run: the per-package analyzers, then the
+// whole-program call graph and bottom-up function summaries, then the
+// module-level analyzers that need cross-function facts (lock-order,
+// hotpath-closure, resource-balance, the ctx-propagation chains, and the
+// concurrency tier), then suppression and the stale-directive audit.
 
 // ModuleAnalyzer is one check that runs over the whole module at once.
 type ModuleAnalyzer struct {
@@ -41,13 +41,12 @@ func (mp *ModulePass) passFor(pkg *Package) *Pass {
 		return p
 	}
 	p := &Pass{
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		Info:      pkg.Info,
-		Interproc: true,
-		analyzer:  mp.analyzer,
-		report:    mp.report,
+		Fset:     pkg.Fset,
+		Files:    pkg.Files,
+		Pkg:      pkg.Types,
+		Info:     pkg.Info,
+		analyzer: mp.analyzer,
+		report:   mp.report,
 	}
 	mp.passes[pkg] = p
 	return p
@@ -72,36 +71,21 @@ func (mp *ModulePass) Reportf(pos token.Pos, approx bool, format string, args ..
 }
 
 // AllInterproc returns the module-level analyzers in reporting order.
-// ResourceBalanceInterproc and CtxChains carry the same names as their
-// per-package counterparts: they are upgrades, and -interproc swaps them
-// in (so existing //vs:nolint suppressions keep working).
+// CtxChains reports as ctx-propagation, the per-package analyzer it
+// complements, so one //vs:nolint(ctx-propagation) name covers both.
 func AllInterproc() []*ModuleAnalyzer {
 	return []*ModuleAnalyzer{
-		LockOrder, ResourceBalanceInterproc, CtxChains, HotpathClosure,
+		LockOrder, ResourceBalance, CtxChains, HotpathClosure,
 		GuardedBy, AtomicConsistency, ChannelHygiene,
 	}
 }
 
 // Options configures one CheckModule run.
 type Options struct {
-	// Interproc enables the call-graph + summary layer and the module
-	// analyzers; off, CheckModule matches a plain per-package run.
-	Interproc bool
 	// Baseline seeds the hotpath-closure analyzer with the compiler gate's
 	// escape counts (a function the escape analysis proves clean is not
 	// reported even if it looks allocating syntactically).
 	Baseline *CompilerBaseline
-	// SummaryCachePath persists function summaries keyed by package hash;
-	// empty disables the cache.
-	SummaryCachePath string
-	// NolintAudit reports stale //vs:nolint directives — suppressions
-	// that no finding hits in any supported analysis mode (the
-	// interprocedural run AND a plain per-package replay, since some
-	// per-package rules stand down when their interprocedural upgrade
-	// runs) — so a suppression cannot outlive the code it excused. Only
-	// meaningful with Interproc (otherwise directives naming module
-	// analyzers would look stale by construction).
-	NolintAudit bool
 }
 
 // AnalyzerTiming is the cumulative wall time of one analyzer across the
@@ -115,42 +99,25 @@ type AnalyzerTiming struct {
 type Result struct {
 	Findings []Finding
 	Timings  []AnalyzerTiming
-	// Graph is the whole-program call graph (nil without Interproc), for
-	// -callgraph-dot dumps.
-	Graph *CallGraph
-	// SummaryCacheHit reports that the summaries were loaded, not computed.
-	SummaryCacheHit bool
 }
 
 // CheckModule analyzes mod and reports findings positioned inside pkgs
 // (the command-line match set). Suppressions are collected module-wide;
-// findings at one position from several analyzers are merged into one.
-func CheckModule(mod *Module, pkgs []*Package, opts Options) (*Result, error) {
-	res := &Result{}
+// findings at one position from several analyzers are merged into one,
+// and every //vs:nolint in pkgs that suppressed nothing is reported stale.
+func CheckModule(mod *Module, pkgs []*Package, opts Options) *Result {
 	timings := map[string]time.Duration{}
 	var raw []Finding
 
-	perPkg := All()
-	if opts.Interproc {
-		// The interprocedural resource-balance subsumes the per-package one.
-		kept := perPkg[:0:len(perPkg)]
-		for _, a := range perPkg {
-			if a.Name != ResourceBalance.Name {
-				kept = append(kept, a)
-			}
-		}
-		perPkg = kept
-	}
 	for _, pkg := range pkgs {
 		pass := &Pass{
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			Info:      pkg.Info,
-			Interproc: opts.Interproc,
+			Fset:  pkg.Fset,
+			Files: pkg.Files,
+			Pkg:   pkg.Types,
+			Info:  pkg.Info,
 		}
 		pass.report = func(f Finding) { raw = append(raw, f) }
-		for _, a := range perPkg {
+		for _, a := range All() {
 			pass.analyzer = a.Name
 			start := time.Now()
 			a.Run(pass)
@@ -158,41 +125,34 @@ func CheckModule(mod *Module, pkgs []*Package, opts Options) (*Result, error) {
 		}
 	}
 
-	if opts.Interproc {
-		start := time.Now()
-		graph := BuildCallGraph(mod)
-		sums, hit, err := LoadOrComputeSummaries(graph, opts.SummaryCachePath)
-		if err != nil {
-			return nil, err
-		}
-		res.Graph = graph
-		res.SummaryCacheHit = hit
-		timings["callgraph+summaries"] = time.Since(start)
+	start := time.Now()
+	graph := BuildCallGraph(mod)
+	sums := ComputeSummaries(graph)
+	timings["callgraph+summaries"] = time.Since(start)
 
-		// Module findings land anywhere in the module; keep the ones in the
-		// matched packages.
-		matched := map[string]bool{}
-		for _, pkg := range pkgs {
-			matched[pkg.Dir] = true
+	// Module findings land anywhere in the module; keep the ones in the
+	// matched packages.
+	matched := map[string]bool{}
+	for _, pkg := range pkgs {
+		matched[pkg.Dir] = true
+	}
+	mp := &ModulePass{
+		Mod:      mod,
+		Graph:    graph,
+		Sums:     sums,
+		Baseline: opts.Baseline,
+		passes:   map[*Package]*Pass{},
+	}
+	mp.report = func(f Finding) {
+		if matched[dirOf(f.Pos.Filename)] {
+			raw = append(raw, f)
 		}
-		mp := &ModulePass{
-			Mod:      mod,
-			Graph:    graph,
-			Sums:     sums,
-			Baseline: opts.Baseline,
-			passes:   map[*Package]*Pass{},
-		}
-		mp.report = func(f Finding) {
-			if matched[dirOf(f.Pos.Filename)] {
-				raw = append(raw, f)
-			}
-		}
-		for _, a := range AllInterproc() {
-			mp.analyzer = a.Name
-			start := time.Now()
-			a.Run(mp)
-			timings[a.Name] += time.Since(start)
-		}
+	}
+	for _, a := range AllInterproc() {
+		mp.analyzer = a.Name
+		start := time.Now()
+		a.Run(mp)
+		timings[a.Name] += time.Since(start)
 	}
 
 	// Module-wide suppressions: a //vs:nolint in any package applies, so a
@@ -204,7 +164,7 @@ func CheckModule(mod *Module, pkgs []*Package, opts Options) (*Result, error) {
 	}
 	var out []Finding
 	for _, f := range sup.findings {
-		if matchedFinding(pkgs, f) {
+		if matched[dirOf(f.Pos.Filename)] {
 			out = append(out, f)
 		}
 	}
@@ -213,42 +173,21 @@ func CheckModule(mod *Module, pkgs []*Package, opts Options) (*Result, error) {
 			out = append(out, f)
 		}
 	}
-	if opts.NolintAudit {
-		// A directive is stale only if NO supported analysis mode needs
-		// it. Some per-package rules stand down when their interprocedural
-		// upgrade runs (ctx-propagation's spawn rule, resource-balance),
-		// yet plain `vslint ./...` and CheckPackage still rely on the
-		// suppression — so replay the non-interproc findings purely to
-		// credit the directives they hit before computing staleness.
-		for _, pkg := range pkgs {
-			pass := &Pass{
-				Fset:  pkg.Fset,
-				Files: pkg.Files,
-				Pkg:   pkg.Types,
-				Info:  pkg.Info,
-			}
-			pass.report = func(f Finding) { sup.suppressed(f) }
-			for _, a := range All() {
-				pass.analyzer = a.Name
-				a.Run(pass)
-			}
-		}
-		// Only directives inside the matched packages: findings outside
-		// the match set were dropped before suppression, so their
-		// directives would look stale for the wrong reason.
-		for _, f := range sup.stale() {
-			if matchedFinding(pkgs, f) {
-				out = append(out, f)
-			}
+	// Only directives inside the matched packages: findings outside the
+	// match set were dropped before suppression, so their directives would
+	// look stale for the wrong reason.
+	for _, f := range sup.stale() {
+		if matched[dirOf(f.Pos.Filename)] {
+			out = append(out, f)
 		}
 	}
-	res.Findings = dedupeFindings(sortFindings(out))
 
+	res := &Result{Findings: dedupeFindings(sortFindings(out))}
 	for name, d := range timings {
 		res.Timings = append(res.Timings, AnalyzerTiming{Name: name, Millis: float64(d.Microseconds()) / 1000})
 	}
 	sort.Slice(res.Timings, func(i, j int) bool { return res.Timings[i].Name < res.Timings[j].Name })
-	return res, nil
+	return res
 }
 
 func dirOf(filename string) string {
@@ -256,15 +195,6 @@ func dirOf(filename string) string {
 		return filename[:i]
 	}
 	return "."
-}
-
-func matchedFinding(pkgs []*Package, f Finding) bool {
-	for _, pkg := range pkgs {
-		if pkg.Dir == dirOf(f.Pos.Filename) {
-			return true
-		}
-	}
-	return false
 }
 
 func mergeSuppressions(dst, src *suppressions) {

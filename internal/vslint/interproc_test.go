@@ -49,17 +49,11 @@ func parseModuleSrc(t *testing.T, src string) *Module {
 	}
 }
 
-// checkModuleSrc runs the full interprocedural pipeline over one synthetic
-// file.
+// checkModuleSrc runs the full pipeline over one synthetic file.
 func checkModuleSrc(t *testing.T, src string, opts Options) *Result {
 	t.Helper()
 	mod := parseModuleSrc(t, src)
-	opts.Interproc = true
-	res, err := CheckModule(mod, mod.Pkgs, opts)
-	if err != nil {
-		t.Fatalf("CheckModule: %v", err)
-	}
-	return res
+	return CheckModule(mod, mod.Pkgs, opts)
 }
 
 // reserveFixture reproduces the MatrixCache/Accountant wiring from
@@ -409,6 +403,26 @@ func helper() []int {
 	if !found {
 		t.Errorf("allocating helper in hotpath closure not reported; got:\n%s", renderFindings(res.Findings))
 	}
+}
+
+// TestHotpathClosureSharesHotpathAllocRules: one classifier decides for
+// both analyzers, so a helper whose only allocation is boxing an argument
+// into an interface parameter is flagged as a closure member exactly as it
+// would be inside the root.
+func TestHotpathClosureSharesHotpathAllocRules(t *testing.T) {
+	res := checkModuleSrc(t, `package seed
+
+func sink(v any) {}
+
+//vs:hotpath
+func hot(n int) {
+	box(n)
+}
+
+func box(n int) { sink(n) }
+`, Options{})
+	wantFinding(t, res.Findings, "hotpath-closure", "seed.box")
+	wantFinding(t, res.Findings, "hotpath-closure", "implicit conversion of int to interface parameter")
 }
 
 func TestHotpathClosureColdpathAndNoinlineStopTraversal(t *testing.T) {

@@ -83,8 +83,9 @@ type parsedPkg struct {
 }
 
 // LoadModule parses and type-checks every package of the module rooted at
-// root. Test files (*_test.go) are excluded: the analyzers guard production
-// code, and external test packages would complicate the import graph.
+// root, stopping at nested modules. Test files (*_test.go) are excluded:
+// the analyzers guard production code, and external test packages would
+// complicate the import graph.
 // Build constraints are honoured for the host platform via go/build.
 //
 // Dependencies outside the module are resolved by the stdlib source
@@ -116,6 +117,13 @@ func LoadModule(root string) (*Module, error) {
 		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
 			name == "vendor" || name == "testdata") {
 			return filepath.SkipDir
+		}
+		// A directory with its own go.mod is another module, which
+		// `go build ./...` skips too (e.g. benchmark/).
+		if path != root {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		pkg, err := parseDir(fset, root, modPath, path)
 		if err != nil {

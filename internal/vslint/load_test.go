@@ -1,6 +1,8 @@
 package vslint
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -55,10 +57,48 @@ func TestLoadModuleOnThisRepo(t *testing.T) {
 
 	// The repo itself must be finding-free: the CI gate runs this same
 	// check, and a regression here means a kernel/concurrency invariant
-	// broke.
-	for _, p := range all {
-		for _, f := range CheckPackage(p, All()) {
-			t.Errorf("unexpected finding: %s", f)
+	// broke or a //vs:nolint went stale.
+	base, err := ReadCompilerBaseline(filepath.Join(root, "bench", "vslint_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range CheckModule(mod, all, Options{Baseline: base}).Findings {
+		t.Errorf("unexpected finding: %s", f)
+	}
+}
+
+// TestLoadModuleStopsAtNestedModule: a subdirectory with its own go.mod is
+// another module (this repo's benchmark/), which `go build ./...` skips;
+// the loader must skip it too instead of type-checking it as a package of
+// the outer module.
+func TestLoadModuleStopsAtNestedModule(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod":           "module outer\n\ngo 1.22\n",
+		"outer.go":         "package outer\n\nfunc F() {}\n",
+		"inner/go.mod":     "module outer/inner\n\ngo 1.22\n",
+		"inner/inner.go":   "package inner\n\nimport \"example.com/not/resolvable\"\n\nvar _ = resolvable.X\n",
+		"inner/sub/sub.go": "package sub\n",
+		"plain/plain.go":   "package plain\n",
+	}
+	for name, content := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
 		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mod, err := LoadModule(dir)
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	var got []string
+	for _, p := range mod.Pkgs {
+		got = append(got, p.ImportPath)
+	}
+	if len(got) != 2 || got[0] != "outer" || got[1] != "outer/plain" {
+		t.Errorf("loaded %v, want [outer outer/plain]", got)
 	}
 }

@@ -19,7 +19,7 @@ func Spawn(ch chan int) {
 	go produce(ch)
 }
 `
-	res := checkModuleSrc(t, src, Options{NolintAudit: true})
+	res := checkModuleSrc(t, src, Options{})
 	stale := findingsOf(res, "nolint-audit")
 	if len(stale) != 1 {
 		t.Fatalf("want exactly 1 stale directive, got %d:\n%s", len(stale), renderFindings(stale))
@@ -32,18 +32,6 @@ func Spawn(ch chan int) {
 	wantNoFinding(t, res.Findings, "channel-hygiene")
 }
 
-// TestNolintAuditOffByDefault: without the option, the same stale
-// directive stays silent (audit is opt-in for CI).
-func TestNolintAuditOffByDefault(t *testing.T) {
-	res := checkModuleSrc(t, `package seed
-
-func harmless() int {
-	return 1 //vs:nolint(channel-hygiene) nothing ever fired here
-}
-`, Options{})
-	wantNoFinding(t, res.Findings, "nolint-audit")
-}
-
 // TestNolintAuditSkipsContractViolations: a directive that already drew a
 // contract finding (unknown analyzer name) is a different mistake, not a
 // stale suppression — it must not be reported twice.
@@ -53,7 +41,7 @@ func TestNolintAuditSkipsContractViolations(t *testing.T) {
 func harmless() int {
 	return 1 //vs:nolint(no-such-analyzer) misspelled on purpose
 }
-`, Options{NolintAudit: true})
+`, Options{})
 	wantFinding(t, res.Findings, "nolint", `unknown analyzer "no-such-analyzer"`)
 	wantNoFinding(t, res.Findings, "nolint-audit")
 }

@@ -7,22 +7,6 @@ import (
 	"go/token"
 )
 
-// ResourceBalance generalizes span-leak to table-declared acquire/release
-// pairs: memory grants from exec.Accountant and telemetry gauge
-// increments. A reservation that is not released on some path is a
-// permanent leak of query-memory budget; an unbalanced gauge corrupts the
-// in-flight counters the /metrics endpoint exports.
-//
-// Pairing is intraprocedural with an ownership-transfer convention: only
-// resources that are both acquired AND released in the same function are
-// checked (a reserve helper whose caller releases is legal), and a path
-// that returns the acquire's own error is a failed acquire, not a leak.
-var ResourceBalance = &Analyzer{
-	Name: "resource-balance",
-	Doc:  "table-declared acquire/release pairs (Accountant.Reserve/Release, Gauge.Add) must balance on all paths",
-	Run:  runResourceBalance,
-}
-
 // resourceRule declares one acquire/release pair by receiver type name.
 // When signed is set, calls to that method classify by the sign of their
 // constant argument: positive acquires, negative releases.
@@ -45,32 +29,29 @@ var resourceTable = []resourceRule{
 	},
 }
 
-func runResourceBalance(p *Pass) {
-	spec := &pairSpec{
-		classify:     classifyResource,
-		bothRequired: true,
-		leakMsg: func(s *acqSite) string {
-			return fmt.Sprintf("%s is not released on every path (pair it with a release or defer one)", s.desc)
-		},
-	}
-	forEachFuncDecl(p, func(fd *ast.FuncDecl) { runPairing(p, fd, spec) })
-}
-
-// ResourceBalanceInterproc is the interprocedural upgrade of
-// ResourceBalance (same analyzer name: -interproc swaps it in). On top of
-// the direct table calls, every static call site is widened by the
+// ResourceBalance generalizes span-leak to table-declared acquire/release
+// pairs: memory grants from exec.Accountant and telemetry gauge
+// increments. A reservation that is not released on some path is a
+// permanent leak of query-memory budget; an unbalanced gauge corrupts the
+// in-flight counters the /metrics endpoint exports.
+//
+// Pairing runs per function body with an ownership-transfer convention:
+// only resources both acquired AND released in the same function are
+// checked (a reserve helper whose caller releases is legal), and a path
+// that returns the acquire's own error is a failed acquire, not a leak. On
+// top of the direct table calls, every static call site is widened by the
 // callee's summarized net effects: a helper that reserves into its
 // parameter counts as an acquire of the caller-side expression, and a
-// deferred-release helper counts as a release — so Reserve-in-caller /
+// deferred-release helper counts as a release, so Reserve-in-caller /
 // Release-in-callee pairs verify instead of being skipped by the
 // both-halves-in-one-function rule.
-var ResourceBalanceInterproc = &ModuleAnalyzer{
-	Name: ResourceBalance.Name,
-	Doc:  "acquire/release pairs must balance on all paths, seeing through helper calls via function summaries",
-	Run:  runResourceBalanceInterproc,
+var ResourceBalance = &ModuleAnalyzer{
+	Name: "resource-balance",
+	Doc:  "acquire/release pairs (Accountant.Reserve/Release, Gauge.Add) must balance on all paths, seeing through helper calls via function summaries",
+	Run:  runResourceBalance,
 }
 
-func runResourceBalanceInterproc(mp *ModulePass) {
+func runResourceBalance(mp *ModulePass) {
 	for _, n := range mp.Graph.Nodes {
 		if n.Body() == nil {
 			continue
@@ -146,6 +127,38 @@ func classifyCalleeEffects(mp *ModulePass, p *Pass, byPos map[token.Pos][]*CallE
 	})
 }
 
+// classifyTableCall matches one call against resourceTable and reports
+// whether it is an acquire or a release of which rule.
+func classifyTableCall(p *Pass, call *ast.CallExpr) (rule string, recvExpr ast.Expr, acquire, release bool) {
+	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return "", nil, false, false
+	}
+	recv := namedTypeName(p.typeOf(sel.X))
+	method := sel.Sel.Name
+	for _, r := range resourceTable {
+		if r.recvType != recv {
+			continue
+		}
+		acquire, release = r.acquire[method], r.release[method]
+		if r.signed == method && len(call.Args) > 0 {
+			if tv, ok := p.Info.Types[call.Args[0]]; ok && tv.Value != nil &&
+				(tv.Value.Kind() == constant.Int || tv.Value.Kind() == constant.Float) {
+				switch constant.Sign(tv.Value) {
+				case 1:
+					acquire = true
+				case -1:
+					release = true
+				}
+			}
+		}
+		if acquire || release {
+			return r.recvType, sel.X, acquire, release
+		}
+	}
+	return "", nil, false, false
+}
+
 func classifyResource(p *Pass, n ast.Node, deferred bool, emit func(event)) {
 	inspectNode(n, func(sub ast.Node) bool {
 		if _, ok := sub.(*ast.FuncLit); ok {
@@ -155,47 +168,25 @@ func classifyResource(p *Pass, n ast.Node, deferred bool, emit func(event)) {
 		if !ok {
 			return true
 		}
-		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
+		rule, recvExpr, acquire, release := classifyTableCall(p, call)
+		base := exprKey(recvExpr)
+		if rule == "" || base == "" {
 			return true
 		}
-		recv := namedTypeName(p.typeOf(sel.X))
-		base := exprKey(sel.X)
-		if base == "" {
-			return true
-		}
-		method := sel.Sel.Name
-		for _, r := range resourceTable {
-			if r.recvType != recv {
-				continue
-			}
-			acquire, release := r.acquire[method], r.release[method]
-			if r.signed == method && len(call.Args) > 0 {
-				if tv, ok := p.Info.Types[call.Args[0]]; ok && tv.Value != nil &&
-					(tv.Value.Kind() == constant.Int || tv.Value.Kind() == constant.Float) {
-					switch constant.Sign(tv.Value) {
-					case 1:
-						acquire = true
-					case -1:
-						release = true
-					}
-				}
-			}
-			key := r.recvType + ":" + base
-			switch {
-			case acquire && !deferred:
-				emit(event{
-					acquire: true,
-					pos:     call.Pos(),
-					call:    call,
-					site: &acqSite{
-						key:  key,
-						desc: fmt.Sprintf("%s acquisition %s.%s", r.recvType, base, method),
-					},
-				})
-			case release:
-				emit(event{acquire: false, pos: call.Pos(), key: key})
-			}
+		key := rule + ":" + base
+		switch {
+		case acquire && !deferred:
+			emit(event{
+				acquire: true,
+				pos:     call.Pos(),
+				call:    call,
+				site: &acqSite{
+					key:  key,
+					desc: fmt.Sprintf("%s acquisition %s.%s", rule, base, calleeName(call)),
+				},
+			})
+		case release:
+			emit(event{acquire: false, pos: call.Pos(), key: key})
 		}
 		return true
 	})

@@ -1,15 +1,9 @@
 package vslint
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
-	"os"
 	"sort"
 	"strings"
 )
@@ -21,18 +15,14 @@ import (
 // one fixpoint loop inside each component suffices. All summarized facts
 // are monotone "may" bits — may acquire this lock, may have a net resource
 // effect, may allocate — so the fixpoint terminates.
-//
-// Everything in a summary is position-based (token.Position, not
-// token.Pos) and JSON-serializable: the summary cache persists them across
-// vslint runs keyed by a hash of each package's sources.
 
 // LockStep is one step of a lock-acquisition witness: the function either
 // acquires Class directly (Via == "") or reaches it by calling Via.
 type LockStep struct {
-	Class  string         `json:"class"`
-	Via    string         `json:"via,omitempty"`
-	Pos    token.Position `json:"pos"`
-	Approx bool           `json:"approx,omitempty"`
+	Class  string
+	Via    string
+	Pos    token.Position
+	Approx bool
 }
 
 // ResEffect is one net resource effect a function exposes through its own
@@ -40,35 +30,35 @@ type LockStep struct {
 // at parameter Param's Path". Only unbalanced effects are exported — a
 // function that both reserves and releases internally has no net effect.
 type ResEffect struct {
-	Rule    string         `json:"rule"`            // resourceTable receiver type, e.g. "Accountant"
-	Param   int            `json:"param"`           // -1 = method receiver
-	Path    string         `json:"path,omitempty"`  // selector path below the parameter, e.g. ".acct"
-	Acquire bool           `json:"acquire"`         // false = release
-	Defer   bool           `json:"defer,omitempty"` // release registered with defer (fires on every exit)
-	Pos     token.Position `json:"pos"`
+	Rule    string // resourceTable receiver type, e.g. "Accountant"
+	Param   int    // -1 = method receiver
+	Path    string // selector path below the parameter, e.g. ".acct"
+	Acquire bool   // false = release
+	Defer   bool   // release registered with defer (fires on every exit)
+	Pos     token.Position
 }
 
 // FuncSummary is the interprocedural abstract of one function.
 type FuncSummary struct {
-	Name string `json:"name"`
+	Name string
 	// Locks maps every lock class the function may acquire (transitively,
 	// in the same goroutine) to the first step of a witness chain.
-	Locks map[string]LockStep `json:"locks,omitempty"`
+	Locks map[string]LockStep
 	// Effects lists the net resource effects rooted at parameters.
-	Effects []ResEffect `json:"effects,omitempty"`
+	Effects []ResEffect
 	// HasCtx reports a context.Context (or carrier struct) parameter or
 	// receiver; literals inherit it from the enclosing function.
-	HasCtx bool `json:"has_ctx,omitempty"`
+	HasCtx bool
 	// Spawns are go-statement positions; Detaches are context.Background /
 	// context.TODO call positions. Both are direct (non-transitive).
-	Spawns   []token.Position `json:"spawns,omitempty"`
-	Detaches []token.Position `json:"detaches,omitempty"`
-	// MayAlloc is the syntactic may-allocate bit with its first witness;
-	// the hotpath-closure analyzer overrides it with the compiler
-	// baseline's escape count when one is recorded.
-	MayAlloc    bool           `json:"may_alloc,omitempty"`
-	AllocReason string         `json:"alloc_reason,omitempty"`
-	AllocPos    token.Position `json:"alloc_pos,omitempty"`
+	Spawns   []token.Position
+	Detaches []token.Position
+	// AllocReason is the first construct forEachAlloc reports in the body
+	// ("" when it reports none), at AllocPos; the hotpath-closure analyzer
+	// overrides it with the compiler baseline's escape count when one is
+	// recorded.
+	AllocReason string
+	AllocPos    token.Position
 }
 
 // Summaries holds the summary of every call-graph node.
@@ -116,7 +106,14 @@ func ComputeSummaries(g *CallGraph) *Summaries {
 		collectDirectLocks(p, n, sum)
 		effectBits[n] = collectDirectEffects(p, n)
 		collectCtxFacts(p, n, s, sum)
-		sum.MayAlloc, sum.AllocReason, sum.AllocPos = mayAllocate(p, n)
+		var fn ast.Node = n.Lit
+		if n.Decl != nil {
+			fn = n.Decl
+		}
+		forEachAlloc(p, fn, func(pos token.Pos, what string) bool {
+			sum.AllocReason, sum.AllocPos = what, p.Fset.Position(pos)
+			return false
+		})
 	}
 
 	// Propagation: bottom-up over SCCs, iterating inside each component
@@ -328,39 +325,6 @@ func rootedAtParam(p *Pass, params map[types.Object]int, e ast.Expr) (param int,
 	return idx, rest, true
 }
 
-// classifyTableCall matches one call against resourceTable the same way
-// classifyResource does and reports whether it is an acquire or a release
-// of which rule.
-func classifyTableCall(p *Pass, call *ast.CallExpr) (rule string, recvExpr ast.Expr, acquire, release bool) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", nil, false, false
-	}
-	recv := namedTypeName(p.typeOf(sel.X))
-	method := sel.Sel.Name
-	for _, r := range resourceTable {
-		if r.recvType != recv {
-			continue
-		}
-		acquire, release = r.acquire[method], r.release[method]
-		if r.signed == method && len(call.Args) > 0 {
-			if tv, ok := p.Info.Types[call.Args[0]]; ok && tv.Value != nil &&
-				(tv.Value.Kind() == constant.Int || tv.Value.Kind() == constant.Float) {
-				switch constant.Sign(tv.Value) {
-				case 1:
-					acquire = true
-				case -1:
-					release = true
-				}
-			}
-		}
-		if acquire || release {
-			return r.recvType, sel.X, acquire, release
-		}
-	}
-	return "", nil, false, false
-}
-
 // collectDirectEffects records n's own table calls rooted at parameters.
 func collectDirectEffects(p *Pass, n *FuncNode) map[effectKey]*effectState {
 	bits := map[effectKey]*effectState{}
@@ -556,168 +520,4 @@ func litHasCarrier(p *Pass, lit *ast.FuncLit) bool {
 		}
 	}
 	return false
-}
-
-// mayAllocate is the syntactic may-allocate test behind the
-// hotpath-closure analyzer: a coarse filter the compiler baseline refines
-// (a function the escape analysis proves clean overrides this bit).
-func mayAllocate(p *Pass, n *FuncNode) (bool, string, token.Position) {
-	var reason string
-	var pos token.Pos
-	report := func(r string, at token.Pos) {
-		if reason == "" {
-			reason, pos = r, at
-		}
-	}
-	ast.Inspect(n.Body(), func(node ast.Node) bool {
-		if reason != "" {
-			return false
-		}
-		switch node := node.(type) {
-		case *ast.FuncLit:
-			if node.Body != n.Body() {
-				report("closure (func literal)", node.Pos())
-				return false
-			}
-		case *ast.CompositeLit:
-			report("composite literal", node.Pos())
-		case *ast.GoStmt:
-			report("goroutine launch", node.Pos())
-		case *ast.BinaryExpr:
-			if node.Op == token.ADD {
-				if t := p.typeOf(node); t != nil && isStringType(t) {
-					report("string concatenation", node.Pos())
-				}
-			}
-		case *ast.CallExpr:
-			if id, ok := unparen(node.Fun).(*ast.Ident); ok {
-				if b, ok := p.Info.Uses[id].(*types.Builtin); ok {
-					switch b.Name() {
-					case "make", "new", "append":
-						report(b.Name(), node.Pos())
-					}
-				}
-			}
-			if tv, ok := p.Info.Types[unparen(node.Fun)]; ok && tv.IsType() && len(node.Args) == 1 {
-				dst := tv.Type
-				src := p.typeOf(node.Args[0])
-				if src != nil {
-					switch {
-					case types.IsInterface(dst) && !types.IsInterface(src) && !isUntypedNil(p, node.Args[0]):
-						report("interface conversion", node.Pos())
-					case isStringType(dst) && isByteOrRuneSlice(src), isByteOrRuneSlice(dst) && isStringType(src):
-						report("string/slice conversion", node.Pos())
-					}
-				}
-			}
-		}
-		return true
-	})
-	if reason == "" {
-		return false, "", token.Position{}
-	}
-	return true, reason, p.Fset.Position(pos)
-}
-
-// ---------------------------------------------------------------------------
-// Summary cache
-//
-// The cache persists the computed summaries keyed by a content hash of
-// every package (its own sources plus, transitively via the key chain, its
-// module-internal dependencies). Loading is all-or-nothing: if any package
-// hash differs, everything is recomputed — a changed package necessarily
-// misses its own key, and its dependents miss theirs because the dep hash
-// feeds their key.
-
-// summaryCacheSchema versions the cache file shape.
-const summaryCacheSchema = 1
-
-type summaryCacheFile struct {
-	Schema    int                     `json:"schema"`
-	Keys      map[string]string       `json:"keys"` // import path → hash
-	Summaries map[string]*FuncSummary `json:"summaries"`
-}
-
-// packageHashes computes the cache key of every module package: the hash
-// of its file contents combined with its module-internal dependency keys.
-func packageHashes(mod *Module) (map[string]string, error) {
-	keys := map[string]string{}
-	for _, pkg := range mod.Pkgs { // topological: deps hashed first
-		h := sha256.New()
-		var names []string
-		for _, f := range pkg.Files {
-			names = append(names, mod.Fset.Position(f.Pos()).Filename)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			raw, err := os.ReadFile(name)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(h, "%s\n", name)
-			_, _ = h.Write(raw) // hash.Hash.Write never returns an error
-		}
-		var deps []string
-		for _, imp := range pkg.Types.Imports() {
-			if k, ok := keys[imp.Path()]; ok {
-				deps = append(deps, imp.Path()+"="+k)
-			}
-		}
-		sort.Strings(deps)
-		for _, d := range deps {
-			fmt.Fprintf(h, "dep %s\n", d)
-		}
-		keys[pkg.ImportPath] = hex.EncodeToString(h.Sum(nil))
-	}
-	return keys, nil
-}
-
-// LoadOrComputeSummaries returns the module's summaries, reusing the cache
-// at path when every package hash matches. An empty path disables caching.
-// The boolean result reports a cache hit.
-func LoadOrComputeSummaries(g *CallGraph, path string) (*Summaries, bool, error) {
-	if path == "" {
-		return ComputeSummaries(g), false, nil
-	}
-	keys, err := packageHashes(g.Mod)
-	if err != nil {
-		return nil, false, err
-	}
-	if raw, err := os.ReadFile(path); err == nil {
-		var cached summaryCacheFile
-		if json.Unmarshal(raw, &cached) == nil && cached.Schema == summaryCacheSchema && sameKeys(cached.Keys, keys) {
-			s := &Summaries{byNode: map[*FuncNode]*FuncSummary{}, byName: cached.Summaries}
-			complete := true
-			for _, n := range g.Nodes {
-				sum, ok := cached.Summaries[n.Name]
-				if !ok {
-					complete = false
-					break
-				}
-				s.byNode[n] = sum
-			}
-			if complete {
-				return s, true, nil
-			}
-		}
-	}
-	s := ComputeSummaries(g)
-	cache := summaryCacheFile{Schema: summaryCacheSchema, Keys: keys, Summaries: s.byName}
-	if raw, err := json.MarshalIndent(&cache, "", " "); err == nil {
-		// Best-effort: an unwritable cache must not fail the lint run.
-		_ = os.WriteFile(path, append(raw, '\n'), 0o644)
-	}
-	return s, false, nil
-}
-
-func sameKeys(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }

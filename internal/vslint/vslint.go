@@ -1,20 +1,23 @@
 // Package vslint is VertexSurge's project-specific static analysis. It is
 // built entirely on the stdlib go/parser, go/types, and go/token packages
-// (no golang.org/x/tools dependency) and enforces the invariants the
-// paper's kernels depend on:
+// (no golang.org/x/tools dependency) and runs one way: CheckModule loads
+// the whole module, runs the per-package analyzers (All) over the matched
+// packages, builds the call graph and function summaries, and runs the
+// whole-program analyzers (AllInterproc) on top. The per-package ones are:
 //
-//   - hotpath-alloc: functions annotated //vs:hotpath must not allocate —
-//     no make/new/append, no composite literals, no closures, no string
-//     concatenation, and no concrete-to-interface conversions. A stray
-//     allocation in VExpand's or_column loop or MIntersect's intersec_col
-//     silently destroys the microarchitectural behaviour Figure 9 measures.
+//   - hotpath-alloc: functions annotated //vs:hotpath must not allocate
+//     (forEachAlloc lists what counts). A stray allocation in VExpand's
+//     or_column loop or MIntersect's intersec_col silently destroys the
+//     microarchitectural behaviour Figure 9 measures.
 //   - unchecked-err: error returns must not be dropped on the floor,
 //     targeting the spill/mmap I/O paths in internal/storage.
-//   - goroutine-hygiene: worker fan-outs must not capture loop variables in
-//     spawned goroutines, must not call WaitGroup.Add inside the spawned
-//     goroutine, and must Wait on every local WaitGroup they Add to.
-//   - mutex-copy: values containing sync.Mutex/sync.RWMutex must not be
-//     passed, returned, or received by value.
+//   - goroutine-hygiene: worker fan-outs must not call WaitGroup.Add inside
+//     the spawned goroutine, and must Wait on every local WaitGroup they
+//     Add to.
+//   - ctx-propagation, span-leak, lock-discipline: context threading and
+//     the CFG + dataflow pairing checks of cfg.go/dataflow.go.
+//
+// Lock copies are go vet's copylocks check, which scripts/verify.sh runs.
 //
 // Findings are suppressed with a trailing or preceding comment of the form
 //
@@ -22,7 +25,7 @@
 //
 // The analyzer list is optional (bare //vs:nolint suppresses everything on
 // the line), but the justification text is mandatory: an unjustified nolint
-// is itself reported.
+// is itself reported, and so is one that no longer suppresses anything.
 package vslint
 
 import (
@@ -81,11 +84,6 @@ type Pass struct {
 	Pkg   *types.Package
 	Info  *types.Info
 
-	// Interproc is set when the run includes the module-level analyzers;
-	// per-package checks that a module analyzer subsumes (the no-carrier
-	// goroutine rule in ctx-propagation) stand down to avoid duplicates.
-	Interproc bool
-
 	analyzer string
 	report   func(f Finding)
 }
@@ -100,17 +98,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Advisef records an info-severity finding at pos: printed, suppressible
-// with //vs:nolint, but not counted against the exit code.
-func (p *Pass) Advisef(pos token.Pos, format string, args ...any) {
-	p.report(Finding{
-		Analyzer: p.analyzer,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-		Severity: SeverityInfo,
-	})
-}
-
 // typeOf returns the static type of e, or nil if unknown.
 func (p *Pass) typeOf(e ast.Expr) types.Type {
 	if tv, ok := p.Info.Types[e]; ok {
@@ -119,40 +106,14 @@ func (p *Pass) typeOf(e ast.Expr) types.Type {
 	return nil
 }
 
-// All returns every analyzer in reporting order. The first four are the
-// original syntactic walks; the last four are built on the CFG + dataflow
-// engine in cfg.go/dataflow.go.
+// All returns the per-package analyzers in reporting order. The first
+// three are syntactic walks; the last three are built on the CFG +
+// dataflow engine in cfg.go/dataflow.go.
 func All() []*Analyzer {
 	return []*Analyzer{
-		HotpathAlloc, UncheckedErr, GoroutineHygiene, MutexCopy,
-		CtxPropagation, SpanLeak, LockDiscipline, ResourceBalance,
+		HotpathAlloc, UncheckedErr, GoroutineHygiene,
+		CtxPropagation, SpanLeak, LockDiscipline,
 	}
-}
-
-// CheckPackage runs the analyzers over pkg, applies //vs:nolint
-// suppressions, and returns the surviving findings sorted by position.
-func CheckPackage(pkg *Package, analyzers []*Analyzer) []Finding {
-	var raw []Finding
-	pass := &Pass{
-		Fset:  pkg.Fset,
-		Files: pkg.Files,
-		Pkg:   pkg.Types,
-		Info:  pkg.Info,
-	}
-	pass.report = func(f Finding) { raw = append(raw, f) }
-	for _, a := range analyzers {
-		pass.analyzer = a.Name
-		a.Run(pass)
-	}
-
-	sup := collectSuppressions(pkg)
-	out := sup.findings // unjustified nolint directives
-	for _, f := range raw {
-		if !sup.suppressed(f) {
-			out = append(out, f)
-		}
-	}
-	return dedupeFindings(sortFindings(out))
 }
 
 // sortFindings orders findings by position, then analyzer name.
@@ -233,9 +194,9 @@ func hasDirective(cg *ast.CommentGroup, directive string) bool {
 	return false
 }
 
-// nolintDir is one //vs:nolint comment in the source. The audit
-// (`-nolint-audit`) reports directives that never suppressed a finding:
-// usage is marked when any finding hits a line the directive covers.
+// nolintDir is one //vs:nolint comment in the source. The audit reports
+// directives that never suppressed a finding: usage is marked when any
+// finding hits a line the directive covers.
 // Line-scoped and function-scoped coverage of the same comment share one
 // record, so firing through either counts.
 type nolintDir struct {

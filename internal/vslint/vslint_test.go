@@ -1,44 +1,15 @@
 package vslint
 
 import (
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"strings"
 	"testing"
 )
 
-// checkSrc type-checks one synthetic file and runs every analyzer over it.
+// checkSrc runs the whole pipeline over one synthetic file and returns the
+// findings.
 func checkSrc(t *testing.T, src string) []Finding {
 	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "seed.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Implicits:  map[ast.Node]types.Object{},
-	}
-	tpkg, err := conf.Check("seed", fset, []*ast.File{f}, info)
-	if err != nil {
-		t.Fatalf("typecheck: %v", err)
-	}
-	pkg := &Package{
-		ImportPath: "seed",
-		Fset:       fset,
-		Files:      []*ast.File{f},
-		Types:      tpkg,
-		Info:       info,
-	}
-	return CheckPackage(pkg, All())
+	return checkModuleSrc(t, src, Options{}).Findings
 }
 
 // wantFinding asserts exactly one finding of the analyzer matches substr.
@@ -166,7 +137,7 @@ func badFanout(items []int) {
 		go func() {
 			wg.Add(1) // Add inside the spawned goroutine
 			defer wg.Done()
-			_ = it // loop variable captured in closure
+			_ = it
 		}()
 	}
 	// missing wg.Wait()
@@ -184,38 +155,11 @@ func goodFanout(items []int) {
 	wg.Wait()
 }
 `)
-	wantFinding(t, findings, "goroutine-hygiene", `captures loop variable "it"`)
 	wantFinding(t, findings, "goroutine-hygiene", "Add inside the spawned goroutine")
 	wantFinding(t, findings, "goroutine-hygiene", "never Waited on")
-	// goodFanout must stay silent: all three findings come from badFanout.
-	if n := countAnalyzer(findings, "goroutine-hygiene"); n != 3 {
-		t.Errorf("want exactly 3 goroutine-hygiene findings, got %d:\n%s", n, renderFindings(findings))
-	}
-}
-
-func TestMutexCopyCatchesByValuePassing(t *testing.T) {
-	findings := checkSrc(t, `
-package seed
-
-import "sync"
-
-type Guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-type Nested struct{ g Guarded }
-
-func byValue(g Guarded) int      { g.mu.Lock(); defer g.mu.Unlock(); return g.n } // param copy
-func returned() Nested           { return Nested{} }                              // result copy
-func (g Guarded) valueReceiver() {}                                               // receiver copy
-func fine(g *Guarded) int        { g.mu.Lock(); defer g.mu.Unlock(); return g.n }
-`)
-	wantFinding(t, findings, "mutex-copy", "parameter of type seed.Guarded")
-	wantFinding(t, findings, "mutex-copy", "result of type seed.Nested")
-	wantFinding(t, findings, "mutex-copy", "receiver of type seed.Guarded")
-	if n := countAnalyzer(findings, "mutex-copy"); n != 3 {
-		t.Errorf("want exactly 3 mutex-copy findings, got %d:\n%s", n, renderFindings(findings))
+	// goodFanout must stay silent: both findings come from badFanout.
+	if n := countAnalyzer(findings, "goroutine-hygiene"); n != 2 {
+		t.Errorf("want exactly 2 goroutine-hygiene findings, got %d:\n%s", n, renderFindings(findings))
 	}
 }
 

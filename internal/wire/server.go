@@ -65,7 +65,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			return err
 		}
 		s.track(conn, true)
-		go func() { //vs:nolint(ctx-propagation) connection lifetime is bounded by the listener and Server.Close, not a caller context; the deferred session close inside handleConn is the cleanup
+		go func() {
 			defer s.track(conn, false)
 			defer conn.Close() //vs:nolint(unchecked-err) read-side close of a dead conn on the way out
 			s.handleConn(conn)

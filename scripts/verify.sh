@@ -7,10 +7,10 @@
 #   FUZZTIME=30s scripts/verify.sh   # longer fuzz smoke
 #   SKIP_FUZZ=1 scripts/verify.sh    # skip the fuzz smoke (e.g. constrained machines)
 #   SKIP_SMOKE=1 scripts/verify.sh   # skip the vsserve end-to-end smoke
-#   SKIP_BENCH=1 scripts/verify.sh   # skip the bench perf-regression gate
 #   SKIP_COMPILER_LINT=1 scripts/verify.sh  # skip the vslint -compiler gate
-#   BENCH_TOLERANCE=400 scripts/verify.sh  # perf-gate slack in percent
-#   BENCH_OUT=out scripts/verify.sh  # keep BENCH_*.json / vslint records (for CI artifacts)
+#
+# Under GitHub Actions (GITHUB_ACTIONS set by the runner) vslint prints
+# ::error workflow annotations instead of plain text.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,37 +30,19 @@ if [ -n "$unformatted" ]; then
 fi
 
 step "go vet ./..."
+# vet's copylocks check is the repo's only guard against copying a mutex.
 go vet ./...
 
-step "vslint -interproc -nolint-audit (hot-path, concurrency, and whole-program invariants)"
+step "vslint (hot-path, concurrency, and whole-program invariants; stale //vs:nolint fails)"
 # ./... matches every package, including internal/vslint and cmd/vslint —
-# the linter self-lints. -nolint-audit additionally fails the gate on any
-# //vs:nolint directive that no longer suppresses a finding, so stale
-# justifications cannot accumulate. With BENCH_OUT set, the whole-program
-# call graph and a SARIF log land next to the findings JSON for the CI
-# artifact upload / code-scanning import.
-if [ -n "${BENCH_OUT:-}" ]; then
-    mkdir -p "$BENCH_OUT"
-    go run ./cmd/vslint -interproc -nolint-audit -callgraph-dot "$BENCH_OUT/callgraph.dot" ./...
-    go run ./cmd/vslint -interproc -nolint-audit -format sarif ./... > "$BENCH_OUT/vslint.sarif"
-else
-    go run ./cmd/vslint -interproc -nolint-audit ./...
-fi
-
-if [ -z "${SKIP_COMPILER_LINT:-}" ]; then
-    step "vslint -compiler (escape/bounds-check gate vs bench/vslint_baseline.json)"
-    # The compiler gate rebuilds with -gcflags diagnostics (go build -a),
-    # so it is the slowest lint step; SKIP_COMPILER_LINT=1 disables it.
-    # The findings JSON lands next to the BENCH_*.json records when
-    # BENCH_OUT is set, so CI uploads it as an artifact.
-    lintout="${BENCH_OUT:-}"
-    if [ -n "$lintout" ]; then
-        mkdir -p "$lintout"
-        go run ./cmd/vslint -compiler -json ./... > "$lintout/vslint_findings.json"
-    else
-        go run ./cmd/vslint -compiler ./...
-    fi
-fi
+# the linter self-lints. -compiler adds the escape/bounds-check gate against
+# bench/vslint_baseline.json; it rebuilds with -gcflags diagnostics (go
+# build -a), so it is the slowest lint step and SKIP_COMPILER_LINT=1 drops
+# it.
+vslint_flags=(-format text)
+[ -n "${GITHUB_ACTIONS:-}" ] && vslint_flags=(-format github)
+[ -z "${SKIP_COMPILER_LINT:-}" ] && vslint_flags+=(-compiler)
+go run ./cmd/vslint "${vslint_flags[@]}" ./...
 
 step "go test ./..."
 go test ./...
@@ -234,34 +216,6 @@ for row in json.load(sys.stdin)["rows"]:
         -d '{"query":"MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN COUNT(DISTINCT p,q)"}')"
     [ "$status" = "504" ] \
         || { echo "-query-timeout 1ns returned HTTP $status, want 504" >&2; exit 1; }
-fi
-
-if [ -z "${SKIP_BENCH:-}" ]; then
-    step "bench perf-regression gate (fig9 @ 0.02 vs bench/baseline.json)"
-    # The gate catches order-of-magnitude regressions (an accidental
-    # strawman fallback, a lost optimization), not percent-level noise:
-    # CI machines differ from the machine that recorded the baseline, so
-    # the default tolerance is wide. Tighten BENCH_TOLERANCE when the
-    # baseline was recorded on the same hardware.
-    # No trap here: the smoke step above owns the EXIT trap. A mktemp dir
-    # only leaks if the gate itself fails.
-    benchout="${BENCH_OUT:-}"
-    keep_bench=1
-    if [ -z "$benchout" ]; then
-        benchout="$(mktemp -d)"
-        keep_bench=""
-    fi
-    go run ./cmd/vsbench -exp fig9 -scale 0.02 -json "$benchout"
-    go run ./scripts/benchdiff.go -tolerance "${BENCH_TOLERANCE:-400}" \
-        "$benchout/BENCH_fig9_0.02.json" bench/baseline.json
-
-    step "bench cache gate (repeated-query cache hits vs bench/baseline_cache.json)"
-    # The cache experiment fails outright if warm runs stop hitting the
-    # engine cache; the benchdiff compares warm (cache-hit) latencies.
-    go run ./cmd/vsbench -exp cache -scale 0.02 -json "$benchout"
-    go run ./scripts/benchdiff.go -tolerance "${BENCH_TOLERANCE:-400}" \
-        "$benchout/BENCH_cache_0.02.json" bench/baseline_cache.json
-    [ -n "$keep_bench" ] || rm -rf "$benchout"
 fi
 
 step "verify OK"

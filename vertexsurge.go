@@ -107,14 +107,15 @@ const (
 // Unbounded as a Determiner's KMax means "no maximum length".
 const Unbounded = pattern.Unbounded
 
-// VExpand kernel variants (the Figure 9 ablation ladder).
+// VExpand kernel variants (the Figure 9 ablation ladder). The former
+// KernelPrefetch rung is gone: its lookahead touch was a load the compiler
+// discards, so it measured the same loop as KernelHilbert plus a branch.
 const (
 	KernelAuto        = vexpand.Auto
 	KernelStrawman    = vexpand.Strawman
 	KernelColumnMajor = vexpand.ColumnMajor
 	KernelSIMD        = vexpand.SIMD
 	KernelHilbert     = vexpand.Hilbert
-	KernelPrefetch    = vexpand.Prefetch
 	KernelBFS         = vexpand.BFS
 )
 
