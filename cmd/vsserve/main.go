@@ -21,18 +21,12 @@
 //	-memory-budget N             cap live intermediate bytes across queries (0 = unlimited)
 //	-stats-out stats.jsonl       append per-operator est-vs-actual observations per query
 //	                             (synced to disk on shutdown; write errors surface at close)
-//	-telemetry-interval 1s       metric time-series sample period
-//	-telemetry-window 300        samples retained in the time-series ring
-//	-alert-slo 1s                fire the slow-query alert when window p95 exceeds this (0 = off)
-//	-alert-memory-frac 0.9       fire the memory-pressure alert above this accountant occupancy
-//	-alert-evictions 100         fire the cache-storm alert above this eviction rate per second (0 = off)
 //
-// Introspection: GET /debug/queries lists in-flight queries (live
-// per-operator progress) and the completed history; DELETE
-// /debug/queries/{id} kills a running query. GET /debug/timeseries serves
-// the metric history window with rate/percentile reductions, GET
-// /debug/dash is a self-contained live dashboard (SSE-fed), and cmd/vstop
-// is the terminal equivalent.
+// Observability: GET /metrics (and /metrics on -debug-addr) is the
+// Prometheus exposition of every engine, accountant and runtime number;
+// rates, quantiles and alerts belong to whatever scrapes it. GET
+// /debug/queries lists in-flight queries (live per-operator progress) and
+// the completed history; DELETE /debug/queries/{id} kills a running query.
 package main
 
 import (
@@ -71,11 +65,6 @@ func main() {
 		cacheBytes   = flag.Int64("cache-bytes", engine.DefaultCacheBytes, "engine-level reachability-matrix cache bytes (0 or negative = off)")
 		memoryBudget = flag.Int64("memory-budget", 0, "cap live intermediate bytes across queries (0 = unlimited)")
 		statsOut     = flag.String("stats-out", "", "append per-operator est-vs-actual cardinality observations (JSONL) of every completed query to this file")
-		tsInterval   = flag.Duration("telemetry-interval", telemetry.DefaultSampleInterval, "metric time-series sample period")
-		tsWindow     = flag.Int("telemetry-window", telemetry.DefaultSampleCapacity, "samples retained in the metric time-series ring")
-		alertSLO     = flag.Duration("alert-slo", time.Second, "fire the slow-query alert when the window p95 latency exceeds this (0 = off)")
-		alertMemFrac = flag.Float64("alert-memory-frac", 0.9, "fire the memory-pressure alert above this fraction of the memory budget")
-		alertEvict   = flag.Float64("alert-evictions", 100, "fire the cache-eviction-storm alert above this evictions/s over the trailing minute (0 = off)")
 	)
 	flag.Parse()
 	if *data == "" {
@@ -113,27 +102,11 @@ func main() {
 		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 
-	// Time-series ring over the default registry, metered against the
-	// engine's accountant, with the threshold watchers attached; the
-	// accountant gauges join the registry so the ring can sample them.
+	// Publish the serving engine's accountant occupancy on /metrics as
+	// vs_memory_in_use_bytes / vs_memory_limit_bytes.
 	telemetry.SetMemoryStats(func() (used, limit int64) {
 		return eng.MemoryInUse(), eng.MemoryLimit()
 	})
-	ts := telemetry.NewTimeSeries(telemetry.Default, *tsInterval, *tsWindow, eng.Accountant())
-	var rules []telemetry.AlertRule
-	if *alertSLO > 0 {
-		rules = append(rules, telemetry.SLOBurnRule(*alertSLO, 60))
-	}
-	rules = append(rules, telemetry.MemoryPressureRule(func() (used, limit int64) {
-		return eng.MemoryInUse(), eng.MemoryLimit()
-	}, *alertMemFrac))
-	if *alertEvict > 0 {
-		rules = append(rules, telemetry.CacheEvictionStormRule(*alertEvict, 60))
-	}
-	watcher := telemetry.NewWatcher(telemetry.Default, logger, rules...)
-	ts.AddWatcher(watcher)
-	ts.Start()
-	defer ts.Close()
 
 	// One session service behind both transports: the HTTP handlers and
 	// the wire listener share query timeout, cursor batch size, and the
@@ -146,8 +119,6 @@ func main() {
 		Logger:          logger,
 		SlowQuery:       *slowQuery,
 		MaxRequestBytes: *maxReqBytes,
-		TimeSeries:      ts,
-		Alerts:          watcher,
 	})
 
 	if *debugAddr != "" {

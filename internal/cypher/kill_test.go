@@ -60,7 +60,7 @@ poll:
 		}
 		active, _ := telemetry.DefaultQueries.Snapshot()
 		for _, a := range active {
-			if strings.Contains(a.Query, ":next*") && a.Progress.Pairs > 0 {
+			if strings.Contains(a.Query, ":next*") && a.Cost.Pairs > 0 {
 				id = a.ID
 				break poll
 			}

@@ -96,12 +96,9 @@ func (e *Engine) MemoryInUse() int64 { return e.acct.InUse() }
 func (e *Engine) MemoryLimit() int64 { return e.acct.Limit() }
 
 // Accountant exposes the engine's shared memory accountant so co-resident
-// subsystems (the telemetry time-series ring) can meter their footprint in
-// the same budget as matrices, cache residency, and spill buffers.
+// subsystems (session cursor buffers) can meter their footprint in the same
+// budget as matrices, cache residency, and spill buffers.
 func (e *Engine) Accountant() *exec.Accountant { return e.acct }
-
-// CacheLimit reports the configured matrix-cache byte bound (0 = off).
-func (e *Engine) CacheLimit() int64 { return e.opts.CacheBytes }
 
 // SetStatsSink attaches (or, with nil, detaches) the cardinality-statistics
 // sink every completed Match observes into. Safe to call concurrently with

@@ -62,7 +62,7 @@ func renderQueries(active []telemetry.QuerySnapshot, history []telemetry.QueryRe
 			fmt.Fprintf(&b, "  %-5d %-9s %-10s %-14s %-12d %-9s %-10s %s\n",
 				q.ID, state, fmt.Sprintf("%.1fms", q.ElapsedMs),
 				fmt.Sprintf("%d/%d run %d", p.OpsDone, p.OpsTotal, p.OpsRunning),
-				p.Pairs, fmt.Sprintf("%.1fms", q.Cost.CPUMs),
+				q.Cost.Pairs, fmt.Sprintf("%.1fms", q.Cost.CPUMs),
 				costBytes(q.Cost.TotalBytes()), oneLine(q.Query))
 		}
 	}

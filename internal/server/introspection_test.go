@@ -56,6 +56,37 @@ func TestDebugQueriesHistory(t *testing.T) {
 	}
 }
 
+// TestQueryCostInHistory runs a real query through a server built with
+// Options{} and asserts the completed record carries attributed cost — the
+// end-to-end check that exec/engine attribution lands in /debug/queries.
+func TestQueryCostInHistory(t *testing.T) {
+	srv, _ := testServer(t)
+	resp, body := post(t, srv, "/query", QueryRequest{Query: countQuery})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+
+	dq, err := http.Get(srv.URL + "/debug/queries")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dq.Body.Close()
+	var dbg DebugQueriesResponse
+	if err := json.NewDecoder(dq.Body).Decode(&dbg); err != nil {
+		t.Fatal(err)
+	}
+	if len(dbg.History) == 0 {
+		t.Fatal("no completed queries in history")
+	}
+	rec := dbg.History[0]
+	if rec.Cost.CPUMs <= 0 {
+		t.Errorf("history record has no attributed CPU: %+v", rec.Cost)
+	}
+	if rec.Cost.MatrixBytes <= 0 && rec.Cost.CacheBytes <= 0 {
+		t.Errorf("history record has no attributed matrix/cache bytes: %+v", rec.Cost)
+	}
+}
+
 func TestKillUnknownQuery(t *testing.T) {
 	srv, _ := testServer(t)
 	for _, tc := range []struct {

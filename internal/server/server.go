@@ -14,9 +14,9 @@
 //	GET  /healthz                                     → 200 ok
 //	GET  /debug/queries                               → in-flight queries (live progress) + completed history
 //	DELETE /debug/queries/{id}                        → kill the in-flight query with that id
-//	GET  /debug/timeseries?samples=N                  → metric history window with rate/percentile reductions
-//	GET  /debug/dash                                  → self-contained live HTML dashboard
-//	GET  /debug/dash/stream                           → SSE stream of dashboard frames (heartbeat + "dash" events)
+//
+// /metrics is the only numeric surface: rates, quantiles and alerting are
+// the scraper's job over the counters and histograms it exposes.
 //
 // Request bodies are bounded (Options.MaxRequestBytes, default 1 MiB).
 // With Options.Logger set, every request emits one structured access-log
@@ -71,14 +71,6 @@ type Options struct {
 	// server constructs its own session.Service — with NewWithService the
 	// service's own QueryTimeout governs.
 	QueryTimeout time.Duration
-	// TimeSeries, when non-nil, backs GET /debug/timeseries and the
-	// /debug/dash SSE stream. The server does not start or stop it — the
-	// owner (vsserve) controls its lifecycle. Nil answers those endpoints
-	// with 503.
-	TimeSeries *telemetry.TimeSeries
-	// Alerts, when non-nil, is the watcher whose rule states the dashboard
-	// stream reports (typically the one attached to TimeSeries).
-	Alerts *telemetry.Watcher
 }
 
 // Server is an http.Handler serving VLGPM queries over one graph.
@@ -116,9 +108,6 @@ func NewWithService(svc *session.Service, opts Options) *Server {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /debug/queries", s.handleDebugQueries)
 	s.mux.HandleFunc("DELETE /debug/queries/{id}", s.handleKillQuery)
-	s.mux.HandleFunc("GET /debug/timeseries", s.handleTimeseries)
-	s.mux.HandleFunc("GET /debug/dash", s.handleDash)
-	s.mux.HandleFunc("GET /debug/dash/stream", s.handleDashStream)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
@@ -202,8 +191,8 @@ func (w *statusWriter) WriteHeader(status int) {
 	w.ResponseWriter.WriteHeader(status)
 }
 
-// Flush forwards http.Flusher through the access-log wrapper so the SSE
-// dashboard stream can push frames as they are produced.
+// Flush forwards http.Flusher through the access-log wrapper so an NDJSON
+// {"stream": true} response pushes each fetch batch as it is produced.
 func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()

@@ -6,12 +6,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/session"
 )
 
 func testServer(t testing.TB) (*httptest.Server, *graph.Graph) {
@@ -120,6 +122,95 @@ func TestQueryErrors(t *testing.T) {
 		if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
 			t.Errorf("body %v: no error message (%s)", c.body, body)
 		}
+	}
+}
+
+// TestQueryStreamNDJSON drives {"stream": true} through ServeHTTP with a
+// four-row fetch batch: the NDJSON header marks the query streaming, the
+// rows span several batches and match the materialized response, the
+// trailer counts them, and the response was flushed through the
+// access-log wrapper as batches arrived.
+func TestQueryStreamNDJSON(t *testing.T) {
+	base, _ := testServer(t)
+	eng := base.Config.Handler.(*Server).svc.Engine()
+	s := NewWithService(session.NewService(eng, session.Options{FetchBatch: 4}), Options{})
+	const query = `MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN p, q`
+	serve := func(body QueryRequest) *httptest.ResponseRecorder {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(raw)))
+		return rec
+	}
+	// canon re-encodes one JSON row so streamed and materialized rows
+	// compare as text.
+	canon := func(row []any) string {
+		b, err := json.Marshal(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	rec := serve(QueryRequest{Query: query, Stream: true})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("stream status %d: %s", rec.Code, rec.Body)
+	}
+	if !rec.Flushed {
+		t.Error("stream response was never flushed")
+	}
+	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
+	if len(lines) < 2 {
+		t.Fatalf("stream body has %d lines: %s", len(lines), rec.Body)
+	}
+	var hdr streamHeader
+	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
+		t.Fatalf("header %q: %v", lines[0], err)
+	}
+	if !hdr.Streaming || !reflect.DeepEqual(hdr.Columns, []string{"p", "q"}) {
+		t.Fatalf("header = %+v, want streaming columns [p q]", hdr)
+	}
+	var tr streamTrailer
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &tr); err != nil {
+		t.Fatalf("trailer %q: %v", lines[len(lines)-1], err)
+	}
+	var got []string
+	for _, line := range lines[1 : len(lines)-1] {
+		var row []any
+		if err := json.Unmarshal([]byte(line), &row); err != nil {
+			t.Fatalf("row %q: %v", line, err)
+		}
+		got = append(got, canon(row))
+	}
+	if len(got) <= 4 {
+		t.Fatalf("streamed %d rows; need more than one 4-row fetch batch", len(got))
+	}
+	if tr.Summary == nil || tr.Summary.Rows != int64(len(got)) {
+		t.Fatalf("trailer = %s, want rows=%d", lines[len(lines)-1], len(got))
+	}
+
+	plain := serve(QueryRequest{Query: query})
+	if plain.Code != http.StatusOK {
+		t.Fatalf("plain status %d: %s", plain.Code, plain.Body)
+	}
+	var qr QueryResponse
+	if err := json.Unmarshal(plain.Body.Bytes(), &qr); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, row := range qr.Rows {
+		want = append(want, canon(row))
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("streamed rows differ from the materialized response:\ngot  %v\nwant %v", got, want)
+	}
+
+	if bad := serve(QueryRequest{Query: query, Stream: true, Profile: true}); bad.Code != http.StatusBadRequest {
+		t.Fatalf("stream+profile status %d, want 400: %s", bad.Code, bad.Body)
 	}
 }
 

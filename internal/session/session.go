@@ -27,8 +27,8 @@
 // bytes for its lifetime, a materialized cursor its full row footprint, and
 // both release on exhaustion, discard, client disconnect, or session close.
 // Queries register with telemetry.DefaultQueries inside the cypher layer,
-// so SHOW QUERIES, /debug/queries, and vstop see streamed queries with
-// live row counts and can KILL them mid-stream.
+// so SHOW QUERIES and /debug/queries see streamed queries with live row
+// counts and can KILL them mid-stream.
 package session
 
 import (

@@ -268,8 +268,8 @@ func TestSessionCloseMidStream(t *testing.T) {
 }
 
 // TestKillStreamingQuery kills a mid-stream query through the telemetry
-// registry — the path /debug/queries DELETE and vstop use — and expects the
-// stream to end with context.Canceled.
+// registry — the path DELETE /debug/queries/{id} and KILL <id> use — and
+// expects the stream to end with context.Canceled.
 func TestKillStreamingQuery(t *testing.T) {
 	svc := testService(t, Options{FetchBatch: 1})
 	sess := svc.OpenSession("test")

@@ -74,43 +74,6 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, cw.err
 }
 
-// instrumentRef is one registered instrument with its family identity —
-// the enumeration the time-series collector syncs its columns from.
-type instrumentRef struct {
-	family string
-	kind   string
-	inst   exposer
-}
-
-// instrumentCount returns how many instruments are registered — a cheap
-// staleness check the time-series collector performs before re-walking the
-// registry.
-func (r *Registry) instrumentCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, f := range r.families {
-		n += len(f.instruments)
-	}
-	return n
-}
-
-// snapshotInstruments lists every registered instrument in family
-// registration order (instruments within a family in their own
-// registration order).
-func (r *Registry) snapshotInstruments() []instrumentRef {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []instrumentRef
-	for _, name := range r.names {
-		f := r.families[name]
-		for _, inst := range f.instruments {
-			out = append(out, instrumentRef{family: f.name, kind: f.kind, inst: inst})
-		}
-	}
-	return out
-}
-
 type countingWriter struct {
 	w   io.Writer
 	n   int64

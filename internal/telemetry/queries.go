@@ -246,8 +246,8 @@ type QueryCost struct {
 	Rows int64 `json:"rows"`
 }
 
-// TotalBytes is the query's attributed byte footprint — the sort key the
-// dashboards use for "most expensive in-flight query".
+// TotalBytes is the query's attributed byte footprint — the "bytes" column
+// of SHOW QUERIES.
 func (c QueryCost) TotalBytes() int64 {
 	return c.MatrixBytes + c.CacheBytes + c.SpillWriteBytes + c.SpillReadBytes
 }
@@ -266,7 +266,8 @@ func (q *QueryInfo) cost() QueryCost {
 	}
 }
 
-// ProgressSnapshot is the lock-free counters of one query, read once.
+// ProgressSnapshot is one query's operator counts, read once. Pairs,
+// matrix bytes and cache hits live in the snapshot's Cost.
 type ProgressSnapshot struct {
 	// OpsTotal is the number of operators the scheduler registered;
 	// OpsQueued = OpsTotal - OpsRunning - OpsDone.
@@ -274,17 +275,9 @@ type ProgressSnapshot struct {
 	OpsQueued  int64 `json:"ops_queued"`
 	OpsRunning int64 `json:"ops_running"`
 	OpsDone    int64 `json:"ops_done"`
-	// Pairs is the cumulative (source, dst) pairs emitted by expansion
-	// steps so far — live while the query runs.
-	Pairs int64 `json:"pairs"`
-	// MatrixBytes is the cumulative peak bit-matrix bytes of completed
-	// expand operators.
-	MatrixBytes int64 `json:"matrix_bytes"`
-	// CacheHits counts expansions answered by the engine matrix cache.
-	CacheHits int64 `json:"cache_hits"`
 }
 
-// progress reads the counters into a snapshot.
+// progress reads the operator counters into a snapshot.
 func (q *QueryInfo) progress() ProgressSnapshot {
 	total := q.opsTotal.Load()
 	running := q.opsRunning.Load()
@@ -294,13 +287,10 @@ func (q *QueryInfo) progress() ProgressSnapshot {
 		queued = 0
 	}
 	return ProgressSnapshot{
-		OpsTotal:    total,
-		OpsQueued:   queued,
-		OpsRunning:  running,
-		OpsDone:     done,
-		Pairs:       q.pairs.Load(),
-		MatrixBytes: q.matrixB.Load(),
-		CacheHits:   q.cacheHits.Load(),
+		OpsTotal:   total,
+		OpsQueued:  queued,
+		OpsRunning: running,
+		OpsDone:    done,
 	}
 }
 

@@ -38,8 +38,8 @@ func TestQueryRegistryLifecycle(t *testing.T) {
 	if p.OpsTotal != 3 || p.OpsDone != 1 || p.OpsRunning != 0 || p.OpsQueued != 2 {
 		t.Fatalf("ops progress = %+v", p)
 	}
-	if p.Pairs != 42 || p.MatrixBytes != 1024 || p.CacheHits != 1 {
-		t.Fatalf("counters = %+v", p)
+	if c := a.Cost; c.Pairs != 42 || c.MatrixBytes != 1024 || c.CacheHits != 1 {
+		t.Fatalf("counters = %+v", c)
 	}
 
 	r.Complete(qi, 5, nil)
@@ -183,6 +183,22 @@ func TestQueryInfoNilSafe(t *testing.T) {
 	}
 	// Complete on nil must be a no-op, not a panic.
 	NewQueryRegistry(2).Complete(nil, 0, nil)
+}
+
+// TestDisabledAttributionAllocs pins the nil-receiver attribution path —
+// what unregistered executions pay — at zero allocations.
+func TestDisabledAttributionAllocs(t *testing.T) {
+	var q *QueryInfo
+	if n := testing.AllocsPerRun(200, func() {
+		q.AddCPUNanos(5)
+		q.AddCacheBytes(10)
+		q.AddSpillWriteBytes(10)
+		q.AddSpillReadBytes(10)
+		q.AddRows(1)
+		q.AddMatrixBytes(64)
+	}); n != 0 {
+		t.Errorf("nil QueryInfo attribution allocates %v per run, want 0", n)
+	}
 }
 
 func TestQueryContextCarriage(t *testing.T) {

@@ -10,13 +10,14 @@ import (
 
 // Runtime-metrics bridge: publishes the Go runtime's own view of the
 // process — goroutines, heap, GC — through the existing Prometheus
-// exposition, plus a vs_build_info gauge identifying the binary. The bridge
-// samples the runtime/metrics package once per scrape (a registered set of
-// samples is a single cheap read; no stop-the-world), so /metrics shows
-// engine counters and runtime health side by side.
+// exposition, plus a vs_build_info gauge identifying the binary. Each of
+// the five families reads only its own runtime/metrics sample when the
+// scrape evaluates it (a cheap read; no stop-the-world), so one /metrics
+// scrape makes five single-sample reads and shows engine counters and
+// runtime health side by side.
 
 // runtimeSampleNames are the runtime/metrics keys the bridge reads, in the
-// order of the shared sample slice below.
+// order of the sample slice below.
 var runtimeSampleNames = []string{
 	"/sched/goroutines:goroutines",
 	"/memory/classes/heap/objects:bytes",
@@ -25,9 +26,8 @@ var runtimeSampleNames = []string{
 	"/gc/pauses:seconds",
 }
 
-// runtimeSampler reads the registered runtime/metrics samples under a lock
-// (metrics.Read requires exclusive use of the sample slice) and caches the
-// extracted values for the per-family callbacks of one scrape.
+// runtimeSampler holds one runtime/metrics sample per family, read under a
+// lock because metrics.Read requires exclusive use of the samples it fills.
 type runtimeSampler struct {
 	mu      sync.Mutex
 	samples []metrics.Sample
@@ -41,14 +41,14 @@ func newRuntimeSampler() *runtimeSampler {
 	return s
 }
 
-// value samples the runtime and returns the idx-th metric as a float64.
-// Histogram-valued metrics (GC pauses) are reduced to an approximate sum
-// via bucket midpoints — good enough to spot pause-time growth on a
-// dashboard without re-implementing client histogram state.
+// value reads the idx-th sample, and only that one, and returns it as a
+// float64. Histogram-valued metrics (GC pauses) are reduced to an
+// approximate sum via bucket midpoints — good enough to spot pause-time
+// growth without re-implementing client histogram state.
 func (s *runtimeSampler) value(idx int) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	metrics.Read(s.samples)
+	metrics.Read(s.samples[idx : idx+1])
 	sample := s.samples[idx].Value
 	switch sample.Kind() {
 	case metrics.KindUint64:
