@@ -39,7 +39,6 @@ import (
 
 	vertexsurge "repro"
 	"repro/client"
-	"repro/internal/engine"
 	"repro/internal/repl"
 	"repro/internal/telemetry"
 )
@@ -96,7 +95,6 @@ func main() {
 		timeout     = flag.Duration("timeout", 0, "cancel the query after this deadline (0 = none)")
 		dialTimeout = flag.Duration("dial-timeout", 5*time.Second, "with -wire: give up connecting after this long (0 = wait forever)")
 		interactive = flag.Bool("i", false, "interactive shell (ignores -query/-file)")
-		statsOut    = flag.String("stats-out", "", "append per-operator est-vs-actual cardinality observations (JSONL) to this file")
 		traceOut    = flag.String("trace-out", "", "write the executed query's span tree as a Chrome trace-event JSON file (chrome://tracing)")
 		wireAddr    = flag.String("wire", "", "query a vsserve -wire-addr listener (host:port) over the binary streaming protocol instead of opening -data")
 		jsonOut     = flag.Bool("json", false, "with -wire: print one JSON array per row (no header or footer)")
@@ -125,18 +123,6 @@ func main() {
 	db, err := vertexsurge.Open(*data, vertexsurge.Options{Workers: *workers})
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *statsOut != "" {
-		sink, err := engine.OpenStatsSink(*statsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			if cerr := sink.Close(); cerr != nil {
-				log.Printf("stats sink close: %v", cerr)
-			}
-		}()
-		db.Engine().SetStatsSink(sink)
 	}
 	ctx := context.Background()
 	if *timeout > 0 {

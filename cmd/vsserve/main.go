@@ -19,8 +19,6 @@
 //	-query-timeout 30s           cancel queries exceeding this deadline → 504 (0 = none)
 //	-cache-bytes 64MiB           engine-level reachability-matrix cache (-1 = off)
 //	-memory-budget N             cap live intermediate bytes across queries (0 = unlimited)
-//	-stats-out stats.jsonl       append per-operator est-vs-actual observations per query
-//	                             (synced to disk on shutdown; write errors surface at close)
 //
 // Observability: GET /metrics (and /metrics on -debug-addr) is the
 // Prometheus exposition of every engine, accountant and runtime number;
@@ -64,7 +62,6 @@ func main() {
 		queryTimeout = flag.Duration("query-timeout", 0, "cancel queries exceeding this deadline with 504 (0 = none)")
 		cacheBytes   = flag.Int64("cache-bytes", engine.DefaultCacheBytes, "engine-level reachability-matrix cache bytes (0 or negative = off)")
 		memoryBudget = flag.Int64("memory-budget", 0, "cap live intermediate bytes across queries (0 = unlimited)")
-		statsOut     = flag.String("stats-out", "", "append per-operator est-vs-actual cardinality observations (JSONL) of every completed query to this file")
 	)
 	flag.Parse()
 	if *data == "" {
@@ -84,18 +81,6 @@ func main() {
 		CacheBytes:   cache,
 		MemoryBudget: *memoryBudget,
 	})
-	if *statsOut != "" {
-		sink, err := engine.OpenStatsSink(*statsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			if cerr := sink.Close(); cerr != nil {
-				log.Printf("stats sink close: %v", cerr)
-			}
-		}()
-		eng.SetStatsSink(sink)
-	}
 
 	var logger *slog.Logger
 	if *accessLog || *slowQuery > 0 {

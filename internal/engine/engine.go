@@ -3,8 +3,8 @@
 // VLGPM query execution (§3, §5), with the per-stage timing breakdown the
 // paper reports in Figure 8.
 //
-// There is one execution path (run/execute in this file): plan, schedule
-// the distinct expansions through the exec DAG, assemble the join input,
+// There is one execution path (run/execute in this file): plan, fan the
+// distinct expansions out through exec.RunExpands, assemble the join input,
 // and run the Generic Join on the calling goroutine with the consumer
 // plugged in at the leaf. MatchContext is that path with no consumer (the
 // join counts or collects), MatchForEachOpts the same path with a per-tuple
@@ -16,7 +16,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/exec"
@@ -61,10 +60,6 @@ type Engine struct {
 	opts  Options
 	acct  *exec.Accountant
 	cache *exec.MatrixCache
-	// stats, when set, receives per-operator est-vs-actual observations
-	// from every completed Match (see stats.go). Atomic so the sink can be
-	// attached while queries are already running.
-	stats atomic.Pointer[StatsSink]
 }
 
 // New returns an engine over g.
@@ -99,11 +94,6 @@ func (e *Engine) MemoryLimit() int64 { return e.acct.Limit() }
 // subsystems (session cursor buffers) can meter their footprint in the same
 // budget as matrices, cache residency, and spill buffers.
 func (e *Engine) Accountant() *exec.Accountant { return e.acct }
-
-// SetStatsSink attaches (or, with nil, detaches) the cardinality-statistics
-// sink every completed Match observes into. Safe to call concurrently with
-// running queries.
-func (e *Engine) SetStatsSink(s *StatsSink) { e.stats.Store(s) }
 
 // Timings is the per-stage breakdown of one query (Figure 8's components).
 // Stage times are summed across operators; with the scheduler running
@@ -210,11 +200,11 @@ func (e *Engine) MatchForEachOpts(ctx context.Context, pat *pattern.Pattern, opt
 }
 
 // run is the engine's one execution path; MatchContext and MatchForEachOpts
-// are its two wrappers. It owns the per-match bookkeeping — the stats-sink
-// span subtree, total wall time, the stage histograms, the sink observation
-// — around execute, which does the work. With a nil emit the match counts
-// or collects into the result; otherwise every tuple goes to emit and the
-// result carries only Count, Plan, ExpandStats and Timings.
+// are its two wrappers. It owns the per-match bookkeeping — total wall time,
+// the stage histograms, the expand-bytes counter — around execute, which
+// does the work. With a nil emit the match counts or collects into the
+// result; otherwise every tuple goes to emit and the result carries only
+// Count, Plan, ExpandStats and Timings.
 //
 // When ctx carries an active trace (internal/telemetry), execution records
 // one span per operator call — "plan" for the planner build, one "expand"
@@ -224,25 +214,11 @@ func (e *Engine) MatchForEachOpts(ctx context.Context, pat *pattern.Pattern, opt
 // when materializing).
 func (e *Engine) run(ctx context.Context, pat *pattern.Pattern, opts MatchOptions, emit func(tuple []graph.VertexID)) (*MatchResult, error) {
 	start := time.Now()
-	qi := telemetry.CurrentQuery(ctx)
-	// With a stats sink attached, wrap the match in its own span subtree so
-	// the est-vs-actual join sees a complete set of operator actuals at
-	// return — whether or not the caller is already tracing.
-	sink := e.stats.Load()
-	var ssp *telemetry.Span
-	if sink != nil {
-		ctx, ssp = telemetry.StartSpan(ctx, "match")
-		if ssp == nil {
-			ctx, ssp = telemetry.NewTrace(ctx, "match")
-		}
-	}
 	res := &MatchResult{}
 	for _, v := range pat.Vertices {
 		res.Names = append(res.Names, v.Name)
 	}
-	err := e.execute(ctx, qi, pat, opts, emit, res)
-	ssp.End()
-	if err != nil {
+	if err := e.execute(ctx, telemetry.CurrentQuery(ctx), pat, opts, emit, res); err != nil {
 		return nil, err
 	}
 	res.Timings.Total = time.Since(start)
@@ -252,16 +228,14 @@ func (e *Engine) run(ctx context.Context, pat *pattern.Pattern, opts MatchOption
 	if res.ExpandStats.MatrixBytes > 0 {
 		telemetry.ExpandMatrixBytes.Add(res.ExpandStats.MatrixBytes)
 	}
-	// Sink write failures never fail the query — statistics are advisory.
-	_ = sink.Observe(qi.ID(), e.g, pat, res, ssp.Snapshot())
 	return res, nil
 }
 
-// execute plans pat, schedules its expansions through the operator DAG
-// (independent expands overlap, bounded by Options.Workers), assembles the
-// join input and runs the Generic Join and the join-order -> declaration-
-// order reorder on the calling goroutine: both consume every expansion, so
-// there is nothing for the scheduler to overlap them with.
+// execute plans pat, fans its distinct expansions out through
+// exec.RunExpands (independent expands overlap, bounded by Options.Workers),
+// assembles the join input and runs the Generic Join and the join-order ->
+// declaration-order reorder on the calling goroutine: both consume every
+// expansion, so there is nothing to overlap them with.
 func (e *Engine) execute(ctx context.Context, qi *telemetry.QueryInfo, pat *pattern.Pattern, opts MatchOptions, emit func(tuple []graph.VertexID), res *MatchResult) error {
 	qi.SetPhase(telemetry.PhasePlan)
 	t0 := time.Now()
@@ -282,8 +256,8 @@ func (e *Engine) execute(ctx context.Context, qi *telemetry.QueryInfo, pat *patt
 	psp.End()
 	res.Plan = plan
 	res.Timings.Scan = time.Since(t0)
-	// Planning runs on the caller's goroutine, outside the scheduler's
-	// operator boundaries — attribute it here.
+	// Planning runs on the caller's goroutine, outside RunExpands' operator
+	// boundaries — attribute it here.
 	qi.AddCPUNanos(int64(res.Timings.Scan))
 
 	n := len(pat.Vertices)
@@ -312,13 +286,13 @@ func (e *Engine) execute(ctx context.Context, qi *telemetry.QueryInfo, pat *patt
 
 	qi.SetPhase(telemetry.PhaseExecute)
 	qc := exec.NewQueryContext(ctx, e.acct, e.opts.Workers)
-	expandOps, dag := e.lowerExpands(plan)
-	if err := dag.Run(qc); err != nil {
+	perEdge, ops := e.lowerExpands(plan)
+	if err := exec.RunExpands(qc, ops); err != nil {
 		return err
 	}
-	collectExpandStats(res, expandOps)
+	collectExpandStats(res, ops)
 
-	// Assembly, join and reorder run here, outside the scheduler's operator
+	// Assembly, join and reorder run here, outside RunExpands' operator
 	// boundaries — attribute their busy time to the query on every exit.
 	t1 := time.Now()
 	defer func() { qi.AddCPUNanos(int64(time.Since(t1))) }()
@@ -330,7 +304,7 @@ func (e *Engine) execute(ctx context.Context, qi *telemetry.QueryInfo, pat *patt
 	for i := range plan.Edges {
 		pe := &plan.Edges[i]
 		iop.Edges = append(iop.Edges, exec.JoinEdge{
-			EarlierPos: pe.EarlierPos, LaterPos: pe.LaterPos, Src: expandOps[i],
+			EarlierPos: pe.EarlierPos, LaterPos: pe.LaterPos, Src: perEdge[i],
 		})
 	}
 	in, cloned, err := iop.Assemble(qc)
@@ -389,15 +363,12 @@ func toDeclarationOrder(dst, tuple []graph.VertexID, order []int) {
 }
 
 // lowerExpands builds one ExpandOp per distinct expansion of the plan
-// (planner.Plan.Operators' dedup — the §2.3.2 symmetry memo as DAG
-// construction) and returns, per planned edge, the op serving it.
-func (e *Engine) lowerExpands(plan *planner.Plan) (perEdge []*exec.ExpandOp, dag *exec.DAG) {
-	dag = exec.NewDAG()
+// (planner.Plan.Operators' dedup — the §2.3.2 symmetry memo at lowering
+// time) and returns, per planned edge, the op serving it, and the distinct
+// ops in plan order.
+func (e *Engine) lowerExpands(plan *planner.Plan) (perEdge, ops []*exec.ExpandOp) {
 	perEdge = make([]*exec.ExpandOp, len(plan.Edges))
 	for _, spec := range plan.Operators() {
-		if spec.Kind != "expand" {
-			continue
-		}
 		pe := &plan.Edges[spec.Edges[0]]
 		sources := plan.CandList[pe.ExpandFrom]
 		op := &exec.ExpandOp{
@@ -419,9 +390,9 @@ func (e *Engine) lowerExpands(plan *planner.Plan) (perEdge []*exec.ExpandOp, dag
 			op.Edges = append(op.Edges, plan.Edges[ei].PatternEdge)
 			perEdge[ei] = op
 		}
-		dag.Add(op)
+		ops = append(ops, op)
 	}
-	return perEdge, dag
+	return perEdge, ops
 }
 
 // rowCandidates lists the candidates per join position (position 0 unused).
@@ -434,17 +405,15 @@ func rowCandidates(plan *planner.Plan) [][]graph.VertexID {
 	return rows
 }
 
-// collectExpandStats accumulates stats and stage timings from the expand
-// operators that actually ran (cache hits did no work in this query; the
-// dedup of symmetric edges already counts each distinct expansion once —
-// the serial engine's ExpandStats semantics, preserved).
+// collectExpandStats accumulates stats and stage timings from the distinct
+// expand operators that actually ran (cache hits did no work in this query;
+// each distinct expansion counts once however many symmetric edges it
+// serves — the serial engine's ExpandStats semantics, preserved).
 func collectExpandStats(res *MatchResult, ops []*exec.ExpandOp) {
-	seen := make(map[*exec.ExpandOp]bool, len(ops))
 	for _, op := range ops {
-		if op == nil || seen[op] || op.CacheState == "hit" || op.Result == nil {
+		if op.CacheState == "hit" {
 			continue
 		}
-		seen[op] = true
 		r := op.Result
 		res.ExpandStats.Steps += r.Stats.Steps
 		res.ExpandStats.IntermediateResults += r.Stats.IntermediateResults

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/pattern"
 	"repro/internal/telemetry"
 )
@@ -124,5 +126,59 @@ func TestMatchWithoutTraceEmitsNoSpans(t *testing.T) {
 	}
 	if sp := telemetry.CurrentSpan(context.Background()); sp != nil {
 		t.Fatalf("CurrentSpan on background context = %v, want nil", sp)
+	}
+}
+
+// TestStreamedMatchSameOperatorRows pins that a streamed match is the
+// materialized execution with a consumer plugged in: under a trace, both
+// record spans that join into the same EXPLAIN ANALYZE operator rows, wall
+// times aside.
+func TestStreamedMatchSameOperatorRows(t *testing.T) {
+	g := socialGraph(t)
+	e := New(g, Options{})
+	pat := &pattern.Pattern{
+		Vertices: []pattern.Vertex{
+			{Name: "p", Labels: []string{"SIGA"}},
+			{Name: "q", Labels: []string{"SIGB"}},
+		},
+		Edges: []pattern.Edge{{Src: "p", Dst: "q", D: knowsDet(1, 2)}},
+	}
+	traced := func(run func(ctx context.Context) error) *telemetry.SpanSnapshot {
+		t.Helper()
+		ctx, root := telemetry.NewTrace(context.Background(), "query")
+		err := run(ctx)
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return root.Snapshot()
+	}
+	var res *MatchResult
+	materialized := traced(func(ctx context.Context) (err error) {
+		res, err = e.MatchContext(ctx, pat, MatchOptions{})
+		return err
+	})
+	streamed := traced(func(ctx context.Context) error {
+		return e.MatchForEachOpts(ctx, pat, MatchOptions{}, func([]graph.VertexID) {})
+	})
+	rows := func(snap *telemetry.SpanSnapshot) []AnalyzedOp {
+		ops := joinPlanAndSpans(pat, res, snap)
+		for i := range ops {
+			ops[i].TimeMs = 0
+		}
+		return ops
+	}
+	want, got := rows(materialized), rows(streamed)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("streamed match rows\n%+v\nmaterialized match rows\n%+v", got, want)
+	}
+	kinds := map[string]int{}
+	for _, op := range want {
+		if op.ActualRows > 0 {
+			kinds[op.Op]++
+		}
+	}
+	if kinds["scan"] != 2 || kinds["expand"] != 1 || kinds["intersect"] != 1 || kinds["aggregate"] != 1 {
+		t.Fatalf("operator rows with actuals %v, want 2 scans, 1 expand, intersect, aggregate: %+v", kinds, want)
 	}
 }

@@ -5,183 +5,151 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/pattern"
+	"repro/internal/vexpand"
 )
 
-// testOp is a scriptable operator for scheduler tests.
-type testOp struct {
-	name string
-	fn   func(qc *QueryContext) error
-}
-
-func (o *testOp) Name() string               { return o.name }
-func (o *testOp) Run(qc *QueryContext) error { return o.fn(qc) }
-
-func TestDAGRespectsDependencies(t *testing.T) {
-	var mu sync.Mutex
-	var order []string
-	record := func(name string) *testOp {
-		return &testOp{name: name, fn: func(*QueryContext) error {
-			mu.Lock()
-			order = append(order, name)
-			mu.Unlock()
-			return nil
-		}}
+// chain builds the path 0 → 1 → … → n-1 over "next" edges.
+func chain(t *testing.T, n int) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(n)
+	for v := 1; v < n; v++ {
+		b.AddEdge("next", graph.VertexID(v-1), graph.VertexID(v))
 	}
-	d := NewDAG()
-	a := d.Add(record("a"))
-	b := d.Add(record("b"))
-	c := d.Add(record("c"), a, b)
-	d.Add(record("d"), c)
-	qc := NewQueryContext(context.Background(), nil, 4)
-	if err := d.Run(qc); err != nil {
+	g, err := b.Build()
+	if err != nil {
 		t.Fatal(err)
 	}
-	pos := map[string]int{}
-	for i, name := range order {
-		pos[name] = i
-	}
-	if len(order) != 4 {
-		t.Fatalf("ran %v, want all 4 operators", order)
-	}
-	if pos["c"] < pos["a"] || pos["c"] < pos["b"] || pos["d"] < pos["c"] {
-		t.Fatalf("dependency order violated: %v", order)
+	return g
+}
+
+// chainOp expands from vertex 0 of g over up to kmax "next" edges with a
+// matrix kernel, which checks for cancellation once per step: on a long
+// chain it runs one step per vertex.
+func chainOp(g *graph.Graph, kmax int) *ExpandOp {
+	return &ExpandOp{
+		Graph:   g,
+		Sources: []graph.VertexID{0},
+		D: pattern.Determiner{
+			KMin: 1, KMax: kmax, Dir: graph.Forward, Type: pattern.Any, EdgeLabels: []string{"next"},
+		},
+		Opts:  vexpand.Options{Kernel: vexpand.Hilbert, Workers: 1},
+		Edges: []int{0},
 	}
 }
 
-func TestDAGEmptyAndSingle(t *testing.T) {
+func TestRunExpandsEmptyAndSingle(t *testing.T) {
 	qc := NewQueryContext(context.Background(), nil, 1)
-	if err := NewDAG().Run(qc); err != nil {
-		t.Fatalf("empty DAG: %v", err)
+	if err := RunExpands(qc, nil); err != nil {
+		t.Fatalf("no ops: %v", err)
 	}
-	ran := false
-	d := NewDAG()
-	d.Add(&testOp{name: "only", fn: func(*QueryContext) error { ran = true; return nil }})
-	if err := d.Run(qc); err != nil {
+	op := chainOp(chain(t, 8), 2)
+	if err := RunExpands(qc, []*ExpandOp{op}); err != nil {
 		t.Fatal(err)
 	}
-	if !ran {
-		t.Fatal("single operator never ran")
+	if op.Result == nil || op.Result.PairCount() != 2 || op.CacheState != "off" {
+		t.Fatalf("single op: result %v, cache %q; want 2 pairs, cache off", op.Result, op.CacheState)
 	}
 }
 
-// TestDAGIndependentOpsOverlap pins the tentpole property: with Workers ≥ 2,
-// two independent operators execute concurrently. Each op blocks until both
-// arrived; serial scheduling would time out inside the first op.
-func TestDAGIndependentOpsOverlap(t *testing.T) {
-	arrived := make(chan string, 2)
+// TestRunExpandsOverlap pins the fan-out's reason to exist: with Workers ≥ 2,
+// two ops execute concurrently. Each op blocks until both arrived; serial
+// execution would time out inside the first op.
+func TestRunExpandsOverlap(t *testing.T) {
+	arrived := make(chan int, 2)
 	release := make(chan struct{})
-	mk := func(name string) *testOp {
-		return &testOp{name: name, fn: func(*QueryContext) error {
-			arrived <- name
-			select {
-			case <-release:
-				return nil
-			case <-time.After(5 * time.Second):
-				return fmt.Errorf("%s never saw its sibling: ops did not overlap", name)
-			}
-		}}
-	}
-	d := NewDAG()
-	d.Add(mk("x"))
-	d.Add(mk("y"))
 	go func() {
 		<-arrived
 		<-arrived
 		close(release)
 	}()
 	qc := NewQueryContext(context.Background(), nil, 2)
-	if err := d.Run(qc); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDAGWorkerBound(t *testing.T) {
-	var active, peak atomic.Int32
-	mk := func(i int) *testOp {
-		return &testOp{name: fmt.Sprintf("op%d", i), fn: func(*QueryContext) error {
-			cur := active.Add(1)
-			for {
-				p := peak.Load()
-				if cur <= p || peak.CompareAndSwap(p, cur) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			active.Add(-1)
+	err := fanOut(qc, 2, func(_ *QueryContext, i int) error {
+		arrived <- i
+		select {
+		case <-release:
 			return nil
-		}}
-	}
-	d := NewDAG()
-	for i := 0; i < 8; i++ {
-		d.Add(mk(i))
-	}
-	qc := NewQueryContext(context.Background(), nil, 1)
-	if err := d.Run(qc); err != nil {
+		case <-time.After(5 * time.Second):
+			return fmt.Errorf("op %d never saw its sibling: ops did not overlap", i)
+		}
+	})
+	if err != nil {
 		t.Fatal(err)
-	}
-	if peak.Load() != 1 {
-		t.Fatalf("peak concurrency %d with workers=1", peak.Load())
 	}
 }
 
-func TestDAGErrorStopsSuccessors(t *testing.T) {
-	sentinel := errors.New("kaboom")
-	var ranSucc atomic.Bool
-	d := NewDAG()
-	bad := d.Add(&testOp{name: "bad", fn: func(*QueryContext) error { return sentinel }})
-	d.Add(&testOp{name: "succ", fn: func(*QueryContext) error {
-		ranSucc.Store(true)
+func TestRunExpandsWorkerBound(t *testing.T) {
+	var active, peak, ran atomic.Int32
+	qc := NewQueryContext(context.Background(), nil, 1)
+	err := fanOut(qc, 8, func(*QueryContext, int) error {
+		cur := active.Add(1)
+		for {
+			p := peak.Load()
+			if cur <= p || peak.CompareAndSwap(p, cur) {
+				break
+			}
+		}
+		time.Sleep(time.Millisecond)
+		active.Add(-1)
+		ran.Add(1)
 		return nil
-	}}, bad)
-	qc := NewQueryContext(context.Background(), nil, 2)
-	err := d.Run(qc)
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want wrapped sentinel", err)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "bad") {
+	if peak.Load() != 1 || ran.Load() != 8 {
+		t.Fatalf("peak concurrency %d over %d ops with workers=1, want 1 over 8", peak.Load(), ran.Load())
+	}
+}
+
+func TestRunExpandsErrorNamesOperator(t *testing.T) {
+	op := chainOp(chain(t, 8), 2)
+	op.Opts.Budget = NewAccountant(1) // refuses the matrix
+	err := RunExpands(NewQueryContext(context.Background(), nil, 2), []*ExpandOp{op})
+	if !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	}
+	if !strings.HasPrefix(err.Error(), "expand: ") {
 		t.Fatalf("error %q does not name the failing operator", err)
 	}
-	if ranSucc.Load() {
-		t.Fatal("successor of a failed operator ran")
+}
+
+// TestRunExpandsFirstErrorCancelsSiblings pins first-error cancellation: one
+// expansion fails at once and its sibling, a one-step-per-vertex walk down a
+// long chain, stops at its next cancellation check instead of running to
+// completion. The first error is what returns, not the sibling's
+// context.Canceled.
+func TestRunExpandsFirstErrorCancelsSiblings(t *testing.T) {
+	const n = 1 << 12
+	g := chain(t, n)
+	long := chainOp(g, n-1)
+	bad := chainOp(g, 1)
+	bad.Opts.Budget = NewAccountant(1) // refuses the matrix
+	err := RunExpands(NewQueryContext(context.Background(), nil, 2), []*ExpandOp{long, bad})
+	if !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	}
+	if long.Result != nil {
+		t.Fatalf("sibling ran %d steps to completion after the first error", long.Result.Stats.Steps)
 	}
 }
 
-func TestDAGCancellation(t *testing.T) {
+// TestRunExpandsPreCanceled pins that a canceled query starts no op.
+func TestRunExpandsPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var ran atomic.Bool
-	d := NewDAG()
-	d.Add(&testOp{name: "op", fn: func(*QueryContext) error {
-		ran.Store(true)
-		return nil
-	}})
-	qc := NewQueryContext(ctx, nil, 2)
-	err := d.Run(qc)
+	op := chainOp(chain(t, 8), 2)
+	err := RunExpands(NewQueryContext(ctx, nil, 2), []*ExpandOp{op})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if ran.Load() {
+	if op.Result != nil {
 		t.Fatal("operator ran under a pre-canceled context")
-	}
-}
-
-func TestDAGCycleDetected(t *testing.T) {
-	d := NewDAG()
-	na := d.Add(&testOp{name: "a", fn: func(*QueryContext) error { return nil }})
-	nb := d.Add(&testOp{name: "b", fn: func(*QueryContext) error { return nil }}, na)
-	// Close the loop by hand (Add cannot build one): a now also waits on b.
-	na.ndeps++
-	nb.succs = append(nb.succs, na)
-	qc := NewQueryContext(context.Background(), nil, 2)
-	err := d.Run(qc)
-	if err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Fatalf("err = %v, want dependency-cycle error", err)
 	}
 }
 

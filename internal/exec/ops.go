@@ -13,8 +13,8 @@ import (
 
 // ExpandOp computes one distinct reachability expansion. The planner may
 // map several pattern edges onto one ExpandOp (the §2.3.2 symmetry memo,
-// now a DAG-construction dedup): the first edge is the representative, the
-// rest are reported as memo=hit spans so EXPLAIN ANALYZE keeps one span
+// resolved when the plan is lowered): the first edge is the representative,
+// the rest are reported as memo=hit spans so EXPLAIN ANALYZE keeps one span
 // per pattern edge.
 type ExpandOp struct {
 	Graph   *graph.Graph
@@ -40,11 +40,8 @@ type ExpandOp struct {
 	Wall       time.Duration
 }
 
-// Name implements Op.
-func (op *ExpandOp) Name() string { return "expand" }
-
-// Run implements Op: it answers from the cache or runs VExpand, then emits
-// one span per served pattern edge.
+// Run answers from the cache or runs VExpand, then emits one span per
+// served pattern edge.
 func (op *ExpandOp) Run(qc *QueryContext) error {
 	if qc.activeExpands.Add(1) >= 2 {
 		telemetry.ExecParallelExpands.Inc()

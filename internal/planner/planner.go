@@ -65,23 +65,20 @@ func (pe *PlannedEdge) ExpandKey() string {
 		pe.ExpandFrom, pe.D.KMin, pe.D.KMax, pe.D.Dir, pe.D.Type, pe.D.EdgeLabels, pe.D.EdgePropEq)
 }
 
-// OpSpec describes one physical operator of the plan's DAG lowering.
+// OpSpec describes one distinct expansion of the plan.
 type OpSpec struct {
-	// Kind is "expand", "intersect", or "aggregate".
+	// Kind is "expand", the only operator kind a plan lists.
 	Kind string
-	// Edges lists the planned-edge indices the operator serves (expand
-	// operators only; the first entry is the representative whose
-	// expansion actually runs).
+	// Edges lists the planned-edge indices the expansion serves; the first
+	// entry is the representative whose expansion actually runs.
 	Edges []int
-	// Deps indexes earlier OpSpecs this operator depends on.
-	Deps []int
 }
 
-// Operators lowers the plan into its physical-operator DAG: one expand
-// operator per distinct ExpandKey (edges sharing a key collapse into one
-// operator), an intersect operator depending on every expand, and an
-// aggregate operator depending on the intersect. Expand operators carry no
-// dependencies on each other — the scheduler may run them concurrently.
+// Operators lists the plan's distinct expansions: one per distinct
+// ExpandKey, in plan-edge order, with edges sharing a key collapsed into one
+// (the §2.3.2 symmetry memo). No expansion reads another's output, so the
+// engine may run them concurrently; the join that consumes them all is not
+// listed.
 func (p *Plan) Operators() []OpSpec {
 	var ops []OpSpec
 	byKey := make(map[string]int, len(p.Edges))
@@ -94,12 +91,6 @@ func (p *Plan) Operators() []OpSpec {
 		byKey[k] = len(ops)
 		ops = append(ops, OpSpec{Kind: "expand", Edges: []int{ei}})
 	}
-	deps := make([]int, len(ops))
-	for i := range deps {
-		deps[i] = i
-	}
-	ops = append(ops, OpSpec{Kind: "intersect", Deps: deps})
-	ops = append(ops, OpSpec{Kind: "aggregate", Deps: []int{len(ops) - 1}})
 	return ops
 }
 

@@ -23,15 +23,13 @@ type Cursor struct {
 	cols []string
 
 	// Streaming state: producer sends rows on ch and closes it after
-	// recording perr; done closes with ch (ordering: perr, then close).
+	// recording perr (ordering: perr, then close).
 	streaming bool
 	ch        chan []any
-	done      chan struct{}
 	cancel    context.CancelFunc
 	perr      error
 
 	// Materialized state.
-	res  *cypher.Result
 	rows [][]any
 
 	reserved int64
@@ -61,25 +59,6 @@ func (c *Cursor) Fetched() int64 {
 	return c.fetched
 }
 
-// Buffered reports the rows currently sitting in the stream buffer — by
-// construction never more than the service's FetchBatch (0 for
-// materialized cursors).
-func (c *Cursor) Buffered() int {
-	if !c.streaming {
-		return 0
-	}
-	return len(c.ch)
-}
-
-// Result returns the materialized result backing a non-streaming cursor
-// (plan text, timings, analysis) — nil for streaming cursors.
-func (c *Cursor) Result() *cypher.Result {
-	if c.streaming {
-		return nil
-	}
-	return c.res
-}
-
 // produce runs the streaming query, feeding the bounded buffer. Emit
 // blocks when the buffer is full — that backpressure holds the engine's
 // join at one batch ahead of the client. A canceled context (Discard,
@@ -105,7 +84,6 @@ func (c *Cursor) produce(ctx context.Context, eng *engine.Engine, q *cypher.Quer
 	})
 	c.perr = err
 	close(c.ch)
-	close(c.done)
 }
 
 // Fetch returns up to max rows (max <= 0 = the service's FetchBatch),

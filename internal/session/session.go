@@ -223,7 +223,6 @@ func (s *Session) RunParsed(ctx context.Context, q *cypher.Query, params map[str
 		id:   s.svc.cursorID(),
 		sess: s,
 		cols: res.Columns,
-		res:  res,
 		rows: res.Rows,
 	}
 	cur.reserved = reserve
@@ -253,7 +252,6 @@ func (s *Session) runStream(ctx context.Context, q *cypher.Query, params map[str
 		cols:      cols,
 		streaming: true,
 		ch:        make(chan []any, batch),
-		done:      make(chan struct{}),
 		cancel:    cancel,
 	}
 	cur.reserved = reserve

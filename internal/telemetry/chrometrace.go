@@ -12,7 +12,7 @@ import (
 // one complete ("X") event; timestamps are microseconds relative to the root
 // span's start so traces from different queries align at zero.
 //
-// The DAG scheduler runs sibling operators concurrently, so sibling spans
+// The engine runs sibling expand operators concurrently, so sibling spans
 // may overlap in wall time. Chrome renders same-tid events by time nesting
 // and draws partial overlaps incorrectly, so the exporter assigns each span
 // a lane (tid) such that spans sharing a lane are either disjoint or fully

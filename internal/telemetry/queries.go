@@ -3,8 +3,8 @@
 //
 // Every query executed through cypher.RunContext registers a QueryInfo
 // carrying its id, text, start time, phase, and per-operator progress
-// counters. The counters are plain atomics fed by the internal/exec DAG
-// scheduler (operators queued/running/done, cache hits) and by the operator
+// counters. The counters are plain atomics fed by internal/exec's expand
+// fan-out (operators queued/running/done, cache hits) and by the operator
 // bodies themselves (pairs emitted per expand step, matrix bytes), so a
 // registry snapshot shows how far along a running query is without touching
 // any per-query lock. KILL routes through the registry into the query's
@@ -170,9 +170,9 @@ func (q *QueryInfo) AddCacheHit() {
 	q.cacheHits.Add(1)
 }
 
-// AddCPUNanos attributes operator busy time to the query. The exec DAG
-// scheduler samples the clock at operator boundaries, so this is the wall
-// time the query's operators spent on their scheduler goroutines — the
+// AddCPUNanos attributes operator busy time to the query. The exec fan-out
+// samples the clock at operator boundaries, so this is the wall time the
+// query's operators spent on their worker goroutines — the
 // closest portable proxy for per-goroutine CPU the runtime exposes.
 //
 //vs:hotpath

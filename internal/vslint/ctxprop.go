@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// CtxPropagation enforces the QueryContext threading discipline the DAG
+// CtxPropagation enforces the QueryContext threading discipline the
 // executor depends on: cancellation must flow from the server deadline
 // through every operator into the kernels.
 //
