@@ -9,14 +9,12 @@
 //
 //	go run ./cmd/vslint ./...
 //	go run ./cmd/vslint -format github ./internal/storage
-//	go run ./cmd/vslint -compiler -json ./...
+//	go run ./cmd/vslint -compiler ./...
 //	go run ./cmd/vslint -compiler -write-baseline ./...
 //
 // Flags:
 //
 //	-list           list analyzers and exit
-//	-json           machine-readable output (findings, per-analyzer wall
-//	                time, compiler report)
 //	-format github  ::error/::notice workflow annotations instead of text
 //	-compiler       additionally run the compiler-feedback gate: rebuild
 //	                with -gcflags='-m=1 -d=ssa/check_bce/debug=1' and fail
@@ -33,7 +31,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -43,29 +40,8 @@ import (
 	"repro/internal/vslint"
 )
 
-// jsonFinding is the machine-readable shape of one finding.
-type jsonFinding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
-	Severity string `json:"severity"`
-	// Approx marks an interprocedural conclusion that depends on a
-	// conservative dispatch guess (interface or signature-matched callee).
-	Approx bool `json:"approx,omitempty"`
-}
-
-// jsonOutput is the top-level -json document.
-type jsonOutput struct {
-	Findings []jsonFinding           `json:"findings"`
-	Timings  []vslint.AnalyzerTiming `json:"timings,omitempty"`
-	Compiler *vslint.CompilerReport  `json:"compiler,omitempty"`
-}
-
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON on stdout")
 	format := flag.String("format", "text", "finding output format: text or github")
 	compiler := flag.Bool("compiler", false, "also run the compiler-feedback gate over //vs:hotpath functions")
 	baseline := flag.String("baseline", "bench/vslint_baseline.json", "compiler-gate baseline, relative to the module root")
@@ -117,24 +93,12 @@ func main() {
 	}
 	res := vslint.CheckModule(mod, pkgs, opts)
 
-	out := jsonOutput{Findings: []jsonFinding{}, Timings: res.Timings}
 	errors := 0
 	for _, f := range res.Findings {
 		if f.Severity != vslint.SeverityInfo {
 			errors++
 		}
-		out.Findings = append(out.Findings, jsonFinding{
-			Analyzer: f.Analyzer,
-			File:     relPath(cwd, f.Pos.Filename),
-			Line:     f.Pos.Line,
-			Col:      f.Pos.Column,
-			Message:  f.Message,
-			Severity: f.Severity,
-			Approx:   f.Approx,
-		})
-		if !*jsonOut {
-			printFinding(*format, out.Findings[len(out.Findings)-1])
-		}
+		printFinding(*format, relPath(cwd, f.Pos.Filename), f)
 	}
 
 	regressions := 0
@@ -143,7 +107,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		out.Compiler = report
 		if *writeBaseline {
 			if err := vslint.WriteCompilerBaseline(basePath, report); err != nil {
 				fatal(err)
@@ -160,14 +123,6 @@ func main() {
 					fmt.Printf("::error file=%s,line=%d,col=%d::[vslint-compiler] %s (%s)\n", d.File, d.Line, d.Col, d.Message, d.Kind)
 				}
 			}
-		}
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(&out); err != nil {
-			fatal(err)
 		}
 	}
 
@@ -193,24 +148,19 @@ func printAnalyzers(w *os.File) {
 	}
 }
 
-// printFinding renders one finding in the selected format.
-func printFinding(format string, f jsonFinding) {
+// printFinding renders one finding, positioned at file, in the selected
+// format.
+func printFinding(format, file string, f vslint.Finding) {
 	switch format {
 	case "github":
 		level := "error"
 		if f.Severity == vslint.SeverityInfo {
 			level = "notice"
 		}
-		fmt.Printf("::%s file=%s,line=%d,col=%d::[%s] %s\n", level, f.File, f.Line, f.Col, f.Analyzer, f.Message)
+		fmt.Printf("::%s file=%s,line=%d,col=%d::[%s] %s\n", level, file, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
 	default:
-		suffix := ""
-		if f.Approx {
-			suffix = " (approx)"
-		}
-		if f.Severity == vslint.SeverityInfo {
-			suffix += " (advisory)"
-		}
-		fmt.Printf("%s:%d:%d: [%s] %s%s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message, suffix)
+		f.Pos.Filename = file
+		fmt.Println(f)
 	}
 }
 

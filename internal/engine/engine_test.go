@@ -600,6 +600,56 @@ func TestMatchParallelEdgesAreANDed(t *testing.T) {
 	}
 }
 
+// TestJoinClonesReleasedAfterQuery: two expansions on one position pair make
+// Assemble clone the shared (here: cached) matrix before AND-ing it
+// (copy-on-AND), and the clone's bytes are reserved on the engine's budget.
+// Both wrappers must hand them back, so after each query the memory in use,
+// less what the matrix cache keeps resident, is back at its pre-query value.
+func TestJoinClonesReleasedAfterQuery(t *testing.T) {
+	g := socialGraph(t)
+	e := New(g, Options{CacheBytes: DefaultCacheBytes})
+	pat := &pattern.Pattern{
+		Vertices: []pattern.Vertex{
+			{Name: "p", Labels: []string{"SIGA"}},
+			{Name: "q", Labels: []string{"SIGB"}},
+		},
+		Edges: []pattern.Edge{
+			{Src: "p", Dst: "q", D: knowsDet(1, 3)},
+			{Src: "p", Dst: "q", D: knowsDet(1, 2)},
+		},
+	}
+	uncached := func() int64 {
+		_, cacheBytes := e.CacheStats()
+		return e.MemoryInUse() - cacheBytes
+	}
+	runs := []struct {
+		name string
+		run  func() error
+	}{
+		{"MatchContext", func() error {
+			_, err := e.MatchContext(context.Background(), pat, MatchOptions{})
+			return err
+		}},
+		{"MatchForEachOpts", func() error {
+			return e.MatchForEachOpts(context.Background(), pat, MatchOptions{}, func([]graph.VertexID) {})
+		}},
+	}
+	// Twice round: the first pass expands and fills the cache, the second
+	// clones cached matrices.
+	for pass := 0; pass < 2; pass++ {
+		for _, r := range runs {
+			before := uncached()
+			if err := r.run(); err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+			if after := uncached(); after != before {
+				t.Fatalf("pass %d, %s: memory in use outside the cache %d → %d bytes; the join's clones were not released",
+					pass, r.name, before, after)
+			}
+		}
+	}
+}
+
 func TestSingleVertexMatch(t *testing.T) {
 	g := figure3(t)
 	e := New(g, Options{})

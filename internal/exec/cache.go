@@ -121,7 +121,7 @@ func (c *MatrixCache) Put(k CacheKey, r *vexpand.Result) {
 	// TryReserve, not Reserve: OnPressure re-enters this cache and would
 	// deadlock on c.mu. The shared budget being tighter than the cache
 	// limit just means residency loses to live queries.
-	if !c.acct.TryReserve(size) { //vs:nolint(resource-balance) ownership of the reservation transfers to the cache entry; evictOldestLocked releases it when the entry leaves
+	if !c.acct.TryReserve(size) { // the entry owns the reservation until evictOldestLocked releases it
 		return
 	}
 	el := c.lru.PushFront(&cacheEntry{key: k, res: r, size: size})

@@ -26,7 +26,7 @@ import (
 // the context (deadline, cancellation, telemetry trace), the shared memory
 // accountant, and the worker bound of RunExpands.
 type QueryContext struct {
-	ctx     context.Context //vs:nolint(ctx-propagation) QueryContext IS the sanctioned per-query carrier; operators receive it as a parameter
+	ctx     context.Context
 	budget  *Accountant
 	workers int
 

@@ -295,7 +295,7 @@ func forEach(ctx context.Context, in *Input, opts Options, fn func(tuple []graph
 const cancelCheckMask = 1<<10 - 1
 
 type executor struct {
-	ctx      context.Context //vs:nolint(ctx-propagation) executor lives for exactly one RunContext call; the field mirrors its parameter
+	ctx      context.Context
 	in       *Input
 	opts     Options
 	fn       func([]graph.VertexID)

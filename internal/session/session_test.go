@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -313,6 +314,151 @@ func TestKillStreamingQuery(t *testing.T) {
 		}
 	}
 	t.Fatal("kill did not surface within 4 fetches")
+}
+
+// activeQueryID returns the registry id of the running query with the given
+// text, or false.
+func activeQueryID(query string) (uint64, bool) {
+	active, _ := telemetry.DefaultQueries.Snapshot()
+	for _, qs := range active {
+		if qs.Query == query {
+			return qs.ID, true
+		}
+	}
+	return 0, false
+}
+
+// waitUntil polls cond every millisecond for up to 5 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out after 5s waiting until %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestKillOrDiscardUnblocksFullBuffer: a producer blocked on a full buffer
+// that nobody fetches must unwind on KILL and on Discard, and its query must
+// leave the registry's active list. TestKillStreamingQuery cannot see this:
+// it fetches after the kill, which drains the buffer and would unblock even a
+// producer that ignored the cancellation.
+func TestKillOrDiscardUnblocksFullBuffer(t *testing.T) {
+	for _, how := range []string{"kill", "discard"} {
+		t.Run(how, func(t *testing.T) {
+			svc := testService(t, Options{FetchBatch: 2})
+			sess := svc.OpenSession("test")
+			defer sess.Close()
+
+			// Variable names unique to this subtest keep the registry entry
+			// unambiguous.
+			query := fmt.Sprintf(`MATCH (%[1]sa:Person)-[:knows]-(%[1]sb:Person) RETURN %[1]sa, %[1]sb`, how)
+			cur, err := sess.Run(context.Background(), query, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitUntil(t, "the producer fills the buffer", func() bool { return len(cur.ch) == cap(cur.ch) })
+			// The result is far larger than the buffer, so the producer is
+			// about to block on its next send, which nothing observable marks.
+			// The pause is not needed to pass; it makes sure a producer that
+			// ignored the cancellation would already be stuck in that send
+			// rather than still before the check that precedes it.
+			time.Sleep(20 * time.Millisecond)
+			id, ok := activeQueryID(query)
+			if !ok {
+				t.Fatal("streamed query not visible in the registry")
+			}
+			if how == "kill" {
+				if !telemetry.DefaultQueries.Kill(id) {
+					t.Fatalf("kill of query %d failed", id)
+				}
+			} else {
+				cur.Discard()
+			}
+			waitUntil(t, "the "+how+"ed query leaves the active list", func() bool {
+				_, ok := activeQueryID(query)
+				return !ok
+			})
+		})
+	}
+}
+
+// TestIntrospectionAccessorsRaceFree is for -race. The introspection
+// accessors are meant for goroutines the module does not start (an HTTP
+// handler, a /metrics scrape), which the guarded-by analyzer cannot see, so
+// this test calls them in a loop while other goroutines stream and fetch.
+// Every run starts from a fresh source, so every query adds to the matrix
+// cache.
+func TestIntrospectionAccessorsRaceFree(t *testing.T) {
+	g, err := datagen.SocialNetwork(datagen.SocialConfig{
+		NumVertices: 200, NumEdges: 700, Seed: 8, CommunityFraction: 0.3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(g, engine.Options{CacheBytes: engine.DefaultCacheBytes})
+	svc := NewService(eng, Options{FetchBatch: 4})
+	sess := svc.OpenSession("race")
+	defer sess.Close()
+	const query = `MATCH (ra:Person {id:$id})-[:knows*1..2]-(rb:Person) RETURN ra, rb`
+	ids := g.Prop("id").(graph.Int64Column)
+
+	const workers = 3
+	var (
+		live [workers]atomic.Pointer[Cursor]
+		wg   sync.WaitGroup
+		done = make(chan struct{})
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < 30; i += workers {
+				cur, err := sess.Run(context.Background(), query, map[string]any{"id": ids[i]})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				live[w].Store(cur)
+				for {
+					_, more, err := cur.Fetch(0)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !more {
+						break
+					}
+				}
+			}
+		}(w)
+	}
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+
+	var sink int64
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+		}
+		entries, bytes := eng.CacheStats()
+		sink += int64(entries) + bytes + eng.MemoryInUse()
+		sink += int64(svc.SessionCount()) + sess.Reserved() + int64(sess.Cursors())
+		for w := range live {
+			if cur := live[w].Load(); cur != nil {
+				sink += cur.Fetched()
+			}
+		}
+	}
+	if entries, _ := eng.CacheStats(); entries == 0 {
+		t.Fatalf("no expansion reached the matrix cache (accessor sum %d)", sink)
+	}
 }
 
 // TestConcurrentSessions exercises the cursor registry under -race: many

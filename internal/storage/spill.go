@@ -162,7 +162,7 @@ func (s *SpillManager) SpillContext(ctx context.Context, worker int, m *bitmatri
 // and cancellation is enforced where the matrices are produced. Traced or
 // cancellable callers use LoadContext.
 func (s *SpillManager) Load(h Handle) (*bitmatrix.Matrix, error) {
-	return s.LoadContext(context.Background(), h) //vs:nolint(ctx-propagation) bounded single-file read behind ctx-less accessors; cancellable paths call LoadContext
+	return s.LoadContext(context.Background(), h)
 }
 
 // LoadContext is Load with trace propagation: an active trace records a

@@ -328,7 +328,7 @@ func chooseKernel(g *graph.Graph, sources []graph.VertexID, d pattern.Determiner
 
 // expansion carries the state of one Expand call.
 type expansion struct {
-	ctx     context.Context //vs:nolint(ctx-propagation) expansion lives for exactly one ExpandContext call; the field mirrors its parameter
+	ctx     context.Context
 	g       *graph.Graph
 	sources []graph.VertexID
 	d       pattern.Determiner

@@ -10,11 +10,11 @@ import (
 )
 
 // This file builds the whole-program call graph the interprocedural
-// analyzers (lock-order, hotpath-closure, cross-function resource balance,
-// ctx-propagation chains) are computed over. Nodes are the module's
-// function declarations plus every function literal (closures are callees
-// in their own right: a callback stored in a field runs in whatever
-// function invokes the field, not in the function that defined it).
+// analyzers (lock-order, hotpath-closure, guarded-by) are computed over.
+// Nodes are the module's function declarations plus every function literal
+// (closures are callees in their own right: a callback stored in a field
+// runs in whatever function invokes the field, not in the function that
+// defined it).
 //
 // Callee resolution, from precise to conservative:
 //
@@ -76,9 +76,6 @@ type CallEdge struct {
 	Kind   EdgeKind
 	// Go marks a call spawned with a go statement.
 	Go bool
-	// Call is the call expression the edge was derived from; the summary
-	// propagation maps callee parameter effects through its arguments.
-	Call *ast.CallExpr
 }
 
 // FuncNode is one function in the call graph: a declaration, a function
@@ -96,11 +93,6 @@ type FuncNode struct {
 	Hotpath  bool // //vs:hotpath
 	Coldpath bool // //vs:coldpath
 	Noinline bool // //go:noinline
-
-	// Parent is the enclosing declaration's node for function literals
-	// (nil for declarations and Unknown). A literal inherits the parent's
-	// context-carrier status: closures capture the enclosing ctx.
-	Parent *FuncNode
 
 	Out []*CallEdge
 	In  []*CallEdge
@@ -229,9 +221,6 @@ type graphBuilder struct {
 	// methods maps a method name to every declared method node, for
 	// interface-dispatch candidate search.
 	methods map[string][]*FuncNode
-	// curCall is the call expression currently being classified, recorded
-	// on each edge it produces.
-	curCall *ast.CallExpr
 }
 
 // addLitNodes registers a node for every function literal inside parent's
@@ -255,7 +244,6 @@ func (b *graphBuilder) addLitNodes(parent *FuncNode) {
 			// markers: a closure defined in a cold helper is cold.
 			Coldpath: parent.Coldpath,
 			Noinline: parent.Noinline,
-			Parent:   parent,
 		})
 		b.g.byLit[lit] = ln
 		return true
@@ -501,7 +489,6 @@ func unwrapInstantiation(pkg *Package, fun ast.Expr) ast.Expr {
 
 // callEdge classifies one call expression and records the edge(s).
 func (b *graphBuilder) callEdge(caller *FuncNode, call *ast.CallExpr, isGo bool) {
-	b.curCall = call
 	pkg := caller.Pkg
 	fun := unparen(call.Fun)
 
@@ -638,7 +625,7 @@ func (b *graphBuilder) edgeTo(caller, callee *FuncNode, pos token.Pos, kind Edge
 			return
 		}
 	}
-	e := &CallEdge{Caller: caller, Callee: callee, Pos: pos, Kind: kind, Go: isGo, Call: b.curCall}
+	e := &CallEdge{Caller: caller, Callee: callee, Pos: pos, Kind: kind, Go: isGo}
 	caller.Out = append(caller.Out, e)
 	callee.In = append(callee.In, e)
 }

@@ -7,15 +7,14 @@ import (
 	"sort"
 )
 
-// This file is the shared substrate of the concurrency tier (guarded-by,
-// atomic-consistency, channel-hygiene): goroutine reachability over the
-// call graph, a per-function may-held lockset scan built on the CFG, and
-// the entry-lockset propagation that threads held locks through call
-// chains. The tier's soundness posture mirrors lock-order: held-lock facts
-// are computed as may-held (union over paths), entry locksets as the
-// must-intersection over call sites, and go-spawned calls contribute the
-// empty lockset — so the analysis errs toward silence on branchy locking
-// rather than toward false races.
+// This file is the substrate of the guarded-by race analyzer: goroutine
+// reachability over the call graph, a per-function may-held lockset scan
+// built on the CFG, and the entry-lockset propagation that threads held
+// locks through call chains. Its soundness posture mirrors lock-order:
+// held-lock facts are computed as may-held (union over paths), entry
+// locksets as the must-intersection over call sites, and go-spawned calls
+// contribute the empty lockset — so the analysis errs toward silence on
+// branchy locking rather than toward false races.
 
 // spawnInfo records how a function becomes reachable from a go statement:
 // the spawning edge at the head of the chain and the predecessor in the

@@ -8,9 +8,9 @@ import (
 )
 
 // This file is the forward may-dataflow engine behind the resource-pairing
-// analyzers (span-leak, lock-discipline, resource-balance). The domain is
-// the set of open acquisition sites; merge is union ("may be open"), so a
-// resource reported open at exit is open on at least one path.
+// analyzers (span-leak, lock-discipline) and lock-order's held sets. The
+// domain is the set of open acquisition sites; merge is union ("may be
+// open"), so a resource reported open at exit is open on at least one path.
 //
 // Modeling decisions shared by all pairing analyzers:
 //
@@ -21,11 +21,6 @@ import (
 //     A registered defer runs on every exit, including panics, so this is
 //     sound for leak detection; the cost is masking a leak when the defer
 //     is registered on only some paths.
-//   - An acquisition bound together with an error (`if err := acq(); err
-//     != nil { return err }`) is treated as failed on any path that
-//     returns that error: returning the acquire's own error kills the
-//     fact. This matches the convention that a failed acquire grants
-//     nothing.
 //   - Handle-based resources (spans) stop being tracked when the handle
 //     escapes — passed as an argument, returned, captured by a closure,
 //     or address-taken. Ownership moved; the pairing obligation moved
@@ -44,25 +39,18 @@ type acqSite struct {
 	obj types.Object
 	key string
 
-	// owner is the named type owning the resource (e.g. the struct a
-	// mutex field lives in); consumed by ordering rules.
-	owner string
 	// class is the module-global lock class ("pkgpath.Owner.field"), set
 	// for mutex sites the interprocedural lock-order graph can track; ""
 	// for locals and non-lock resources.
 	class string
-	// errObj is the error variable bound at the acquire, when the acquire
-	// call's results include one.
-	errObj types.Object
 }
 
 // event is one acquire or release occurrence.
 type event struct {
 	acquire bool
 	pos     token.Pos
-	// acquire fields
+	// acquire field
 	site *acqSite
-	call *ast.CallExpr // the acquire call, for error binding
 	// release fields: matched against sites by obj or key
 	obj types.Object
 	key string
@@ -78,10 +66,6 @@ type pairSpec struct {
 	classify func(p *Pass, n ast.Node, deferred bool, emit func(event))
 	// handleBased enables the escape pre-pass on site objects.
 	handleBased bool
-	// bothRequired suppresses leak reports for resources that have no
-	// release anywhere in the function (cross-function pairing, e.g. a
-	// reserve helper whose caller releases).
-	bothRequired bool
 	// leakMsg == nil puts the engine in silent collection mode: no leak or
 	// unbalanced-release reports, only callCheck callbacks (the lock-order
 	// analyzer reuses the flow to see held sets without re-reporting what
@@ -113,13 +97,12 @@ func runPairing(p *Pass, fd *ast.FuncDecl, spec *pairSpec) {
 func runPairingBody(p *Pass, body *ast.BlockStmt, spec *pairSpec) {
 	cfg := BuildCFG(body)
 
-	// Pass 1: collect the per-block item sequences (events, calls,
-	// returns) in source order, assigning site ids as acquires appear.
+	// Pass 1: collect the per-block item sequences (events and calls) in
+	// source order, assigning site ids as acquires appear.
 	type item struct {
 		pos  token.Pos
 		ev   *event
 		call *ast.CallExpr
-		ret  *ast.ReturnStmt
 	}
 	var sites []*acqSite
 	items := make([][]item, len(cfg.Blocks))
@@ -137,7 +120,6 @@ func runPairingBody(p *Pass, body *ast.BlockStmt, spec *pairSpec) {
 					ev.site.id = len(sites)
 					ev.site.pos = ev.pos
 					sites = append(sites, ev.site)
-					bindAcquireError(p, n, &ev)
 				}
 				e := ev
 				if !e.acquire {
@@ -155,9 +137,6 @@ func runPairingBody(p *Pass, body *ast.BlockStmt, spec *pairSpec) {
 					}
 					return true
 				})
-			}
-			if ret, ok := n.(*ast.ReturnStmt); ok {
-				list = append(list, item{pos: ret.Pos(), ret: ret})
 			}
 			sort.SliceStable(list, func(i, j int) bool { return list[i].pos < list[j].pos })
 			items[blk.Index] = append(items[blk.Index], list...)
@@ -190,7 +169,6 @@ func runPairingBody(p *Pass, body *ast.BlockStmt, spec *pairSpec) {
 		}
 		return m
 	}
-	hasRelease := map[int]bool{} // site id → a matching release exists somewhere
 	hasAcquire := map[string]bool{}
 	var deferredMask uint64 // sites covered by a deferred release (fires at exit)
 	for _, blockItems := range items {
@@ -206,11 +184,6 @@ func runPairingBody(p *Pass, body *ast.BlockStmt, spec *pairSpec) {
 			}
 			if it.ev.deferred {
 				deferredMask |= sameResource(it.ev.obj, it.ev.key)
-			}
-			for _, s := range sites {
-				if (it.ev.obj != nil && s.obj == it.ev.obj) || (it.ev.key != "" && s.key == it.ev.key) {
-					hasRelease[s.id] = true
-				}
 			}
 		}
 	}
@@ -247,8 +220,6 @@ func runPairingBody(p *Pass, body *ast.BlockStmt, spec *pairSpec) {
 					reportf(it.ev.pos, "%s", spec.releaseMsg(it.ev.key))
 				}
 				facts &^= m
-			case it.ret != nil:
-				facts &^= errReturnKills(p, it.ret, sites)
 			}
 		}
 		return facts
@@ -350,61 +321,8 @@ func runPairingBody(p *Pass, body *ast.BlockStmt, spec *pairSpec) {
 		if deferredMask&(1<<uint(s.id)) != 0 {
 			continue // a deferred release covers every exit path
 		}
-		if spec.bothRequired && !hasRelease[s.id] {
-			continue
-		}
 		reportf(s.pos, "%s", spec.leakMsg(s))
 	}
-}
-
-// bindAcquireError records the error variable bound alongside an acquire:
-// `err := acq()` or `if err := acq(); ...`. Only a direct single-call
-// assignment counts.
-func bindAcquireError(p *Pass, node ast.Node, ev *event) {
-	as, ok := node.(*ast.AssignStmt)
-	if !ok || len(as.Rhs) != 1 || unparen(as.Rhs[0]) != ev.call {
-		return
-	}
-	for _, lhs := range as.Lhs {
-		id, ok := unparen(lhs).(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
-		}
-		obj := p.Info.Defs[id]
-		if obj == nil {
-			obj = p.Info.Uses[id]
-		}
-		if obj != nil && isErrorType(obj.Type()) {
-			ev.site.errObj = obj
-			return
-		}
-	}
-}
-
-// errReturnKills returns the mask of sites whose bound error variable is
-// referenced by this return statement: propagating the acquire's error
-// means the acquisition failed on this path.
-func errReturnKills(p *Pass, ret *ast.ReturnStmt, sites []*acqSite) uint64 {
-	var mask uint64
-	for _, res := range ret.Results {
-		ast.Inspect(res, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			obj := p.Info.Uses[id]
-			if obj == nil {
-				return true
-			}
-			for _, s := range sites {
-				if s.errObj == obj {
-					mask |= 1 << uint(s.id)
-				}
-			}
-			return true
-		})
-	}
-	return mask
 }
 
 // escapedObjects returns the subset of track whose value escapes the

@@ -3,16 +3,14 @@ package vslint
 import (
 	"fmt"
 	"go/token"
-	"sort"
 	"strings"
-	"time"
 )
 
 // This file orchestrates a vslint run: the per-package analyzers, then the
 // whole-program call graph and bottom-up function summaries, then the
 // module-level analyzers that need cross-function facts (lock-order,
-// hotpath-closure, resource-balance, the ctx-propagation chains, and the
-// concurrency tier), then suppression and the stale-directive audit.
+// hotpath-closure, guarded-by), then suppression and the stale-directive
+// audit.
 
 // ModuleAnalyzer is one check that runs over the whole module at once.
 type ModuleAnalyzer struct {
@@ -57,13 +55,18 @@ func (mp *ModulePass) passFor(pkg *Package) *Pass {
 // approximate findings are demoted to info severity so a guessed edge
 // never hard-fails CI.
 func (mp *ModulePass) Reportf(pos token.Pos, approx bool, format string, args ...any) {
+	mp.reportAt(mp.Mod.Fset.Position(pos), approx, format, args...)
+}
+
+// reportAt is Reportf for an already-resolved position.
+func (mp *ModulePass) reportAt(pos token.Position, approx bool, format string, args ...any) {
 	sev := SeverityError
 	if approx {
 		sev = SeverityInfo
 	}
 	mp.report(Finding{
 		Analyzer: mp.analyzer,
-		Pos:      mp.Mod.Fset.Position(pos),
+		Pos:      pos,
 		Message:  fmt.Sprintf(format, args...),
 		Severity: sev,
 		Approx:   approx,
@@ -71,13 +74,8 @@ func (mp *ModulePass) Reportf(pos token.Pos, approx bool, format string, args ..
 }
 
 // AllInterproc returns the module-level analyzers in reporting order.
-// CtxChains reports as ctx-propagation, the per-package analyzer it
-// complements, so one //vs:nolint(ctx-propagation) name covers both.
 func AllInterproc() []*ModuleAnalyzer {
-	return []*ModuleAnalyzer{
-		LockOrder, ResourceBalance, CtxChains, HotpathClosure,
-		GuardedBy, AtomicConsistency, ChannelHygiene,
-	}
+	return []*ModuleAnalyzer{LockOrder, HotpathClosure, GuardedBy}
 }
 
 // Options configures one CheckModule run.
@@ -88,17 +86,9 @@ type Options struct {
 	Baseline *CompilerBaseline
 }
 
-// AnalyzerTiming is the cumulative wall time of one analyzer across the
-// whole run.
-type AnalyzerTiming struct {
-	Name   string  `json:"name"`
-	Millis float64 `json:"ms"`
-}
-
 // Result is the outcome of one CheckModule run.
 type Result struct {
 	Findings []Finding
-	Timings  []AnalyzerTiming
 }
 
 // CheckModule analyzes mod and reports findings positioned inside pkgs
@@ -106,7 +96,6 @@ type Result struct {
 // findings at one position from several analyzers are merged into one,
 // and every //vs:nolint in pkgs that suppressed nothing is reported stale.
 func CheckModule(mod *Module, pkgs []*Package, opts Options) *Result {
-	timings := map[string]time.Duration{}
 	var raw []Finding
 
 	for _, pkg := range pkgs {
@@ -119,16 +108,12 @@ func CheckModule(mod *Module, pkgs []*Package, opts Options) *Result {
 		pass.report = func(f Finding) { raw = append(raw, f) }
 		for _, a := range All() {
 			pass.analyzer = a.Name
-			start := time.Now()
 			a.Run(pass)
-			timings[a.Name] += time.Since(start)
 		}
 	}
 
-	start := time.Now()
 	graph := BuildCallGraph(mod)
 	sums := ComputeSummaries(graph)
-	timings["callgraph+summaries"] = time.Since(start)
 
 	// Module findings land anywhere in the module; keep the ones in the
 	// matched packages.
@@ -150,9 +135,7 @@ func CheckModule(mod *Module, pkgs []*Package, opts Options) *Result {
 	}
 	for _, a := range AllInterproc() {
 		mp.analyzer = a.Name
-		start := time.Now()
 		a.Run(mp)
-		timings[a.Name] += time.Since(start)
 	}
 
 	// Module-wide suppressions: a //vs:nolint in any package applies, so a
@@ -182,12 +165,7 @@ func CheckModule(mod *Module, pkgs []*Package, opts Options) *Result {
 		}
 	}
 
-	res := &Result{Findings: dedupeFindings(sortFindings(out))}
-	for name, d := range timings {
-		res.Timings = append(res.Timings, AnalyzerTiming{Name: name, Millis: float64(d.Microseconds()) / 1000})
-	}
-	sort.Slice(res.Timings, func(i, j int) bool { return res.Timings[i].Name < res.Timings[j].Name })
-	return res
+	return &Result{Findings: dedupeFindings(sortFindings(out))}
 }
 
 func dirOf(filename string) string {

@@ -236,141 +236,6 @@ func f(a *A, l Locker) {
 	}
 }
 
-// --- cross-function resource balance ------------------------------------
-
-const acctHelperShims = `package seed
-
-type Accountant struct{}
-
-func (a *Accountant) Reserve(n int64) {}
-func (a *Accountant) Release(n int64) {}
-
-type Engine struct{ acct *Accountant }
-
-func work() {}
-`
-
-func TestResourceBalanceSeesThroughReserveHelper(t *testing.T) {
-	res := checkModuleSrc(t, acctHelperShims+`
-func (e *Engine) grab(n int64) { e.acct.Reserve(n) }
-
-func (e *Engine) leaky(cond bool) {
-	e.grab(8)
-	if cond {
-		return
-	}
-	e.acct.Release(8)
-}
-`, Options{})
-	found := false
-	for _, f := range res.Findings {
-		if containsAnalyzer(f.Analyzer, "resource-balance") && strings.Contains(f.Message, "via seed.(*Engine).grab") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("helper-mediated reserve leak not reported; got:\n%s", renderFindings(res.Findings))
-	}
-}
-
-func TestResourceBalanceReleaseHelperBalances(t *testing.T) {
-	res := checkModuleSrc(t, acctHelperShims+`
-func (e *Engine) grab(n int64) { e.acct.Reserve(n) }
-func (e *Engine) drop(n int64) { e.acct.Release(n) }
-
-func (e *Engine) balanced(n int64) {
-	e.grab(n)
-	defer e.drop(n)
-	work()
-}
-
-func (e *Engine) direct(n int64) {
-	e.acct.Reserve(n)
-	defer e.drop(n)
-	work()
-}
-`, Options{})
-	for _, f := range res.Findings {
-		if containsAnalyzer(f.Analyzer, "resource-balance") {
-			t.Errorf("unexpected resource-balance finding: %s", f)
-		}
-	}
-}
-
-func TestResourceBalanceOwnershipTransferStillAllowed(t *testing.T) {
-	// A bare helper with no release anywhere stays legal (ownership moves
-	// to the caller's caller) — the both-present rule survives the upgrade.
-	res := checkModuleSrc(t, acctHelperShims+`
-func (e *Engine) grab(n int64) { e.acct.Reserve(n) }
-
-func (e *Engine) handoff(n int64) {
-	e.grab(n)
-}
-`, Options{})
-	for _, f := range res.Findings {
-		if containsAnalyzer(f.Analyzer, "resource-balance") {
-			t.Errorf("unexpected resource-balance finding: %s", f)
-		}
-	}
-}
-
-// --- ctx chains ----------------------------------------------------------
-
-func TestCtxChainReportsPathThatLostContext(t *testing.T) {
-	res := checkModuleSrc(t, `package seed
-
-import "context"
-
-func outer(ctx context.Context) {
-	middle()
-}
-
-func middle() {
-	inner()
-}
-
-func inner() {
-	go work()
-}
-
-func work() {}
-`, Options{})
-	found := false
-	for _, f := range res.Findings {
-		if containsAnalyzer(f.Analyzer, "ctx-propagation") && strings.Contains(f.Message, "caller chain had one") {
-			found = true
-			for _, frame := range []string{"outer", "middle", "inner"} {
-				if !strings.Contains(f.Message, frame) {
-					t.Errorf("chain lacks frame %q: %s", frame, f.Message)
-				}
-			}
-		}
-	}
-	if !found {
-		t.Errorf("no ctx chain finding; got:\n%s", renderFindings(res.Findings))
-	}
-}
-
-func TestCtxChainMainRootedSpawnIsSilent(t *testing.T) {
-	res := checkModuleSrc(t, `package main
-
-func main() {
-	helper()
-}
-
-func helper() {
-	go work()
-}
-
-func work() {}
-`, Options{})
-	for _, f := range res.Findings {
-		if containsAnalyzer(f.Analyzer, "ctx-propagation") {
-			t.Errorf("unexpected ctx finding for a main-rooted chain: %s", f)
-		}
-	}
-}
-
 // --- hotpath closure -----------------------------------------------------
 
 func TestHotpathClosureFlagsAllocatingHelper(t *testing.T) {
@@ -506,7 +371,7 @@ func c() []int { return make([]int, 8) }
 func TestDedupeMergesSamePositionFindings(t *testing.T) {
 	in := sortFindings([]Finding{
 		{Analyzer: "span-leak", Pos: token.Position{Filename: "x.go", Line: 4, Column: 2}, Message: "span may leak", Severity: SeverityError},
-		{Analyzer: "resource-balance", Pos: token.Position{Filename: "x.go", Line: 4, Column: 2}, Message: "reservation not released", Severity: SeverityInfo},
+		{Analyzer: "lock-discipline", Pos: token.Position{Filename: "x.go", Line: 4, Column: 2}, Message: "mutex not unlocked", Severity: SeverityInfo},
 		{Analyzer: "span-leak", Pos: token.Position{Filename: "x.go", Line: 9, Column: 1}, Message: "other", Severity: SeverityError},
 	})
 	out := dedupeFindings(in)
@@ -514,10 +379,10 @@ func TestDedupeMergesSamePositionFindings(t *testing.T) {
 		t.Fatalf("want 2 findings after dedup, got %d: %v", len(out), out)
 	}
 	merged := out[0]
-	if merged.Analyzer != "resource-balance+span-leak" {
+	if merged.Analyzer != "lock-discipline+span-leak" {
 		t.Errorf("merged analyzer = %q", merged.Analyzer)
 	}
-	if !strings.Contains(merged.Message, "span may leak") || !strings.Contains(merged.Message, "reservation not released") {
+	if !strings.Contains(merged.Message, "span may leak") || !strings.Contains(merged.Message, "mutex not unlocked") {
 		t.Errorf("merged message lost a part: %q", merged.Message)
 	}
 	if merged.Severity != SeverityError {
@@ -540,24 +405,6 @@ func helper() []int {
 	for _, f := range res.Findings {
 		if containsAnalyzer(f.Analyzer, "hotpath-closure") {
 			t.Errorf("nolint did not suppress the closure finding: %s", f)
-		}
-	}
-}
-
-func TestCheckModuleReportsTimings(t *testing.T) {
-	res := checkModuleSrc(t, `package seed
-
-func f() {}
-`, Options{})
-	want := map[string]bool{"lock-order": false, "hotpath-closure": false, "callgraph+summaries": false}
-	for _, tm := range res.Timings {
-		if _, ok := want[tm.Name]; ok {
-			want[tm.Name] = true
-		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("timings lack entry for %q: %v", name, res.Timings)
 		}
 	}
 }

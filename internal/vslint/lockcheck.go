@@ -87,11 +87,9 @@ func classifyLock(p *Pass, n ast.Node, deferred bool, emit func(event)) {
 			emit(event{
 				acquire: true,
 				pos:     call.Pos(),
-				call:    call,
 				site: &acqSite{
 					key:   key,
 					desc:  fmt.Sprintf("mutex %s", base),
-					owner: lockOwner(p, sel),
 					class: globalLockClass(p, sel.X),
 				},
 			})
@@ -100,16 +98,6 @@ func classifyLock(p *Pass, n ast.Node, deferred bool, emit func(event)) {
 		}
 		return true
 	})
-}
-
-// lockOwner names the type holding the mutex field: for c.mu it is the
-// named type of c.
-func lockOwner(p *Pass, sel *ast.SelectorExpr) string {
-	inner, ok := unparen(sel.X).(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	return namedTypeName(p.typeOf(inner.X))
 }
 
 // LockOrder is the interprocedural deadlock detector. It generalizes the

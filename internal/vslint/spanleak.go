@@ -65,7 +65,6 @@ func classifySpan(p *Pass, n ast.Node, deferred bool, emit func(event)) {
 				emit(event{
 					acquire: true,
 					pos:     call.Pos(),
-					call:    call,
 					site:    &acqSite{obj: obj, desc: fmt.Sprintf("span %q from %s", id.Name, name)},
 				})
 			}

@@ -14,10 +14,14 @@
 //   - goroutine-hygiene: worker fan-outs must not call WaitGroup.Add inside
 //     the spawned goroutine, and must Wait on every local WaitGroup they
 //     Add to.
-//   - ctx-propagation, span-leak, lock-discipline: context threading and
-//     the CFG + dataflow pairing checks of cfg.go/dataflow.go.
+//   - span-leak, lock-discipline: the CFG + dataflow pairing checks of
+//     cfg.go/dataflow.go.
 //
-// Lock copies are go vet's copylocks check, which scripts/verify.sh runs.
+// The whole-program ones are lock-order, hotpath-closure and guarded-by.
+// DESIGN.md ("What each analyzer catches") records the seeded-defect study
+// that found, for each of them, a defect go vet and the tests missed.
+// Copies of a mutex or a typed atomic are go vet's copylocks check, which
+// scripts/verify.sh runs.
 //
 // Findings are suppressed with a trailing or preceding comment of the form
 //
@@ -107,12 +111,12 @@ func (p *Pass) typeOf(e ast.Expr) types.Type {
 }
 
 // All returns the per-package analyzers in reporting order. The first
-// three are syntactic walks; the last three are built on the CFG +
-// dataflow engine in cfg.go/dataflow.go.
+// three are syntactic walks; the last two are built on the CFG + dataflow
+// engine in cfg.go/dataflow.go.
 func All() []*Analyzer {
 	return []*Analyzer{
 		HotpathAlloc, UncheckedErr, GoroutineHygiene,
-		CtxPropagation, SpanLeak, LockDiscipline,
+		SpanLeak, LockDiscipline,
 	}
 }
 
@@ -135,7 +139,7 @@ func sortFindings(out []Finding) []Finding {
 }
 
 // dedupeFindings merges findings reported at the same position (span-leak
-// and resource-balance both firing on one early return, say) into a single
+// and lock-discipline both firing on one early return, say) into a single
 // finding: analyzer names joined with "+", messages with "; ". Error
 // severity wins over info, and the merged finding is approximate only when
 // every constituent is. Input must be position-sorted.

@@ -30,10 +30,17 @@ if [ -n "$unformatted" ]; then
 fi
 
 step "go vet ./..."
-# vet's copylocks check is the repo's only guard against copying a mutex.
+# vet's copylocks check is the repo's only guard against copying a mutex or
+# a typed atomic (atomic.Int64, atomic.Bool, ...).
 go vet ./...
 
-step "vslint (hot-path, concurrency, and whole-program invariants; stale //vs:nolint fails)"
+step "typed atomics only (no function-style sync/atomic calls)"
+# A field touched through atomic.AddInt64(&x.n, 1) can still be read plainly
+# somewhere else, a data race no analyzer here looks for. The typed atomics
+# have no plain access to get wrong, so the root module uses only those.
+if grep -rnE --include='*.go' --exclude-dir=benchmark 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int|Uint|Pointer)' .; then echo "use the typed atomics (atomic.Int64, ...) instead of these sync/atomic function calls" >&2; exit 1; fi
+
+step "vslint (kernel allocations, dropped errors, fan-outs, span/lock pairing, lock order, guarded-by; stale //vs:nolint fails)"
 # ./... matches every package, including internal/vslint and cmd/vslint —
 # the linter self-lints. -compiler adds the escape/bounds-check gate against
 # bench/vslint_baseline.json; it rebuilds with -gcflags diagnostics (go
