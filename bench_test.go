@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/bitmatrix"
+	"repro/internal/cypher"
 	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -202,6 +203,64 @@ func BenchmarkFig6Cases(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := c.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFig6CasesCypher runs the twelve cases of BenchmarkFig6Cases, on
+// the same datasets and parameters, as the paper's Cypher text: parse, bind,
+// plan and execute, the path DB.Query takes. BenchmarkFig6Cases times the
+// canned engine.CaseN methods instead; EXPERIMENTS.md compares the two.
+func BenchmarkFig6CasesCypher(b *testing.B) {
+	social := dataset(b, "LDBC-SN-SF100")
+	bank := dataset(b, "Rabobank")
+	fin := dataset(b, "LDBC-FinBench-SF10")
+	engSN := engine.New(social.Graph, engine.Options{})
+	engRB := engine.New(bank.Graph, engine.Options{})
+	engFB := engine.New(fin.Graph, engine.Options{})
+	idsSN, _, _, _, _, _ := fig6Params(b, social)
+	_, acctRB, _, _, _, _ := fig6Params(b, bank)
+	_, acctFB, personFB, loanFB, pa, pb := fig6Params(b, fin)
+
+	cases := []struct {
+		name   string
+		eng    *engine.Engine
+		query  string
+		params map[string]any
+	}{
+		{"C1", engSN, `MATCH (p:SIGA)-[:knows*..3]-(q:SIGA) RETURN COUNT(DISTINCT p,q)`, nil},
+		{"C2", engSN, `MATCH (p:SIGA)-[:knows*..3]-(q:Person) WHERE NOT q:SIGA RETURN COUNT(DISTINCT p) as c,q ORDER BY c DESC LIMIT 100`, nil},
+		{"C3", engSN, `MATCH (p:SIGA)-[:knows*..3]-(q:SIGA) RETURN COUNT(DISTINCT p) as c,q ORDER BY c ASC LIMIT 100`, nil},
+		{"C4", engSN, `MATCH (a:Person:SIGA)-[:knows*1..2]-(b:Person:SIGB) MATCH (b)-[:knows*1..2]-(c:Person:SIGC) MATCH (a)-[:knows*1..2]-(c) RETURN COUNT(DISTINCT a,b,c)`, nil},
+		// Case5 treats knows as undirected, so this is the undirected form
+		// of the paper's query.
+		{"C5", engSN, `UNWIND $person_ids AS pid MATCH (p:Person{id:pid})-[:knows*2..3]-(q:Person) RETURN pid,COUNT(DISTINCT q)`,
+			map[string]any{"person_ids": idsSN}},
+		{"C6", engRB, `MATCH (a:Account:RISKA)-[:transfer*1..6]->(b:Account:RISKA) WITH DISTINCT a,b RETURN COUNT(*)`, nil},
+		{"C7", engRB, `MATCH (a:Account{id:$rid})-[:transfer*1..3]->(b:Account) RETURN DISTINCT b`,
+			map[string]any{"rid": acctRB}},
+		{"C8", engFB, `MATCH p=(start:Account{id:$id})-[:transfer*1..3]->(neighbor:Account), (neighbor)<-[:signIn]-(medium:Medium) WHERE medium.isBlocked = true RETURN neighbor, length(p)`,
+			map[string]any{"id": acctFB}},
+		{"C9", engFB, `MATCH (person:Person{id:$id})-[:own]->(account:Account)<-[:transfer*1..3]-(other:Account)<-[:deposit]-(loan:Loan) RETURN other.id, SUM(DISTINCT loan.balance), COUNT(DISTINCT loan)`,
+			map[string]any{"id": personFB}},
+		{"C10", engFB, `MATCH (a:Account{id:$id1}), (b:Account{id:$id2}), p=shortestPath((a)-[:transfer*1..]->(b)) RETURN length(p)`,
+			map[string]any{"id1": pa, "id2": pb}},
+		{"C11", engFB, `MATCH (a:Account{id:$id})<-[:withdraw]-(mid:Account)<-[:transfer]-(other:Account) RETURN mid.id, other.id`,
+			map[string]any{"id": acctFB}},
+		{"C12", engFB, `MATCH (loan:Loan{id:$id})-[:deposit]->(src:Account)-[p:transfer|withdraw*1..3]->(other:Account) RETURN DISTINCT other.id, length(p)`,
+			map[string]any{"id": loanFB}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				q, err := cypher.Parse(c.query)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := cypher.Run(c.eng, q, c.params); err != nil {
 					b.Fatal(err)
 				}
 			}

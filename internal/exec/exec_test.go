@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -136,6 +137,33 @@ func TestRunExpandsFirstErrorCancelsSiblings(t *testing.T) {
 	}
 	if long.Result != nil {
 		t.Fatalf("sibling ran %d steps to completion after the first error", long.Result.Stats.Steps)
+	}
+}
+
+// TestFanOutConcurrentFailures: eight ops wait for each other and then all
+// fail, so eight workers report a failure at the same moment. The result
+// must be one op's own error, not a sibling's context.Canceled, and under
+// -race the concurrent reports must not race on the first-error slot.
+func TestFanOutConcurrentFailures(t *testing.T) {
+	const n = 8
+	var arrived sync.WaitGroup
+	arrived.Add(n)
+	release := make(chan struct{})
+	go func() {
+		arrived.Wait()
+		close(release)
+	}()
+	err := fanOut(NewQueryContext(context.Background(), nil, n), n, func(_ *QueryContext, i int) error {
+		arrived.Done()
+		select {
+		case <-release:
+			return fmt.Errorf("op %d failed", i)
+		case <-time.After(5 * time.Second):
+			return fmt.Errorf("op %d never saw its siblings: ops did not overlap", i)
+		}
+	})
+	if err == nil || errors.Is(err, context.Canceled) || !strings.HasSuffix(err.Error(), " failed") {
+		t.Fatalf("err = %v, want one op's own failure", err)
 	}
 }
 

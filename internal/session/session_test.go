@@ -387,8 +387,8 @@ func TestKillOrDiscardUnblocksFullBuffer(t *testing.T) {
 
 // TestIntrospectionAccessorsRaceFree is for -race. The introspection
 // accessors are meant for goroutines the module does not start (an HTTP
-// handler, a /metrics scrape), which the guarded-by analyzer cannot see, so
-// this test calls them in a loop while other goroutines stream and fetch.
+// handler, a /metrics scrape), so this test calls them in a loop while other
+// goroutines stream and fetch.
 // Every run starts from a fresh source, so every query adds to the matrix
 // cache.
 func TestIntrospectionAccessorsRaceFree(t *testing.T) {

@@ -228,6 +228,47 @@ func TestSpillConcurrentWorkers(t *testing.T) {
 	}
 }
 
+// countingBudget is a Budget that tracks the bytes it has outstanding.
+type countingBudget struct{ held int64 }
+
+func (b *countingBudget) Reserve(n int64) error { b.held += n; return nil }
+func (b *countingBudget) Release(n int64)       { b.held -= n }
+
+// TestSpillWriteErrorReleasesReservation: a spill whose write fails must
+// still return its buffer reservation. The worker's file is swapped for a
+// read-only handle on the same path, so the Seek succeeds and the Write
+// fails.
+func TestSpillWriteErrorReleasesReservation(t *testing.T) {
+	sm, err := NewSpillManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sm.Close()
+	budget := &countingBudget{}
+	sm.Budget = budget
+
+	m := bitmatrix.New(512, 8)
+	m.Set(1, 1)
+	if _, err := sm.Spill(0, m); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := os.Open(sm.files[0].Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sm.files[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	sm.files[0] = ro
+
+	if _, err := sm.Spill(0, m); err == nil {
+		t.Fatal("spill into a read-only file succeeded")
+	}
+	if budget.held != 0 {
+		t.Fatalf("budget holds %d bytes after the failed spill, want 0", budget.held)
+	}
+}
+
 func TestSpillCloseRemovesFiles(t *testing.T) {
 	dir := t.TempDir()
 	sm, err := NewSpillManager(dir)

@@ -10,7 +10,7 @@ import (
 )
 
 // This file builds the whole-program call graph the interprocedural
-// analyzers (lock-order, hotpath-closure, guarded-by) are computed over.
+// analyzers (lock-order, hotpath-closure) are computed over.
 // Nodes are the module's function declarations plus every function literal
 // (closures are callees in their own right: a callback stored in a field
 // runs in whatever function invokes the field, not in the function that

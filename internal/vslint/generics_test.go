@@ -36,6 +36,17 @@ func (b *Box[T]) racySet(v T) {
 	b.v = v
 }
 
+// Snapshot allocates; the hotpath root Peek reaches it through an
+// instantiated method call.
+func (b *Box[T]) Snapshot() []T {
+	return []T{b.v}
+}
+
+//vs:hotpath
+func Peek(b *Box[int]) int {
+	return b.Snapshot()[0]
+}
+
 // Map is a generic free function, called both explicitly instantiated and
 // inferred.
 func Map[T, U any](xs []T, f func(T) U) []U {
@@ -65,10 +76,10 @@ func useMap() {
 }
 
 // TestInterprocOnGenericModule: the whole interprocedural pipeline —
-// loading, call graph, summaries, and the concurrency tier — must handle
-// type-parameterized code without panicking, and the guarded-by analyzer
-// must see through the instantiated method call: Box[int].racySet runs on
-// a goroutine without the mutex the generic Set writes under.
+// loading, call graph, summaries and the module analyzers — must handle
+// type-parameterized code without panicking, and hotpath-closure must see
+// through the instantiated method call: Peek reaches Box[int].Snapshot,
+// which allocates.
 func TestInterprocOnGenericModule(t *testing.T) {
 	dir := writeGenericModule(t)
 	mod, err := LoadModule(dir)
@@ -76,7 +87,7 @@ func TestInterprocOnGenericModule(t *testing.T) {
 		t.Fatalf("LoadModule: %v", err)
 	}
 	res := CheckModule(mod, mod.Pkgs, Options{})
-	wantFinding(t, res.Findings, "guarded-by", "write of synthgen.Box.v without holding synthgen.Box.mu")
+	wantFinding(t, res.Findings, "hotpath-closure", "synthgen.(*Box).Snapshot is reachable from //vs:hotpath root synthgen.Peek")
 	wantNoFinding(t, res.Findings, "nolint-audit")
 }
 

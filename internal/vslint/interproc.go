@@ -9,8 +9,7 @@ import (
 // This file orchestrates a vslint run: the per-package analyzers, then the
 // whole-program call graph and bottom-up function summaries, then the
 // module-level analyzers that need cross-function facts (lock-order,
-// hotpath-closure, guarded-by), then suppression and the stale-directive
-// audit.
+// hotpath-closure), then suppression and the stale-directive audit.
 
 // ModuleAnalyzer is one check that runs over the whole module at once.
 type ModuleAnalyzer struct {
@@ -75,7 +74,7 @@ func (mp *ModulePass) reportAt(pos token.Position, approx bool, format string, a
 
 // AllInterproc returns the module-level analyzers in reporting order.
 func AllInterproc() []*ModuleAnalyzer {
-	return []*ModuleAnalyzer{LockOrder, HotpathClosure, GuardedBy}
+	return []*ModuleAnalyzer{LockOrder, HotpathClosure}
 }
 
 // Options configures one CheckModule run.

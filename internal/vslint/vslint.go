@@ -17,11 +17,13 @@
 //   - span-leak, lock-discipline: the CFG + dataflow pairing checks of
 //     cfg.go/dataflow.go.
 //
-// The whole-program ones are lock-order, hotpath-closure and guarded-by.
-// DESIGN.md ("What each analyzer catches") records the seeded-defect study
-// that found, for each of them, a defect go vet and the tests missed.
+// The whole-program ones are lock-order and hotpath-closure. DESIGN.md
+// ("What each analyzer catches") records the seeded-defect study that
+// found, for each of the seven, a defect go vet and the tests missed.
 // Copies of a mutex or a typed atomic are go vet's copylocks check, which
-// scripts/verify.sh runs.
+// scripts/verify.sh runs; a field read or written without its mutex is the
+// race detector's, under the tests that drive each lock from several
+// goroutines.
 //
 // Findings are suppressed with a trailing or preceding comment of the form
 //

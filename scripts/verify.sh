@@ -40,7 +40,7 @@ step "typed atomics only (no function-style sync/atomic calls)"
 # have no plain access to get wrong, so the root module uses only those.
 if grep -rnE --include='*.go' --exclude-dir=benchmark 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int|Uint|Pointer)' .; then echo "use the typed atomics (atomic.Int64, ...) instead of these sync/atomic function calls" >&2; exit 1; fi
 
-step "vslint (kernel allocations, dropped errors, fan-outs, span/lock pairing, lock order, guarded-by; stale //vs:nolint fails)"
+step "vslint (kernel allocations, dropped errors, fan-outs, span/lock pairing, lock order, hotpath closure; stale //vs:nolint fails)"
 # ./... matches every package, including internal/vslint and cmd/vslint —
 # the linter self-lints. -compiler adds the escape/bounds-check gate against
 # bench/vslint_baseline.json; it rebuilds with -gcflags diagnostics (go
