@@ -1,16 +1,24 @@
 package vertexsurge
 
-// Benchmarks, one family per table/figure of the paper's evaluation (§6).
-// The cmd/vsbench harness prints the full tables; these testing.B entries
-// make each experiment's hot path measurable with `go test -bench`.
+// The paper's evaluation (§6), one benchmark family per table or figure;
+// EXPERIMENTS.md's measured tables are medians of
+//
+//	go test -run '^$' -bench <family> -cpu 1 -count 10 .
+//
+// Samples come from -count and engine workers from -cpu (Workers 0 means
+// GOMAXPROCS). What a figure reports beyond time is a b.ReportMetric on the
+// family: Table 1's sizes, Figure 2b's triangle count, Figure 8's stage
+// shares, Table 2's counts and bytes, the matrix cache's hits per op.
 //
 // Datasets are generated once per size and cached; generation and Hilbert
 // edge ordering happen outside the timed region (the paper's warm-up).
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/bitmatrix"
@@ -20,12 +28,18 @@ import (
 	"repro/internal/graph"
 	"repro/internal/pattern"
 	"repro/internal/planner"
+	"repro/internal/telemetry"
 	"repro/internal/vexpand"
 )
 
-// benchScale keeps every benchmark laptop-sized; raise it (and the
-// vsbench -scale flag) to approach the paper's dataset sizes.
+// benchScale is the dataset size relative to the paper's Table 1 (1.0 is
+// the paper's size). At 0.02 every family runs on a laptop; raise it here
+// to approach the paper's sizes.
 const benchScale = 0.02
+
+// baselineBudget caps the join and GPM baselines' intermediate tuples, the
+// stand-in for the paper's 10-minute timeout.
+const baselineBudget = 20_000_000
 
 var (
 	dsMu    sync.Mutex
@@ -58,6 +72,24 @@ func datasetAt(b *testing.B, name string, scale float64) *datagen.Dataset {
 	return ds
 }
 
+// run calls fn b.N times. A baseline over baselineBudget skips with
+// "timeout", which is Figure 2b's and Figure 6's timeout cell.
+func run(b *testing.B, fn func() error) {
+	b.Helper()
+	for i := 0; i < b.N; i++ {
+		if err := fn(); errors.Is(err, baseline.ErrBudgetExceeded) {
+			b.Skipf("timeout: over %d intermediate tuples", baselineBudget)
+		} else if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// stages, err2 and err3 keep what a benchmark needs of a call's results.
+func stages[T any](_ T, tm engine.Timings, err error) (engine.Timings, error) { return tm, err }
+func err2[T any](_ T, err error) error                                        { return err }
+func err3[T, S any](_ T, _ S, err error) error                                { return err }
+
 // scaledSources returns the Table-2 source set (20480 in the paper),
 // scaled with the datasets.
 func scaledSources(g *graph.Graph) []graph.VertexID {
@@ -80,251 +112,284 @@ func transferDet(kmax int) pattern.Determiner {
 		EdgeLabels: []string{"transfer"}}
 }
 
+// --- Table 1: the eight datasets ---
+
+// BenchmarkTable1 times generating each dataset and reports its |V|, |E|,
+// |E|/|V| and in-memory bytes beside the paper's |V| and |E|.
+func BenchmarkTable1(b *testing.B) {
+	for _, name := range datagen.Table1Names() {
+		b.Run(name, func(b *testing.B) {
+			var g *graph.Graph
+			run(b, func() error {
+				ds, err := datagen.Generate(name, benchScale)
+				if err == nil {
+					g = ds.Graph
+				}
+				return err
+			})
+			pv, pe, _ := datagen.Table1Size(name) // name is from Table1Names
+			b.ReportMetric(float64(pv), "paper-vertices")
+			b.ReportMetric(float64(pe), "paper-edges")
+			v, e := float64(g.NumVertices()), float64(g.NumEdges())
+			b.ReportMetric(v, "vertices")
+			b.ReportMetric(e, "edges")
+			b.ReportMetric(e/v, "edges/vertex")
+			b.ReportMetric(float64(g.SizeBytes()), "bytes")
+		})
+	}
+}
+
 // --- Figure 2b: community triangle vs k_max, three systems ---
 
-func BenchmarkFig2bVertexSurge(b *testing.B) {
-	ds := dataset(b, "LastFM")
-	eng := engine.New(ds.Graph, engine.Options{})
-	for _, kmax := range []int{1, 2, 3, 4} {
-		b.Run(fmt.Sprintf("kmax=%d", kmax), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.Case4(kmax); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkFig2bJoin(b *testing.B) {
-	ds := dataset(b, "LastFM")
-	g := ds.Graph
-	j := baseline.NewJoinEngine(g)
+func BenchmarkFig2b(b *testing.B) {
+	g := dataset(b, "LastFM").Graph
+	eng := engine.New(g, engine.Options{})
+	j, p := baseline.NewJoinEngine(g), baseline.NewGPMEngine(g)
+	j.Budget, p.Budget = baselineBudget, baselineBudget
 	aC, bC, cC := g.LabelVertices("SIGA"), g.LabelVertices("SIGB"), g.LabelVertices("SIGC")
-	for _, kmax := range []int{1, 2, 3} {
-		b.Run(fmt.Sprintf("kmax=%d", kmax), func(b *testing.B) {
-			d := socialDet(1, kmax)
-			for i := 0; i < b.N; i++ {
-				if _, _, err := j.CountTriangle(aC, bC, cC, d, d, d); err != nil {
-					b.Fatal(err)
-				}
-			}
+	for kmax := 1; kmax <= 4; kmax++ {
+		d := socialDet(1, kmax)
+		b.Run(fmt.Sprintf("VertexSurge/kmax=%d", kmax), func(b *testing.B) {
+			var n int64
+			run(b, func() (err error) { n, _, err = eng.Case4(kmax); return err })
+			b.ReportMetric(float64(n), "triangles")
+		})
+		b.Run(fmt.Sprintf("Join/kmax=%d", kmax), func(b *testing.B) {
+			run(b, func() error { return err3(j.CountTriangle(aC, bC, cC, d, d, d)) })
+		})
+		b.Run(fmt.Sprintf("GPM/kmax=%d", kmax), func(b *testing.B) {
+			run(b, func() error { return err3(p.CountTriangle(aC, bC, cC, d)) })
 		})
 	}
 }
 
-func BenchmarkFig2bGPM(b *testing.B) {
-	ds := dataset(b, "LastFM")
-	g := ds.Graph
-	p := baseline.NewGPMEngine(g)
-	aC, bC, cC := g.LabelVertices("SIGA"), g.LabelVertices("SIGB"), g.LabelVertices("SIGC")
-	for _, kmax := range []int{1, 2} {
-		b.Run(fmt.Sprintf("kmax=%d", kmax), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := p.CountTriangle(aC, bC, cC, socialDet(1, kmax)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+// --- Figures 6 and 8: the twelve cases across datasets and systems ---
+
+// fig6Case is one Figure 6 cell: a paper case on one dataset as the canned
+// engine method, as the paper's Cypher text, and as the join and GPM
+// baselines. gpm is nil where the paper does not run Peregrine.
+type fig6Case struct {
+	name      string
+	canned    func() (engine.Timings, error)
+	eng       *engine.Engine
+	query     string
+	params    map[string]any
+	join, gpm func() error
 }
 
-// --- Table 1: dataset generation + columnar sizing ---
-
-func BenchmarkTable1Generate(b *testing.B) {
-	for _, name := range []string{"LastFM", "Rabobank", "LDBC-FinBench-SF10"} {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := datagen.Generate(name, benchScale); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// fig6Cases lists Cases 1-5 on three social graphs, 6-7 on Rabobank and
+// 8-12 on LDBC-FinBench-SF10, all with baseline.ParamsFor's parameters.
+func fig6Cases(b *testing.B) []fig6Case {
+	type on struct {
+		g   *graph.Graph
+		eng *engine.Engine
+		p   baseline.CaseParams
+		j   *baseline.JoinCases
+		gpm *baseline.GPMEngine
 	}
-}
-
-// --- Figure 6: the twelve cases on their paper datasets ---
-
-func fig6Params(b *testing.B, ds *datagen.Dataset) (ids []int64, accountID, personID, loanID, pairA, pairB int64) {
-	b.Helper()
-	g := ds.Graph
-	n := int64(g.NumVertices())
-	for i := int64(0); i < 20 && i < n; i++ {
-		ids = append(ids, 1000+i*7%n)
+	setup := func(name string) on {
+		ds := dataset(b, name)
+		gpm := baseline.NewGPMEngine(ds.Graph)
+		gpm.Budget = baselineBudget
+		return on{ds.Graph, engine.New(ds.Graph, engine.Options{}), baseline.ParamsFor(ds),
+			baseline.NewJoinCases(ds.Graph, baselineBudget), gpm}
 	}
-	if ds.Layout == nil {
-		return ids, 1000 + n/3, 0, 0, 1001, 1000 + n - 2
-	}
-	lay := ds.Layout
-	col := g.Prop("id").(graph.Int64Column)
-	accountID = col[lay.AccountLo+graph.VertexID(int(lay.AccountHi-lay.AccountLo)/3)]
-	loanID = col[lay.LoanLo+graph.VertexID(int(lay.LoanHi-lay.LoanLo)/2)]
-	pairA, pairB = col[lay.AccountLo+1], col[lay.AccountHi-2]
-	own := g.Edges("own")
-	for p := lay.PersonLo; p < lay.PersonHi; p++ {
-		if len(own.Neighbors(p, graph.Forward)) > 0 {
-			personID = col[p]
-			break
-		}
-	}
-	return ids, accountID, personID, loanID, pairA, pairB
-}
-
-func BenchmarkFig6Cases(b *testing.B) {
-	social := dataset(b, "LDBC-SN-SF100")
-	bank := dataset(b, "Rabobank")
-	fin := dataset(b, "LDBC-FinBench-SF10")
-	engSN := engine.New(social.Graph, engine.Options{})
-	engRB := engine.New(bank.Graph, engine.Options{})
-	engFB := engine.New(fin.Graph, engine.Options{})
-	idsSN, _, _, _, _, _ := fig6Params(b, social)
-	_, acctRB, _, _, _, _ := fig6Params(b, bank)
-	_, acctFB, personFB, loanFB, pa, pb := fig6Params(b, fin)
-
 	const kmax = 3
-	cases := []struct {
-		name string
-		run  func() error
-	}{
-		{"C1", func() error { _, _, err := engSN.Case1(kmax); return err }},
-		{"C2", func() error { _, _, err := engSN.Case2(kmax, 100); return err }},
-		{"C3", func() error { _, _, err := engSN.Case3(kmax, 100); return err }},
-		{"C4", func() error { _, _, err := engSN.Case4(2); return err }},
-		{"C5", func() error { _, _, err := engSN.Case5(idsSN, kmax); return err }},
-		{"C6", func() error { _, _, err := engRB.Case6(6); return err }},
-		{"C7", func() error { _, _, err := engRB.Case7(acctRB, kmax); return err }},
-		{"C8", func() error { _, _, err := engFB.Case8(acctFB, kmax); return err }},
-		{"C9", func() error { _, _, err := engFB.Case9(personFB, kmax); return err }},
-		{"C10", func() error { _, _, err := engFB.Case10(pa, pb); return err }},
-		{"C11", func() error { _, _, err := engFB.Case11(acctFB); return err }},
-		{"C12", func() error { _, _, err := engFB.Case12(loanFB, kmax); return err }},
+	var cases []fig6Case
+	for _, name := range []string{"LastFM", "Epinions", "LDBC-SN-SF100"} {
+		s := setup(name)
+		siga := s.g.LabelVertices("SIGA")
+		cases = append(cases, []fig6Case{
+			{"C1/" + name, func() (engine.Timings, error) { return stages(s.eng.Case1(kmax)) }, s.eng,
+				`MATCH (p:SIGA)-[:knows*..3]-(q:SIGA) RETURN COUNT(DISTINCT p,q)`, nil,
+				func() error { return err2(s.j.Case1(kmax)) },
+				func() error { return err3(s.gpm.CountPairs(siga, siga, socialDet(1, kmax))) }},
+			{"C2/" + name, func() (engine.Timings, error) { return stages(s.eng.Case2(kmax, 100)) }, s.eng,
+				`MATCH (p:SIGA)-[:knows*..3]-(q:Person) WHERE NOT q:SIGA RETURN COUNT(DISTINCT p) as c,q ORDER BY c DESC LIMIT 100`, nil,
+				func() error { return err2(s.j.Case2(kmax, 100)) }, nil},
+			{"C3/" + name, func() (engine.Timings, error) { return stages(s.eng.Case3(kmax, 100)) }, s.eng,
+				`MATCH (p:SIGA)-[:knows*..3]-(q:SIGA) RETURN COUNT(DISTINCT p) as c,q ORDER BY c ASC LIMIT 100`, nil,
+				func() error { return err2(s.j.Case3(kmax, 100)) }, nil},
+			{"C4/" + name, func() (engine.Timings, error) { return stages(s.eng.Case4(2)) }, s.eng,
+				`MATCH (a:Person:SIGA)-[:knows*1..2]-(b:Person:SIGB) MATCH (b)-[:knows*1..2]-(c:Person:SIGC) MATCH (a)-[:knows*1..2]-(c) RETURN COUNT(DISTINCT a,b,c)`, nil,
+				func() error { return err2(s.j.Case4(2)) },
+				func() error {
+					return err3(s.gpm.CountTriangle(siga, s.g.LabelVertices("SIGB"), s.g.LabelVertices("SIGC"), socialDet(1, 2)))
+				}},
+			// Case5 treats knows as undirected, so this is the undirected
+			// form of the paper's query.
+			{"C5/" + name, func() (engine.Timings, error) { return stages(s.eng.Case5(s.p.PersonIDs, kmax)) }, s.eng,
+				`UNWIND $person_ids AS pid MATCH (p:Person{id:pid})-[:knows*2..3]-(q:Person) RETURN pid,COUNT(DISTINCT q)`,
+				map[string]any{"person_ids": s.p.PersonIDs},
+				func() error { return err2(s.j.Case5(s.p.PersonIDs, kmax)) }, nil},
+		}...)
 	}
-	for _, c := range cases {
+	rb, fb := setup("Rabobank"), setup("LDBC-FinBench-SF10")
+	risk := rb.g.LabelVertices("RISKA")
+	// The paper skips Peregrine on FinBench (no directed edges or multiple
+	// edge labels in its implementation).
+	return append(cases, []fig6Case{
+		{"C6/Rabobank", func() (engine.Timings, error) { return stages(rb.eng.Case6(6)) }, rb.eng,
+			`MATCH (a:Account:RISKA)-[:transfer*1..6]->(b:Account:RISKA) WITH DISTINCT a,b RETURN COUNT(*)`, nil,
+			func() error { return err2(rb.j.Case6(6)) },
+			func() error { return err3(rb.gpm.CountPairs(risk, risk, transferDet(6))) }},
+		{"C7/Rabobank", func() (engine.Timings, error) { return stages(rb.eng.Case7(rb.p.AccountID, kmax)) }, rb.eng,
+			`MATCH (a:Account{id:$rid})-[:transfer*1..3]->(b:Account) RETURN DISTINCT b`,
+			map[string]any{"rid": rb.p.AccountID},
+			func() error { return err2(rb.j.Case7(rb.p.AccountID, kmax)) },
+			func() error {
+				src, _ := rb.g.FindByInt64("id", rb.p.AccountID)
+				return err3(rb.gpm.CountReachFrom(src, rb.g.LabelVertices("Account"), transferDet(kmax)))
+			}},
+		{"C8/LDBC-FinBench-SF10", func() (engine.Timings, error) { return stages(fb.eng.Case8(fb.p.AccountID, kmax)) }, fb.eng,
+			`MATCH p=(start:Account{id:$id})-[:transfer*1..3]->(neighbor:Account), (neighbor)<-[:signIn]-(medium:Medium) WHERE medium.isBlocked = true RETURN neighbor, length(p)`,
+			map[string]any{"id": fb.p.AccountID},
+			func() error { return err2(fb.j.Case8(fb.p.AccountID, kmax)) }, nil},
+		{"C9/LDBC-FinBench-SF10", func() (engine.Timings, error) { return stages(fb.eng.Case9(fb.p.PersonID, kmax)) }, fb.eng,
+			`MATCH (person:Person{id:$id})-[:own]->(account:Account)<-[:transfer*1..3]-(other:Account)<-[:deposit]-(loan:Loan) RETURN other.id, SUM(DISTINCT loan.balance), COUNT(DISTINCT loan)`,
+			map[string]any{"id": fb.p.PersonID},
+			func() error { return err2(fb.j.Case9(fb.p.PersonID, kmax)) }, nil},
+		{"C10/LDBC-FinBench-SF10", func() (engine.Timings, error) { return stages(fb.eng.Case10(fb.p.PairA, fb.p.PairB)) }, fb.eng,
+			`MATCH (a:Account{id:$id1}), (b:Account{id:$id2}), p=shortestPath((a)-[:transfer*1..]->(b)) RETURN length(p)`,
+			map[string]any{"id1": fb.p.PairA, "id2": fb.p.PairB},
+			func() error { return err2(fb.j.Case10(fb.p.PairA, fb.p.PairB)) }, nil},
+		{"C11/LDBC-FinBench-SF10", func() (engine.Timings, error) { return stages(fb.eng.Case11(fb.p.AccountID)) }, fb.eng,
+			`MATCH (a:Account{id:$id})<-[:withdraw]-(mid:Account)<-[:transfer]-(other:Account) RETURN mid.id, other.id`,
+			map[string]any{"id": fb.p.AccountID},
+			func() error { return err2(fb.j.Case11(fb.p.AccountID)) }, nil},
+		{"C12/LDBC-FinBench-SF10", func() (engine.Timings, error) { return stages(fb.eng.Case12(fb.p.LoanID, kmax)) }, fb.eng,
+			`MATCH (loan:Loan{id:$id})-[:deposit]->(src:Account)-[p:transfer|withdraw*1..3]->(other:Account) RETURN DISTINCT other.id, length(p)`,
+			map[string]any{"id": fb.p.LoanID},
+			func() error { return err2(fb.j.Case12(fb.p.LoanID, kmax)) }, nil},
+	}...)
+}
+
+// BenchmarkFig6Cases times the canned engine.CaseN methods and reports
+// Figure 8's per-stage shares of their Timings.Total.
+func BenchmarkFig6Cases(b *testing.B) {
+	for _, c := range fig6Cases(b) {
 		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := c.run(); err != nil {
-					b.Fatal(err)
-				}
+			var tm engine.Timings
+			run(b, func() error {
+				t, err := c.canned()
+				tm.Add(t)
+				return err
+			})
+			if tm.Total <= 0 {
+				return
+			}
+			for _, s := range []struct {
+				unit string
+				d    time.Duration
+			}{
+				{"%scan", tm.Scan}, {"%expand", tm.Expand}, {"%updatevisit", tm.UpdateVisit},
+				{"%intersect", tm.Intersect}, {"%aggregate", tm.Aggregate}, {"%other", tm.Other()},
+			} {
+				b.ReportMetric(100*float64(s.d)/float64(tm.Total), s.unit)
 			}
 		})
 	}
 }
 
-// BenchmarkFig6CasesCypher runs the twelve cases of BenchmarkFig6Cases, on
-// the same datasets and parameters, as the paper's Cypher text: parse, bind,
-// plan and execute, the path DB.Query takes. BenchmarkFig6Cases times the
-// canned engine.CaseN methods instead; EXPERIMENTS.md compares the two.
+// BenchmarkFig6CasesCypher runs the same cells as the paper's Cypher text:
+// parse, bind, plan and execute, the path DB.Query takes. EXPERIMENTS.md
+// compares it with BenchmarkFig6Cases.
 func BenchmarkFig6CasesCypher(b *testing.B) {
-	social := dataset(b, "LDBC-SN-SF100")
-	bank := dataset(b, "Rabobank")
-	fin := dataset(b, "LDBC-FinBench-SF10")
-	engSN := engine.New(social.Graph, engine.Options{})
-	engRB := engine.New(bank.Graph, engine.Options{})
-	engFB := engine.New(fin.Graph, engine.Options{})
-	idsSN, _, _, _, _, _ := fig6Params(b, social)
-	_, acctRB, _, _, _, _ := fig6Params(b, bank)
-	_, acctFB, personFB, loanFB, pa, pb := fig6Params(b, fin)
-
-	cases := []struct {
-		name   string
-		eng    *engine.Engine
-		query  string
-		params map[string]any
-	}{
-		{"C1", engSN, `MATCH (p:SIGA)-[:knows*..3]-(q:SIGA) RETURN COUNT(DISTINCT p,q)`, nil},
-		{"C2", engSN, `MATCH (p:SIGA)-[:knows*..3]-(q:Person) WHERE NOT q:SIGA RETURN COUNT(DISTINCT p) as c,q ORDER BY c DESC LIMIT 100`, nil},
-		{"C3", engSN, `MATCH (p:SIGA)-[:knows*..3]-(q:SIGA) RETURN COUNT(DISTINCT p) as c,q ORDER BY c ASC LIMIT 100`, nil},
-		{"C4", engSN, `MATCH (a:Person:SIGA)-[:knows*1..2]-(b:Person:SIGB) MATCH (b)-[:knows*1..2]-(c:Person:SIGC) MATCH (a)-[:knows*1..2]-(c) RETURN COUNT(DISTINCT a,b,c)`, nil},
-		// Case5 treats knows as undirected, so this is the undirected form
-		// of the paper's query.
-		{"C5", engSN, `UNWIND $person_ids AS pid MATCH (p:Person{id:pid})-[:knows*2..3]-(q:Person) RETURN pid,COUNT(DISTINCT q)`,
-			map[string]any{"person_ids": idsSN}},
-		{"C6", engRB, `MATCH (a:Account:RISKA)-[:transfer*1..6]->(b:Account:RISKA) WITH DISTINCT a,b RETURN COUNT(*)`, nil},
-		{"C7", engRB, `MATCH (a:Account{id:$rid})-[:transfer*1..3]->(b:Account) RETURN DISTINCT b`,
-			map[string]any{"rid": acctRB}},
-		{"C8", engFB, `MATCH p=(start:Account{id:$id})-[:transfer*1..3]->(neighbor:Account), (neighbor)<-[:signIn]-(medium:Medium) WHERE medium.isBlocked = true RETURN neighbor, length(p)`,
-			map[string]any{"id": acctFB}},
-		{"C9", engFB, `MATCH (person:Person{id:$id})-[:own]->(account:Account)<-[:transfer*1..3]-(other:Account)<-[:deposit]-(loan:Loan) RETURN other.id, SUM(DISTINCT loan.balance), COUNT(DISTINCT loan)`,
-			map[string]any{"id": personFB}},
-		{"C10", engFB, `MATCH (a:Account{id:$id1}), (b:Account{id:$id2}), p=shortestPath((a)-[:transfer*1..]->(b)) RETURN length(p)`,
-			map[string]any{"id1": pa, "id2": pb}},
-		{"C11", engFB, `MATCH (a:Account{id:$id})<-[:withdraw]-(mid:Account)<-[:transfer]-(other:Account) RETURN mid.id, other.id`,
-			map[string]any{"id": acctFB}},
-		{"C12", engFB, `MATCH (loan:Loan{id:$id})-[:deposit]->(src:Account)-[p:transfer|withdraw*1..3]->(other:Account) RETURN DISTINCT other.id, length(p)`,
-			map[string]any{"id": loanFB}},
-	}
-	for _, c := range cases {
+	for _, c := range fig6Cases(b) {
 		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
+			run(b, func() error {
 				q, err := cypher.Parse(c.query)
 				if err != nil {
-					b.Fatal(err)
+					return err
 				}
-				if _, err := cypher.Run(c.eng, q, c.params); err != nil {
-					b.Fatal(err)
-				}
-			}
+				return err2(cypher.Run(c.eng, q, c.params))
+			})
 		})
+	}
+}
+
+// BenchmarkFig6Join runs the cells on the join baseline (Kuzu/TigerGraph).
+func BenchmarkFig6Join(b *testing.B) {
+	for _, c := range fig6Cases(b) {
+		b.Run(c.name, func(b *testing.B) { run(b, c.join) })
+	}
+}
+
+// BenchmarkFig6GPM runs the cells the paper runs on Peregrine on the GPM
+// baseline.
+func BenchmarkFig6GPM(b *testing.B) {
+	for _, c := range fig6Cases(b) {
+		if c.gpm != nil {
+			b.Run(c.name, func(b *testing.B) { run(b, c.gpm) })
+		}
 	}
 }
 
 // --- Figure 7: execution time vs k_max (linearity) ---
 
-func BenchmarkFig7Case1Sweep(b *testing.B) {
-	ds := dataset(b, "LDBC-SN-SF1000")
-	eng := engine.New(ds.Graph, engine.Options{})
-	for kmax := 1; kmax <= 6; kmax++ {
-		b.Run(fmt.Sprintf("kmax=%d", kmax), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.Case1(kmax); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// BenchmarkFig7 sweeps k_max over Cases 1-7 with the Hilbert kernel
+// pinned. The figure's claim is about the bit-matrix VExpand; Auto picks
+// BFS for some cells and hides the trend (EXPERIMENTS.md, Figure 7).
+func BenchmarkFig7(b *testing.B) {
+	sn, rb := dataset(b, "LDBC-SN-SF1000"), dataset(b, "Rabobank")
+	opts := engine.Options{Kernel: vexpand.Hilbert}
+	esn, erb := engine.New(sn.Graph, opts), engine.New(rb.Graph, opts)
+	psn, prb := baseline.ParamsFor(sn), baseline.ParamsFor(rb)
+	cases := []struct {
+		name string
+		run  func(kmax int) error
+	}{
+		{"C1/" + sn.Name, func(k int) error { return err3(esn.Case1(k)) }},
+		{"C2/" + sn.Name, func(k int) error { return err3(esn.Case2(k, 100)) }},
+		{"C3/" + sn.Name, func(k int) error { return err3(esn.Case3(k, 100)) }},
+		{"C4/" + sn.Name, func(k int) error { return err3(esn.Case4(k)) }},
+		// Case 5's paths start at two hops, so k_max=1 runs as 2.
+		{"C5/" + sn.Name, func(k int) error { return err3(esn.Case5(psn.PersonIDs, max(k, 2))) }},
+		{"C6/" + rb.Name, func(k int) error { return err3(erb.Case6(k)) }},
+		{"C7/" + rb.Name, func(k int) error { return err3(erb.Case7(prb.AccountID, k)) }},
 	}
-}
-
-// --- Figure 8: the stage whose share the figure breaks down ---
-
-func BenchmarkFig8ExpandStage(b *testing.B) {
-	ds := dataset(b, "LDBC-SN-SF100")
-	g := ds.Graph
-	sources := g.LabelVertices("SIGA")
-	for i := 0; i < b.N; i++ {
-		if _, err := vexpand.Expand(g, sources, socialDet(1, 3), vexpand.Options{Kernel: vexpand.Hilbert}); err != nil {
-			b.Fatal(err)
+	for _, c := range cases {
+		for kmax := 1; kmax <= 6; kmax++ {
+			b.Run(fmt.Sprintf("%s/kmax=%d", c.name, kmax), func(b *testing.B) {
+				run(b, func() error { return c.run(kmax) })
+			})
 		}
 	}
 }
 
 // --- Table 2: intermediate results of expand vs join walk counting ---
 
-func BenchmarkTable2Expand(b *testing.B) {
-	ds := dataset(b, "LDBC-SN-SF1000")
-	g := ds.Graph
-	sources := scaledSources(g)
-	for _, kmax := range []int{1, 2, 3} {
-		b.Run(fmt.Sprintf("kmax=%d", kmax), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := vexpand.Expand(g, sources, socialDet(1, kmax), vexpand.Options{Kernel: vexpand.Hilbert}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkTable2JoinWalkCount(b *testing.B) {
-	ds := dataset(b, "LDBC-SN-SF1000")
-	g := ds.Graph
+// BenchmarkTable2 times one VExpand and the join method's walk count from
+// the Table 2 source set. The expand run reports its distinct pairs and
+// matrix bytes; the join run after it reports the walks, their flat-tuple
+// bytes, and both ratios against that expand run.
+func BenchmarkTable2(b *testing.B) {
+	g := dataset(b, "LDBC-SN-SF1000").Graph
 	j := baseline.NewJoinEngine(g)
 	sources := scaledSources(g)
-	for _, kmax := range []int{1, 2, 3} {
-		b.Run(fmt.Sprintf("kmax=%d", kmax), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := j.WalkCountDP(sources, socialDet(1, kmax)); err != nil {
-					b.Fatal(err)
+	for kmax := 1; kmax <= 3; kmax++ {
+		d := socialDet(1, kmax)
+		var st vexpand.Stats
+		b.Run(fmt.Sprintf("kmax=%d/expand", kmax), func(b *testing.B) {
+			run(b, func() error {
+				r, err := vexpand.Expand(g, sources, d, vexpand.Options{Kernel: vexpand.Hilbert})
+				if err == nil {
+					st = r.Stats
 				}
+				return err
+			})
+			b.ReportMetric(float64(st.IntermediateResults), "pairs")
+			b.ReportMetric(float64(st.MatrixBytes), "matrix-bytes")
+		})
+		b.Run(fmt.Sprintf("kmax=%d/join", kmax), func(b *testing.B) {
+			var walks float64
+			run(b, func() (err error) { walks, err = j.WalkCountDP(sources, d); return err })
+			flat := 16 * walks // two uncompressed 64-bit ids per tuple (§4.1)
+			b.ReportMetric(walks, "walks")
+			b.ReportMetric(flat, "flat-bytes")
+			if st.IntermediateResults > 0 {
+				b.ReportMetric(walks/float64(st.IntermediateResults), "walks/pair")
+				b.ReportMetric(flat/float64(st.MatrixBytes), "flat/matrix")
 			}
 		})
 	}
@@ -333,8 +398,7 @@ func BenchmarkTable2JoinWalkCount(b *testing.B) {
 // --- Figure 9: the VExpand kernel ladder ---
 
 func BenchmarkFig9Kernels(b *testing.B) {
-	ds := dataset(b, "LDBC-SN-SF1000")
-	g := ds.Graph
+	g := dataset(b, "LDBC-SN-SF1000").Graph
 	sources := scaledSources(g)
 	// k_max = 3 reaches the dense-frontier regime the ladder targets
 	// (§4.2's "high occupancy" observation).
@@ -343,12 +407,49 @@ func BenchmarkFig9Kernels(b *testing.B) {
 		vexpand.Strawman, vexpand.ColumnMajor, vexpand.SIMD, vexpand.Hilbert,
 	} {
 		b.Run(k.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := vexpand.Expand(g, sources, det, vexpand.Options{Kernel: k}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			run(b, func() error { return err2(vexpand.Expand(g, sources, det, vexpand.Options{Kernel: k})) })
 		})
+	}
+}
+
+// --- The engine-level matrix cache: a repeated query, cold vs warm ---
+
+// BenchmarkCache runs a query shape on a fresh cache every op (cold) and
+// on a primed one (warm), reporting the matches and matrix-cache hits per
+// op.
+func BenchmarkCache(b *testing.B) {
+	g := dataset(b, "LastFM").Graph
+	cached := func() *engine.Engine {
+		return engine.New(g, engine.Options{CacheBytes: engine.DefaultCacheBytes})
+	}
+	shapes := []struct {
+		name  string
+		query func(*engine.Engine) (int64, engine.Timings, error)
+	}{
+		{"triangle_k2", func(e *engine.Engine) (int64, engine.Timings, error) { return e.Case4(2) }},
+		{"pair_k3", func(e *engine.Engine) (int64, engine.Timings, error) { return e.Case1(3) }},
+	}
+	for _, s := range shapes {
+		warm := cached()
+		if _, _, err := s.query(warm); err != nil {
+			b.Fatal(err)
+		}
+		for _, state := range []string{"cold", "warm"} {
+			b.Run(s.name+"/"+state, func(b *testing.B) {
+				var n int64
+				hits := telemetry.MatrixCacheHits.Value()
+				run(b, func() (err error) {
+					e := warm
+					if state == "cold" {
+						e = cached()
+					}
+					n, _, err = s.query(e)
+					return err
+				})
+				b.ReportMetric(float64(n), "matches")
+				b.ReportMetric(float64(telemetry.MatrixCacheHits.Value()-hits)/float64(b.N), "hits/op")
+			})
+		}
 	}
 }
 
@@ -371,18 +472,10 @@ func BenchmarkMIntersectCountVsMaterialize(b *testing.B) {
 		},
 	}
 	b.Run("count-only", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Match(pat, engine.MatchOptions{CountOnly: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
+		run(b, func() error { return err2(eng.Match(pat, engine.MatchOptions{CountOnly: true})) })
 	})
 	b.Run("materialize", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Match(pat, engine.MatchOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
+		run(b, func() error { return err2(eng.Match(pat, engine.MatchOptions{})) })
 	})
 }
 
@@ -404,26 +497,18 @@ func BenchmarkPlannerOrderAblation(b *testing.B) {
 		Edges: []pattern.Edge{{Src: "p", Dst: "q", D: socialDet(1, 2)}},
 	}
 	b.Run("planner", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Match(pat, engine.MatchOptions{CountOnly: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
+		run(b, func() error { return err2(eng.Match(pat, engine.MatchOptions{CountOnly: true})) })
 	})
 	// Worst order: the selective vertex first, so expansion starts from
 	// every Person instead of the single pinned vertex.
 	b.Run("forced-worst", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Match(pat, engine.MatchOptions{CountOnly: true, Order: []int{0, 1}}); err != nil {
-				b.Fatal(err)
-			}
-		}
+		run(b, func() error { return err2(eng.Match(pat, engine.MatchOptions{CountOnly: true, Order: []int{0, 1}})) })
 	})
 }
 
-// BenchmarkKernelCrossover maps the BFS-vs-matrix crossover that Auto's
-// source-count threshold encodes: the same expansion at growing |S|.
-func BenchmarkKernelCrossover(b *testing.B) {
+// BenchmarkKernelCrossoverAblation maps the BFS-vs-matrix crossover that
+// Auto's source-count threshold encodes: the same expansion at growing |S|.
+func BenchmarkKernelCrossoverAblation(b *testing.B) {
 	ds := dataset(b, "LDBC-SN-SF100")
 	g := ds.Graph
 	det := socialDet(1, 3)
@@ -434,11 +519,7 @@ func BenchmarkKernelCrossover(b *testing.B) {
 		}
 		for _, k := range []vexpand.Kernel{vexpand.BFS, vexpand.Hilbert} {
 			b.Run(fmt.Sprintf("S=%d/%s", nSources, k), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := vexpand.Expand(g, sources, det, vexpand.Options{Kernel: k}); err != nil {
-						b.Fatal(err)
-					}
-				}
+				run(b, func() error { return err2(vexpand.Expand(g, sources, det, vexpand.Options{Kernel: k})) })
 			})
 		}
 	}
@@ -472,11 +553,9 @@ func BenchmarkExpandLedgerShapes(b *testing.B) {
 		for _, k := range []vexpand.Kernel{vexpand.Auto, vexpand.BFS, vexpand.Hilbert} {
 			for _, workers := range []int{1, 0} {
 				b.Run(fmt.Sprintf("%s/%s/workers=%d", sh.name, k, workers), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if _, err := vexpand.Expand(g, sources, sh.det, vexpand.Options{Kernel: k, Workers: workers}); err != nil {
-							b.Fatal(err)
-						}
-					}
+					run(b, func() error {
+						return err2(vexpand.Expand(g, sources, sh.det, vexpand.Options{Kernel: k, Workers: workers}))
+					})
 				})
 			}
 		}
@@ -543,11 +622,7 @@ func BenchmarkPlanLedgerShapes(b *testing.B) {
 		pat := sh.pat(1000 + int64(g.NumVertices()/2))
 		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := planner.Build(g, pat); err != nil {
-					b.Fatal(err)
-				}
-			}
+			run(b, func() error { return err2(planner.Build(g, pat)) })
 		})
 	}
 }
@@ -592,27 +667,21 @@ func newRandomMatrix(rows, cols int) *bitmatrix.Matrix {
 	return m
 }
 
-// BenchmarkFixpointDetection ablates the opt-in frontier-fixpoint early
+// BenchmarkFixpointAblation ablates the opt-in frontier-fixpoint early
 // exit: on a dense graph with large k_max, the default engine multiplies
 // through every step (the paper's Figure 7 behaviour) while the fixpoint
 // variant stops as soon as the frontier saturates.
-func BenchmarkFixpointDetection(b *testing.B) {
+func BenchmarkFixpointAblation(b *testing.B) {
 	ds := dataset(b, "LDBC-SN-SF100")
 	g := ds.Graph
 	sources := scaledSources(g)
 	det := socialDet(1, 12)
 	b.Run("paper-faithful", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := vexpand.Expand(g, sources, det, vexpand.Options{Kernel: vexpand.Hilbert}); err != nil {
-				b.Fatal(err)
-			}
-		}
+		run(b, func() error { return err2(vexpand.Expand(g, sources, det, vexpand.Options{Kernel: vexpand.Hilbert})) })
 	})
 	b.Run("fixpoint", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := vexpand.Expand(g, sources, det, vexpand.Options{Kernel: vexpand.Hilbert, DetectFixpoint: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
+		run(b, func() error {
+			return err2(vexpand.Expand(g, sources, det, vexpand.Options{Kernel: vexpand.Hilbert, DetectFixpoint: true}))
+		})
 	})
 }

@@ -21,11 +21,6 @@ func socialGraph(t testing.TB) *graph.Graph {
 	return g
 }
 
-func knowsDet(kmin, kmax int) pattern.Determiner {
-	return pattern.Determiner{KMin: kmin, KMax: kmax, Dir: graph.Both, Type: pattern.Any,
-		EdgeLabels: []string{"knows"}}
-}
-
 func vertsOf(g *graph.Graph, label string) []graph.VertexID {
 	return g.LabelVertices(label)
 }

@@ -74,6 +74,24 @@ func reachWalk(g *graph.Graph, v graph.VertexID, labels []string, dir graph.Dire
 	return out
 }
 
+// TestCase4CountGrowsWithKmax pins Figure 2b's count column: under ANY
+// semantics a larger k_max only adds paths, so the triangle count never
+// shrinks.
+func TestCase4CountGrowsWithKmax(t *testing.T) {
+	e := New(socialGraph(t), Options{})
+	prev := int64(0)
+	for kmax := 1; kmax <= 3; kmax++ {
+		count, _, err := e.Case4(kmax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if count < prev {
+			t.Errorf("Case4(kmax=%d) = %d, below k_max-1's %d", kmax, count, prev)
+		}
+		prev = count
+	}
+}
+
 func TestMatchCommunityTriangle(t *testing.T) {
 	g := figure3(t)
 	e := New(g, Options{})

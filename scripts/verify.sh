@@ -3,7 +3,7 @@
 # test battery; every PR must pass this script.
 #
 # Usage:
-#   scripts/verify.sh            # full gate (build, vet, gofmt, vslint, tests, -race, fuzz, smoke)
+#   scripts/verify.sh            # full gate (build, vet, gofmt, vslint, tests, figure benchmarks, -race, fuzz, smoke)
 #   FUZZTIME=30s scripts/verify.sh   # longer fuzz smoke
 #   SKIP_FUZZ=1 scripts/verify.sh    # skip the fuzz smoke (e.g. constrained machines)
 #   SKIP_SMOKE=1 scripts/verify.sh   # skip the vsserve end-to-end smoke
@@ -58,6 +58,11 @@ step "benchmark module (go vet + go test -C benchmark)"
 # benchmark/ is a nested module, invisible to ./...: without this step a
 # refactor can break the perf ledger's compile surface and still pass.
 go vet -C benchmark ./... && go test -C benchmark ./...
+
+step "paper-figure benchmarks, one iteration each"
+# bench_test.go is the only harness behind EXPERIMENTS.md's tables; one
+# pass keeps every family compiling and running.
+go test -run '^$' -bench 'Fig|Table|Ablation|Cache' -benchtime 1x .
 
 step "go test -race ./..."
 go test -race ./...
