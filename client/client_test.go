@@ -166,6 +166,13 @@ func TestWireErrors(t *testing.T) {
 	if _, err := rows.Next(); !errors.As(err, &serr) || serr.Code != "query_error" {
 		t.Fatalf("streamed bind error = %v", err)
 	}
+	// VSWP carries rows only: EXPLAIN, EXPLAIN ANALYZE and PROFILE fail at
+	// Run instead of answering with an empty or profile-less result.
+	for _, prefix := range []string{"EXPLAIN ", "EXPLAIN ANALYZE ", "PROFILE "} {
+		if _, err := c.Run(prefix+pairQuery, nil); !errors.As(err, &serr) || serr.Code != "query_error" {
+			t.Fatalf("%s over the wire = %v, want a query_error", prefix, err)
+		}
+	}
 	// The connection is still usable.
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)

@@ -11,10 +11,9 @@
 //
 // Prefixing the query with PROFILE prints the per-operator span tree
 // (planner, each expand with kernel and memo state, the intersection join)
-// after the result. -explain (or an EXPLAIN prefix) prints the plan
-// without executing; -analyze (or an EXPLAIN ANALYZE prefix) executes with
-// tracing forced on and prints the planner-estimate-vs-actual operator
-// table.
+// after the result. An EXPLAIN prefix prints the plan without executing;
+// EXPLAIN ANALYZE executes with tracing forced on and prints the
+// planner-estimate-vs-actual operator table.
 //
 // Parameters given as -param name=value are typed by shape: integers become
 // int64, true/false become bool, comma-separated integers become an int64
@@ -24,6 +23,8 @@
 // over the framed binary streaming protocol instead of a local graph (-data
 // is not needed); rows print incrementally as the server streams them.
 // -json switches the output to one JSON array per row, for scripting.
+// The wire protocol streams rows only, so EXPLAIN and PROFILE fail there.
+// A flag the chosen mode would ignore exits 2 (see checkFlags).
 package main
 
 import (
@@ -90,8 +91,6 @@ func main() {
 		file        = flag.String("file", "", "file containing the query")
 		workers     = flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
 		timing      = flag.Bool("timing", false, "print the per-stage breakdown")
-		explain     = flag.Bool("explain", false, "print the query plan instead of executing")
-		analyze     = flag.Bool("analyze", false, "execute with tracing and print estimate-vs-actual per operator")
 		timeout     = flag.Duration("timeout", 0, "cancel the query after this deadline (0 = none)")
 		dialTimeout = flag.Duration("dial-timeout", 5*time.Second, "with -wire: give up connecting after this long (0 = wait forever)")
 		interactive = flag.Bool("i", false, "interactive shell (ignores -query/-file)")
@@ -102,6 +101,13 @@ func main() {
 	flag.Var(params, "param", "query parameter name=value (repeatable)")
 	flag.Parse()
 
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(set); err != nil {
+		log.Print(err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if (*data == "" && *wireAddr == "") || (!*interactive && (*query == "") == (*file == "")) {
 		flag.Usage()
 		os.Exit(2)
@@ -136,22 +142,6 @@ func main() {
 		if err := sh.Run(); err != nil {
 			log.Fatal(err)
 		}
-		return
-	}
-	if *explain {
-		plan, err := db.Explain(src, params)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(plan)
-		return
-	}
-	if *analyze {
-		a, err := db.ExplainAnalyzeContext(ctx, src, params)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(a.Render())
 		return
 	}
 	// Registry administration (SHOW QUERIES / KILL <id>) — the same
@@ -221,6 +211,22 @@ func main() {
 		fmt.Printf("-- scan %s, expand %s, update-visit %s, intersect %s, aggregate %s\n",
 			tm.Scan, tm.Expand, tm.UpdateVisit, tm.Intersect, tm.Aggregate)
 	}
+}
+
+// checkFlags rejects a flag the chosen mode would silently ignore: -json
+// and -dial-timeout need -wire, and the local-graph flags are refused with
+// it. set holds the names of the flags given on the command line.
+func checkFlags(set map[string]bool) error {
+	ignored, mode := []string{"json", "dial-timeout"}, "without -wire"
+	if set["wire"] {
+		ignored, mode = []string{"data", "i", "timeout", "workers", "timing", "trace-out"}, "with -wire"
+	}
+	for _, name := range ignored {
+		if set[name] {
+			return fmt.Errorf("-%s has no effect %s", name, mode)
+		}
+	}
+	return nil
 }
 
 // runWire executes the query over the binary streaming protocol, printing

@@ -2,6 +2,7 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -45,5 +46,37 @@ func TestParamFlags(t *testing.T) {
 	}
 	if p.String() == "" {
 		t.Fatal("empty String()")
+	}
+}
+
+func TestCheckFlags(t *testing.T) {
+	cases := []struct {
+		set  []string
+		want string // substring of the error; "" = accepted
+	}{
+		{[]string{"data", "query", "workers", "timing", "timeout", "trace-out", "param"}, ""},
+		{[]string{"data", "i"}, ""},
+		{[]string{"wire", "query", "json", "dial-timeout", "param"}, ""},
+		{[]string{"data", "query", "json"}, "-json"},
+		{[]string{"data", "query", "dial-timeout"}, "-dial-timeout"},
+		{[]string{"wire", "query", "timeout"}, "-timeout"},
+		{[]string{"wire", "query", "workers"}, "-workers"},
+		{[]string{"wire", "query", "timing"}, "-timing"},
+		{[]string{"wire", "query", "trace-out"}, "-trace-out"},
+		{[]string{"wire", "i"}, "-i "},
+		{[]string{"wire", "data", "query"}, "-data"},
+	}
+	for _, c := range cases {
+		set := map[string]bool{}
+		for _, name := range c.set {
+			set[name] = true
+		}
+		err := checkFlags(set)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("flags %v rejected: %v", c.set, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("flags %v: error %v, want one naming %s", c.set, err, c.want)
+		}
 	}
 }

@@ -303,28 +303,6 @@ func (m *Matrix) ColumnPopCount(c int) int {
 	return n
 }
 
-// RowPopCounts returns, for every row, the number of set bits in that row.
-// It runs in time proportional to the number of set bits plus the number of
-// column words, never materializing a transpose.
-func (m *Matrix) RowPopCounts() []int {
-	counts := make([]int, m.rows)
-	for s := 0; s < m.stacks; s++ {
-		rowBase := s * StackRows
-		for c := 0; c < m.cols; c++ {
-			base := m.columnBase(s, c)
-			for w := 0; w < WordsPerColumn; w++ {
-				word := m.words[base+w]
-				for word != 0 {
-					tz := bits.TrailingZeros64(word)
-					counts[rowBase+w*64+tz]++
-					word &= word - 1
-				}
-			}
-		}
-	}
-	return counts
-}
-
 // ForEachInColumn calls fn for every set row of column c, in increasing row
 // order, using trailing-zero scanning (the paper's ctz loop).
 func (m *Matrix) ForEachInColumn(c int, fn func(row int)) {
@@ -373,13 +351,6 @@ func (m *Matrix) RowBits(r int) []int {
 			out = append(out, c)
 		}
 	}
-	return out
-}
-
-// ColumnBits returns the set rows of column c as a slice, in ascending order.
-func (m *Matrix) ColumnBits(c int) []int {
-	var out []int
-	m.ForEachInColumn(c, func(row int) { out = append(out, row) })
 	return out
 }
 

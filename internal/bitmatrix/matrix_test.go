@@ -80,6 +80,13 @@ func TestBoundsPanic(t *testing.T) {
 	}
 }
 
+// columnBits returns the set rows of column c in ascending order.
+func columnBits(m *Matrix, c int) []int {
+	var out []int
+	m.ForEachInColumn(c, func(row int) { out = append(out, row) })
+	return out
+}
+
 func TestOrColumnFrom(t *testing.T) {
 	src := New(1024, 4)
 	dst := New(1024, 4)
@@ -97,11 +104,11 @@ func TestOrColumnFrom(t *testing.T) {
 	dst.OrColumnFrom(src, 1, 0, 3)
 
 	wantCol1 := []int{1, 3, 63, 64, 500}
-	if got := dst.ColumnBits(1); !reflect.DeepEqual(got, wantCol1) {
+	if got := columnBits(dst, 1); !reflect.DeepEqual(got, wantCol1) {
 		t.Errorf("column 1 = %v, want %v", got, wantCol1)
 	}
 	wantCol3 := []int{512, 1000}
-	if got := dst.ColumnBits(3); !reflect.DeepEqual(got, wantCol3) {
+	if got := columnBits(dst, 3); !reflect.DeepEqual(got, wantCol3) {
 		t.Errorf("column 3 = %v, want %v", got, wantCol3)
 	}
 	// Stack 1 of column 1 must be untouched: only stack 0 was ORed.
@@ -221,8 +228,10 @@ func TestColumnPopCountAndRowPopCounts(t *testing.T) {
 			t.Errorf("ColumnPopCount(%d) = %d, want %d", c, got, wantCols[c])
 		}
 	}
-	if got := m.RowPopCounts(); !reflect.DeepEqual(got, wantRows) {
-		t.Errorf("RowPopCounts mismatch")
+	for r := 0; r < rows; r++ {
+		if got := len(m.RowBits(r)); got != wantRows[r] {
+			t.Errorf("row %d has %d set bits, want %d", r, got, wantRows[r])
+		}
 	}
 }
 
@@ -269,6 +278,9 @@ func TestRowBitsAndColumnBits(t *testing.T) {
 	}
 	if got := m.RowBits(0); got != nil {
 		t.Errorf("RowBits of empty row = %v, want nil", got)
+	}
+	if got, want := columnBits(m, 3), []int{599}; !reflect.DeepEqual(got, want) {
+		t.Errorf("column 3 = %v, want %v", got, want)
 	}
 }
 

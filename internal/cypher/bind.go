@@ -54,7 +54,7 @@ func RunContext(ctx context.Context, eng *engine.Engine, q *Query, params map[st
 	var res *Result
 	err := registered(ctx, q, func(ctx context.Context, rows *int64) error {
 		if q.Explain && q.Analyze {
-			a, err := AnalyzeQuery(ctx, eng, q, params)
+			a, err := analyzeQuery(ctx, eng, q, params)
 			if err != nil {
 				return err
 			}
@@ -469,11 +469,12 @@ func ExplainQuery(eng *engine.Engine, q *Query, params map[string]any) (string, 
 	return eng.Explain(b.pat)
 }
 
-// AnalyzeQuery executes the query's pattern with tracing forced on and
+// analyzeQuery executes the query's pattern with tracing forced on and
 // returns the planner-estimate-vs-actual operator table. UNWIND and
 // shortestPath queries are rejected: the former runs the pattern many
-// times (no single plan to analyze), the latter has no join plan.
-func AnalyzeQuery(ctx context.Context, eng *engine.Engine, q *Query, params map[string]any) (*engine.Analysis, error) {
+// times (no single plan to analyze), the latter has no join plan. Only
+// RunContext calls it, inside registered, so every analysis is counted.
+func analyzeQuery(ctx context.Context, eng *engine.Engine, q *Query, params map[string]any) (*engine.Analysis, error) {
 	if q.Unwind != nil {
 		return nil, fmt.Errorf("cypher: EXPLAIN ANALYZE does not support UNWIND")
 	}

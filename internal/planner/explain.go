@@ -9,7 +9,7 @@ import (
 
 // Explain renders the plan in a human-readable form: the candidate scan,
 // the chosen join order with sizes, and each edge's expansion orientation
-// with its estimated pair count. It is what `vsquery -explain` prints.
+// with its estimated pair count. It is what an EXPLAIN query returns.
 func (p *Plan) Explain(pat *pattern.Pattern) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Scan (candidates per pattern vertex):\n")

@@ -51,9 +51,6 @@ type Plan struct {
 	Edges []PlannedEdge
 }
 
-// FirstEdge returns the planned edge joining positions 0 and 1.
-func (p *Plan) FirstEdge() *PlannedEdge { return &p.Edges[0] }
-
 // ExpandKey identifies the edge's expansion computation within one plan:
 // two planned edges with equal keys expand the same candidate set under
 // the same determiner and share one reachability matrix — the pattern-

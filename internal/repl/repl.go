@@ -4,7 +4,6 @@
 // commands cover the non-query surface:
 //
 //	\stats            graph statistics
-//	\explain <query>  print the plan instead of executing
 //	\timing on|off    toggle the per-stage breakdown
 //	\help             list commands
 //	\quit             exit
@@ -101,7 +100,6 @@ func (r *REPL) command(line string) bool {
                      execute and print estimate-vs-actual per operator
   SHOW QUERIES;      list running queries (live progress) and history
   KILL <id>;         cancel the running query with that id
-  \explain <query>   show the plan
   \stats             graph statistics
   \timing on|off     per-stage breakdown after each query
   \quit              exit`)
@@ -125,18 +123,6 @@ func (r *REPL) command(line string) bool {
 		default:
 			fmt.Fprintln(r.out, `usage: \timing on|off`)
 		}
-	case `\explain`:
-		q, err := cypher.Parse(rest)
-		if err != nil {
-			fmt.Fprintf(r.out, "error: %v\n", err)
-			return false
-		}
-		plan, err := cypher.ExplainQuery(r.eng, q, r.Params)
-		if err != nil {
-			fmt.Fprintf(r.out, "error: %v\n", err)
-			return false
-		}
-		fmt.Fprint(r.out, plan)
 	default:
 		fmt.Fprintf(r.out, "unknown command %s (try \\help)\n", cmd)
 	}

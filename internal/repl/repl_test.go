@@ -72,14 +72,20 @@ func TestCommands(t *testing.T) {
 	}
 }
 
+// TestExplainCommand pins that the EXPLAIN prefix is the shell's way to a
+// plan: the former \explain command is an unknown command.
 func TestExplainCommand(t *testing.T) {
-	out := session(t, "\\explain MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN COUNT(DISTINCT p,q)\n")
+	out := session(t, "EXPLAIN MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN COUNT(DISTINCT p,q);\n")
 	if !strings.Contains(out, "Join order") {
 		t.Fatalf("missing plan:\n%s", out)
 	}
-	out = session(t, "\\explain MATCH nope\n")
+	out = session(t, "EXPLAIN MATCH nope;\n")
 	if !strings.Contains(out, "error:") {
 		t.Fatalf("missing parse error:\n%s", out)
+	}
+	out = session(t, "\\explain MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN COUNT(DISTINCT p,q)\n")
+	if !strings.Contains(out, "unknown command \\explain") {
+		t.Fatalf("\\explain still accepted:\n%s", out)
 	}
 }
 

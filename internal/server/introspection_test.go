@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
-	"repro/internal/engine"
+	"repro/internal/session"
 	"repro/internal/telemetry"
 )
 
@@ -163,7 +163,7 @@ func TestPanicRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(engine.New(g, engine.Options{}))
+	s := newServer(g, session.Options{}, Options{})
 	s.mux.HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) {
 		panic("kaboom")
 	})

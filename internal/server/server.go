@@ -5,15 +5,18 @@
 //
 // Endpoints:
 //
-//	POST /query    {"query": "...", "params": {...}, "profile": bool, "trace": "chrome"}  → {"columns": [...], "rows": [...], "timings": {...}, "profile": {...}, "chrome_trace": {...}}
+//	POST /query    {"query": "...", "params": {...}, "trace": "chrome"}  → {"columns": [...], "rows": [...], "timings": {...}, "chrome_trace": {...}}
 //	POST /query    {"query": "...", "stream": true}   → NDJSON: a {"columns": [...]} line, one JSON array per row, a final {"summary": ...} or {"error": ...} line
-//	POST /explain  {"query": "...", "params": {...}}  → {"plan": "..."}
-//	POST /explain  {"query": "...", "analyze": true}  → {"plan": "...", "analysis": {"operators": [...], ...}}
 //	GET  /stats                                       → graph statistics
 //	GET  /metrics                                     → Prometheus text exposition (engine + Go runtime)
 //	GET  /healthz                                     → 200 ok
 //	GET  /debug/queries                               → in-flight queries (live progress) + completed history
 //	DELETE /debug/queries/{id}                        → kill the in-flight query with that id
+//
+// The query text is the only switch for plans and profiles: an EXPLAIN
+// prefix answers {"plan": ...} without executing, EXPLAIN ANALYZE
+// {"analysis": {"operators": [...]}}, PROFILE adds {"profile": {...}} to
+// the rows. {"stream": true} carries rows only and refuses all three.
 //
 // /metrics is the only numeric surface: rates, quantiles and alerting are
 // the scraper's job over the counters and histograms it exposes.
@@ -63,14 +66,6 @@ type Options struct {
 	SlowQuery time.Duration
 	// MaxRequestBytes bounds request bodies; 0 = DefaultMaxRequestBytes.
 	MaxRequestBytes int64
-	// QueryTimeout, when > 0, bounds every query's execution. The engine
-	// observes the deadline cooperatively (expand steps, intersect
-	// enumeration, spill I/O all checkpoint), so an exceeded deadline
-	// returns 504 with the in-flight gauge restored. Client disconnects
-	// cancel the same way regardless of this setting. Only used when the
-	// server constructs its own session.Service — with NewWithService the
-	// service's own QueryTimeout governs.
-	QueryTimeout time.Duration
 }
 
 // Server is an http.Handler serving VLGPM queries over one graph.
@@ -81,19 +76,9 @@ type Server struct {
 	reqID atomic.Uint64
 }
 
-// New returns a server over eng with default options.
-func New(eng *engine.Engine) *Server { return NewWithOptions(eng, Options{}) }
-
-// NewWithOptions returns a server over eng with the given operational
-// options, constructing a private session.Service carrying
-// opts.QueryTimeout.
-func NewWithOptions(eng *engine.Engine, opts Options) *Server {
-	return NewWithService(session.NewService(eng, session.Options{QueryTimeout: opts.QueryTimeout}), opts)
-}
-
-// NewWithService returns a server executing through svc — the constructor
-// vsserve uses so the HTTP and wire transports share one service (and so
-// one QueryTimeout, cursor batch size, and accountant).
+// NewWithService returns a server executing through svc, so the HTTP and
+// wire transports share one service (and so one QueryTimeout, cursor batch
+// size, and accountant). An exceeded QueryTimeout answers 504.
 func NewWithService(svc *session.Service, opts Options) *Server {
 	if opts.MaxRequestBytes <= 0 {
 		opts.MaxRequestBytes = DefaultMaxRequestBytes
@@ -103,7 +88,6 @@ func NewWithService(svc *session.Service, opts Options) *Server {
 	telemetry.RegisterRuntimeMetrics()
 	s := &Server{svc: svc, mux: http.NewServeMux(), opts: opts}
 	s.mux.HandleFunc("POST /query", s.handleQuery)
-	s.mux.HandleFunc("POST /explain", s.handleExplain)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /debug/queries", s.handleDebugQueries)
@@ -206,28 +190,21 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// QueryRequest is the body of POST /query and POST /explain.
+// QueryRequest is the body of POST /query.
 type QueryRequest struct {
 	Query string `json:"query"`
 	// Params maps parameter names to values; JSON numbers arrive as
 	// float64 and are normalized to int64 when integral, and []any lists
 	// of integral numbers become []int64 for UNWIND.
 	Params map[string]any `json:"params"`
-	// Profile requests the per-operator span tree in the response
-	// (equivalent to prefixing the query text with PROFILE).
-	Profile bool `json:"profile"`
-	// Analyze, on POST /explain, executes the query with tracing forced
-	// on and returns the estimate-vs-actual operator table (equivalent to
-	// prefixing the query text with EXPLAIN ANALYZE).
-	Analyze bool `json:"analyze"`
 	// Trace selects an export format for the query's span tree. The only
 	// supported value is "chrome": trace the query and attach the Trace
 	// Event Format document (chrome://tracing / Perfetto) as chrome_trace.
 	Trace string `json:"trace"`
 	// Stream requests an NDJSON streaming response: rows arrive
 	// incrementally, one JSON array per line, with server-side result
-	// memory bounded at one cursor batch. Incompatible with Profile,
-	// Analyze, and Trace — those need the complete execution.
+	// memory bounded at one cursor batch. Incompatible with Trace, which
+	// needs the complete execution.
 	Stream bool `json:"stream"`
 }
 
@@ -382,18 +359,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if req.Stream {
-		if req.Profile || req.Analyze || req.Trace != "" || q.Profile {
-			writeJSON(w, http.StatusBadRequest, errorResponse{"stream mode does not support profile, analyze, or trace"})
+		if req.Trace != "" {
+			writeJSON(w, http.StatusBadRequest, errorResponse{"stream mode does not support trace"})
 			return
 		}
 		s.streamQuery(w, r, q, req)
 		return
 	}
 
-	// Trace when the client asked for a profile (JSON flag or PROFILE
-	// keyword), a chrome trace export, or when the slow-query log may need
-	// the span tree.
-	wantProfile := req.Profile || q.Profile
+	// Trace when the query text asked for a profile, the request for a
+	// chrome trace export, or when the slow-query log may need the span
+	// tree.
+	wantProfile := q.Profile
 	wantChrome := req.Trace == "chrome"
 	// r.Context() is canceled when the client disconnects, so an
 	// abandoned query stops consuming the engine; the session service adds
@@ -545,46 +522,6 @@ func (s *Server) handleKillQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, KillResponse{ID: id, Killed: true})
-}
-
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeRequest(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-		return
-	}
-	q, err := cypher.Parse(req.Query)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-		return
-	}
-	plan, err := s.svc.Explain(q, req.Params)
-	if err != nil {
-		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{err.Error()})
-		return
-	}
-	resp := ExplainResponse{Plan: plan}
-	// {"analyze": true} (or an EXPLAIN ANALYZE query text) additionally
-	// executes the query with tracing forced on and attaches the
-	// estimate-vs-actual operator table as structured JSON.
-	if req.Analyze || q.Analyze {
-		a, err := s.svc.Analyze(r.Context(), q, req.Params)
-		if err != nil {
-			writeJSON(w, queryErrorStatus(err), errorResponse{err.Error()})
-			return
-		}
-		resp.Analysis = a
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// ExplainResponse is the body of a successful POST /explain. Analysis is
-// present only when the request asked for analyze mode; its operators are
-// structs (op, detail, est_rows, actual_rows, err_ratio, time_ms, …), not
-// pre-rendered text.
-type ExplainResponse struct {
-	Plan     string           `json:"plan"`
-	Analysis *engine.Analysis `json:"analysis,omitempty"`
 }
 
 // handleMetrics serves the default telemetry registry in Prometheus text

@@ -24,9 +24,15 @@ func testServer(t testing.TB) (*httptest.Server, *graph.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(engine.New(g, engine.Options{})))
+	srv := httptest.NewServer(newServer(g, session.Options{}, Options{}))
 	t.Cleanup(srv.Close)
 	return srv, g
+}
+
+// newServer builds a server over g the way vsserve does: through a session
+// service that owns the query deadline.
+func newServer(g *graph.Graph, sopts session.Options, opts Options) *Server {
+	return NewWithService(session.NewService(engine.New(g, engine.Options{}), sopts), opts)
 }
 
 func post(t *testing.T, srv *httptest.Server, path string, body any) (*http.Response, []byte) {
@@ -209,25 +215,32 @@ func TestQueryStreamNDJSON(t *testing.T) {
 		t.Fatalf("streamed rows differ from the materialized response:\ngot  %v\nwant %v", got, want)
 	}
 
-	if bad := serve(QueryRequest{Query: query, Stream: true, Profile: true}); bad.Code != http.StatusBadRequest {
-		t.Fatalf("stream+profile status %d, want 400: %s", bad.Code, bad.Body)
+	// The cursor behind the stream carries rows only, so a plan, an
+	// analysis or a span tree is an error, never an empty 200.
+	for _, prefix := range []string{"PROFILE ", "EXPLAIN ", "EXPLAIN ANALYZE "} {
+		if bad := serve(QueryRequest{Query: prefix + query, Stream: true}); bad.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("stream+%sstatus %d, want 422: %s", prefix, bad.Code, bad.Body)
+		}
+	}
+	if bad := serve(QueryRequest{Query: query, Stream: true, Trace: "chrome"}); bad.Code != http.StatusBadRequest {
+		t.Fatalf("stream+trace status %d, want 400: %s", bad.Code, bad.Body)
 	}
 }
 
 func TestExplainEndpoint(t *testing.T) {
 	srv, _ := testServer(t)
-	resp, body := post(t, srv, "/explain", QueryRequest{
-		Query: `MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN COUNT(DISTINCT p,q)`,
+	resp, body := post(t, srv, "/query", QueryRequest{
+		Query: `EXPLAIN MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN COUNT(DISTINCT p,q)`,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var out map[string]string
-	if err := json.Unmarshal(body, &out); err != nil {
+	var qr QueryResponse
+	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out["plan"], "Join order") {
-		t.Fatalf("plan = %q", out["plan"])
+	if !strings.Contains(qr.Plan, "Join order") {
+		t.Fatalf("plan = %q", qr.Plan)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"repro/internal/datagen"
-	"repro/internal/engine"
+	"repro/internal/session"
 )
 
 const countQuery = `MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN COUNT(DISTINCT p,q)`
@@ -92,47 +92,42 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestQueryProfile pins the PROFILE surface of POST /query: both the JSON
-// flag and the PROFILE keyword return the operator span tree, and its
-// children's durations sum to no more than the root's.
+// TestQueryProfile pins the PROFILE surface of POST /query: the PROFILE
+// keyword returns the operator span tree, and its children's durations sum
+// to no more than the root's.
 func TestQueryProfile(t *testing.T) {
 	srv, _ := testServer(t)
-	for _, req := range []QueryRequest{
-		{Query: countQuery, Profile: true},
-		{Query: "PROFILE " + countQuery},
-	} {
-		resp, body := post(t, srv, "/query", req)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, body)
-		}
-		var qr QueryResponse
-		if err := json.Unmarshal(body, &qr); err != nil {
-			t.Fatal(err)
-		}
-		if qr.Profile == nil {
-			t.Fatalf("request %+v: no profile in response", req)
-		}
-		if qr.Profile.Name != "query" {
-			t.Fatalf("profile root = %q, want query", qr.Profile.Name)
-		}
-		names := map[string]bool{}
-		var sum float64
-		for _, c := range qr.Profile.Children {
-			sum += c.DurationMs
-			names[c.Name] = true
-		}
-		if sum > qr.Profile.DurationMs*1.01+0.1 {
-			t.Fatalf("children sum %.3fms > root %.3fms", sum, qr.Profile.DurationMs)
-		}
-		for _, want := range []string{"plan", "expand", "intersect"} {
-			if !names[want] {
-				t.Fatalf("profile missing %q span; got %v", want, names)
-			}
+	resp, body := post(t, srv, "/query", QueryRequest{Query: "PROFILE " + countQuery})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var qr QueryResponse
+	if err := json.Unmarshal(body, &qr); err != nil {
+		t.Fatal(err)
+	}
+	if qr.Profile == nil {
+		t.Fatal("no profile in response")
+	}
+	if qr.Profile.Name != "query" {
+		t.Fatalf("profile root = %q, want query", qr.Profile.Name)
+	}
+	names := map[string]bool{}
+	var sum float64
+	for _, c := range qr.Profile.Children {
+		sum += c.DurationMs
+		names[c.Name] = true
+	}
+	if sum > qr.Profile.DurationMs*1.01+0.1 {
+		t.Fatalf("children sum %.3fms > root %.3fms", sum, qr.Profile.DurationMs)
+	}
+	for _, want := range []string{"plan", "expand", "intersect"} {
+		if !names[want] {
+			t.Fatalf("profile missing %q span; got %v", want, names)
 		}
 	}
 
-	// Without either opt-in, the profile field stays absent.
-	resp, body := post(t, srv, "/query", QueryRequest{Query: countQuery})
+	// Without the keyword, the profile field stays absent.
+	resp, body = post(t, srv, "/query", QueryRequest{Query: countQuery})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -150,7 +145,7 @@ func TestRequestBodyLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewWithOptions(engine.New(g, engine.Options{}), Options{MaxRequestBytes: 256}))
+	srv := httptest.NewServer(newServer(g, session.Options{}, Options{MaxRequestBytes: 256}))
 	defer srv.Close()
 
 	big, err := json.Marshal(QueryRequest{Query: strings.Repeat("x", 1024)})
@@ -192,7 +187,7 @@ func TestRequestIDAndAccessLog(t *testing.T) {
 	}
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&logBuf, nil))
-	srv := httptest.NewServer(NewWithOptions(engine.New(g, engine.Options{}), Options{Logger: logger}))
+	srv := httptest.NewServer(newServer(g, session.Options{}, Options{Logger: logger}))
 	defer srv.Close()
 
 	ids := map[string]bool{}
@@ -230,7 +225,7 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&logBuf, nil))
-	srv := httptest.NewServer(NewWithOptions(engine.New(g, engine.Options{}), Options{
+	srv := httptest.NewServer(newServer(g, session.Options{}, Options{
 		Logger:    logger,
 		SlowQuery: time.Nanosecond, // everything is slow
 	}))

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"repro/internal/datagen"
-	"repro/internal/engine"
+	"repro/internal/session"
 )
 
 // TestQueryTimeoutReturns504 pins the -query-timeout wiring: an expired
@@ -24,9 +24,9 @@ func TestQueryTimeoutReturns504(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewWithOptions(engine.New(g, engine.Options{}), Options{
+	srv := httptest.NewServer(newServer(g, session.Options{
 		QueryTimeout: time.Nanosecond, // every query's deadline is already expired
-	}))
+	}, Options{}))
 	defer srv.Close()
 
 	failed0 := scrapeCounter(t, srv, "vs_queries_failed_total")
@@ -42,13 +42,13 @@ func TestQueryTimeoutReturns504(t *testing.T) {
 	}
 
 	// EXPLAIN ANALYZE executes too, so it times out the same way.
-	resp, body = post(t, srv, "/explain", QueryRequest{Query: countQuery, Analyze: true})
+	resp, body = post(t, srv, "/query", QueryRequest{Query: "EXPLAIN ANALYZE " + countQuery})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("explain analyze status = %d (%s), want 504", resp.StatusCode, body)
 	}
 
 	// EXPLAIN without ANALYZE never executes, so the deadline is irrelevant.
-	resp, body = post(t, srv, "/explain", QueryRequest{Query: countQuery})
+	resp, body = post(t, srv, "/query", QueryRequest{Query: "EXPLAIN " + countQuery})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("explain status = %d (%s), want 200", resp.StatusCode, body)
 	}

@@ -18,9 +18,9 @@
 // regardless of result cardinality, and a full buffer blocks the join
 // itself (it runs on the producer's goroutine) when the client fetches
 // slower than the join produces. Everything else (aggregates, ORDER BY,
-// UNWIND, EXPLAIN variants) needs the complete result first: it collects
-// through cypher.RunContext and serves the rows through the same Cursor
-// interface, so transports never branch on query shape.
+// UNWIND) needs the complete result first: it collects through
+// cypher.RunContext and serves the rows through the same Cursor interface,
+// so transports never branch on query shape.
 //
 // Cursor buffers and materialized results are metered through the engine's
 // shared Accountant: a streamed cursor reserves one batch's worth of row
@@ -33,6 +33,7 @@ package session
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -105,19 +106,6 @@ func (s *Service) Execute(ctx context.Context, q *cypher.Query, params map[strin
 	ctx, cancel := s.queryContext(ctx)
 	defer cancel()
 	return cypher.RunContext(ctx, s.eng, q, params)
-}
-
-// Explain renders the query's plan without executing.
-func (s *Service) Explain(q *cypher.Query, params map[string]any) (string, error) {
-	return cypher.ExplainQuery(s.eng, q, params)
-}
-
-// Analyze executes the query with tracing forced on and returns the
-// estimate-vs-actual operator table, honoring QueryTimeout.
-func (s *Service) Analyze(ctx context.Context, q *cypher.Query, params map[string]any) (*engine.Analysis, error) {
-	ctx, cancel := s.queryContext(ctx)
-	defer cancel()
-	return cypher.AnalyzeQuery(ctx, s.eng, q, params)
 }
 
 // OpenSession starts a session for one client (a wire connection, one
@@ -198,7 +186,8 @@ func (s *Session) Run(ctx context.Context, query string, params map[string]any) 
 // RunParsed starts an already-parsed query. Streamable queries return
 // immediately with a producing cursor (execution errors surface on the
 // first Fetch, like a Bolt RUN/PULL split); everything else materializes
-// first, so errors surface here.
+// first, so errors surface here. EXPLAIN and PROFILE are refused: a cursor
+// carries rows, not the plan, analysis or span tree they answer with.
 func (s *Session) RunParsed(ctx context.Context, q *cypher.Query, params map[string]any) (*Cursor, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -206,6 +195,9 @@ func (s *Session) RunParsed(ctx context.Context, q *cypher.Query, params map[str
 		return nil, fmt.Errorf("session: session %d is closed", s.id)
 	}
 	s.mu.Unlock()
+	if q.Explain || q.Profile {
+		return nil, errors.New("session: EXPLAIN, EXPLAIN ANALYZE and PROFILE cannot run on a cursor: they return a plan, an analysis or a span tree, not rows")
+	}
 
 	if cypher.Streamable(q) {
 		return s.runStream(ctx, q, params)

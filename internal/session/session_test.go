@@ -532,3 +532,35 @@ func TestStreamLimit(t *testing.T) {
 		t.Fatalf("LIMIT 10 streamed %d rows", len(rows))
 	}
 }
+
+// TestCursorRejectsExplainAndProfile pins that a cursor refuses the query
+// prefixes whose answer is not rows: EXPLAIN's plan, EXPLAIN ANALYZE's
+// analysis and PROFILE's span tree would otherwise vanish into an empty or
+// profile-less result. Execute still returns all three.
+func TestCursorRejectsExplainAndProfile(t *testing.T) {
+	svc := testService(t, Options{})
+	sess := svc.OpenSession("test")
+	defer sess.Close()
+	const count = `MATCH (p:Person)-[:knows]-(q:Person) RETURN COUNT(DISTINCT p, q)`
+	for _, prefix := range []string{"EXPLAIN ", "EXPLAIN ANALYZE ", "PROFILE "} {
+		for _, src := range []string{prefix + streamQuery, prefix + count} {
+			if cur, err := sess.Run(context.Background(), src, nil); err == nil {
+				t.Errorf("Run(%q) opened cursor %d, want an error", src, cur.ID())
+			}
+		}
+		q, err := cypher.Parse(prefix + count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := svc.Execute(context.Background(), q, nil)
+		if err != nil {
+			t.Fatalf("Execute(%q): %v", q.Raw, err)
+		}
+		if res.Plan == "" && res.Analysis == nil && res.Profile == nil {
+			t.Errorf("Execute(%q) returned no plan, analysis or profile", q.Raw)
+		}
+	}
+	if n := sess.Cursors(); n != 0 {
+		t.Fatalf("%d cursors left open", n)
+	}
+}

@@ -104,13 +104,27 @@ if [ -z "${SKIP_SMOKE:-}" ]; then
 
     curl -fsS "http://$hostport/healthz" | grep -q ok
     curl -fsS "http://$hostport/query" \
-        -d '{"query":"MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN COUNT(DISTINCT p,q)","profile":true}' \
+        -d '{"query":"PROFILE MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN COUNT(DISTINCT p,q)"}' \
         | grep -q '"profile"'
     metrics="$(curl -fsS "http://$hostport/metrics")"
     echo "$metrics" | grep -q '^vs_queries_total 1$' \
         || { echo "vs_queries_total did not reach 1:" >&2; echo "$metrics" | grep vs_queries >&2; exit 1; }
     echo "$metrics" | grep -q 'vs_query_stage_seconds_count{stage="total"} 1' \
         || { echo "stage histogram missing:" >&2; echo "$metrics" | grep stage >&2; exit 1; }
+
+    # The query text is the only switch for plans: EXPLAIN ANALYZE through
+    # /query returns the analysis and runs registered like any query, and
+    # the former POST /explain route is gone.
+    curl -fsS "http://$hostport/query" \
+        -d '{"query":"EXPLAIN ANALYZE MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN COUNT(DISTINCT p,q)"}' \
+        | grep -q '"analysis"' \
+        || { echo "EXPLAIN ANALYZE via /query returned no analysis" >&2; exit 1; }
+    curl -fsS "http://$hostport/debug/queries" | grep -q '"query":"EXPLAIN ANALYZE MATCH' \
+        || { echo "/debug/queries is missing the EXPLAIN ANALYZE query" >&2; exit 1; }
+    explaincode="$(curl -sS -o /dev/null -w '%{http_code}' "http://$hostport/explain" \
+        -d '{"query":"MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN COUNT(DISTINCT p,q)"}')"
+    [ "$explaincode" = "404" ] || [ "$explaincode" = "405" ] \
+        || { echo "POST /explain answered $explaincode; the route should be gone" >&2; exit 1; }
 
     # The completed query must show up in the introspection history, and
     # the runtime-metrics bridge must be live on /metrics.
@@ -184,6 +198,11 @@ for row in json.load(sys.stdin)["rows"]:
     [ -s "$smokedir/wire_rows" ] || { echo "vsquery -wire returned no rows" >&2; exit 1; }
     diff -u "$smokedir/http_rows" "$smokedir/wire_rows" \
         || { echo "wire and HTTP transports disagree on $streamq" >&2; exit 1; }
+    # The wire protocol carries rows only: EXPLAIN must fail, not print an
+    # empty result.
+    if "$smokedir/vsquery" -wire "$wireaddr" -query "EXPLAIN $streamq" > /dev/null 2>&1; then
+        echo "vsquery -wire accepted EXPLAIN" >&2; exit 1
+    fi
 
     step "vsserve -query-timeout smoke (expired deadline returns 504)"
     "$smokedir/vsserve" -data "$smokedir/graph" -addr 127.0.0.1:0 -access-log=false \

@@ -202,9 +202,13 @@ func (db *DB) Save(dir string) error { return storage.Write(dir, db.g) }
 
 // Query parses and executes a query in the supported openCypher subset
 // (§2.2): MATCH with variable-length relationships, WHERE, shortestPath,
-// UNWIND, RETURN COUNT/SUM(DISTINCT …), ORDER BY, LIMIT. Prefixing the
-// query with PROFILE additionally fills QueryResult.Profile with the
-// per-operator span tree.
+// UNWIND, RETURN COUNT/SUM(DISTINCT …), ORDER BY, LIMIT. A PROFILE prefix
+// also fills QueryResult.Profile with the per-operator span tree; EXPLAIN
+// fills QueryResult.Plan without executing; EXPLAIN ANALYZE fills
+// QueryResult.Analysis with the estimate-vs-actual operator table. The
+// former DB.Explain, DB.ExplainAnalyze and DB.ExplainAnalyzeContext are
+// gone: use Query("EXPLAIN …") and Query[Context]("EXPLAIN ANALYZE …"),
+// which, unlike those methods, run registered (SHOW QUERIES, KILL).
 func (db *DB) Query(src string, params map[string]any) (*QueryResult, error) {
 	return db.QueryContext(context.Background(), src, params)
 }
@@ -255,35 +259,6 @@ func (db *DB) VertexByID(id int64) (VertexID, error) {
 		return 0, fmt.Errorf("vertexsurge: no vertex with id %d", id)
 	}
 	return v, nil
-}
-
-// Explain parses a query and renders the planner's decisions (candidate
-// scan sizes, join order, per-edge expansion orientation and estimates)
-// without executing it.
-func (db *DB) Explain(src string, params map[string]any) (string, error) {
-	q, err := cypher.Parse(src)
-	if err != nil {
-		return "", err
-	}
-	return cypher.ExplainQuery(db.eng, q, params)
-}
-
-// ExplainAnalyze parses a query, executes it with tracing forced on, and
-// returns the per-operator table joining the planner's estimates against
-// the actual cardinalities, matrix bytes, memo states, and wall times
-// captured in the span tree. UNWIND and shortestPath queries are not
-// supported.
-func (db *DB) ExplainAnalyze(src string, params map[string]any) (*Analysis, error) {
-	return db.ExplainAnalyzeContext(context.Background(), src, params)
-}
-
-// ExplainAnalyzeContext is ExplainAnalyze with context propagation.
-func (db *DB) ExplainAnalyzeContext(ctx context.Context, src string, params map[string]any) (*Analysis, error) {
-	q, err := cypher.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return cypher.AnalyzeQuery(ctx, db.eng, q, params)
 }
 
 // MatchForEach streams every distinct matched tuple to fn (in pattern

@@ -1,6 +1,7 @@
 package vertexsurge
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -139,29 +140,51 @@ func TestGenerateErrors(t *testing.T) {
 	}
 }
 
+// TestExplain pins the query prefixes as the facade's way to a plan and
+// an analysis: EXPLAIN fills QueryResult.Plan without executing, EXPLAIN
+// ANALYZE fills QueryResult.Analysis.
 func TestExplain(t *testing.T) {
 	db := lastFM(t)
-	plan, err := db.Explain(`MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN COUNT(DISTINCT p,q)`, nil)
+	const count = `MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN COUNT(DISTINCT p,q)`
+	res, err := db.Query("EXPLAIN "+count, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Scan", "Join order", "VExpand", "expansion side", "candidates"} {
-		if !strings.Contains(plan, want) {
-			t.Errorf("Explain output missing %q:\n%s", want, plan)
+		if !strings.Contains(res.Plan, want) {
+			t.Errorf("EXPLAIN plan missing %q:\n%s", want, res.Plan)
 		}
 	}
-	sp, err := db.Explain(`MATCH (a {id:1000}), (b {id:1001}), p=shortestPath((a)-[:knows*1..]-(b)) RETURN length(p)`, nil)
+	if len(res.Rows) != 0 || res.Analysis != nil {
+		t.Errorf("EXPLAIN executed: %d rows, analysis %v", len(res.Rows), res.Analysis)
+	}
+	sp, err := db.Query(`EXPLAIN MATCH (a {id:1000}), (b {id:1001}), p=shortestPath((a)-[:knows*1..]-(b)) RETURN length(p)`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sp, "shortestPath") {
-		t.Errorf("shortestPath explain = %q", sp)
+	if !strings.Contains(sp.Plan, "shortestPath") {
+		t.Errorf("shortestPath explain = %q", sp.Plan)
 	}
-	if _, err := db.Explain(`MATCH (p:NoSuch)-[:knows]-(q) RETURN q`, nil); err == nil {
+	if _, err := db.Query(`EXPLAIN MATCH (p:NoSuch)-[:knows]-(q) RETURN q`, nil); err == nil {
 		t.Error("unknown label accepted")
 	}
-	if _, err := db.Explain(`not a query`, nil); err == nil {
+	if _, err := db.Query(`EXPLAIN not a query`, nil); err == nil {
 		t.Error("garbage accepted")
+	}
+
+	an, err := db.QueryContext(context.Background(), "EXPLAIN ANALYZE "+count, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.Query(count, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if an.Analysis == nil || len(an.Analysis.Ops) == 0 {
+		t.Fatalf("EXPLAIN ANALYZE returned no operator table: %+v", an)
+	}
+	if got := an.Analysis.Count; got != want.Rows[0][0].(int64) {
+		t.Errorf("EXPLAIN ANALYZE count = %d, want %v", got, want.Rows[0][0])
 	}
 }
 
