@@ -1,9 +1,10 @@
 // Package client is the Go driver for vsserve's framed binary wire
 // protocol. A Conn is one connection (one server-side session); Run starts
 // a query and returns a Rows the caller iterates with Next — the driver
-// fetches batches behind the scenes, so iterating a billion-row result
-// holds one batch in client memory and one batch in server memory at a
-// time. A Conn is not safe for concurrent use; open one per goroutine.
+// fetches the server's batches behind the scenes, so iterating a
+// billion-row result holds one batch in client memory and one batch in
+// server memory at a time. A Conn runs one query at a time and is not safe
+// for concurrent use; open one per goroutine.
 //
 //	c, err := client.Dial("localhost:7688", client.Options{})
 //	defer c.Close()
@@ -42,9 +43,6 @@ func (e *ServerError) Error() string { return fmt.Sprintf("%s: %s", e.Code, e.Me
 type Options struct {
 	// DialTimeout bounds connection establishment; 0 = no limit.
 	DialTimeout time.Duration
-	// FetchBatch is the row count requested per FETCH; 0 = the server's
-	// configured batch size.
-	FetchBatch int
 	// Client is the client name sent in HELLO (shown in server logs).
 	Client string
 }
@@ -57,7 +55,8 @@ type ServerInfo struct {
 }
 
 // Conn is one wire-protocol connection. Exactly one Rows may be open at a
-// time; Run while a Rows is open drains it implicitly via DISCARD.
+// time; Run while a Rows is open closes it (the server discards its cursor
+// when the next RUN arrives).
 type Conn struct {
 	conn   net.Conn
 	opts   Options
@@ -131,9 +130,7 @@ func (c *Conn) hello() error {
 // next Run or Close.
 func (c *Conn) Run(query string, params map[string]any) (*Rows, error) {
 	if c.rows != nil {
-		if err := c.rows.Close(); err != nil {
-			return nil, err
-		}
+		c.rows.closed = true
 	}
 	body := map[string]any{"query": query}
 	if len(params) > 0 {
@@ -143,7 +140,6 @@ func (c *Conn) Run(query string, params map[string]any) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	cursor, _ := wire.BodyInt(meta, "cursor")
 	streaming, _ := meta["streaming"].(bool)
 	var cols []string
 	if raw, ok := meta["columns"].([]any); ok {
@@ -153,7 +149,7 @@ func (c *Conn) Run(query string, params map[string]any) (*Rows, error) {
 			cols = append(cols, s)
 		}
 	}
-	c.rows = &Rows{conn: c, cursor: cursor, cols: cols, streaming: streaming, more: true}
+	c.rows = &Rows{conn: c, cols: cols, streaming: streaming, more: true}
 	return c.rows, nil
 }
 
@@ -266,7 +262,6 @@ func failureError(meta map[string]any) error {
 // delivered is valid).
 type Rows struct {
 	conn      *Conn
-	cursor    int64
 	cols      []string
 	streaming bool
 
@@ -307,11 +302,7 @@ func (r *Rows) Next() ([]any, error) {
 // fetch pulls one batch: RECORD frames, then SUCCESS{has_more} or FAILURE.
 func (r *Rows) fetch() error {
 	c := r.conn
-	body := map[string]any{"cursor": r.cursor}
-	if r.opts().FetchBatch > 0 {
-		body["n"] = int64(r.opts().FetchBatch)
-	}
-	if err := c.sendMessage(wire.MsgFetch, body); err != nil {
+	if err := c.sendMessage(wire.MsgFetch, nil); err != nil {
 		return err
 	}
 	r.buf = r.buf[:0]
@@ -362,8 +353,6 @@ func (r *Rows) Close() error {
 		return nil
 	}
 	r.closed = true
-	_, err := r.conn.request(wire.MsgDiscard, map[string]any{"cursor": r.cursor})
+	_, err := r.conn.request(wire.MsgDiscard, nil)
 	return err
 }
-
-func (r *Rows) opts() Options { return r.conn.opts }

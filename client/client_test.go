@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"sort"
@@ -142,16 +143,29 @@ func TestWireAggregate(t *testing.T) {
 // TestWireErrors: syntax and execution failures arrive as typed
 // ServerErrors with their protocol code, and the connection survives them.
 func TestWireErrors(t *testing.T) {
-	addr, _ := startServer(t, session.Options{})
+	addr, svc := startServer(t, session.Options{})
+	acct := svc.Engine().Accountant()
+	base := acct.InUse()
 	c, err := client.Dial(addr, client.Options{DialTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
+	// A RUN that fails to parse still ends the stream open before it.
+	open, err := c.Run(pairQuery, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := open.Next(); err != nil {
+		t.Fatal(err)
+	}
 	var serr *client.ServerError
 	if _, err := c.Run("MATCH oops", nil); !errors.As(err, &serr) || serr.Code != "syntax_error" {
 		t.Fatalf("syntax error = %v", err)
+	}
+	if got := acct.InUse(); got != base {
+		t.Fatalf("after a failed RUN the replaced stream still holds %d bytes", got-base)
 	}
 	// Non-streamable queries bind eagerly, so a bad label fails at Run.
 	if _, err := c.Run("MATCH (p:NoSuchLabel)-[:knows]-(q) RETURN COUNT(q)", nil); !errors.As(err, &serr) || serr.Code != "query_error" {
@@ -263,23 +277,26 @@ func TestWireConcurrentClients(t *testing.T) {
 }
 
 // TestWireRejectsBadVersion: the handshake answers 0 and closes on an
-// unsupported proposal.
+// unsupported proposal, including version 1, whose FETCH and DISCARD name
+// a cursor.
 func TestWireRejectsBadVersion(t *testing.T) {
 	addr, _ := startServer(t, session.Options{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte{'V', 'S', 'W', 'P', 0, 0, 0, 99}); err != nil {
-		t.Fatal(err)
-	}
-	var accept [4]byte
-	if _, err := conn.Read(accept[:]); err != nil {
-		t.Fatal(err)
-	}
-	if accept != [4]byte{} {
-		t.Fatalf("server accepted version 99: % x", accept)
+	for _, version := range []byte{1, 99} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write([]byte{'V', 'S', 'W', 'P', 0, 0, 0, version}); err != nil {
+			t.Fatal(err)
+		}
+		var accept [4]byte
+		if _, err := io.ReadFull(conn, accept[:]); err != nil {
+			t.Fatal(err)
+		}
+		if accept != [4]byte{} {
+			t.Fatalf("server accepted version %d: % x", version, accept)
+		}
 	}
 }
 

@@ -363,7 +363,7 @@ func runOnce(ctx context.Context, eng *engine.Engine, q *Query, params map[strin
 
 	// shortestPath-only query: RETURN length(p).
 	if b.shortest != nil && len(b.pat.Edges) == 0 {
-		return runShortest(eng, q, b, params)
+		return runShortest(ctx, eng, q, b)
 	}
 	if b.shortest != nil {
 		return nil, fmt.Errorf("cypher: shortestPath mixed with other pattern edges is not supported")
@@ -412,7 +412,7 @@ func countsWholePattern(q *Query, b *boundQuery) bool {
 	return true
 }
 
-func runShortest(eng *engine.Engine, q *Query, b *boundQuery, params map[string]any) (*Result, error) {
+func runShortest(ctx context.Context, eng *engine.Engine, q *Query, b *boundQuery) (*Result, error) {
 	sp := b.shortest
 	srcIdx, dstIdx := b.varIdx[sp.srcVar], b.varIdx[sp.dstVar]
 	srcCands, err := pattern.Candidates(eng.Graph(), b.pat.Vertices[srcIdx])
@@ -429,9 +429,12 @@ func runShortest(eng *engine.Engine, q *Query, b *boundQuery, params map[string]
 	var src, dst graph.VertexID
 	srcCands.ForEach(func(i int) { src = graph.VertexID(i) })
 	dstCands.ForEach(func(i int) { dst = graph.VertexID(i) })
-	l, tm, err := shortestVia(eng, src, dst, sp.d)
+	l, err := eng.ShortestPathLength(ctx, src, dst, sp.d.EdgeLabels, sp.d.Dir, sp.d.KMax)
 	if err != nil {
 		return nil, err
+	}
+	if l < sp.d.KMin {
+		l = -1
 	}
 	row := make([]any, len(q.Return))
 	for i, item := range q.Return {
@@ -441,19 +444,7 @@ func runShortest(eng *engine.Engine, q *Query, b *boundQuery, params map[string]
 			return nil, fmt.Errorf("cypher: shortestPath queries may only return length(p)")
 		}
 	}
-	return &Result{Columns: Columns(q), Rows: [][]any{row}, Timings: tm}, nil
-}
-
-func shortestVia(eng *engine.Engine, src, dst graph.VertexID, d pattern.Determiner) (int, engine.Timings, error) {
-	var tm engine.Timings
-	l, err := eng.ShortestPathLength(src, dst, d.EdgeLabels, d.Dir)
-	if err != nil {
-		return -1, tm, err
-	}
-	if l >= 0 && (l < d.KMin || (d.KMax != pattern.Unbounded && l > d.KMax)) {
-		l = -1
-	}
-	return l, tm, nil
+	return &Result{Columns: Columns(q), Rows: [][]any{row}}, nil
 }
 
 // ExplainQuery binds a parsed query's pattern against the engine's graph

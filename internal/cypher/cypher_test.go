@@ -2,6 +2,7 @@ package cypher
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -466,12 +467,39 @@ func TestShortestPathViaCypherOnSocial(t *testing.T) {
 	res := run(t, e,
 		`MATCH (a:Person{id:1000}), (b:Person{id:1005}), p=shortestPath((a)-[:knows*1..]-(b)) RETURN length(p)`,
 		nil)
-	want, err := e.ShortestPathLength(0, 5, []string{"knows"}, graph.Both)
+	want, err := e.ShortestPathLength(context.Background(), 0, 5, []string{"knows"}, graph.Both, pattern.Unbounded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rows[0][0].(int64) != int64(want) {
 		t.Fatalf("cypher = %v, engine = %d", res.Rows[0][0], want)
+	}
+}
+
+// TestShortestPathCanceledAndBounded pins that a shortestPath query stops on
+// a canceled context (KILL and QueryTimeout cancel it) and that a bounded
+// `*1..k` answers -1 when the shortest path is longer than k.
+func TestShortestPathCanceledAndBounded(t *testing.T) {
+	e := socialEngine(t)
+	const src = `MATCH (a:Person{id:1000}), (b:Person{id:1005}), p=shortestPath((a)-[:knows*1..%s]-(b)) RETURN length(p)`
+	q, err := Parse(fmt.Sprintf(src, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunContext(ctx, e, q, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled shortestPath: err=%v, want context.Canceled", err)
+	}
+
+	l := run(t, e, fmt.Sprintf(src, ""), nil).Rows[0][0].(int64)
+	if l < 2 {
+		t.Fatalf("test needs a path of length >= 2, got %d", l)
+	}
+	for k, want := range map[int64]int64{l: l, l - 1: -1} {
+		if got := run(t, e, fmt.Sprintf(src, fmt.Sprint(k)), nil).Rows[0][0]; got != want {
+			t.Errorf("*1..%d: length = %v, want %d", k, got, want)
+		}
 	}
 }
 

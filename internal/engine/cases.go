@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -396,7 +397,7 @@ func (e *Engine) Case10(id1, id2 int64) (int, Timings, error) {
 		return -1, tm, err
 	}
 	t0 := time.Now()
-	l, err := e.ShortestPathLength(a, b, []string{"transfer"}, graph.Forward)
+	l, err := e.ShortestPathLength(context.Background(), a, b, []string{"transfer"}, graph.Forward, pattern.Unbounded)
 	tm.Expand = time.Since(t0)
 	tm.Total = time.Since(start)
 	return l, tm, err

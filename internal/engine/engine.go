@@ -38,8 +38,8 @@ type Options struct {
 	// both VExpand's intra-operator workers (stack partitioning) and the
 	// scheduler's concurrently running expands. The join is different:
 	// MIntersect partitions its seed columns only when Workers > 1 (and the
-	// match neither streams nor carries a Limit), so at the default 0 — and
-	// at 1 — the join is single-threaded.
+	// match does not stream), so at the default 0 — and at 1 — the join is
+	// single-threaded.
 	Workers int
 	// Kernel pins the VExpand kernel; Auto by default.
 	Kernel vexpand.Kernel
@@ -137,8 +137,6 @@ func (t Timings) Other() time.Duration {
 type MatchOptions struct {
 	// CountOnly skips tuple materialization (§5.1's counting fast path).
 	CountOnly bool
-	// Limit bounds materialized tuples; 0 = unlimited.
-	Limit int64
 	// Order forces the join order (pattern-vertex index per position),
 	// bypassing the planner's choice — for planner ablation.
 	Order []int
@@ -191,8 +189,8 @@ func (e *Engine) MatchForEach(pat *pattern.Pattern, fn func(tuple []graph.Vertex
 // as the join's per-tuple consumer. The join enumerates serially on the
 // calling goroutine, so fn may block (transport backpressure) and a panic
 // in fn unwinds through the caller. Order forces the join order (planner
-// ablation) and Limit stops the stream after that many tuples. CountOnly is
-// meaningless when streaming (fn receives the tuples) and is ignored.
+// ablation). CountOnly is meaningless when streaming (fn receives the
+// tuples) and is ignored.
 func (e *Engine) MatchForEachOpts(ctx context.Context, pat *pattern.Pattern, opts MatchOptions, fn func(tuple []graph.VertexID)) error {
 	opts.CountOnly = false
 	_, err := e.run(ctx, pat, opts, fn)
@@ -265,9 +263,6 @@ func (e *Engine) execute(ctx context.Context, qi *telemetry.QueryInfo, pat *patt
 	if n == 1 {
 		// Degenerate single-vertex pattern: candidates are the matches.
 		cands := plan.CandList[0]
-		if opts.Limit > 0 && int64(len(cands)) > opts.Limit {
-			cands = cands[:opts.Limit]
-		}
 		res.Count = int64(len(cands))
 		for _, v := range cands {
 			if emit != nil {
@@ -314,7 +309,7 @@ func (e *Engine) execute(ctx context.Context, qi *telemetry.QueryInfo, pat *patt
 	defer e.acct.Release(cloned)
 
 	t2 := time.Now()
-	jopts := mintersect.Options{CountOnly: opts.CountOnly, Limit: opts.Limit}
+	jopts := mintersect.Options{CountOnly: opts.CountOnly}
 	var jr *mintersect.Result
 	if emit == nil {
 		jopts.Workers = e.opts.Workers

@@ -570,14 +570,6 @@ func TestMatchCountOnlyEqualsMaterialized(t *testing.T) {
 	if count.Tuples != nil {
 		t.Fatal("count-only returned tuples")
 	}
-
-	lim, err := e.Match(pat, MatchOptions{Limit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Count > 1 && lim.Count != 1 {
-		t.Fatalf("limit 1 returned %d", lim.Count)
-	}
 }
 
 func TestMatchParallelEdgesAreANDed(t *testing.T) {
@@ -722,16 +714,24 @@ func TestTopK(t *testing.T) {
 func TestShortestPathLengthEdgeCases(t *testing.T) {
 	g := figure3(t)
 	e := New(g, Options{})
-	if l, err := e.ShortestPathLength(2, 2, []string{"knows"}, graph.Forward); err != nil || l != 0 {
+	ctx := context.Background()
+	knows := []string{"knows"}
+	if l, err := e.ShortestPathLength(ctx, 2, 2, knows, graph.Forward, pattern.Unbounded); err != nil || l != 0 {
 		t.Fatalf("self path = %d, %v", l, err)
 	}
-	if l, err := e.ShortestPathLength(5, 0, []string{"knows"}, graph.Forward); err != nil || l != -1 {
+	if l, err := e.ShortestPathLength(ctx, 5, 0, knows, graph.Forward, pattern.Unbounded); err != nil || l != -1 {
 		t.Fatalf("unreachable = %d, %v", l, err)
 	}
-	if l, err := e.ShortestPathLength(0, 5, []string{"knows"}, graph.Forward); err != nil || l != 4 {
+	if l, err := e.ShortestPathLength(ctx, 0, 5, knows, graph.Forward, pattern.Unbounded); err != nil || l != 4 {
 		t.Fatalf("0→5 = %d, %v", l, err)
 	}
-	if _, err := e.ShortestPathLength(0, 5, []string{"nope"}, graph.Forward); err == nil {
+	if l, err := e.ShortestPathLength(ctx, 0, 5, knows, graph.Forward, 4); err != nil || l != 4 {
+		t.Fatalf("0→5 within 4 = %d, %v", l, err)
+	}
+	if l, err := e.ShortestPathLength(ctx, 0, 5, knows, graph.Forward, 3); err != nil || l != -1 {
+		t.Fatalf("0→5 within 3 = %d, %v, want -1", l, err)
+	}
+	if _, err := e.ShortestPathLength(ctx, 0, 5, []string{"nope"}, graph.Forward, pattern.Unbounded); err == nil {
 		t.Fatal("unknown label accepted")
 	}
 }
@@ -880,8 +880,8 @@ func TestWorkersDeterminism(t *testing.T) {
 
 // TestMatchForEachStreamsSameTuples pins the engine's two wrappers against
 // each other: MatchContext and MatchForEachOpts are one execution path, so
-// across worker counts, cache settings, join orders and limits they return
-// the same multiset of tuples.
+// across worker counts, cache settings and join orders they return the
+// same multiset of tuples.
 func TestMatchForEachStreamsSameTuples(t *testing.T) {
 	g := socialGraph(t)
 	pat := trianglePattern(2)
@@ -890,10 +890,6 @@ func TestMatchForEachStreamsSameTuples(t *testing.T) {
 		t.Fatal(err)
 	}
 	sortTuples(ref.Tuples)
-	inRef := make(map[[3]graph.VertexID]bool, len(ref.Tuples))
-	for _, tup := range ref.Tuples {
-		inRef[[3]graph.VertexID{tup[0], tup[1], tup[2]}] = true
-	}
 
 	shapes := []struct {
 		name string
@@ -901,7 +897,6 @@ func TestMatchForEachStreamsSameTuples(t *testing.T) {
 	}{
 		{"default order", MatchOptions{}},
 		{"forced order", MatchOptions{Order: []int{2, 0, 1}}},
-		{"limit", MatchOptions{Limit: 7}},
 	}
 	for _, workers := range []int{1, 4} {
 		for _, cacheBytes := range []int64{0, DefaultCacheBytes} {
@@ -921,28 +916,9 @@ func TestMatchForEachStreamsSameTuples(t *testing.T) {
 				}
 				sortTuples(full.Tuples)
 				sortTuples(streamed)
-				if shape.opts.Limit == 0 {
-					if !reflect.DeepEqual(full.Tuples, ref.Tuples) || !reflect.DeepEqual(streamed, ref.Tuples) {
-						t.Fatalf("%s: materialized %d tuples, streamed %d, want %d identical",
-							name, len(full.Tuples), len(streamed), len(ref.Tuples))
-					}
-					continue
-				}
-				// Which Limit tuples arrive is the enumeration's choice:
-				// equal counts, each a distinct tuple of the full result.
-				if int64(len(streamed)) != shape.opts.Limit || full.Count != shape.opts.Limit || len(full.Tuples) != len(streamed) {
-					t.Fatalf("%s: materialized %d (count %d), streamed %d, want %d",
-						name, len(full.Tuples), full.Count, len(streamed), shape.opts.Limit)
-				}
-				for _, got := range [][][]graph.VertexID{full.Tuples, streamed} {
-					for i, tup := range got {
-						if !inRef[[3]graph.VertexID{tup[0], tup[1], tup[2]}] {
-							t.Fatalf("%s: tuple %v is not in the full result", name, tup)
-						}
-						if i > 0 && reflect.DeepEqual(tup, got[i-1]) {
-							t.Fatalf("%s: tuple %v delivered twice", name, tup)
-						}
-					}
+				if !reflect.DeepEqual(full.Tuples, ref.Tuples) || !reflect.DeepEqual(streamed, ref.Tuples) {
+					t.Fatalf("%s: materialized %d tuples, streamed %d, want %d identical",
+						name, len(full.Tuples), len(streamed), len(ref.Tuples))
 				}
 			}
 		}

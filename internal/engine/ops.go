@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -78,10 +79,11 @@ func TopK(groups []GroupCount, k int, desc bool) []GroupCount {
 }
 
 // ShortestPathLength returns the length of the shortest path from src to
-// dst over the given edge labels and direction, or -1 if none exists. It
-// runs a frontier BFS with early exit — the execution strategy the paper
-// credits for Case 10's speedup (expand until found, no join).
-func (e *Engine) ShortestPathLength(src, dst graph.VertexID, edgeLabels []string, dir graph.Direction) (int, error) {
+// dst over the given edge labels and direction, or -1 if none of length at
+// most kmax exists (pattern.Unbounded for no bound). It runs a frontier BFS
+// with early exit — the execution strategy the paper credits for Case 10's
+// speedup (expand until found, no join) — and polls ctx once per level.
+func (e *Engine) ShortestPathLength(ctx context.Context, src, dst graph.VertexID, edgeLabels []string, dir graph.Direction, kmax int) (int, error) {
 	if src == dst {
 		return 0, nil
 	}
@@ -98,7 +100,10 @@ func (e *Engine) ShortestPathLength(src, dst graph.VertexID, edgeLabels []string
 	visited := bitmatrix.NewBitmap(n)
 	frontier.Set(int(src))
 	visited.Set(int(src))
-	for depth := 1; ; depth++ {
+	for depth := 1; depth <= kmax; depth++ {
+		if err := ctx.Err(); err != nil {
+			return -1, err
+		}
 		next.Reset()
 		frontier.ForEach(func(v int) {
 			for _, es := range sets {
@@ -117,6 +122,7 @@ func (e *Engine) ShortestPathLength(src, dst graph.VertexID, edgeLabels []string
 		visited.Or(next)
 		frontier, next = next, frontier
 	}
+	return -1, nil
 }
 
 // bitmapOf builds a bitmap from a vertex list.

@@ -63,11 +63,9 @@ type Options struct {
 	// CountOnly skips tuple materialization and uses the SIMD-popcount
 	// fast path on the final intersection (§5.1's counting optimization).
 	CountOnly bool
-	// Limit stops after this many tuples when materializing; 0 = no limit.
-	Limit int64
 	// Workers partitions the seed-pair enumeration across goroutines
 	// (each owns a FirstCols slice, so no writes conflict). Ignored when
-	// Limit is set (early stop is inherently sequential) or ≤ 1.
+	// ≤ 1.
 	Workers int
 }
 
@@ -141,9 +139,9 @@ func ascending(list []graph.VertexID) bool {
 // to pattern vertex names. Matched vertices within one tuple are pairwise
 // distinct (Definition 3 requires the match to be a bijection).
 //
-// With Options.Workers > 1 (and no Limit), the seed columns are
-// partitioned across goroutines; the merged result is deterministic
-// because partitions preserve FirstCols order.
+// With Options.Workers > 1, the seed columns are partitioned across
+// goroutines; the merged result is deterministic because partitions
+// preserve FirstCols order.
 func Run(in *Input, opts Options) (*Result, error) {
 	return RunContext(context.Background(), in, opts)
 }
@@ -185,7 +183,7 @@ func run(ctx context.Context, in *Input, opts Options) (*Result, error) {
 	if workers > len(in.FirstCols) {
 		workers = len(in.FirstCols)
 	}
-	if workers <= 1 || opts.Limit > 0 {
+	if workers <= 1 {
 		return runSerial(ctx, in, opts)
 	}
 
@@ -481,9 +479,6 @@ func (e *executor) emit() {
 	e.res.Count++
 	if !e.opts.CountOnly && e.fn != nil {
 		e.fn(e.bound)
-	}
-	if e.opts.Limit > 0 && e.res.Count >= e.opts.Limit {
-		e.stopped = true
 	}
 }
 

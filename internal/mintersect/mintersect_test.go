@@ -142,30 +142,6 @@ func TestTwoVertexPattern(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	g := figure3(t)
-	d := pattern.Determiner{KMin: 1, KMax: 5, Dir: graph.Both, Type: pattern.Any, EdgeLabels: []string{"knows"}}
-	all := make([]graph.VertexID, 6)
-	for i := range all {
-		all[i] = graph.VertexID(i)
-	}
-	m := edgeMatrix(t, g, all, d)
-	in := &Input{
-		NumPatternVertices: 2,
-		FirstCols:          all,
-		First:              &EdgeMatrix{EarlierPos: 0, M: m},
-		RowCandidates:      [][]graph.VertexID{nil, all},
-		Ext:                [][]*EdgeMatrix{nil, nil},
-	}
-	res, err := Run(in, Options{Limit: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count != 3 || len(res.Tuples) != 3 {
-		t.Fatalf("Limit: Count=%d len=%d, want 3", res.Count, len(res.Tuples))
-	}
-}
-
 func TestValidationErrors(t *testing.T) {
 	m := bitmatrix.New(2, 6)
 	cands := []graph.VertexID{0, 1}

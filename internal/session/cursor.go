@@ -18,8 +18,7 @@ var ErrCursorClosed = errors.New("session: cursor is closed")
 // in memory. Fetch and Discard are safe to call from the transport's
 // goroutine while the producer runs; a cursor is single-consumer.
 type Cursor struct {
-	id   uint64
-	sess *Session
+	svc  *Service
 	cols []string
 
 	// Streaming state: producer sends rows on ch and closes it after
@@ -37,13 +36,9 @@ type Cursor struct {
 
 	mu        sync.Mutex
 	pos       int
-	fetched   int64
 	discarded bool
 	exhausted bool
 }
-
-// ID returns the service-assigned cursor id.
-func (c *Cursor) ID() uint64 { return c.id }
 
 // Columns returns the result's column names, known before the first row.
 func (c *Cursor) Columns() []string { return c.cols }
@@ -51,13 +46,6 @@ func (c *Cursor) Columns() []string { return c.cols }
 // Streaming reports whether the cursor streams (constant server memory) or
 // serves a materialized result.
 func (c *Cursor) Streaming() bool { return c.streaming }
-
-// Fetched reports the rows delivered to the client so far.
-func (c *Cursor) Fetched() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fetched
-}
 
 // produce runs the streaming query, feeding the bounded buffer. Emit
 // blocks when the buffer is full — that backpressure holds the engine's
@@ -93,7 +81,7 @@ func (c *Cursor) produce(ctx context.Context, eng *engine.Engine, q *cypher.Quer
 // (including a KILL's context.Canceled) when the stream ended abnormally.
 func (c *Cursor) Fetch(max int) (rows [][]any, more bool, err error) {
 	if max <= 0 {
-		max = c.sess.svc.opts.FetchBatch
+		max = c.svc.opts.FetchBatch
 	}
 	c.mu.Lock()
 	if c.discarded || c.exhausted {
@@ -104,7 +92,6 @@ func (c *Cursor) Fetch(max int) (rows [][]any, more bool, err error) {
 		end := min(c.pos+max, len(c.rows))
 		rows = c.rows[c.pos:end]
 		c.pos = end
-		c.fetched += int64(len(rows))
 		more = c.pos < len(c.rows)
 		if !more {
 			c.exhausted = true
@@ -124,22 +111,18 @@ func (c *Cursor) Fetch(max int) (rows [][]any, more bool, err error) {
 			err = c.perr
 			c.mu.Lock()
 			c.exhausted = true
-			c.fetched += int64(len(rows))
 			c.mu.Unlock()
 			c.close()
 			return rows, false, err
 		}
 		rows = append(rows, row)
 	}
-	c.mu.Lock()
-	c.fetched += int64(len(rows))
-	c.mu.Unlock()
 	return rows, true, nil
 }
 
 // Discard abandons the result: the producer is canceled (the engine
-// unwinds cooperatively), the memory reservation is released, and the
-// cursor leaves the session. Fetch afterwards returns ErrCursorClosed.
+// unwinds cooperatively) and the memory reservation is released. Fetch
+// afterwards returns ErrCursorClosed.
 // Idempotent.
 func (c *Cursor) Discard() {
 	c.mu.Lock()
@@ -155,14 +138,13 @@ func (c *Cursor) Discard() {
 	c.close()
 }
 
-// close releases the reservation and detaches from the session, exactly
-// once across the exhaustion, discard, and session-close paths.
+// close releases the reservation exactly once across the exhaustion,
+// discard, next-Run and session-close paths.
 func (c *Cursor) close() {
 	c.release.Do(func() {
 		if c.cancel != nil {
 			c.cancel()
 		}
-		c.sess.releaseBytes(c.reserved)
-		c.sess.dropCursor(c)
+		c.svc.eng.Accountant().Release(c.reserved)
 	})
 }

@@ -2,33 +2,33 @@
 // vsserve's front ends and the engine. Both transports — the HTTP/JSON
 // handlers in internal/server and the framed binary protocol in
 // internal/wire — speak to this one API; neither calls the cypher
-// execution entry points directly, so every later scale feature
-// (admission control, sharding RPC, multi-query batching) plugs in here
-// once and serves all transports.
+// execution entry points directly.
 //
-// The model is Bolt-shaped: a Session is one client's conversation
-// (sessions are cheap — the HTTP transport opens one per streamed request,
-// the wire transport one per connection), Session.Run starts a query and
-// returns a Cursor, and the client drives the result with Fetch(n) /
-// Discard. The cypher layer has two entry points over one execution path
-// (one engine core, one projector, one registry/metrics wrapper), differing
-// only in who consumes the rows. Streamable queries (see cypher.Streamable)
-// execute through cypher.Stream, whose per-row callback feeds a bounded row
-// buffer — server-side result memory is capped at one fetch batch
-// regardless of result cardinality, and a full buffer blocks the join
-// itself (it runs on the producer's goroutine) when the client fetches
-// slower than the join produces. Everything else (aggregates, ORDER BY,
-// UNWIND) needs the complete result first: it collects through
-// cypher.RunContext and serves the rows through the same Cursor interface,
-// so transports never branch on query shape.
+// The model is Bolt-shaped, with one query per session: a Session is one
+// client's conversation (sessions are cheap — the HTTP transport opens one
+// per streamed request, the wire transport one per connection),
+// Session.Run starts a query and returns a Cursor, and the client drives
+// the result with Fetch(n) / Discard. A second Run discards the previous
+// cursor if it is still open. The cypher layer has two entry points over
+// one execution path (one engine core, one projector, one registry/metrics
+// wrapper), differing only in who consumes the rows. Streamable queries
+// (see cypher.Streamable) execute through cypher.Stream, whose per-row
+// callback feeds a bounded row buffer — server-side result memory is capped
+// at one fetch batch regardless of result cardinality, and a full buffer
+// blocks the join itself (it runs on the producer's goroutine) when the
+// client fetches slower than the join produces. Everything else
+// (aggregates, ORDER BY, UNWIND) needs the complete result first: it
+// collects through cypher.RunContext and serves the rows through the same
+// Cursor interface, so transports never branch on query shape.
 //
 // Cursor buffers and materialized results are metered through the engine's
-// shared Accountant: a streamed cursor reserves one batch's worth of row
-// bytes for its lifetime, a materialized cursor its full row footprint, and
-// both release on exhaustion, discard, client disconnect, or session close.
-// Queries register with telemetry.DefaultQueries inside the cypher layer,
-// so SHOW QUERIES and /debug/queries see streamed queries with live row
-// counts and can KILL them mid-stream.
+// shared Accountant, the only record of cursor bytes: a streamed cursor
+// reserves one batch's worth of row bytes for its lifetime, a materialized
+// cursor its full row footprint, and both release on exhaustion, discard,
+// the next Run, client disconnect, or session close. Queries register with
+// telemetry.DefaultQueries inside the cypher layer, so SHOW QUERIES and
+// /debug/queries see streamed queries with live row counts and can KILL
+// them mid-stream.
 package session
 
 import (
@@ -42,7 +42,7 @@ import (
 	"repro/internal/engine"
 )
 
-// DefaultFetchBatch is the cursor buffer capacity and default FETCH batch
+// DefaultFetchBatch is the default cursor buffer capacity and FETCH batch
 // size: 256 rows keeps a streamed result's server-side footprint in the
 // tens of kilobytes while amortizing per-batch transport overhead.
 const DefaultFetchBatch = 256
@@ -66,7 +66,6 @@ type Service struct {
 	mu       sync.Mutex
 	sessions map[uint64]*Session
 	nextSess uint64
-	nextCur  uint64
 }
 
 // NewService returns a service over eng.
@@ -108,50 +107,35 @@ func (s *Service) Execute(ctx context.Context, q *cypher.Query, params map[strin
 	return cypher.RunContext(ctx, s.eng, q, params)
 }
 
+// reserve claims a cursor's bytes against the engine accountant.
+func (s *Service) reserve(n int64) error {
+	if err := s.eng.Accountant().Reserve(n); err != nil {
+		return fmt.Errorf("session: result buffer: %w", err)
+	}
+	return nil
+}
+
 // OpenSession starts a session for one client (a wire connection, one
-// streamed HTTP request). The caller must Close it — Close discards every
-// open cursor and releases their memory reservations.
+// streamed HTTP request). The caller must Close it — Close discards the
+// open cursor and releases its memory reservation.
 func (s *Service) OpenSession(client string) *Session {
 	s.mu.Lock()
 	s.nextSess++
-	sess := &Session{
-		id:      s.nextSess,
-		svc:     s,
-		client:  client,
-		created: time.Now(),
-		cursors: make(map[uint64]*Cursor),
-	}
+	sess := &Session{id: s.nextSess, svc: s, client: client}
 	s.sessions[sess.id] = sess
 	s.mu.Unlock()
 	return sess
 }
 
-func (s *Service) dropSession(sess *Session) {
-	s.mu.Lock()
-	delete(s.sessions, sess.id)
-	s.mu.Unlock()
-}
-
-func (s *Service) cursorID() uint64 {
-	s.mu.Lock()
-	s.nextCur++
-	id := s.nextCur
-	s.mu.Unlock()
-	return id
-}
-
-// Session is one client's conversation with the service: a set of open
-// cursors sharing the client's lifetime.
+// Session is one client's conversation with the service. It runs one query
+// at a time and belongs to its transport's goroutine; the Cursor it returns
+// may be fetched or discarded while its producer runs.
 type Session struct {
-	id      uint64
-	svc     *Service
-	client  string
-	created time.Time
-
-	mu       sync.Mutex
-	cursors  map[uint64]*Cursor
-	closed   bool
-	reserved int64 // accountant bytes currently held by this session's cursors
+	id     uint64
+	svc    *Service
+	client string
+	cur    *Cursor // the last Run's cursor; nil before the first
+	closed bool
 }
 
 // ID returns the service-assigned session id.
@@ -159,20 +143,6 @@ func (s *Session) ID() uint64 { return s.id }
 
 // Client returns the client tag given at open (remote address, typically).
 func (s *Session) Client() string { return s.client }
-
-// Reserved reports the accountant bytes this session's cursors hold.
-func (s *Session) Reserved() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reserved
-}
-
-// Cursors reports the session's open cursor count.
-func (s *Session) Cursors() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.cursors)
-}
 
 // Run parses and starts a query, returning the cursor over its result.
 func (s *Session) Run(ctx context.Context, query string, params map[string]any) (*Cursor, error) {
@@ -183,18 +153,19 @@ func (s *Session) Run(ctx context.Context, query string, params map[string]any) 
 	return s.RunParsed(ctx, q, params)
 }
 
-// RunParsed starts an already-parsed query. Streamable queries return
-// immediately with a producing cursor (execution errors surface on the
-// first Fetch, like a Bolt RUN/PULL split); everything else materializes
-// first, so errors surface here. EXPLAIN and PROFILE are refused: a cursor
-// carries rows, not the plan, analysis or span tree they answer with.
+// RunParsed starts an already-parsed query, first discarding the previous
+// cursor if it is still open. Streamable queries return immediately with a
+// producing cursor (execution errors surface on the first Fetch, like a
+// Bolt RUN/PULL split); everything else materializes first, so errors
+// surface here. EXPLAIN and PROFILE are refused: a cursor carries rows, not
+// the plan, analysis or span tree they answer with.
 func (s *Session) RunParsed(ctx context.Context, q *cypher.Query, params map[string]any) (*Cursor, error) {
-	s.mu.Lock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil, fmt.Errorf("session: session %d is closed", s.id)
 	}
-	s.mu.Unlock()
+	if s.cur != nil {
+		s.cur.Discard()
+	}
 	if q.Explain || q.Profile {
 		return nil, errors.New("session: EXPLAIN, EXPLAIN ANALYZE and PROFILE cannot run on a cursor: they return a plan, an analysis or a span tree, not rows")
 	}
@@ -208,21 +179,11 @@ func (s *Session) RunParsed(ctx context.Context, q *cypher.Query, params map[str
 		return nil, err
 	}
 	reserve := rowBytes(len(res.Columns)) * int64(len(res.Rows))
-	if err := s.reserve(reserve); err != nil {
+	if err := s.svc.reserve(reserve); err != nil {
 		return nil, err
 	}
-	cur := &Cursor{
-		id:   s.svc.cursorID(),
-		sess: s,
-		cols: res.Columns,
-		rows: res.Rows,
-	}
-	cur.reserved = reserve
-	if err := s.addCursor(cur); err != nil {
-		s.releaseBytes(reserve)
-		return nil, err
-	}
-	return cur, nil
+	s.cur = &Cursor{svc: s.svc, cols: res.Columns, rows: res.Rows, reserved: reserve}
+	return s.cur, nil
 }
 
 // runStream starts a streamable query: a bounded buffer of FetchBatch rows
@@ -234,91 +195,36 @@ func (s *Session) runStream(ctx context.Context, q *cypher.Query, params map[str
 	batch := s.svc.opts.FetchBatch
 	cols := cypher.Columns(q)
 	reserve := rowBytes(len(cols)) * int64(batch+1)
-	if err := s.reserve(reserve); err != nil {
+	if err := s.svc.reserve(reserve); err != nil {
 		return nil, err
 	}
 	cctx, cancel := s.svc.queryContext(ctx)
-	cur := &Cursor{
-		id:        s.svc.cursorID(),
-		sess:      s,
+	s.cur = &Cursor{
+		svc:       s.svc,
 		cols:      cols,
 		streaming: true,
 		ch:        make(chan []any, batch),
 		cancel:    cancel,
+		reserved:  reserve,
 	}
-	cur.reserved = reserve
-	if err := s.addCursor(cur); err != nil {
-		cancel()
-		s.releaseBytes(reserve)
-		return nil, err
-	}
-	go cur.produce(cctx, s.svc.eng, q, params)
-	return cur, nil
+	go s.cur.produce(cctx, s.svc.eng, q, params)
+	return s.cur, nil
 }
 
-// reserve claims bytes for a cursor against the engine accountant,
-// accumulating the session's total.
-func (s *Session) reserve(n int64) error {
-	if err := s.svc.eng.Accountant().Reserve(n); err != nil {
-		return fmt.Errorf("session: result buffer: %w", err)
-	}
-	s.mu.Lock()
-	s.reserved += n
-	s.mu.Unlock()
-	return nil
-}
-
-func (s *Session) releaseBytes(n int64) {
-	s.svc.eng.Accountant().Release(n)
-	s.mu.Lock()
-	s.reserved -= n
-	s.mu.Unlock()
-}
-
-func (s *Session) addCursor(c *Cursor) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("session: session %d is closed", s.id)
-	}
-	s.cursors[c.id] = c
-	return nil
-}
-
-// Cursor returns the session's open cursor with the given id, or nil.
-func (s *Session) Cursor(id uint64) *Cursor {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cursors[id]
-}
-
-func (s *Session) dropCursor(c *Cursor) {
-	s.mu.Lock()
-	if s.cursors != nil {
-		delete(s.cursors, c.id)
-	}
-	s.mu.Unlock()
-}
-
-// Close discards every open cursor (canceling their producers and
-// releasing their memory reservations) and removes the session from the
-// service. Idempotent.
+// Close discards the open cursor (canceling its producer and releasing its
+// memory reservation) and removes the session from the service.
+// Idempotent.
 func (s *Session) Close() {
-	s.mu.Lock()
 	if s.closed {
-		s.mu.Unlock()
 		return
 	}
 	s.closed = true
-	curs := make([]*Cursor, 0, len(s.cursors))
-	for _, c := range s.cursors {
-		curs = append(curs, c)
+	if s.cur != nil {
+		s.cur.Discard()
 	}
-	s.mu.Unlock()
-	for _, c := range curs {
-		c.Discard()
-	}
-	s.svc.dropSession(s)
+	s.svc.mu.Lock()
+	delete(s.svc.sessions, s.id)
+	s.svc.mu.Unlock()
 }
 
 // rowBytes estimates the retained footprint of one buffered row: a slice

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -127,15 +126,12 @@ func TestStreamingReservationConstant(t *testing.T) {
 				if len(rows) > batch {
 					t.Fatalf("fetch returned %d rows > batch %d", len(rows), batch)
 				}
-				// Mid-stream, the session's held bytes are exactly the
-				// one-batch reservation regardless of how many rows have
-				// passed through.
+				// Mid-stream, the accountant holds exactly the one-batch
+				// reservation regardless of how many rows have passed
+				// through.
 				if more {
-					if got := sess.Reserved(); got != wantReserve {
-						t.Fatalf("after %d rows: reserved %d bytes, want constant %d", total, got, wantReserve)
-					}
-					if got := acct.InUse() - base; got < wantReserve {
-						t.Fatalf("accountant in-use delta %d < reservation %d", got, wantReserve)
+					if got := acct.InUse() - base; got != wantReserve {
+						t.Fatalf("after %d rows: accountant holds %d bytes, want constant %d", total, got, wantReserve)
 					}
 				} else {
 					break
@@ -143,9 +139,6 @@ func TestStreamingReservationConstant(t *testing.T) {
 			}
 			if total <= batch {
 				t.Fatalf("result must exceed one batch for this proof, got %d rows", total)
-			}
-			if got := sess.Reserved(); got != 0 {
-				t.Fatalf("reservation not released at exhaustion: %d bytes", got)
 			}
 			if got := acct.InUse(); got != base {
 				t.Fatalf("accountant in-use %d, want baseline %d", got, base)
@@ -158,6 +151,8 @@ func TestStreamingReservationConstant(t *testing.T) {
 // through the same cursor interface.
 func TestMaterializedCursorPaging(t *testing.T) {
 	svc := testService(t, Options{FetchBatch: 4})
+	acct := svc.Engine().Accountant()
+	base := acct.InUse()
 	sess := svc.OpenSession("test")
 	defer sess.Close()
 
@@ -185,7 +180,7 @@ func TestMaterializedCursorPaging(t *testing.T) {
 	if cur.Streaming() {
 		t.Fatal("aggregate should not stream")
 	}
-	if sess.Reserved() == 0 {
+	if acct.InUse() == base {
 		t.Fatal("materialized cursor should hold a reservation")
 	}
 	rows, more, err := cur.Fetch(4)
@@ -196,8 +191,8 @@ func TestMaterializedCursorPaging(t *testing.T) {
 	if err != nil || len(rows) != 2 || more {
 		t.Fatalf("second page = %d rows, more=%v, err=%v; want 2, false, nil", len(rows), more, err)
 	}
-	if sess.Reserved() != 0 {
-		t.Fatalf("reservation not released at exhaustion: %d bytes", sess.Reserved())
+	if got := acct.InUse() - base; got != 0 {
+		t.Fatalf("reservation not released at exhaustion: %d bytes", got)
 	}
 	if _, _, err := cur.Fetch(1); !errors.Is(err, ErrCursorClosed) {
 		t.Fatalf("fetch after exhaustion: err=%v, want ErrCursorClosed", err)
@@ -208,6 +203,8 @@ func TestMaterializedCursorPaging(t *testing.T) {
 // reservation, and poisons the cursor.
 func TestFetchAfterDiscard(t *testing.T) {
 	svc := testService(t, Options{FetchBatch: 8})
+	acct := svc.Engine().Accountant()
+	base := acct.InUse()
 	sess := svc.OpenSession("test")
 	defer sess.Close()
 
@@ -223,11 +220,49 @@ func TestFetchAfterDiscard(t *testing.T) {
 	if _, _, err := cur.Fetch(1); !errors.Is(err, ErrCursorClosed) {
 		t.Fatalf("fetch after discard: err=%v, want ErrCursorClosed", err)
 	}
-	if got := sess.Reserved(); got != 0 {
+	if got := acct.InUse() - base; got != 0 {
 		t.Fatalf("discard left %d bytes reserved", got)
 	}
-	if got := sess.Cursors(); got != 0 {
-		t.Fatalf("discard left %d cursors open", got)
+}
+
+// TestRunDiscardsOpenCursor pins one query per session: a second Run closes
+// the first cursor mid-stream, its query leaves the registry, and the
+// accountant then holds only the new cursor's one-batch reservation.
+func TestRunDiscardsOpenCursor(t *testing.T) {
+	const batch = 8
+	svc := testService(t, Options{FetchBatch: batch})
+	acct := svc.Engine().Accountant()
+	base := acct.InUse()
+	sess := svc.OpenSession("test")
+	defer sess.Close()
+
+	// Variable names unique to this test keep the registry entry
+	// unambiguous.
+	const first = `MATCH (da:Person)-[:knows]-(db:Person) RETURN da, db`
+	old, err := sess.Run(context.Background(), first, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := old.Fetch(1); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := sess.Run(context.Background(), streamQuery, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := old.Fetch(1); !errors.Is(err, ErrCursorClosed) {
+		t.Fatalf("fetch on the replaced cursor: err=%v, want ErrCursorClosed", err)
+	}
+	waitUntil(t, "the replaced query leaves the active list", func() bool {
+		_, ok := activeQueryID(first)
+		return !ok
+	})
+	if _, _, err := cur.Fetch(1); err != nil {
+		t.Fatal(err)
+	}
+	want := rowBytes(len(cur.Columns())) * (batch + 1)
+	if got := acct.InUse() - base; got != want {
+		t.Fatalf("accountant holds %d bytes, want the new cursor's %d", got, want)
 	}
 }
 
@@ -388,7 +423,7 @@ func TestKillOrDiscardUnblocksFullBuffer(t *testing.T) {
 // TestIntrospectionAccessorsRaceFree is for -race. The introspection
 // accessors are meant for goroutines the module does not start (an HTTP
 // handler, a /metrics scrape), so this test calls them in a loop while other
-// goroutines stream and fetch.
+// goroutines, each on its own session, stream and fetch.
 // Every run starts from a fresh source, so every query adds to the matrix
 // cache.
 func TestIntrospectionAccessorsRaceFree(t *testing.T) {
@@ -400,14 +435,11 @@ func TestIntrospectionAccessorsRaceFree(t *testing.T) {
 	}
 	eng := engine.New(g, engine.Options{CacheBytes: engine.DefaultCacheBytes})
 	svc := NewService(eng, Options{FetchBatch: 4})
-	sess := svc.OpenSession("race")
-	defer sess.Close()
 	const query = `MATCH (ra:Person {id:$id})-[:knows*1..2]-(rb:Person) RETURN ra, rb`
 	ids := g.Prop("id").(graph.Int64Column)
 
 	const workers = 3
 	var (
-		live [workers]atomic.Pointer[Cursor]
 		wg   sync.WaitGroup
 		done = make(chan struct{})
 	)
@@ -415,13 +447,14 @@ func TestIntrospectionAccessorsRaceFree(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			sess := svc.OpenSession("race")
+			defer sess.Close()
 			for i := w; i < 30; i += workers {
 				cur, err := sess.Run(context.Background(), query, map[string]any{"id": ids[i]})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				live[w].Store(cur)
 				for {
 					_, more, err := cur.Fetch(0)
 					if err != nil {
@@ -449,12 +482,7 @@ func TestIntrospectionAccessorsRaceFree(t *testing.T) {
 		}
 		entries, bytes := eng.CacheStats()
 		sink += int64(entries) + bytes + eng.MemoryInUse()
-		sink += int64(svc.SessionCount()) + sess.Reserved() + int64(sess.Cursors())
-		for w := range live {
-			if cur := live[w].Load(); cur != nil {
-				sink += cur.Fetched()
-			}
-		}
+		sink += int64(svc.SessionCount())
 	}
 	if entries, _ := eng.CacheStats(); entries == 0 {
 		t.Fatalf("no expansion reached the matrix cache (accessor sum %d)", sink)
@@ -539,13 +567,15 @@ func TestStreamLimit(t *testing.T) {
 // profile-less result. Execute still returns all three.
 func TestCursorRejectsExplainAndProfile(t *testing.T) {
 	svc := testService(t, Options{})
+	acct := svc.Engine().Accountant()
+	base := acct.InUse()
 	sess := svc.OpenSession("test")
 	defer sess.Close()
 	const count = `MATCH (p:Person)-[:knows]-(q:Person) RETURN COUNT(DISTINCT p, q)`
 	for _, prefix := range []string{"EXPLAIN ", "EXPLAIN ANALYZE ", "PROFILE "} {
 		for _, src := range []string{prefix + streamQuery, prefix + count} {
-			if cur, err := sess.Run(context.Background(), src, nil); err == nil {
-				t.Errorf("Run(%q) opened cursor %d, want an error", src, cur.ID())
+			if _, err := sess.Run(context.Background(), src, nil); err == nil {
+				t.Errorf("Run(%q) opened a cursor, want an error", src)
 			}
 		}
 		q, err := cypher.Parse(prefix + count)
@@ -560,7 +590,7 @@ func TestCursorRejectsExplainAndProfile(t *testing.T) {
 			t.Errorf("Execute(%q) returned no plan, analysis or profile", q.Raw)
 		}
 	}
-	if n := sess.Cursors(); n != 0 {
-		t.Fatalf("%d cursors left open", n)
+	if got := acct.InUse() - base; got != 0 {
+		t.Fatalf("refused queries left %d bytes reserved", got)
 	}
 }

@@ -7,18 +7,17 @@ import (
 )
 
 // Framing: every message is one frame — a u32 big-endian payload length
-// followed by the payload. A zero-length frame is a NOOP keep-alive; either
-// side may send one at any time and the receiver skips it. The payload's
-// first byte is the message type, the rest is the body (one encoded value,
-// usually a map — except RECORD, whose body is the compact row encoding).
+// followed by the payload. The payload's first byte is the message type,
+// the rest is the body (one encoded value, usually a map — except RECORD,
+// whose body is the compact row encoding).
 const (
 	// Magic opens the handshake: the client sends these 4 bytes followed by
 	// a u32 big-endian proposed protocol version; the server answers with
 	// the u32 version it accepts, or 0 before closing when no version
 	// overlaps.
 	Magic = "VSWP"
-	// Version is the current protocol version.
-	Version uint32 = 1
+	// Version is the protocol version; the handshake refuses any other.
+	Version uint32 = 2
 	// MaxFrame caps a frame's payload so a hostile peer cannot make the
 	// receiver allocate unboundedly.
 	MaxFrame = 16 << 20
@@ -28,8 +27,8 @@ const (
 const (
 	MsgHello   = 0x01 // client introduction; body {client}
 	MsgRun     = 0x02 // start a query; body {query, params?}
-	MsgFetch   = 0x03 // pull rows; body {cursor, n?}
-	MsgDiscard = 0x04 // abandon a cursor; body {cursor}
+	MsgFetch   = 0x03 // pull one batch from the open cursor; empty body
+	MsgDiscard = 0x04 // abandon the open cursor; empty body
 	MsgPing    = 0x05 // liveness probe; empty body
 	MsgGoodbye = 0x06 // orderly close; empty body
 
@@ -53,36 +52,28 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	if len(payload) == 0 {
-		return nil
-	}
 	_, err := w.Write(payload)
 	return err
 }
 
-// ReadFrame reads the next non-NOOP frame, reusing buf when it fits.
+// ReadFrame reads the next frame, reusing buf when it fits.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, err
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n == 0 {
-			continue // NOOP keep-alive
-		}
-		if n > MaxFrame {
-			return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrame)
-		}
-		if uint32(cap(buf)) < n {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
 	}
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n > MaxFrame {
+		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrame)
+	}
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // AppendMessage encodes a typed message with a map body (nil body = empty

@@ -1,16 +1,16 @@
 // Package wire implements vsserve's framed binary streaming protocol — the
 // transport for result sets too large (or too latency-sensitive) for the
 // HTTP/JSON front end. The protocol is Bolt-shaped: a versioned handshake,
-// then length-prefixed messages; a RUN starts a query and answers with the
-// column shape and a cursor id, and the client drives the result with
-// FETCH n (answered by a run of RECORD frames and a SUCCESS carrying
+// then length-prefixed messages. A connection runs one query at a time: a
+// RUN starts a query (discarding the previous one's cursor) and answers
+// with the column shape, and the client drives the result with FETCH
+// (answered by up to one batch of RECORD frames and a SUCCESS carrying
 // has_more) or abandons it with DISCARD. Records use a compact value
 // encoding where a row of graph ids costs a few bytes per vertex.
 //
 // The server holds no query logic: every connection is one
-// session.Session, and all execution, cursor bookkeeping, backpressure,
-// and memory metering live in internal/session — shared with the HTTP
-// transport.
+// session.Session, and all execution, backpressure and memory metering
+// live in internal/session — shared with the HTTP transport.
 package wire
 
 import (
@@ -21,7 +21,6 @@ import (
 	"log/slog"
 	"net"
 	"sync"
-	"time"
 
 	"repro/internal/cypher"
 	"repro/internal/session"
@@ -32,10 +31,6 @@ type Options struct {
 	// Logger, when non-nil, receives one record per connection open/close
 	// and per protocol-level failure.
 	Logger *slog.Logger
-	// IdleTimeout bounds the wait for the next client frame; clients keep
-	// long-lived idle connections alive with NOOP or PING frames. 0 = no
-	// limit.
-	IdleTimeout time.Duration
 }
 
 // Server accepts wire-protocol connections and serves them over a
@@ -74,7 +69,7 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Close force-closes every live connection (their sessions close behind
-// them, discarding open cursors). The caller closes the listener.
+// them, discarding their open cursors). The caller closes the listener.
 func (s *Server) Close() {
 	s.mu.Lock()
 	for conn := range s.conns {
@@ -100,8 +95,8 @@ func (s *Server) logf(level slog.Level, msg string, args ...any) {
 }
 
 // handleConn runs one connection: handshake, then the message loop. The
-// deferred session close is the disconnect cleanup path — it cancels any
-// producing cursor and releases every reservation, so an abandoned
+// deferred session close is the disconnect cleanup path — it cancels a
+// producing cursor and releases its reservation, so an abandoned
 // connection cannot leak result memory.
 func (s *Server) handleConn(conn net.Conn) {
 	if err := s.handshake(conn); err != nil {
@@ -119,9 +114,6 @@ func (s *Server) handleConn(conn net.Conn) {
 
 // handshake validates the magic and negotiates the protocol version.
 func (s *Server) handshake(conn net.Conn) error {
-	if s.opts.IdleTimeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-	}
 	var hello [8]byte
 	if _, err := io.ReadFull(conn, hello[:]); err != nil {
 		return fmt.Errorf("reading handshake: %w", err)
@@ -147,11 +139,13 @@ func (s *Server) handshake(conn net.Conn) error {
 }
 
 // connHandler is one connection's message loop state: reusable read/write
-// buffers and the session everything executes through.
+// buffers, the session everything executes through, and the cursor the
+// last RUN opened.
 type connHandler struct {
 	srv  *Server
 	conn net.Conn
 	sess *session.Session
+	cur  *session.Cursor
 	in   []byte
 	out  []byte
 }
@@ -159,12 +153,9 @@ type connHandler struct {
 func (h *connHandler) loop() {
 	ctx := context.Background()
 	for {
-		if h.srv.opts.IdleTimeout > 0 {
-			_ = h.conn.SetReadDeadline(time.Now().Add(h.srv.opts.IdleTimeout))
-		}
 		frame, err := ReadFrame(h.conn, h.in)
 		if err != nil {
-			return // disconnect or timeout; deferred session close cleans up
+			return // disconnect; deferred session close cleans up
 		}
 		h.in = frame
 		msg, body, err := ParseMessage(frame)
@@ -182,9 +173,12 @@ func (h *connHandler) loop() {
 		case MsgRun:
 			err = h.handleRun(ctx, body)
 		case MsgFetch:
-			err = h.handleFetch(body)
+			err = h.handleFetch()
 		case MsgDiscard:
-			err = h.handleDiscard(body)
+			if h.cur != nil {
+				h.cur.Discard()
+			}
+			err = h.success(nil)
 		case MsgPing:
 			err = h.send(MsgPong, nil)
 		case MsgGoodbye:
@@ -198,9 +192,14 @@ func (h *connHandler) loop() {
 	}
 }
 
-// handleRun parses and starts a query, answering SUCCESS {cursor, columns,
-// streaming} — rows only move on FETCH.
+// handleRun discards the previous query's cursor, then parses and starts a
+// query, answering SUCCESS {columns, streaming} — rows only move on FETCH.
+// The discard comes first so that a RUN that fails to parse still ends the
+// query before it.
 func (h *connHandler) handleRun(ctx context.Context, body map[string]any) error {
+	if h.cur != nil {
+		h.cur.Discard()
+	}
 	text, ok := BodyString(body, "query")
 	if !ok {
 		return h.failure(CodeProtocol, "RUN without query")
@@ -216,32 +215,29 @@ func (h *connHandler) handleRun(ctx context.Context, body map[string]any) error 
 	if err != nil {
 		return h.failure(CodeSyntax, err.Error())
 	}
-	cur, err := h.sess.RunParsed(ctx, q, params)
+	h.cur, err = h.sess.RunParsed(ctx, q, params)
 	if err != nil {
 		return h.failure(CodeQuery, err.Error())
 	}
-	cols := make([]any, len(cur.Columns()))
-	for i, c := range cur.Columns() {
+	cols := make([]any, len(h.cur.Columns()))
+	for i, c := range h.cur.Columns() {
 		cols[i] = c
 	}
 	return h.success(map[string]any{
-		"cursor":    int64(cur.ID()),
 		"columns":   cols,
-		"streaming": cur.Streaming(),
+		"streaming": h.cur.Streaming(),
 	})
 }
 
-// handleFetch pulls up to n rows from a cursor: a RECORD frame per row,
-// then SUCCESS {has_more, rows}. When the stream ended with a failure
+// handleFetch pulls one batch from the open cursor: a RECORD frame per
+// row, then SUCCESS {has_more, rows}. When the stream ended with a failure
 // (kill, timeout, execution error), the FAILURE follows whatever rows were
 // delivered first — the client sees a correct prefix, then the error.
-func (h *connHandler) handleFetch(body map[string]any) error {
-	cur, perr := h.cursorFrom(body)
-	if perr != "" {
-		return h.failure(CodeProtocol, perr)
+func (h *connHandler) handleFetch() error {
+	if h.cur == nil {
+		return h.failure(CodeProtocol, "no cursor to FETCH from")
 	}
-	n, _ := BodyInt(body, "n")
-	rows, more, err := cur.Fetch(int(n))
+	rows, more, err := h.cur.Fetch(0)
 	for _, row := range rows {
 		h.out = h.out[:0]
 		h.out = append(h.out, MsgRecord)
@@ -264,33 +260,6 @@ func (h *connHandler) handleFetch(body map[string]any) error {
 		"has_more": more,
 		"rows":     int64(len(rows)),
 	})
-}
-
-// handleDiscard abandons a cursor. Discarding an unknown (already closed)
-// cursor succeeds — DISCARD races exhaustion benignly.
-func (h *connHandler) handleDiscard(body map[string]any) error {
-	id, ok := BodyInt(body, "cursor")
-	if !ok {
-		return h.failure(CodeProtocol, "DISCARD without cursor")
-	}
-	if cur := h.sess.Cursor(uint64(id)); cur != nil {
-		cur.Discard()
-	}
-	return h.success(nil)
-}
-
-// cursorFrom resolves the cursor named in a FETCH body, returning a
-// protocol-error string when it cannot.
-func (h *connHandler) cursorFrom(body map[string]any) (*session.Cursor, string) {
-	id, ok := BodyInt(body, "cursor")
-	if !ok {
-		return nil, "FETCH without cursor"
-	}
-	cur := h.sess.Cursor(uint64(id))
-	if cur == nil {
-		return nil, fmt.Sprintf("unknown cursor %d", id)
-	}
-	return cur, ""
 }
 
 func (h *connHandler) success(meta map[string]any) error {

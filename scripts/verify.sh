@@ -173,16 +173,20 @@ if [ -z "${SKIP_SMOKE:-}" ]; then
         || { echo "streamed $streamrows rows; need more than one 16-row fetch batch" >&2; exit 1; }
     tail -1 "$smokedir/ndjson" | grep -q "\"rows\":$streamrows" \
         || { echo "NDJSON trailer row count disagrees with the stream:" >&2; tail -1 "$smokedir/ndjson" >&2; exit 1; }
+    # await_idle polls /metrics until no query is in flight; $1 names what
+    # should have ended them.
+    await_idle() {
+        inflight=""
+        for _ in $(seq 1 40); do
+            inflight="$(curl -fsS "http://$hostport/metrics" | sed -n 's/^vs_queries_in_flight //p')"
+            [ "$inflight" = "0" ] && return
+            sleep 0.1
+        done
+        echo "vs_queries_in_flight stuck at '$inflight' after $1" >&2; exit 1
+    }
     # The streamed query must drain from the live registry once the cursor
     # is exhausted — in-flight back to 0, total incremented.
-    inflight=""
-    for _ in $(seq 1 40); do
-        inflight="$(curl -fsS "http://$hostport/metrics" | sed -n 's/^vs_queries_in_flight //p')"
-        [ "$inflight" = "0" ] && break
-        sleep 0.1
-    done
-    [ "$inflight" = "0" ] \
-        || { echo "vs_queries_in_flight stuck at '$inflight' after stream drained" >&2; exit 1; }
+    await_idle "stream drained"
 
     step "wire protocol smoke (vsquery -wire rows match the HTTP/JSON path)"
     wireaddr="$(sed -n 's/^wire protocol on //p' "$smokedir/stdout")"
@@ -198,6 +202,8 @@ for row in json.load(sys.stdin)["rows"]:
     [ -s "$smokedir/wire_rows" ] || { echo "vsquery -wire returned no rows" >&2; exit 1; }
     diff -u "$smokedir/http_rows" "$smokedir/wire_rows" \
         || { echo "wire and HTTP transports disagree on $streamq" >&2; exit 1; }
+    # vsquery has disconnected: its session must have closed its cursor.
+    await_idle "the wire client disconnected"
     # The wire protocol carries rows only: EXPLAIN must fail, not print an
     # empty result.
     if "$smokedir/vsquery" -wire "$wireaddr" -query "EXPLAIN $streamq" > /dev/null 2>&1; then

@@ -249,7 +249,7 @@ func (db *DB) Expand(sources []VertexID, d Determiner, keepPerStep bool) (*Reach
 // ShortestPathLength returns the shortest-path length from src to dst over
 // the given edge labels, or -1 when unreachable.
 func (db *DB) ShortestPathLength(src, dst VertexID, edgeLabels []string, dir Direction) (int, error) {
-	return db.eng.ShortestPathLength(src, dst, edgeLabels, dir)
+	return db.eng.ShortestPathLength(context.Background(), src, dst, edgeLabels, dir, Unbounded)
 }
 
 // VertexByID resolves an int64 "id" property value to a vertex.
