@@ -17,6 +17,7 @@
 package client
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -59,6 +60,7 @@ type ServerInfo struct {
 // when the next RUN arrives).
 type Conn struct {
 	conn   net.Conn
+	r      *bufio.Reader // every read, the handshake reply included
 	opts   Options
 	info   ServerInfo
 	rows   *Rows // open result, if any
@@ -74,7 +76,7 @@ func Dial(addr string, opts Options) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Conn{conn: conn, opts: opts}
+	c := &Conn{conn: conn, r: bufio.NewReader(conn), opts: opts}
 	if err := c.handshake(); err != nil {
 		_ = conn.Close()
 		return nil, err
@@ -100,7 +102,7 @@ func (c *Conn) handshake() error {
 		return fmt.Errorf("client: handshake write: %w", err)
 	}
 	var accept [4]byte
-	if _, err := io.ReadFull(c.conn, accept[:]); err != nil {
+	if _, err := io.ReadFull(c.r, accept[:]); err != nil {
 		return fmt.Errorf("client: handshake read: %w", err)
 	}
 	got := uint32(accept[0])<<24 | uint32(accept[1])<<16 | uint32(accept[2])<<8 | uint32(accept[3])
@@ -215,9 +217,10 @@ func (c *Conn) readSuccess() (map[string]any, error) {
 	}
 }
 
+// sendMessage writes one request. A request is a single frame, and the
+// length prefix is reserved in the encode buffer, so it leaves in one Write.
 func (c *Conn) sendMessage(msg byte, body map[string]any) error {
-	c.out = c.out[:0]
-	enc, err := wire.AppendMessage(c.out, msg, body)
+	enc, err := wire.AppendMessage(wire.BeginFrame(c.out[:0]), msg, body)
 	if err != nil {
 		return err
 	}
@@ -229,7 +232,7 @@ func (c *Conn) sendMessage(msg byte, body map[string]any) error {
 }
 
 func (c *Conn) readMessage() (byte, map[string]any, error) {
-	frame, err := wire.ReadFrame(c.conn, c.in)
+	frame, err := wire.ReadFrame(c.r, c.in)
 	if err != nil {
 		return 0, nil, c.fail(err)
 	}
@@ -308,7 +311,7 @@ func (r *Rows) fetch() error {
 	r.buf = r.buf[:0]
 	r.pos = 0
 	for {
-		frame, err := wire.ReadFrame(c.conn, c.in)
+		frame, err := wire.ReadFrame(c.r, c.in)
 		if err != nil {
 			return c.fail(err)
 		}

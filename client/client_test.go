@@ -17,6 +17,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/session"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -352,4 +353,143 @@ func TestDialTimeoutFailsFast(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("Dial took %v; DialTimeout of 150ms not honored", elapsed)
 	}
+}
+
+// drainRows reads rows to ErrDone.
+func drainRows(t testing.TB, rows *client.Rows) [][]any {
+	t.Helper()
+	var got [][]any
+	for {
+		row, err := rows.Next()
+		if err == client.ErrDone {
+			return got
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, row)
+	}
+}
+
+// TestWireKillMidStream kills a streamed query through the registry (the
+// path KILL <id> and DELETE /debug/queries/{id} take) after the client has
+// read one row. The client must get a query_error after a valid prefix —
+// so the FAILURE was flushed, not left in the server's write buffer — and
+// the accountant, the registry and the connection must all recover.
+func TestWireKillMidStream(t *testing.T) {
+	addr, svc := startServer(t, session.Options{FetchBatch: 4})
+	acct := svc.Engine().Accountant()
+	base := acct.InUse()
+	q, err := cypher.Parse(pairQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := svc.Execute(context.Background(), q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := make(map[string]bool, len(all.Rows))
+	for _, row := range all.Rows {
+		valid[fmt.Sprint(row)] = true
+	}
+
+	c, err := client.Dial(addr, client.Options{DialTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Variable names unique to this test keep its registry entry unambiguous.
+	const killQuery = `MATCH (wka:Person)-[:knows]-(wkb:Person) RETURN wka, wkb`
+	rows, err := c.Run(killQuery, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := rows.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	active, _ := telemetry.DefaultQueries.Snapshot()
+	var killed bool
+	for _, qs := range active {
+		if qs.Query == killQuery && telemetry.DefaultQueries.Kill(qs.ID) {
+			killed = true
+		}
+	}
+	if !killed {
+		t.Fatalf("streamed query not visible in the registry: %+v", active)
+	}
+
+	prefix := [][]any{first}
+	for {
+		row, err := rows.Next()
+		if err == nil {
+			prefix = append(prefix, row)
+			continue
+		}
+		var serr *client.ServerError
+		if !errors.As(err, &serr) || serr.Code != wire.CodeQuery {
+			t.Fatalf("killed stream ended with %v, want a query_error", err)
+		}
+		break
+	}
+	if len(prefix) >= len(all.Rows) {
+		t.Fatalf("the killed stream delivered all %d rows", len(prefix))
+	}
+	for _, row := range prefix {
+		if !valid[fmt.Sprint(row)] {
+			t.Fatalf("row %v before the failure is not in the result", row)
+		}
+	}
+
+	if got := acct.InUse(); got != base {
+		t.Fatalf("after the kill the accountant holds %d bytes over baseline", got-base)
+	}
+	// The producer leaves the registry before it closes the cursor, so the
+	// FAILURE cannot arrive while the query is still in flight.
+	active, _ = telemetry.DefaultQueries.Snapshot()
+	for _, qs := range active {
+		if qs.Query == killQuery {
+			t.Fatalf("killed query still in flight: %+v", qs)
+		}
+	}
+
+	if err := c.Ping(); err != nil {
+		t.Fatalf("Ping after the kill: %v", err)
+	}
+	rows, err = c.Run(pairQuery, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := drainRows(t, rows)
+	want := append([][]any(nil), all.Rows...)
+	sortRows(want)
+	sortRows(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Run after the kill: %d rows, want %d", len(got), len(want))
+	}
+}
+
+// BenchmarkWireStream streams a multi-thousand-row result through a
+// loopback server and the client, reporting rows/s and allocations per
+// query — the transport's own number, without the benchmark ledger.
+func BenchmarkWireStream(b *testing.B) {
+	addr, _ := startServer(b, session.Options{})
+	c, err := client.Dial(addr, client.Options{DialTimeout: 5 * time.Second})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	const query = `MATCH (p:Person)-[:knows*1..2]-(q:Person) RETURN p, q`
+	b.ReportAllocs()
+	b.ResetTimer()
+	var total int
+	for i := 0; i < b.N; i++ {
+		rows, err := c.Run(query, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		total += len(drainRows(b, rows))
+	}
+	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "rows/s")
+	b.ReportMetric(float64(total)/float64(b.N), "rows/op")
 }

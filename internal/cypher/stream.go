@@ -75,8 +75,8 @@ func Columns(q *Query) []string {
 // emit returning an error stops the stream and surfaces that error; emit
 // may block, but must watch the context it receives — that context is the
 // registered query context, canceled by KILL, by the caller's deadline, and
-// by Stream's own unwinding, so a blocked emit (a full cursor buffer with no
-// client fetching) unblocks the moment the query dies.
+// by Stream's own unwinding, so a blocked emit (a cursor handing off a
+// batch no client fetches) unblocks the moment the query dies.
 func Stream(ctx context.Context, eng *engine.Engine, q *Query, params map[string]any, emit func(ctx context.Context, row []any) error) error {
 	if !Streamable(q) {
 		return ErrNotStreamable

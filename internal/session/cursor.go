@@ -13,20 +13,24 @@ import (
 var ErrCursorClosed = errors.New("session: cursor is closed")
 
 // Cursor is one query's result, consumed in client-driven batches. A
-// streaming cursor is fed by a producer goroutine running cypher.Stream
-// into a bounded buffer; a materialized cursor pages through rows already
-// in memory. Fetch and Discard are safe to call from the transport's
-// goroutine while the producer runs; a cursor is single-consumer.
+// streaming cursor is fed by a producer goroutine running cypher.Stream,
+// which hands its rows over one batch at a time; a materialized cursor
+// pages through rows already in memory. Fetch and Discard are safe to call
+// from the transport's goroutine while the producer runs; a cursor is
+// single-consumer.
 type Cursor struct {
 	svc  *Service
 	cols []string
 
-	// Streaming state: producer sends rows on ch and closes it after
-	// recording perr (ordering: perr, then close).
+	// Streaming state: the producer sends batches of FetchBatch rows (the
+	// last may be shorter) on the unbuffered ch and closes it after
+	// recording perr (ordering: perr, then close). left is the consumer's
+	// part of the last batch received that no Fetch has returned yet.
 	streaming bool
-	ch        chan []any
+	ch        chan [][]any
 	cancel    context.CancelFunc
 	perr      error
+	left      [][]any
 
 	// Materialized state.
 	rows [][]any
@@ -47,31 +51,52 @@ func (c *Cursor) Columns() []string { return c.cols }
 // serves a materialized result.
 func (c *Cursor) Streaming() bool { return c.streaming }
 
-// produce runs the streaming query, feeding the bounded buffer. Emit
-// blocks when the buffer is full — that backpressure holds the engine's
-// join at one batch ahead of the client. A canceled context (Discard,
-// client disconnect, KILL, QueryTimeout) unblocks the send and unwinds the
+// produce runs the streaming query, collecting rows into batches of
+// FetchBatch and handing each full batch to Fetch. The handoff blocks until
+// a Fetch takes the batch — that backpressure holds the engine's join at
+// one batch ahead of the client. A canceled context (Discard, client
+// disconnect, KILL, QueryTimeout) unblocks the handoff and unwinds the
 // engine at its cooperative poll points.
 func (c *Cursor) produce(ctx context.Context, eng *engine.Engine, q *cypher.Query, params map[string]any) {
-	// The emit callback selects on the query context Stream provides (a
+	size := c.svc.opts.FetchBatch
+	batch := make([][]any, 0, size)
+	// The emit callback hands off on the query context Stream provides (a
 	// child of ctx that KILL also cancels), not ctx itself — a kill must
-	// unblock a producer waiting on a full buffer no one is fetching.
+	// unblock a producer waiting on a batch no one is fetching.
 	err := cypher.Stream(ctx, eng, q, params, func(qctx context.Context, row []any) error {
-		// Check before the select: when the buffer has room AND the query
-		// was killed, both cases are ready and select would pick at random —
-		// a dead query must stop emitting immediately, not probabilistically.
-		if qctx.Err() != nil {
-			return qctx.Err()
-		}
-		select {
-		case c.ch <- row:
+		batch = append(batch, row)
+		if len(batch) < size {
 			return nil
-		case <-qctx.Done():
-			return qctx.Err()
 		}
+		if err := c.handoff(qctx, batch); err != nil {
+			return err
+		}
+		batch = make([][]any, 0, size)
+		return nil
 	})
+	// Stream cancels its query context on return, so the last, partial
+	// batch goes out on the cursor's own context.
+	if err == nil && len(batch) > 0 {
+		err = c.handoff(ctx, batch)
+	}
 	c.perr = err
 	close(c.ch)
+}
+
+// handoff passes one batch to Fetch, or gives up when ctx ends.
+func (c *Cursor) handoff(ctx context.Context, batch [][]any) error {
+	// Check before the select: when a Fetch is waiting AND the query was
+	// killed, both cases are ready and select would pick at random — a dead
+	// query must stop handing off rows immediately, not probabilistically.
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	select {
+	case c.ch <- batch:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // Fetch returns up to max rows (max <= 0 = the service's FetchBatch),
@@ -105,17 +130,26 @@ func (c *Cursor) Fetch(max int) (rows [][]any, more bool, err error) {
 	c.mu.Unlock()
 
 	for len(rows) < max {
-		row, ok := <-c.ch
-		if !ok {
-			// Producer finished: perr was written before the close.
-			err = c.perr
-			c.mu.Lock()
-			c.exhausted = true
-			c.mu.Unlock()
-			c.close()
-			return rows, false, err
+		if len(c.left) == 0 {
+			batch, ok := <-c.ch
+			if !ok {
+				// Producer finished: perr was written before the close.
+				err = c.perr
+				c.mu.Lock()
+				c.exhausted = true
+				c.mu.Unlock()
+				c.close()
+				return rows, false, err
+			}
+			c.left = batch
 		}
-		rows = append(rows, row)
+		n := min(max-len(rows), len(c.left))
+		if rows == nil && n == len(c.left) {
+			rows = c.left // the common case, max = FetchBatch: pass the batch on whole
+		} else {
+			rows = append(rows, c.left[:n]...)
+		}
+		c.left = c.left[n:]
 	}
 	return rows, true, nil
 }

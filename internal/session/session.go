@@ -13,10 +13,11 @@
 // one execution path (one engine core, one projector, one registry/metrics
 // wrapper), differing only in who consumes the rows. Streamable queries
 // (see cypher.Streamable) execute through cypher.Stream, whose per-row
-// callback feeds a bounded row buffer — server-side result memory is capped
-// at one fetch batch regardless of result cardinality, and a full buffer
-// blocks the join itself (it runs on the producer's goroutine) when the
-// client fetches slower than the join produces. Everything else
+// callback fills a batch of FetchBatch rows and hands each full batch to
+// Fetch — server-side result memory is capped at one fetch batch regardless
+// of result cardinality, and a handoff no Fetch takes blocks the join
+// itself (it runs on the producer's goroutine) when the client fetches
+// slower than the join produces. Everything else
 // (aggregates, ORDER BY, UNWIND) needs the complete result first: it
 // collects through cypher.RunContext and serves the rows through the same
 // Cursor interface, so transports never branch on query shape.
@@ -42,9 +43,9 @@ import (
 	"repro/internal/engine"
 )
 
-// DefaultFetchBatch is the default cursor buffer capacity and FETCH batch
-// size: 256 rows keeps a streamed result's server-side footprint in the
-// tens of kilobytes while amortizing per-batch transport overhead.
+// DefaultFetchBatch is the default cursor handoff and FETCH batch size:
+// 256 rows keeps a streamed result's server-side footprint in the tens of
+// kilobytes while amortizing per-batch transport overhead.
 const DefaultFetchBatch = 256
 
 // Options configures a Service.
@@ -53,8 +54,9 @@ type Options struct {
 	// streamed query the deadline covers the whole stream lifetime,
 	// producer and fetch phases included.
 	QueryTimeout time.Duration
-	// FetchBatch is the streamed-cursor buffer capacity and the batch size
-	// Fetch uses when the caller passes max <= 0. 0 = DefaultFetchBatch.
+	// FetchBatch is the rows per producer-to-Fetch handoff of a streamed
+	// cursor and the batch size Fetch uses when the caller passes max <= 0.
+	// 0 = DefaultFetchBatch.
 	FetchBatch int
 }
 
@@ -186,11 +188,11 @@ func (s *Session) RunParsed(ctx context.Context, q *cypher.Query, params map[str
 	return s.cur, nil
 }
 
-// runStream starts a streamable query: a bounded buffer of FetchBatch rows
-// sits between the engine's streaming join and the client's Fetch calls.
-// The buffer's bytes (plus the one in-flight row the producer holds) are
-// reserved against the engine accountant for the cursor's lifetime — the
-// reservation is constant in the result cardinality.
+// runStream starts a streamable query: the producer hands the engine's
+// streaming join to the client's Fetch calls one batch of FetchBatch rows
+// at a time. One batch of bytes (plus one row) is reserved against the
+// engine accountant for the cursor's lifetime — the reservation is
+// constant in the result cardinality.
 func (s *Session) runStream(ctx context.Context, q *cypher.Query, params map[string]any) (*Cursor, error) {
 	batch := s.svc.opts.FetchBatch
 	cols := cypher.Columns(q)
@@ -203,7 +205,7 @@ func (s *Session) runStream(ctx context.Context, q *cypher.Query, params map[str
 		svc:       s.svc,
 		cols:      cols,
 		streaming: true,
-		ch:        make(chan []any, batch),
+		ch:        make(chan [][]any),
 		cancel:    cancel,
 		reserved:  reserve,
 	}

@@ -36,12 +36,13 @@ func testService(t testing.TB, opts Options) *Service {
 // appear bare in the projection, so the stream needs no dedup state.
 const streamQuery = `MATCH (p:Person)-[:knows]-(q:Person) RETURN p, q`
 
-// drain fetches a cursor to exhaustion, returning all rows.
-func drain(t *testing.T, cur *Cursor) [][]any {
+// drain fetches a cursor to exhaustion max rows at a time, returning all
+// rows.
+func drain(t *testing.T, cur *Cursor, max int) [][]any {
 	t.Helper()
 	var all [][]any
 	for {
-		rows, more, err := cur.Fetch(0)
+		rows, more, err := cur.Fetch(max)
 		all = append(all, rows...)
 		if err != nil {
 			t.Fatalf("Fetch: %v", err)
@@ -60,7 +61,8 @@ func sortRows(rows [][]any) {
 
 // TestStreamMatchesMaterialized proves the streamed rows are exactly the
 // materialized path's rows (order aside — the materialized join is
-// parallel, the stream serial).
+// parallel, the stream serial), whether Fetch takes the producer's batches
+// whole (max 0), splits them (7) or spans them (300 > 256).
 func TestStreamMatchesMaterialized(t *testing.T) {
 	svc := testService(t, Options{})
 	q, err := cypher.Parse(streamQuery)
@@ -71,29 +73,31 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantRows := append([][]any(nil), want.Rows...)
+	sortRows(wantRows)
 
 	sess := svc.OpenSession("test")
 	defer sess.Close()
-	cur, err := sess.Run(context.Background(), streamQuery, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cur.Streaming() {
-		t.Fatalf("query %q should stream", streamQuery)
-	}
-	got := drain(t, cur)
+	for _, max := range []int{0, 7, 300} {
+		cur, err := sess.Run(context.Background(), streamQuery, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cur.Streaming() {
+			t.Fatalf("query %q should stream", streamQuery)
+		}
+		got := drain(t, cur, max)
 
-	if len(got) <= svc.FetchBatch() {
-		t.Fatalf("test needs cardinality > one batch, got %d rows <= batch %d", len(got), svc.FetchBatch())
-	}
-	if !reflect.DeepEqual(cur.Columns(), want.Columns) {
-		t.Fatalf("columns = %v, want %v", cur.Columns(), want.Columns)
-	}
-	wantRows := append([][]any(nil), want.Rows...)
-	sortRows(wantRows)
-	sortRows(got)
-	if !reflect.DeepEqual(got, wantRows) {
-		t.Fatalf("streamed rows differ from materialized: %d vs %d rows", len(got), len(wantRows))
+		if len(got) <= svc.FetchBatch() {
+			t.Fatalf("test needs cardinality > one batch, got %d rows <= batch %d", len(got), svc.FetchBatch())
+		}
+		if !reflect.DeepEqual(cur.Columns(), want.Columns) {
+			t.Fatalf("columns = %v, want %v", cur.Columns(), want.Columns)
+		}
+		sortRows(got)
+		if !reflect.DeepEqual(got, wantRows) {
+			t.Fatalf("Fetch(%d): streamed rows differ from materialized: %d vs %d rows", max, len(got), len(wantRows))
+		}
 	}
 }
 
@@ -375,11 +379,11 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestKillOrDiscardUnblocksFullBuffer: a producer blocked on a full buffer
-// that nobody fetches must unwind on KILL and on Discard, and its query must
-// leave the registry's active list. TestKillStreamingQuery cannot see this:
-// it fetches after the kill, which drains the buffer and would unblock even a
-// producer that ignored the cancellation.
+// TestKillOrDiscardUnblocksFullBuffer: a producer blocked handing off a
+// full batch that nobody fetches must unwind on KILL and on Discard, and its
+// query must leave the registry's active list. TestKillStreamingQuery cannot
+// see this: it fetches after the kill, which takes the batch and would
+// unblock even a producer that ignored the cancellation.
 func TestKillOrDiscardUnblocksFullBuffer(t *testing.T) {
 	for _, how := range []string{"kill", "discard"} {
 		t.Run(how, func(t *testing.T) {
@@ -394,17 +398,18 @@ func TestKillOrDiscardUnblocksFullBuffer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			waitUntil(t, "the producer fills the buffer", func() bool { return len(cur.ch) == cap(cur.ch) })
-			// The result is far larger than the buffer, so the producer is
-			// about to block on its next send, which nothing observable marks.
-			// The pause is not needed to pass; it makes sure a producer that
-			// ignored the cancellation would already be stuck in that send
-			// rather than still before the check that precedes it.
+			var id uint64
+			waitUntil(t, "the query registers", func() bool {
+				var ok bool
+				id, ok = activeQueryID(query)
+				return ok
+			})
+			// The result is far larger than one batch, so the producer is
+			// about to block handing off its first, which nothing observable
+			// marks. The pause is not needed to pass; it makes sure a producer
+			// that ignored the cancellation would already be stuck in that
+			// handoff rather than still before the check that precedes it.
 			time.Sleep(20 * time.Millisecond)
-			id, ok := activeQueryID(query)
-			if !ok {
-				t.Fatal("streamed query not visible in the registry")
-			}
 			if how == "kill" {
 				if !telemetry.DefaultQueries.Kill(id) {
 					t.Fatalf("kill of query %d failed", id)
@@ -555,7 +560,7 @@ func TestStreamLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := drain(t, cur)
+	rows := drain(t, cur, 0)
 	if len(rows) != 10 {
 		t.Fatalf("LIMIT 10 streamed %d rows", len(rows))
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"math"
 	"reflect"
@@ -170,11 +171,14 @@ func TestMessageRoundTrip(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("abc")); err != nil {
+	if err := WriteFrame(&buf, append(BeginFrame(nil), "abc"...)); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&buf, []byte("defg")); err != nil {
+	if err := WriteFrame(&buf, append(BeginFrame(nil), "defg"...)); err != nil {
 		t.Fatal(err)
+	}
+	if got, want := buf.Bytes(), "\x00\x00\x00\x03abc\x00\x00\x00\x04defg"; string(got) != want {
+		t.Fatalf("wire bytes = %q, want %q", got, want)
 	}
 	f1, err := ReadFrame(&buf, nil)
 	if err != nil || string(f1) != "abc" {
@@ -190,5 +194,38 @@ func TestFrameTooLarge(t *testing.T) {
 	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
 	if _, err := ReadFrame(bytes.NewReader(hdr), nil); err == nil {
 		t.Fatal("oversized frame accepted")
+	}
+}
+
+// TestFrameIOAllocs: a RECORD frame written into a bufio.Writer and read
+// back through a bufio.Reader costs no allocation once the buffers exist —
+// the length prefix lives in the frame buffers, not in a header array that
+// escapes through the io.Writer / io.Reader interface.
+func TestFrameIOAllocs(t *testing.T) {
+	var conn bytes.Buffer
+	w, r := bufio.NewWriter(&conn), bufio.NewReader(&conn)
+	out, err := AppendRecord(append(BeginFrame(nil), MsgRecord), []any{int64(7), int64(300), int64(70000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in []byte
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := WriteFrame(w, out); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := ReadFrame(r, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in = frame
+	})
+	if allocs != 0 {
+		t.Fatalf("frame write + read: %v allocs, want 0", allocs)
+	}
+	if !bytes.Equal(in, out[4:]) {
+		t.Fatalf("read back % x, want % x", in, out[4:])
 	}
 }

@@ -45,24 +45,35 @@ const (
 	CodeProtocol = "protocol_error" // malformed or out-of-sequence message
 )
 
-// WriteFrame writes one length-prefixed frame.
-func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+// frameHeader is the size of a frame's length prefix.
+const frameHeader = 4
+
+// BeginFrame appends room for a frame's length prefix to buf. The caller
+// encodes the payload after it and hands the whole buffer to WriteFrame, so
+// a frame reaches the writer in one Write and no header escapes to the heap.
+func BeginFrame(buf []byte) []byte {
+	return append(buf, 0, 0, 0, 0)
+}
+
+// WriteFrame fills in the length prefix BeginFrame reserved at the front of
+// frame and writes the frame with one Write.
+func WriteFrame(w io.Writer, frame []byte) error {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-frameHeader))
+	_, err := w.Write(frame)
 	return err
 }
 
-// ReadFrame reads the next frame, reusing buf when it fits.
+// ReadFrame reads the next frame's payload, reusing buf (for the header
+// too) when it fits.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < frameHeader {
+		buf = make([]byte, frameHeader)
+	}
+	buf = buf[:frameHeader]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf)
 	if n > MaxFrame {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrame)
 	}

@@ -8,12 +8,18 @@
 // has_more) or abandons it with DISCARD. Records use a compact value
 // encoding where a row of graph ids costs a few bytes per vertex.
 //
+// Each connection reads through a bufio.Reader and writes through a
+// fixed-size bufio.Writer that is flushed once per reply — after each
+// SUCCESS, FAILURE or PONG — so a FETCH's RECORD frames coalesce into a few
+// socket writes instead of one per row.
+//
 // The server holds no query logic: every connection is one
 // session.Session, and all execution, backpressure and memory metering
 // live in internal/session — shared with the HTTP transport.
 package wire
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -94,56 +100,65 @@ func (s *Server) logf(level slog.Level, msg string, args ...any) {
 	}
 }
 
+// writeBuffer is the size of a connection's write buffer: a FETCH reply
+// goes to the socket whenever this much has accumulated, and once more at
+// its closing SUCCESS or FAILURE.
+const writeBuffer = 64 << 10
+
 // handleConn runs one connection: handshake, then the message loop. The
 // deferred session close is the disconnect cleanup path — it cancels a
 // producing cursor and releases its reservation, so an abandoned
 // connection cannot leak result memory.
 func (s *Server) handleConn(conn net.Conn) {
-	if err := s.handshake(conn); err != nil {
+	h := &connHandler{srv: s, r: bufio.NewReader(conn), w: bufio.NewWriterSize(conn, writeBuffer)}
+	if err := h.handshake(); err != nil {
 		s.logf(slog.LevelWarn, "wire handshake failed", "remote", conn.RemoteAddr().String(), "error", err)
 		return
 	}
-	sess := s.svc.OpenSession(conn.RemoteAddr().String())
-	defer sess.Close()
-	s.logf(slog.LevelInfo, "wire session open", "session", sess.ID(), "remote", sess.Client())
-	defer s.logf(slog.LevelInfo, "wire session closed", "session", sess.ID())
-
-	h := &connHandler{srv: s, conn: conn, sess: sess}
+	h.sess = s.svc.OpenSession(conn.RemoteAddr().String())
+	defer h.sess.Close()
+	s.logf(slog.LevelInfo, "wire session open", "session", h.sess.ID(), "remote", h.sess.Client())
+	defer s.logf(slog.LevelInfo, "wire session closed", "session", h.sess.ID())
 	h.loop()
 }
 
 // handshake validates the magic and negotiates the protocol version.
-func (s *Server) handshake(conn net.Conn) error {
+func (h *connHandler) handshake() error {
 	var hello [8]byte
-	if _, err := io.ReadFull(conn, hello[:]); err != nil {
+	if _, err := io.ReadFull(h.r, hello[:]); err != nil {
 		return fmt.Errorf("reading handshake: %w", err)
 	}
 	if string(hello[:4]) != Magic {
 		return fmt.Errorf("bad magic %q", hello[:4])
 	}
 	proposed := uint32(hello[4])<<24 | uint32(hello[5])<<16 | uint32(hello[6])<<8 | uint32(hello[7])
+	// 0 = rejected; the connection closes right after.
 	var accept [4]byte
+	if proposed == Version {
+		accept[0] = byte(Version >> 24)
+		accept[1] = byte(Version >> 16)
+		accept[2] = byte(Version >> 8)
+		accept[3] = byte(Version)
+	}
+	if _, err := h.w.Write(accept[:]); err != nil {
+		return err
+	}
+	if err := h.w.Flush(); err != nil {
+		return err
+	}
 	if proposed != Version {
-		// 0 = rejected; the connection closes right after.
-		if _, err := conn.Write(accept[:]); err != nil {
-			return err
-		}
 		return fmt.Errorf("unsupported protocol version %d", proposed)
 	}
-	accept[0] = byte(Version >> 24)
-	accept[1] = byte(Version >> 16)
-	accept[2] = byte(Version >> 8)
-	accept[3] = byte(Version)
-	_, err := conn.Write(accept[:])
-	return err
+	return nil
 }
 
-// connHandler is one connection's message loop state: reusable read/write
-// buffers, the session everything executes through, and the cursor the
-// last RUN opened.
+// connHandler is one connection's message loop state: the buffered
+// connection, reusable frame buffers, the session everything executes
+// through, and the cursor the last RUN opened.
 type connHandler struct {
 	srv  *Server
-	conn net.Conn
+	r    *bufio.Reader
+	w    *bufio.Writer
 	sess *session.Session
 	cur  *session.Cursor
 	in   []byte
@@ -153,7 +168,7 @@ type connHandler struct {
 func (h *connHandler) loop() {
 	ctx := context.Background()
 	for {
-		frame, err := ReadFrame(h.conn, h.in)
+		frame, err := ReadFrame(h.r, h.in)
 		if err != nil {
 			return // disconnect; deferred session close cleans up
 		}
@@ -180,7 +195,7 @@ func (h *connHandler) loop() {
 			}
 			err = h.success(nil)
 		case MsgPing:
-			err = h.send(MsgPong, nil)
+			err = h.reply(MsgPong, nil)
 		case MsgGoodbye:
 			return
 		default:
@@ -230,23 +245,24 @@ func (h *connHandler) handleRun(ctx context.Context, body map[string]any) error 
 }
 
 // handleFetch pulls one batch from the open cursor: a RECORD frame per
-// row, then SUCCESS {has_more, rows}. When the stream ended with a failure
-// (kill, timeout, execution error), the FAILURE follows whatever rows were
-// delivered first — the client sees a correct prefix, then the error.
+// row, then SUCCESS {has_more, rows}. The RECORD frames collect in the
+// write buffer and leave with the closing SUCCESS or FAILURE. When the
+// stream ended with a failure (kill, timeout, execution error), the
+// FAILURE follows whatever rows were delivered first — the client sees a
+// correct prefix, then the error.
 func (h *connHandler) handleFetch() error {
 	if h.cur == nil {
 		return h.failure(CodeProtocol, "no cursor to FETCH from")
 	}
 	rows, more, err := h.cur.Fetch(0)
 	for _, row := range rows {
-		h.out = h.out[:0]
-		h.out = append(h.out, MsgRecord)
+		h.out = append(BeginFrame(h.out[:0]), MsgRecord)
 		enc, eerr := AppendRecord(h.out, row)
 		if eerr != nil {
 			return h.failure(CodeQuery, eerr.Error())
 		}
 		h.out = enc
-		if werr := WriteFrame(h.conn, h.out); werr != nil {
+		if werr := WriteFrame(h.w, h.out); werr != nil {
 			return werr
 		}
 	}
@@ -263,19 +279,29 @@ func (h *connHandler) handleFetch() error {
 }
 
 func (h *connHandler) success(meta map[string]any) error {
-	return h.send(MsgSuccess, meta)
+	return h.reply(MsgSuccess, meta)
 }
 
 func (h *connHandler) failure(code, message string) error {
-	return h.send(MsgFailure, map[string]any{"code": code, "message": message})
+	return h.reply(MsgFailure, map[string]any{"code": code, "message": message})
 }
 
+// reply sends the message that ends a reply (SUCCESS, FAILURE or PONG) and
+// flushes the write buffer: the only point where a reply's bytes are
+// pushed to the socket rather than left for a full buffer to push.
+func (h *connHandler) reply(msg byte, body map[string]any) error {
+	if err := h.send(msg, body); err != nil {
+		return err
+	}
+	return h.w.Flush()
+}
+
+// send writes one frame into the write buffer.
 func (h *connHandler) send(msg byte, body map[string]any) error {
-	h.out = h.out[:0]
-	enc, err := AppendMessage(h.out, msg, body)
+	enc, err := AppendMessage(BeginFrame(h.out[:0]), msg, body)
 	if err != nil {
 		return err
 	}
 	h.out = enc
-	return WriteFrame(h.conn, h.out)
+	return WriteFrame(h.w, h.out)
 }

@@ -59,10 +59,12 @@ step "benchmark module (go vet + go test -C benchmark)"
 # refactor can break the perf ledger's compile surface and still pass.
 go vet -C benchmark ./... && go test -C benchmark ./...
 
-step "paper-figure benchmarks, one iteration each"
+step "paper-figure and wire benchmarks, one iteration each"
 # bench_test.go is the only harness behind EXPERIMENTS.md's tables; one
-# pass keeps every family compiling and running.
+# pass keeps every family compiling and running. BenchmarkWireStream is
+# the transport's in-repo rows/s and allocs/op.
 go test -run '^$' -bench 'Fig|Table|Ablation|Cache' -benchtime 1x .
+go test -run '^$' -bench Wire -benchtime 1x ./client
 
 step "go test -race ./..."
 go test -race ./...
