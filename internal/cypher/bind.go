@@ -3,6 +3,7 @@ package cypher
 import (
 	"context"
 	"fmt"
+	"maps"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -120,42 +121,86 @@ func registered(ctx context.Context, q *Query, run func(ctx context.Context, row
 	return run(telemetry.WithQuery(qctx, qi), &rows)
 }
 
+// runAll is the one driver of a materialized query. For each UNWIND value
+// (a single pass without UNWIND) it binds, matches and feeds every tuple
+// into one projector; ORDER BY and LIMIT then run once over the whole
+// answer.
 func runAll(ctx context.Context, eng *engine.Engine, q *Query, params map[string]any) (*Result, error) {
+	values, err := unwindValues(q, params)
+	if err != nil {
+		return nil, err
+	}
+	out := &Result{Columns: Columns(q)}
+	var proj *projector // built by the first pass: the COUNT fast path needs none
+	for _, v := range values {
+		sub := params
+		if q.Unwind != nil {
+			sub = maps.Clone(params) // holds the UNWIND parameter, so not nil
+			sub[q.Unwind.Alias] = v
+		}
+		b, err := bind(q, sub)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case b.shortest != nil:
+			row, err := runShortest(ctx, eng, q, b)
+			if err != nil {
+				return nil, err
+			}
+			out.Rows = append(out.Rows, row)
+			continue
+		case countsWholePattern(q, b):
+			res, err := eng.MatchContext(ctx, b.pat, engine.MatchOptions{CountOnly: true})
+			if err != nil {
+				return nil, err
+			}
+			out.Rows, out.Timings = [][]any{{res.Count}}, res.Timings
+			return out, nil
+		}
+		res, err := eng.MatchContext(ctx, b.pat, engine.MatchOptions{})
+		if err != nil {
+			return nil, err
+		}
+		lengths, err := pathLengths(ctx, eng, q, b, res)
+		if err != nil {
+			return nil, err
+		}
+		if proj == nil {
+			proj = newProjector(eng.Graph(), q)
+		}
+		proj.pass(b, v, lengths)
+		for _, tuple := range res.Tuples {
+			row, err := proj.add(tuple)
+			if err != nil {
+				return nil, err
+			}
+			if row != nil {
+				out.Rows = append(out.Rows, row)
+			}
+		}
+		out.Timings.Add(res.Timings)
+	}
+	if proj == nil {
+		proj = newProjector(eng.Graph(), q) // no pass: an empty UNWIND list or shortestPath
+	}
+	out.Rows = append(out.Rows, proj.rows()...)
+	if err := orderAndLimit(out, q); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// unwindValues lists the values UNWIND binds its alias to, one per pass:
+// a single nil without UNWIND.
+func unwindValues(q *Query, params map[string]any) ([]any, error) {
 	if q.Unwind == nil {
-		return runOnce(ctx, eng, q, params)
+		return []any{nil}, nil
 	}
 	raw, ok := params[q.Unwind.Param]
 	if !ok {
 		return nil, fmt.Errorf("cypher: missing parameter $%s", q.Unwind.Param)
 	}
-	values, err := toList(raw)
-	if err != nil {
-		return nil, fmt.Errorf("cypher: parameter $%s: %w", q.Unwind.Param, err)
-	}
-	var out *Result
-	for _, v := range values {
-		sub := make(map[string]any, len(params)+1)
-		for k, val := range params {
-			sub[k] = val
-		}
-		sub[q.Unwind.Alias] = v
-		r, err := runOnce(ctx, eng, q, sub)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = &Result{Columns: r.Columns}
-		}
-		out.Rows = append(out.Rows, r.Rows...)
-		out.Timings.Add(r.Timings)
-	}
-	if out == nil {
-		out = &Result{}
-	}
-	return out, nil
-}
-
-func toList(raw any) ([]any, error) {
 	switch v := raw.(type) {
 	case []any:
 		return v, nil
@@ -178,7 +223,7 @@ func toList(raw any) ([]any, error) {
 		}
 		return out, nil
 	default:
-		return nil, fmt.Errorf("not a list (%T)", raw)
+		return nil, fmt.Errorf("cypher: parameter $%s: not a list (%T)", q.Unwind.Param, raw)
 	}
 }
 
@@ -354,45 +399,6 @@ func contains(xs []string, s string) bool {
 	return false
 }
 
-// runOnce executes the query with fully resolved parameters.
-func runOnce(ctx context.Context, eng *engine.Engine, q *Query, params map[string]any) (*Result, error) {
-	b, err := bind(q, params)
-	if err != nil {
-		return nil, err
-	}
-
-	// shortestPath-only query: RETURN length(p).
-	if b.shortest != nil && len(b.pat.Edges) == 0 {
-		return runShortest(ctx, eng, q, b)
-	}
-	if b.shortest != nil {
-		return nil, fmt.Errorf("cypher: shortestPath mixed with other pattern edges is not supported")
-	}
-
-	columns := Columns(q)
-	if countsWholePattern(q, b) {
-		res, err := eng.MatchContext(ctx, b.pat, engine.MatchOptions{CountOnly: true})
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Columns: columns, Rows: [][]any{{res.Count}}, Timings: res.Timings}, nil
-	}
-
-	res, err := eng.MatchContext(ctx, b.pat, engine.MatchOptions{})
-	if err != nil {
-		return nil, err
-	}
-	rows, err := project(ctx, eng, q, b, params, res)
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{Columns: columns, Rows: rows, Timings: res.Timings}
-	if err := orderAndLimit(out, q); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // countsWholePattern reports the COUNT fast path: a single COUNT(DISTINCT …)
 // over plain variables covering the whole pattern, which the engine counts
 // without materializing (§5.1).
@@ -412,7 +418,12 @@ func countsWholePattern(q *Query, b *boundQuery) bool {
 	return true
 }
 
-func runShortest(ctx context.Context, eng *engine.Engine, q *Query, b *boundQuery) (*Result, error) {
+// runShortest answers a shortestPath-only query, RETURN length(p), with its
+// one row.
+func runShortest(ctx context.Context, eng *engine.Engine, q *Query, b *boundQuery) ([]any, error) {
+	if len(b.pat.Edges) > 0 {
+		return nil, fmt.Errorf("cypher: shortestPath mixed with other pattern edges is not supported")
+	}
 	sp := b.shortest
 	srcIdx, dstIdx := b.varIdx[sp.srcVar], b.varIdx[sp.dstVar]
 	srcCands, err := pattern.Candidates(eng.Graph(), b.pat.Vertices[srcIdx])
@@ -438,13 +449,12 @@ func runShortest(ctx context.Context, eng *engine.Engine, q *Query, b *boundQuer
 	}
 	row := make([]any, len(q.Return))
 	for i, item := range q.Return {
-		if len(item.Args) == 1 && item.Args[0].IsLength {
-			row[i] = int64(l)
-		} else {
+		if item.Agg != "" || len(item.Args) != 1 || !item.Args[0].IsLength {
 			return nil, fmt.Errorf("cypher: shortestPath queries may only return length(p)")
 		}
+		row[i] = int64(l)
 	}
-	return &Result{Columns: Columns(q), Rows: [][]any{row}}, nil
+	return row, nil
 }
 
 // ExplainQuery binds a parsed query's pattern against the engine's graph
@@ -476,7 +486,7 @@ func analyzeQuery(ctx context.Context, eng *engine.Engine, q *Query, params map[
 	if b.shortest != nil {
 		return nil, fmt.Errorf("cypher: EXPLAIN ANALYZE does not support shortestPath")
 	}
-	// Take the execution a plain run would take (runOnce's COUNT fast path).
+	// Take the execution a plain run would take (runAll's COUNT fast path).
 	opts := engine.MatchOptions{CountOnly: countsWholePattern(q, b)}
 	return eng.ExplainAnalyze(ctx, b.pat, opts)
 }

@@ -668,12 +668,17 @@ func TestQuickParseNeverPanics(t *testing.T) {
 
 func TestSumOverNonNumericRejected(t *testing.T) {
 	e := socialEngine(t)
-	q, err := Parse(`MATCH (p:SIGA)-[:knows]-(q:SIGB) RETURN q, SUM(DISTINCT p.name)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(e, q, nil); err == nil {
-		t.Fatal("SUM over strings accepted")
+	for _, c := range []struct{ src, want string }{
+		{`MATCH (p:SIGA)-[:knows]-(q:SIGB) RETURN q, SUM(DISTINCT p.name)`, "cypher: SUM over non-numeric value string"},
+		{`MATCH (p:SIGA)-[:knows]-(q:SIGB) RETURN AVG(p.name)`, "cypher: AVG over non-numeric value string"},
+	} {
+		q, err := Parse(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(e, q, nil); err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.src, err, c.want)
+		}
 	}
 }
 

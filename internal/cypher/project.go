@@ -1,56 +1,85 @@
 package cypher
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
 )
 
-// projector evaluates RETURN expressions against matched tuples — the one
-// expression evaluator behind both the materializing project() and Stream.
+// projector is the one consumer of matched tuples: add turns a tuple into a
+// plain output row or folds it into its group, and rows closes the groups.
+// RunContext feeds it every tuple of every UNWIND value, Stream every tuple
+// of its one pass.
 type projector struct {
-	g      *graph.Graph
-	q      *Query
-	b      *boundQuery
-	params map[string]any
-	ids    graph.Int64Column // the "id" property bare variables project
-	hasID  bool
-	// lengths holds the precomputed minimal walk lengths per path variable
-	// (project fills it for length() projections; never set when streaming).
+	g     *graph.Graph
+	q     *Query
+	ids   graph.Int64Column // the "id" property bare variables project
+	hasID bool
+	// The current pass (one UNWIND value): its bound pattern, the alias's
+	// value, and each path variable's minimal walk lengths.
+	b       *boundQuery
+	unwound any
 	lengths map[string]map[[2]graph.VertexID]int
-	// seen deduplicates plain-projection rows (VertexSurge queries return
-	// distinct rows, §2.2). It is nil when every pattern vertex is projected
-	// as a bare variable: the row then determines the tuple, the engine's
-	// tuples are distinct, and no dedup state is kept at all.
+	// seen deduplicates plain rows (VertexSurge queries return distinct
+	// rows, §2.2). It stays nil when, without UNWIND, every pattern vertex
+	// is projected bare: the row then determines the tuple, and tuples are
+	// distinct.
 	seen map[string]bool
+	// groups, non-nil when RETURN aggregates, maps a group key to its index
+	// in out (rows in first-seen order) and accs (one per RETURN item).
+	groups map[string]int
+	out    [][]any
+	accs   [][]acc
+	vals   []any // scratch for one aggregate's arguments
 }
 
-func newProjector(eng *engine.Engine, q *Query, b *boundQuery, params map[string]any) *projector {
-	p := &projector{g: eng.Graph(), q: q, b: b, params: params}
-	p.ids, p.hasID = p.g.Prop("id").(graph.Int64Column)
+// acc folds one aggregate item over a group's rows: a count, a float sum and
+// a best value, plus the values already folded when the item is DISTINCT.
+type acc struct {
+	n        int64
+	sum      float64
+	best     any
+	distinct map[string]bool
+}
 
-	covered := make([]bool, len(b.pat.Vertices))
+func newProjector(g *graph.Graph, q *Query) *projector {
+	p := &projector{g: g, q: q}
+	p.ids, p.hasID = g.Prop("id").(graph.Int64Column)
+	keys := 0
 	for _, item := range q.Return {
-		for _, a := range item.Args {
-			if a.Prop != "" || a.IsLength {
-				continue
-			}
-			if idx, ok := b.varIdx[a.Var]; ok {
-				covered[idx] = true
-			}
+		if item.Agg == "" {
+			keys++
 		}
 	}
-	for _, c := range covered {
-		if !c {
-			p.seen = map[string]bool{}
-			break
-		}
+	if keys < len(q.Return) {
+		p.groups = map[string]int{}
+	}
+	if keys == 0 {
+		p.group(nil) // a key-less aggregate has its one row even over no tuples
 	}
 	return p
+}
+
+// pass points the projector at one UNWIND value's binding.
+func (p *projector) pass(b *boundQuery, unwound any, lengths map[string]map[[2]graph.VertexID]int) {
+	p.b, p.unwound, p.lengths = b, unwound, lengths
+	if p.groups != nil || p.seen != nil {
+		return
+	}
+	covered := map[int]bool{}
+	for _, item := range p.q.Return {
+		if idx, ok := b.varIdx[item.Args[0].Var]; ok && item.Args[0].Prop == "" {
+			covered[idx] = true
+		}
+	}
+	if p.q.Unwind != nil || len(covered) < len(b.pat.Vertices) {
+		p.seen = map[string]bool{}
+	}
 }
 
 // eval computes one expression for one tuple (pattern declaration order).
@@ -80,50 +109,138 @@ func (p *projector) eval(e Expr, tuple []graph.VertexID) (any, error) {
 		}
 		return int64(v), nil
 	}
-	// Not a pattern variable: maybe the UNWIND alias.
 	if p.q.Unwind != nil && e.Var == p.q.Unwind.Alias {
-		val, ok := p.params[p.q.Unwind.Alias]
-		if !ok {
-			return nil, fmt.Errorf("cypher: unbound alias %q", e.Var)
-		}
-		return val, nil
+		return p.unwound, nil
 	}
 	return nil, fmt.Errorf("cypher: unknown variable %q", e.Var)
 }
 
-// row projects one tuple of a plain (aggregate-free) RETURN into a freshly
-// allocated output row, reporting dup=true for a row already produced.
-func (p *projector) row(tuple []graph.VertexID) (row []any, dup bool, err error) {
-	row = make([]any, len(p.q.Return))
+// add consumes one matched tuple. A plain RETURN gets its fresh row back, or
+// nil for a row already produced; an aggregating RETURN folds the tuple into
+// its group and gets nil.
+func (p *projector) add(tuple []graph.VertexID) ([]any, error) {
+	key := make([]any, 0, len(p.q.Return)) // a plain row is its own key
+	for _, item := range p.q.Return {
+		if item.Agg == "" {
+			v, err := p.eval(item.Args[0], tuple)
+			if err != nil {
+				return nil, err
+			}
+			key = append(key, v)
+		}
+	}
+	if p.groups == nil {
+		if p.seen != nil {
+			k := rowKey(key)
+			if p.seen[k] {
+				return nil, nil
+			}
+			p.seen[k] = true
+		}
+		return key, nil
+	}
+	accs := p.group(key)
 	for i, item := range p.q.Return {
-		v, err := p.eval(item.Args[0], tuple)
-		if err != nil {
-			return nil, false, err
+		if item.Agg == "" {
+			continue
 		}
-		row[i] = v
-	}
-	if p.seen != nil {
-		k := rowKey(row)
-		if p.seen[k] {
-			return nil, true, nil
+		p.vals = p.vals[:0]
+		for _, a := range item.Args {
+			v, err := p.eval(a, tuple)
+			if err != nil {
+				return nil, err
+			}
+			p.vals = append(p.vals, v)
 		}
-		p.seen[k] = true
+		if err := accs[i].fold(item, p.vals); err != nil {
+			return nil, err
+		}
 	}
-	return row, false, nil
+	return nil, nil
 }
 
-// project turns matched tuples into output rows: evaluates expressions,
-// applies grouping and aggregation, and deduplicates RETURN DISTINCT rows.
-func project(ctx context.Context, eng *engine.Engine, q *Query, b *boundQuery, params map[string]any, res *engine.MatchResult) ([][]any, error) {
-	proj := newProjector(eng, q, b, params)
-
-	// Precompute path lengths for length() expressions.
-	proj.lengths = map[string]map[[2]graph.VertexID]int{}
-	hasAgg := false
-	for _, item := range q.Return {
-		if item.Agg != "" {
-			hasAgg = true
+// group returns key's accumulators, opening its group on first sight.
+func (p *projector) group(key []any) []acc {
+	k := rowKey(key)
+	if gi, ok := p.groups[k]; ok {
+		return p.accs[gi]
+	}
+	row := make([]any, len(p.q.Return))
+	for i, item := range p.q.Return {
+		if item.Agg == "" {
+			row[i], key = key[0], key[1:]
 		}
+	}
+	p.groups[k] = len(p.out)
+	p.out = append(p.out, row)
+	p.accs = append(p.accs, make([]acc, len(row)))
+	return p.accs[len(p.accs)-1]
+}
+
+// rows closes the groups into output rows, in first-seen order.
+func (p *projector) rows() [][]any {
+	for gi, row := range p.out {
+		for i, item := range p.q.Return {
+			if item.Agg != "" {
+				row[i] = p.accs[gi][i].result(item.Agg)
+			}
+		}
+	}
+	return p.out
+}
+
+// fold adds one row's argument values; a DISTINCT item skips repeats.
+func (a *acc) fold(item ReturnItem, vals []any) error {
+	if item.Distinct {
+		k := rowKey(vals)
+		if a.distinct[k] {
+			return nil
+		}
+		if a.distinct == nil {
+			a.distinct = map[string]bool{}
+		}
+		a.distinct[k] = true
+	}
+	a.n++
+	switch item.Agg {
+	case "sum", "avg":
+		f, ok := toFloat(vals[0])
+		if !ok {
+			return fmt.Errorf("cypher: %s over non-numeric value %T", strings.ToUpper(item.Agg), vals[0])
+		}
+		a.sum += f
+	case "min", "max":
+		c := compareValues(vals[0], a.best)
+		if a.n == 1 || (item.Agg == "min" && c < 0) || (item.Agg == "max" && c > 0) {
+			a.best = vals[0]
+		}
+	}
+	return nil
+}
+
+// result closes the accumulator: over no rows COUNT and SUM are 0, the
+// others null.
+func (a *acc) result(agg string) any {
+	switch agg {
+	case "count":
+		return a.n
+	case "sum":
+		return a.sum
+	case "avg":
+		if a.n == 0 {
+			return nil
+		}
+		return a.sum / float64(a.n)
+	}
+	return a.best
+}
+
+// pathLengths computes, for each path variable a length() projection names,
+// the minimal walk length of every (src, dst) pair of its relationship that
+// appears in the result tuples.
+func pathLengths(ctx context.Context, eng *engine.Engine, q *Query, b *boundQuery, res *engine.MatchResult) (map[string]map[[2]graph.VertexID]int, error) {
+	tables := map[string]map[[2]graph.VertexID]int{}
+	for _, item := range q.Return {
 		for _, e := range item.Args {
 			if !e.IsLength {
 				continue
@@ -132,197 +249,38 @@ func project(ctx context.Context, eng *engine.Engine, q *Query, b *boundQuery, p
 			if !ok {
 				return nil, fmt.Errorf("cypher: length() references unknown path %q", e.PathVar)
 			}
-			m, err := pathLengths(ctx, eng, b, bp, res)
+			srcIdx, dstIdx := b.varIdx[bp.srcVar], b.varIdx[bp.dstVar]
+			srcSet := map[graph.VertexID]bool{}
+			for _, t := range res.Tuples {
+				srcSet[t[srcIdx]] = true
+			}
+			sources := make([]graph.VertexID, 0, len(srcSet))
+			for v := range srcSet {
+				sources = append(sources, v)
+			}
+			slices.Sort(sources)
+			rowOf := make(map[graph.VertexID]int, len(sources))
+			for i, v := range sources {
+				rowOf[v] = i
+			}
+			r, err := eng.ExpandContext(ctx, sources, bp.d, true)
 			if err != nil {
 				return nil, err
 			}
-			proj.lengths[e.PathVar] = m
+			out := map[[2]graph.VertexID]int{}
+			for _, t := range res.Tuples {
+				key := [2]graph.VertexID{t[srcIdx], t[dstIdx]}
+				if _, done := out[key]; done {
+					continue
+				}
+				if l, ok := r.MinLength(rowOf[key[0]], key[1]); ok {
+					out[key] = l
+				}
+			}
+			tables[e.PathVar] = out
 		}
 	}
-
-	if !hasAgg {
-		var rows [][]any
-		for _, tuple := range res.Tuples {
-			row, dup, err := proj.row(tuple)
-			if err != nil {
-				return nil, err
-			}
-			if !dup {
-				rows = append(rows, row)
-			}
-		}
-		return rows, nil
-	}
-
-	// Grouped aggregation: group key = non-aggregate items.
-	type groupState struct {
-		key      []any
-		countSet map[string]bool
-		sumSet   map[string]float64
-		minMax   map[string]any       // per-column running MIN/MAX
-		avgVals  map[string][]float64 // per-column distinct values for AVG
-	}
-	groups := map[string]*groupState{}
-	var order []string
-	for _, tuple := range res.Tuples {
-		var key []any
-		for _, item := range q.Return {
-			if item.Agg != "" {
-				continue
-			}
-			v, err := proj.eval(item.Args[0], tuple)
-			if err != nil {
-				return nil, err
-			}
-			key = append(key, v)
-		}
-		k := rowKey(key)
-		st, ok := groups[k]
-		if !ok {
-			st = &groupState{
-				key: key, countSet: map[string]bool{}, sumSet: map[string]float64{},
-				minMax: map[string]any{}, avgVals: map[string][]float64{},
-			}
-			groups[k] = st
-			order = append(order, k)
-		}
-		for _, item := range q.Return {
-			if item.Agg == "" {
-				continue
-			}
-			var vals []any
-			for _, a := range item.Args {
-				v, err := proj.eval(a, tuple)
-				if err != nil {
-					return nil, err
-				}
-				vals = append(vals, v)
-			}
-			vk := rowKey(vals)
-			switch item.Agg {
-			case "count":
-				st.countSet[item.Column()+"\x00"+vk] = true
-			case "sum":
-				f, err := toFloat(vals[0])
-				if err != nil {
-					return nil, err
-				}
-				st.sumSet[item.Column()+"\x00"+vk] = f
-			case "avg":
-				f, err := toFloat(vals[0])
-				if err != nil {
-					return nil, err
-				}
-				if item.Distinct {
-					st.sumSet[item.Column()+"\x00"+vk] = f // distinct values by key
-				} else {
-					st.avgVals[item.Column()] = append(st.avgVals[item.Column()], f)
-				}
-			case "min", "max":
-				cur, seen := st.minMax[item.Column()]
-				if !seen {
-					st.minMax[item.Column()] = vals[0]
-				} else {
-					c := compareValues(vals[0], cur)
-					if (item.Agg == "min" && c < 0) || (item.Agg == "max" && c > 0) {
-						st.minMax[item.Column()] = vals[0]
-					}
-				}
-			}
-		}
-	}
-
-	rows := make([][]any, 0, len(groups))
-	for _, k := range order {
-		st := groups[k]
-		row := make([]any, len(q.Return))
-		ki := 0
-		for i, item := range q.Return {
-			switch item.Agg {
-			case "":
-				row[i] = st.key[ki]
-				ki++
-			case "count":
-				n := int64(0)
-				prefix := item.Column() + "\x00"
-				for key := range st.countSet {
-					if strings.HasPrefix(key, prefix) {
-						n++
-					}
-				}
-				row[i] = n
-			case "sum":
-				total := 0.0
-				prefix := item.Column() + "\x00"
-				for key, f := range st.sumSet {
-					if strings.HasPrefix(key, prefix) {
-						total += f
-					}
-				}
-				row[i] = total
-			case "avg":
-				var total float64
-				var n int
-				if item.Distinct {
-					prefix := item.Column() + "\x00"
-					for key, f := range st.sumSet {
-						if strings.HasPrefix(key, prefix) {
-							total += f
-							n++
-						}
-					}
-				} else {
-					for _, f := range st.avgVals[item.Column()] {
-						total += f
-						n++
-					}
-				}
-				if n > 0 {
-					row[i] = total / float64(n)
-				} else {
-					row[i] = 0.0
-				}
-			case "min", "max":
-				row[i] = st.minMax[item.Column()]
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// pathLengths computes the minimal walk length for every (src, dst) pair of
-// a path variable's relationship that appears in the result tuples.
-func pathLengths(ctx context.Context, eng *engine.Engine, b *boundQuery, bp boundPath, res *engine.MatchResult) (map[[2]graph.VertexID]int, error) {
-	srcIdx, dstIdx := b.varIdx[bp.srcVar], b.varIdx[bp.dstVar]
-	srcSet := map[graph.VertexID]bool{}
-	for _, t := range res.Tuples {
-		srcSet[t[srcIdx]] = true
-	}
-	sources := make([]graph.VertexID, 0, len(srcSet))
-	for v := range srcSet {
-		sources = append(sources, v)
-	}
-	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
-	rowOf := make(map[graph.VertexID]int, len(sources))
-	for i, v := range sources {
-		rowOf[v] = i
-	}
-	r, err := eng.ExpandContext(ctx, sources, bp.d, true)
-	if err != nil {
-		return nil, err
-	}
-	out := map[[2]graph.VertexID]int{}
-	for _, t := range res.Tuples {
-		key := [2]graph.VertexID{t[srcIdx], t[dstIdx]}
-		if _, done := out[key]; done {
-			continue
-		}
-		if l, ok := r.MinLength(rowOf[key[0]], key[1]); ok {
-			out[key] = l
-		}
-	}
-	return out, nil
+	return tables, nil
 }
 
 func rowKey(vals []any) string {
@@ -333,16 +291,16 @@ func rowKey(vals []any) string {
 	return sb.String()
 }
 
-func toFloat(v any) (float64, error) {
+func toFloat(v any) (float64, bool) {
 	switch x := v.(type) {
 	case float64:
-		return x, nil
+		return x, true
 	case int64:
-		return float64(x), nil
+		return float64(x), true
 	case int:
-		return float64(x), nil
+		return float64(x), true
 	default:
-		return 0, fmt.Errorf("cypher: SUM over non-numeric value %T", v)
+		return 0, false
 	}
 }
 
@@ -351,30 +309,23 @@ func orderAndLimit(res *Result, q *Query) error {
 	if len(q.OrderBy) > 0 {
 		idxs := make([]int, len(q.OrderBy))
 		for i, key := range q.OrderBy {
-			idx := -1
-			for ci, col := range res.Columns {
-				if col == key.Ref {
-					idx = ci
-					break
-				}
-			}
+			idx := slices.Index(res.Columns, key.Ref)
 			if idx < 0 {
 				return fmt.Errorf("cypher: ORDER BY references unknown column %q", key.Ref)
 			}
 			idxs[i] = idx
 		}
-		sort.SliceStable(res.Rows, func(a, b int) bool {
+		slices.SortStableFunc(res.Rows, func(a, b []any) int {
 			for i, idx := range idxs {
-				c := compareValues(res.Rows[a][idx], res.Rows[b][idx])
-				if c == 0 {
-					continue
-				}
+				c := compareValues(a[idx], b[idx])
 				if q.OrderBy[i].Desc {
-					return c > 0
+					c = -c
 				}
-				return c < 0
+				if c != 0 {
+					return c
+				}
 			}
-			return false
+			return 0
 		})
 	}
 	if q.Limit > 0 && len(res.Rows) > q.Limit {
@@ -384,25 +335,10 @@ func orderAndLimit(res *Result, q *Query) error {
 }
 
 func compareValues(a, b any) int {
-	af, aerr := toFloat(a)
-	bf, berr := toFloat(b)
-	if aerr == nil && berr == nil {
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
+	af, aok := toFloat(a)
+	bf, bok := toFloat(b)
+	if aok && bok {
+		return cmp.Compare(af, bf)
 	}
-	as, bs := fmt.Sprint(a), fmt.Sprint(b)
-	switch {
-	case as < bs:
-		return -1
-	case as > bs:
-		return 1
-	default:
-		return 0
-	}
+	return strings.Compare(fmt.Sprint(a), fmt.Sprint(b))
 }

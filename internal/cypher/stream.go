@@ -93,7 +93,8 @@ func Stream(ctx context.Context, eng *engine.Engine, q *Query, params map[string
 		// by canceling the context it polls.
 		ctx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		proj := newProjector(eng, q, b, params)
+		proj := newProjector(eng.Graph(), q)
+		proj.pass(b, nil, nil)
 		limit := int64(q.Limit)
 		var stopErr error
 		stop := func(err error) {
@@ -104,13 +105,13 @@ func Stream(ctx context.Context, eng *engine.Engine, q *Query, params map[string
 			if stopErr != nil {
 				return // unwinding: the engine notices the canceled ctx shortly
 			}
-			row, dup, err := proj.row(tuple)
+			row, err := proj.add(tuple)
 			if err != nil {
 				stop(err)
 				return
 			}
-			if dup {
-				return
+			if row == nil {
+				return // a row already emitted
 			}
 			if err := emit(ctx, row); err != nil {
 				stop(err)

@@ -91,7 +91,7 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, pat *pattern.Pattern, opts 
 // joinPlanAndSpans builds the operator rows: the plan supplies estimates
 // and operator identity, the span tree supplies the actuals. Expand spans
 // carry an "edge" attribute (the pattern-edge index) so the join is by
-// identity, falling back to plan order for older span shapes.
+// identity.
 func joinPlanAndSpans(pat *pattern.Pattern, res *MatchResult, snap *telemetry.SpanSnapshot) []AnalyzedOp {
 	var ops []AnalyzedOp
 	plan := res.Plan
@@ -128,15 +128,14 @@ func joinPlanAndSpans(pat *pattern.Pattern, res *MatchResult, snap *telemetry.Sp
 	}
 
 	// Expands: EstPairs vs the span's measured pair count.
-	spans := snap.ByName("expand")
 	byEdge := map[int64]*telemetry.SpanSnapshot{}
-	for _, es := range spans {
+	for _, es := range snap.ByName("expand") {
 		if ei, ok := es.Int("edge"); ok {
 			byEdge[ei] = es
 		}
 	}
 	if plan != nil {
-		for i, pe := range plan.Edges {
+		for _, pe := range plan.Edges {
 			pedge := pat.Edges[pe.PatternEdge]
 			op := AnalyzedOp{
 				Op: "expand",
@@ -145,11 +144,7 @@ func joinPlanAndSpans(pat *pattern.Pattern, res *MatchResult, snap *telemetry.Sp
 				EstRows:    pe.EstPairs,
 				ActualRows: -1,
 			}
-			es := byEdge[int64(pe.PatternEdge)]
-			if es == nil && i < len(spans) {
-				es = spans[i]
-			}
-			if es != nil {
+			if es := byEdge[int64(pe.PatternEdge)]; es != nil {
 				op.TimeMs = es.DurationMs
 				op.Kernel, _ = es.Str("kernel")
 				op.Memo, _ = es.Str("memo")

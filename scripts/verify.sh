@@ -190,20 +190,26 @@ if [ -z "${SKIP_SMOKE:-}" ]; then
     # is exhausted — in-flight back to 0, total incremented.
     await_idle "stream drained"
 
-    step "wire protocol smoke (vsquery -wire rows match the HTTP/JSON path)"
+    step "wire protocol smoke (vsquery -wire rows match the HTTP/JSON path, plain and grouped)"
     wireaddr="$(sed -n 's/^wire protocol on //p' "$smokedir/stdout")"
     [ -n "$wireaddr" ] || { echo "vsserve never announced the wire listener" >&2; exit 1; }
     go build -o "$smokedir/vsquery" ./cmd/vsquery
-    "$smokedir/vsquery" -wire "$wireaddr" -json -query "$streamq" \
-        | sort > "$smokedir/wire_rows"
-    curl -fsS "http://$hostport/query" -d "{\"query\":\"$streamq\"}" \
-        | python3 -c 'import json,sys
+    # same_rows QUERY: both transports return the same non-empty rows.
+    same_rows() {
+        "$smokedir/vsquery" -wire "$wireaddr" -json -query "$1" \
+            | sort > "$smokedir/wire_rows"
+        curl -fsS "http://$hostport/query" -d "{\"query\":\"$1\"}" \
+            | python3 -c 'import json,sys
 for row in json.load(sys.stdin)["rows"]:
     print(json.dumps(row, separators=(",", ":")))' \
-        | sort > "$smokedir/http_rows"
-    [ -s "$smokedir/wire_rows" ] || { echo "vsquery -wire returned no rows" >&2; exit 1; }
-    diff -u "$smokedir/http_rows" "$smokedir/wire_rows" \
-        || { echo "wire and HTTP transports disagree on $streamq" >&2; exit 1; }
+            | sort > "$smokedir/http_rows"
+        [ -s "$smokedir/wire_rows" ] || { echo "vsquery -wire returned no rows for $1" >&2; exit 1; }
+        diff -u "$smokedir/http_rows" "$smokedir/wire_rows" \
+            || { echo "wire and HTTP transports disagree on $1" >&2; exit 1; }
+    }
+    same_rows "$streamq"
+    # A grouped aggregate runs the projector's fold end to end on both.
+    same_rows 'MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN q, COUNT(p) AS c ORDER BY c DESC'
     # vsquery has disconnected: its session must have closed its cursor.
     await_idle "the wire client disconnected"
     # The wire protocol carries rows only: EXPLAIN must fail, not print an

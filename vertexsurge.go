@@ -202,7 +202,9 @@ func (db *DB) Save(dir string) error { return storage.Write(dir, db.g) }
 
 // Query parses and executes a query in the supported openCypher subset
 // (§2.2): MATCH with variable-length relationships, WHERE, shortestPath,
-// UNWIND, RETURN COUNT/SUM(DISTINCT …), ORDER BY, LIMIT. A PROFILE prefix
+// UNWIND, RETURN with COUNT/SUM/AVG/MIN/MAX([DISTINCT] …), ORDER BY, LIMIT.
+// Aggregates group by the plain RETURN items over every matched tuple of
+// every UNWIND value, and a key-less aggregate returns one row. A PROFILE prefix
 // also fills QueryResult.Profile with the per-operator span tree; EXPLAIN
 // fills QueryResult.Plan without executing; EXPLAIN ANALYZE fills
 // QueryResult.Analysis with the estimate-vs-actual operator table. The
