@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -68,19 +69,23 @@ func RunContext(ctx context.Context, eng *engine.Engine, q *Query, params map[st
 		if q.Profile && telemetry.CurrentSpan(ctx) == nil {
 			ctx, root = telemetry.NewTrace(ctx, "query")
 		}
-		r, err := runAll(ctx, eng, q, params)
+		res = &Result{Columns: Columns(q)}
+		var err error
+		res.Timings, err = drive(ctx, eng, q, params, func(row []any) error {
+			res.Rows = append(res.Rows, row)
+			return nil
+		})
+		if err == nil {
+			err = orderAndLimit(res, q)
+		}
 		// End the profiling root on the failure path too: leaving it open
 		// would wedge the trace tree for the next query on this context.
 		root.End()
-		if err != nil {
-			return err
-		}
 		if root != nil {
-			r.Profile = root.Snapshot()
+			res.Profile = root.Snapshot()
 		}
-		res = r
-		*rows = int64(len(r.Rows))
-		return nil
+		*rows = int64(len(res.Rows))
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -121,18 +126,44 @@ func registered(ctx context.Context, q *Query, run func(ctx context.Context, row
 	return run(telemetry.WithQuery(qctx, qi), &rows)
 }
 
-// runAll is the one driver of a materialized query. For each UNWIND value
-// (a single pass without UNWIND) it binds, matches and feeds every tuple
-// into one projector; ORDER BY and LIMIT then run once over the whole
-// answer.
-func runAll(ctx context.Context, eng *engine.Engine, q *Query, params map[string]any) (*Result, error) {
+// drive executes a query's MATCH and RETURN for RunContext and Stream. For
+// each UNWIND value (a single pass without UNWIND) it binds, matches and
+// hands every tuple to one projector as the engine emits it; every row the
+// projector returns goes to sink, and after the last pass so do the closed
+// groups. Without ORDER BY the match stops once sink has taken LIMIT rows.
+// It returns the engine's timings.
+func drive(ctx context.Context, eng *engine.Engine, q *Query, params map[string]any, sink func(row []any) error) (engine.Timings, error) {
+	var t engine.Timings
 	values, err := unwindValues(q, params)
 	if err != nil {
-		return nil, err
+		return t, err
 	}
-	out := &Result{Columns: Columns(q)}
-	var proj *projector // built by the first pass: the COUNT fast path needs none
+	limit := q.Limit
+	if len(q.OrderBy) > 0 {
+		limit = 0 // the first row is known only once every row is
+	}
+	var proj *projector // built by the first match: the COUNT fast path needs none
+	sent := 0
+	var stopErr error
+	more := func() bool { return stopErr == nil && (limit == 0 || sent < limit) }
+	// put hands sink one row and reports whether matching goes on.
+	put := func(row []any) bool {
+		stopErr = sink(row)
+		sent++
+		return more()
+	}
+	each := func(tuple []graph.VertexID) bool {
+		row, err := proj.add(tuple)
+		if err != nil {
+			stopErr = err
+			return false
+		}
+		return row == nil || put(row)
+	}
 	for _, v := range values {
+		if !more() {
+			break
+		}
 		sub := params
 		if q.Unwind != nil {
 			sub = maps.Clone(params) // holds the UNWIND parameter, so not nil
@@ -140,55 +171,60 @@ func runAll(ctx context.Context, eng *engine.Engine, q *Query, params map[string
 		}
 		b, err := bind(q, sub)
 		if err != nil {
-			return nil, err
+			return t, err
 		}
-		switch {
-		case b.shortest != nil:
+		if b.shortest != nil {
 			row, err := runShortest(ctx, eng, q, b)
 			if err != nil {
-				return nil, err
+				return t, err
 			}
-			out.Rows = append(out.Rows, row)
+			put(row)
 			continue
-		case countsWholePattern(q, b):
+		}
+		if countsWholePattern(q, b) {
 			res, err := eng.MatchContext(ctx, b.pat, engine.MatchOptions{CountOnly: true})
 			if err != nil {
-				return nil, err
+				return t, err
 			}
-			out.Rows, out.Timings = [][]any{{res.Count}}, res.Timings
-			return out, nil
-		}
-		res, err := eng.MatchContext(ctx, b.pat, engine.MatchOptions{})
-		if err != nil {
-			return nil, err
-		}
-		lengths, err := pathLengths(ctx, eng, q, b, res)
-		if err != nil {
-			return nil, err
+			return res.Timings, sink([]any{res.Count})
 		}
 		if proj == nil {
 			proj = newProjector(eng.Graph(), q)
 		}
-		proj.pass(b, v, lengths)
-		for _, tuple := range res.Tuples {
-			row, err := proj.add(tuple)
-			if err != nil {
-				return nil, err
+		var res *engine.MatchResult
+		if projectsLength(q) {
+			// pathLengths needs every tuple before the first row.
+			if res, err = eng.MatchContext(ctx, b.pat, engine.MatchOptions{}); err != nil {
+				return t, err
 			}
-			if row != nil {
-				out.Rows = append(out.Rows, row)
+			lengths, err := pathLengths(ctx, eng, q, b, res)
+			if err != nil {
+				return t, err
+			}
+			proj.pass(b, v, lengths)
+			for _, tuple := range res.Tuples {
+				if !each(tuple) {
+					break
+				}
+			}
+		} else {
+			proj.pass(b, v, nil)
+			if res, err = eng.MatchEach(ctx, b.pat, engine.MatchOptions{}, each); err != nil {
+				return t, err
 			}
 		}
-		out.Timings.Add(res.Timings)
+		t.Add(res.Timings)
 	}
 	if proj == nil {
-		proj = newProjector(eng.Graph(), q) // no pass: an empty UNWIND list or shortestPath
+		proj = newProjector(eng.Graph(), q) // no match: an empty UNWIND list or shortestPath
 	}
-	out.Rows = append(out.Rows, proj.rows()...)
-	if err := orderAndLimit(out, q); err != nil {
-		return nil, err
+	for _, row := range proj.rows() {
+		if !more() {
+			break
+		}
+		put(row)
 	}
-	return out, nil
+	return t, stopErr
 }
 
 // unwindValues lists the values UNWIND binds its alias to, one per pass:
@@ -205,26 +241,23 @@ func unwindValues(q *Query, params map[string]any) ([]any, error) {
 	case []any:
 		return v, nil
 	case []int64:
-		out := make([]any, len(v))
-		for i, x := range v {
-			out[i] = x
-		}
-		return out, nil
+		return boxAll(v, func(x int64) any { return x }), nil
 	case []int:
-		out := make([]any, len(v))
-		for i, x := range v {
-			out[i] = int64(x)
-		}
-		return out, nil
+		return boxAll(v, func(x int) any { return int64(x) }), nil
 	case []string:
-		out := make([]any, len(v))
-		for i, x := range v {
-			out[i] = x
-		}
-		return out, nil
+		return boxAll(v, func(x string) any { return x }), nil
 	default:
 		return nil, fmt.Errorf("cypher: parameter $%s: not a list (%T)", q.Unwind.Param, raw)
 	}
+}
+
+// boxAll converts a typed UNWIND list to the []any its passes range over.
+func boxAll[T any](xs []T, box func(T) any) []any {
+	out := make([]any, len(xs))
+	for i, x := range xs {
+		out[i] = box(x)
+	}
+	return out
 }
 
 // boundQuery is the query lowered onto a concrete pattern.
@@ -266,7 +299,7 @@ func bind(q *Query, params map[string]any) (*boundQuery, error) {
 		}
 		v := &b.pat.Vertices[idx]
 		for _, l := range n.Labels {
-			if !contains(v.Labels, l) {
+			if !slices.Contains(v.Labels, l) {
 				v.Labels = append(v.Labels, l)
 			}
 		}
@@ -350,7 +383,7 @@ func bind(q *Query, params map[string]any) (*boundQuery, error) {
 		case PredHasLabel:
 			if pred.Negated {
 				v.NotLabels = append(v.NotLabels, pred.Label)
-			} else if !contains(v.Labels, pred.Label) {
+			} else if !slices.Contains(v.Labels, pred.Label) {
 				v.Labels = append(v.Labels, pred.Label)
 			}
 		case PredPropEq:
@@ -388,15 +421,6 @@ func negateCmp(op pattern.CmpOp) pattern.CmpOp {
 	default:
 		return pattern.CmpLt
 	}
-}
-
-func contains(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 // countsWholePattern reports the COUNT fast path: a single COUNT(DISTINCT …)
@@ -486,7 +510,7 @@ func analyzeQuery(ctx context.Context, eng *engine.Engine, q *Query, params map[
 	if b.shortest != nil {
 		return nil, fmt.Errorf("cypher: EXPLAIN ANALYZE does not support shortestPath")
 	}
-	// Take the execution a plain run would take (runAll's COUNT fast path).
+	// Take the execution a plain run would take (drive's COUNT fast path).
 	opts := engine.MatchOptions{CountOnly: countsWholePattern(q, b)}
 	return eng.ExplainAnalyze(ctx, b.pat, opts)
 }

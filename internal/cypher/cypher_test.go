@@ -524,7 +524,8 @@ func TestOrderByMultipleKeys(t *testing.T) {
 
 func TestDistinctRowsAreDistinct(t *testing.T) {
 	e := socialEngine(t)
-	res := run(t, e, `MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN DISTINCT q`, nil)
+	src := `MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN DISTINCT q`
+	res := run(t, e, src, nil)
 	seen := map[int64]bool{}
 	for _, row := range res.Rows {
 		id := row[0].(int64)
@@ -533,7 +534,25 @@ func TestDistinctRowsAreDistinct(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	sort.SliceIsSorted(res.Rows, func(i, j int) bool { return true })
+	q, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := bind(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := e.MatchContext(context.Background(), b.pat, engine.MatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := map[graph.VertexID]bool{}
+	for _, tuple := range m.Tuples {
+		qs[tuple[b.varIdx["q"]]] = true
+	}
+	if len(res.Rows) == 0 || len(res.Rows) != len(qs) {
+		t.Fatalf("%d rows, want one per distinct q among the matches (%d)", len(res.Rows), len(qs))
+	}
 }
 
 // TestStreamMatchesRunContext pins the two cypher entry points against each

@@ -276,27 +276,8 @@ func (p *parser) parseNode() (*NodePattern, error) {
 		}
 		n.Labels = append(n.Labels, t.text)
 	}
-	if p.accept(tokLBrace) {
-		for {
-			key, err := p.expect(tokIdent, "property name")
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokColon, ": in property map"); err != nil {
-				return nil, err
-			}
-			lit, err := p.parseLiteral()
-			if err != nil {
-				return nil, err
-			}
-			n.Props[key.text] = lit
-			if !p.accept(tokComma) {
-				break
-			}
-		}
-		if _, err := p.expect(tokRBrace, "} closing property map"); err != nil {
-			return nil, err
-		}
+	if err := p.parseProps(&n.Props); err != nil {
+		return nil, err
 	}
 	if _, err := p.expect(tokRParen, ") closing node pattern"); err != nil {
 		return nil, err
@@ -330,7 +311,7 @@ func (p *parser) parseRel() (*RelPattern, error) {
 				}
 			}
 		}
-		if err := p.parseRelProps(r); err != nil {
+		if err := p.parseProps(&r.Props); err != nil {
 			return nil, err
 		}
 		if p.accept(tokStar) {
@@ -353,7 +334,7 @@ func (p *parser) parseRel() (*RelPattern, error) {
 				}
 			}
 		}
-		if err := p.parseRelProps(r); err != nil {
+		if err := p.parseProps(&r.Props); err != nil {
 			return nil, err
 		}
 		if _, err := p.expect(tokRBracket, "] closing relationship"); err != nil {
@@ -372,33 +353,34 @@ func (p *parser) parseRel() (*RelPattern, error) {
 	return r, nil
 }
 
-// parseRelProps parses an optional `{key: value, …}` map inside a
-// relationship pattern (accepted both before and after the `*` bounds).
-func (p *parser) parseRelProps(r *RelPattern) error {
+// parseProps parses an optional `{key: value, …}` map of a node or a
+// relationship pattern (the latter accepts it both before and after the `*`
+// bounds) into *props, allocating the map on first use.
+func (p *parser) parseProps(props *map[string]Literal) error {
 	if !p.accept(tokLBrace) {
 		return nil
 	}
-	if r.Props == nil {
-		r.Props = map[string]Literal{}
+	if *props == nil {
+		*props = map[string]Literal{}
 	}
 	for {
-		key, err := p.expect(tokIdent, "edge property name")
+		key, err := p.expect(tokIdent, "property name")
 		if err != nil {
 			return err
 		}
-		if _, err := p.expect(tokColon, ": in edge property map"); err != nil {
+		if _, err := p.expect(tokColon, ": in property map"); err != nil {
 			return err
 		}
 		lit, err := p.parseLiteral()
 		if err != nil {
 			return err
 		}
-		r.Props[key.text] = lit
+		(*props)[key.text] = lit
 		if !p.accept(tokComma) {
 			break
 		}
 	}
-	_, err := p.expect(tokRBrace, "} closing edge property map")
+	_, err := p.expect(tokRBrace, "} closing property map")
 	return err
 }
 

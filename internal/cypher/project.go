@@ -35,7 +35,12 @@ type projector struct {
 	groups map[string]int
 	out    [][]any
 	accs   [][]acc
-	vals   []any // scratch for one aggregate's arguments
+	// Scratch reused across tuples: the plain items' values (a plain row,
+	// or a group's key), one aggregate's arguments, and appendKey's
+	// encoding of either.
+	key  []any
+	vals []any
+	kbuf []byte
 }
 
 // acc folds one aggregate item over a group's rows: a count, a float sum and
@@ -60,7 +65,7 @@ func newProjector(g *graph.Graph, q *Query) *projector {
 		p.groups = map[string]int{}
 	}
 	if keys == 0 {
-		p.group(nil) // a key-less aggregate has its one row even over no tuples
+		p.group() // a key-less aggregate has its one row even over no tuples
 	}
 	return p
 }
@@ -117,29 +122,30 @@ func (p *projector) eval(e Expr, tuple []graph.VertexID) (any, error) {
 
 // add consumes one matched tuple. A plain RETURN gets its fresh row back, or
 // nil for a row already produced; an aggregating RETURN folds the tuple into
-// its group and gets nil.
+// its group and gets nil. Only a new row or group allocates beyond the
+// boxed values.
 func (p *projector) add(tuple []graph.VertexID) ([]any, error) {
-	key := make([]any, 0, len(p.q.Return)) // a plain row is its own key
+	p.key = p.key[:0] // a plain row is its own key
 	for _, item := range p.q.Return {
 		if item.Agg == "" {
 			v, err := p.eval(item.Args[0], tuple)
 			if err != nil {
 				return nil, err
 			}
-			key = append(key, v)
+			p.key = append(p.key, v)
 		}
 	}
 	if p.groups == nil {
 		if p.seen != nil {
-			k := rowKey(key)
-			if p.seen[k] {
+			p.kbuf = appendKey(p.kbuf[:0], p.key)
+			if p.seen[string(p.kbuf)] {
 				return nil, nil
 			}
-			p.seen[k] = true
+			p.seen[string(p.kbuf)] = true
 		}
-		return key, nil
+		return slices.Clone(p.key), nil
 	}
-	accs := p.group(key)
+	accs := p.group()
 	for i, item := range p.q.Return {
 		if item.Agg == "" {
 			continue
@@ -152,26 +158,31 @@ func (p *projector) add(tuple []graph.VertexID) ([]any, error) {
 			}
 			p.vals = append(p.vals, v)
 		}
-		if err := accs[i].fold(item, p.vals); err != nil {
+		if item.Distinct {
+			p.kbuf = appendKey(p.kbuf[:0], p.vals)
+		}
+		if err := accs[i].fold(item, p.vals, p.kbuf); err != nil {
 			return nil, err
 		}
 	}
 	return nil, nil
 }
 
-// group returns key's accumulators, opening its group on first sight.
-func (p *projector) group(key []any) []acc {
-	k := rowKey(key)
-	if gi, ok := p.groups[k]; ok {
+// group returns the accumulators of p.key's group, opening it on first
+// sight with a copy of the key in its row.
+func (p *projector) group() []acc {
+	p.kbuf = appendKey(p.kbuf[:0], p.key)
+	if gi, ok := p.groups[string(p.kbuf)]; ok {
 		return p.accs[gi]
 	}
 	row := make([]any, len(p.q.Return))
+	key := p.key
 	for i, item := range p.q.Return {
 		if item.Agg == "" {
 			row[i], key = key[0], key[1:]
 		}
 	}
-	p.groups[k] = len(p.out)
+	p.groups[string(p.kbuf)] = len(p.out)
 	p.out = append(p.out, row)
 	p.accs = append(p.accs, make([]acc, len(row)))
 	return p.accs[len(p.accs)-1]
@@ -189,17 +200,17 @@ func (p *projector) rows() [][]any {
 	return p.out
 }
 
-// fold adds one row's argument values; a DISTINCT item skips repeats.
-func (a *acc) fold(item ReturnItem, vals []any) error {
+// fold adds one row's argument values; a DISTINCT item skips values whose
+// appendKey encoding, key, it has folded before.
+func (a *acc) fold(item ReturnItem, vals []any, key []byte) error {
 	if item.Distinct {
-		k := rowKey(vals)
-		if a.distinct[k] {
+		if a.distinct[string(key)] {
 			return nil
 		}
 		if a.distinct == nil {
 			a.distinct = map[string]bool{}
 		}
-		a.distinct[k] = true
+		a.distinct[string(key)] = true
 	}
 	a.n++
 	switch item.Agg {
@@ -283,12 +294,13 @@ func pathLengths(ctx context.Context, eng *engine.Engine, q *Query, b *boundQuer
 	return tables, nil
 }
 
-func rowKey(vals []any) string {
-	var sb strings.Builder
+// appendKey appends vals' key to buf: the seen set, the groups and the
+// DISTINCT sets key on it.
+func appendKey(buf []byte, vals []any) []byte {
 	for _, v := range vals {
-		fmt.Fprintf(&sb, "%T:%v|", v, v)
+		buf = fmt.Appendf(buf, "%T:%v|", v, v)
 	}
-	return sb.String()
+	return buf
 }
 
 func toFloat(v any) (float64, bool) {

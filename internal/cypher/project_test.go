@@ -112,13 +112,71 @@ func TestKeylessAggregateOverNoMatches(t *testing.T) {
 	checkRows(t, e, none+`RETURN a, COUNT(b)`, nil, nil)
 }
 
-// TestPlainRowAllocs pins the streamed projection's allocations per tuple on
-// the bank test graph: RETURN a, b allocates its row and boxes two ids, and
-// keeps no dedup state. (A deduplicating RETURN is not pinned: its rowKey
-// goes through fmt, whose printer pool the race detector randomly drains.)
-func TestPlainRowAllocs(t *testing.T) {
+// TestLimitStopsMatch: a plain RETURN with LIMIT and no ORDER BY returns the
+// first LIMIT rows of the full answer, as it did when every tuple was
+// collected first, and now stops the match there: its PROFILE intersect span
+// reports fewer tuples than the full match. Stream returns the same rows.
+func TestLimitStopsMatch(t *testing.T) {
+	e := socialEngine(t)
+	full, err := e.MatchContext(context.Background(), mustBind(t, `MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN p`).pat,
+		engine.MatchOptions{CountOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{
+		`MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN p, q`,
+		`MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN DISTINCT q`,
+	} {
+		all := run(t, e, src, nil).Rows
+		const limit = 7
+		if len(all) <= limit {
+			t.Fatalf("%q: %d rows, too few to limit", src, len(all))
+		}
+		res := run(t, e, fmt.Sprintf("PROFILE %s LIMIT %d", src, limit), nil)
+		if !reflect.DeepEqual(res.Rows, all[:limit]) {
+			t.Errorf("%q LIMIT %d = %v, want the first rows of the full answer %v", src, limit, res.Rows, all[:limit])
+		}
+		tuples, ok := res.Profile.Find("intersect").Int("tuples")
+		if !ok || tuples >= full.Count {
+			t.Errorf("%q LIMIT %d: intersect span reports %d tuples (set: %v), want fewer than the full match's %d",
+				src, limit, tuples, ok, full.Count)
+		}
+		q, err := Parse(fmt.Sprintf("%s LIMIT %d", src, limit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var streamed [][]any
+		if err := Stream(context.Background(), e, q, nil, func(_ context.Context, row []any) error {
+			streamed = append(streamed, row)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(streamed, all[:limit]) {
+			t.Errorf("%q LIMIT %d streamed %v, want %v", src, limit, streamed, all[:limit])
+		}
+	}
+}
+
+func mustBind(t *testing.T, src string) *boundQuery {
+	t.Helper()
+	q, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := bind(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// allocsPerTuple measures projector.add's allocations per tuple for src
+// over the bank test graph's tuples.
+func allocsPerTuple(t *testing.T, src string) float64 {
+	t.Helper()
 	e := bankEngine(t)
-	q, err := Parse(`MATCH (a:Account)-[:transfer*1..2]->(b:Account) RETURN a, b`)
+	q, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +200,16 @@ func TestPlainRowAllocs(t *testing.T) {
 			}
 		}
 	})
-	if per := allocs / float64(len(res.Tuples)); per > 3 {
+	per := allocs / float64(len(res.Tuples))
+	t.Logf("%s: %.3f allocs per tuple over %d tuples", src, per, len(res.Tuples))
+	return per
+}
+
+// TestPlainRowAllocs pins the streamed projection's allocations per tuple on
+// the bank test graph: RETURN a, b allocates its row and boxes two ids, and
+// keeps no dedup state.
+func TestPlainRowAllocs(t *testing.T) {
+	if per := allocsPerTuple(t, `MATCH (a:Account)-[:transfer*1..2]->(b:Account) RETURN a, b`); per > 3 {
 		t.Errorf("%.3f allocs per tuple, want at most 3", per)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 
 	"repro/internal/engine"
-	"repro/internal/graph"
 )
 
 // ErrNotStreamable reports that a query cannot execute row-at-a-time and
@@ -14,10 +13,6 @@ import (
 // variants all need the complete result (or a different execution shape)
 // before the first output row exists.
 var ErrNotStreamable = errors.New("cypher: query is not streamable")
-
-// errStreamLimit is the internal sentinel the streaming driver uses to stop
-// the engine once LIMIT rows have been emitted; it never escapes Stream.
-var errStreamLimit = errors.New("cypher: stream limit reached")
 
 // Streamable reports whether q can execute row-at-a-time with constant
 // server-side result memory: a plain projection of pattern variables (bare
@@ -40,13 +35,20 @@ func Streamable(q *Query) bool {
 		if item.Agg != "" {
 			return false
 		}
+	}
+	return !projectsLength(q)
+}
+
+// projectsLength reports whether a RETURN item reads length(p).
+func projectsLength(q *Query) bool {
+	for _, item := range q.Return {
 		for _, a := range item.Args {
 			if a.IsLength {
-				return false
+				return true
 			}
 		}
 	}
-	return true
+	return false
 }
 
 // Columns returns the output column names of q — available before
@@ -60,12 +62,13 @@ func Columns(q *Query) []string {
 	return cols
 }
 
-// Stream executes a streamable query row-at-a-time: every projected row is
-// passed to emit, in join order, without materializing the result set. Rows
-// deduplicate exactly as the materializing path does — both go through one
-// projector — so when the projection covers every pattern vertex with a
-// bare variable no dedup state is kept at all and server-side memory is
-// constant in the result cardinality.
+// Stream executes a streamable query row-at-a-time through drive, as
+// RunContext does, with emit as its sink: every projected row is passed to
+// emit, in join order, without materializing the result set, and LIMIT
+// stops the match. Rows deduplicate exactly as RunContext's do, so when the
+// projection covers every pattern vertex with a bare variable no dedup
+// state is kept at all and server-side memory is constant in the result
+// cardinality.
 //
 // Stream runs under the same registry/metrics wrapper as RunContext (see
 // registered): it counts into vs_queries_total/failed/in_flight, is visible
@@ -85,49 +88,13 @@ func Stream(ctx context.Context, eng *engine.Engine, q *Query, params map[string
 		return err
 	}
 	return registered(ctx, q, func(ctx context.Context, rows *int64) error {
-		b, err := bind(q, params)
-		if err != nil {
-			return err
-		}
-		// The engine's per-tuple callback cannot return an error: stop it
-		// by canceling the context it polls.
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		proj := newProjector(eng.Graph(), q)
-		proj.pass(b, nil, nil)
-		limit := int64(q.Limit)
-		var stopErr error
-		stop := func(err error) {
-			stopErr = err
-			cancel()
-		}
-		runErr := eng.MatchForEachOpts(ctx, b.pat, engine.MatchOptions{}, func(tuple []graph.VertexID) {
-			if stopErr != nil {
-				return // unwinding: the engine notices the canceled ctx shortly
-			}
-			row, err := proj.add(tuple)
-			if err != nil {
-				stop(err)
-				return
-			}
-			if row == nil {
-				return // a row already emitted
-			}
+		_, err := drive(ctx, eng, q, params, func(row []any) error {
 			if err := emit(ctx, row); err != nil {
-				stop(err)
-				return
+				return err
 			}
 			*rows++
-			if limit > 0 && *rows >= limit {
-				stop(errStreamLimit)
-			}
+			return nil
 		})
-		switch {
-		case stopErr == errStreamLimit:
-			return nil // LIMIT satisfied; the induced cancellation is not a failure
-		case stopErr != nil:
-			return stopErr
-		}
-		return runErr
+		return err
 	})
 }

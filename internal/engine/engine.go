@@ -7,8 +7,8 @@
 // distinct expansions out through exec.RunExpands, assemble the join input,
 // and run the Generic Join on the calling goroutine with the consumer
 // plugged in at the leaf. MatchContext is that path with no consumer (the
-// join counts or collects), MatchForEachOpts the same path with a per-tuple
-// callback; Match and MatchForEach are their context-free shorthands. The
+// join counts or collects), MatchEach the same path with a per-tuple
+// callback that may stop it; Match and MatchForEachOpts are shorthands. The
 // twelve evaluation queries of §6.2 (social cases 1–5, bank cases 6–7,
 // FinBench cases 8–12) are provided as methods in cases.go.
 package engine
@@ -177,32 +177,37 @@ func (e *Engine) MatchContext(ctx context.Context, pat *pattern.Pattern, opts Ma
 	return e.run(ctx, pat, opts, nil)
 }
 
-// MatchForEach runs the pattern and streams every distinct matched tuple
-// to fn, in pattern declaration order, without materializing the result
-// set. The tuple slice is reused between calls — copy it to retain it.
-func (e *Engine) MatchForEach(pat *pattern.Pattern, fn func(tuple []graph.VertexID)) error {
-	return e.MatchForEachOpts(context.Background(), pat, MatchOptions{}, fn)
+// MatchEach runs the pattern and streams every distinct matched tuple to
+// fn, in pattern declaration order, without materializing the result set:
+// the same execution core as MatchContext with fn plugged in as the join's
+// per-tuple consumer. fn returns whether the match goes on; once it returns
+// false the join stops and MatchEach returns normally. The result carries
+// Count (the tuples fn received), Plan, ExpandStats and Timings, but no
+// Tuples. The tuple slice is reused between calls — copy it to retain it.
+// The join enumerates serially on the calling goroutine, so fn may block
+// (transport backpressure) and a panic in fn unwinds through the caller.
+// Order forces the join order (planner ablation). CountOnly is meaningless
+// when streaming (fn receives the tuples) and is ignored.
+func (e *Engine) MatchEach(ctx context.Context, pat *pattern.Pattern, opts MatchOptions, fn func(tuple []graph.VertexID) bool) (*MatchResult, error) {
+	opts.CountOnly = false
+	return e.run(ctx, pat, opts, fn)
 }
 
-// MatchForEachOpts is MatchForEach with cancellation, trace propagation and
-// MatchOptions: the same execution core as MatchContext with fn plugged in
-// as the join's per-tuple consumer. The join enumerates serially on the
-// calling goroutine, so fn may block (transport backpressure) and a panic
-// in fn unwinds through the caller. Order forces the join order (planner
-// ablation). CountOnly is meaningless when streaming (fn receives the
-// tuples) and is ignored.
+// MatchForEachOpts is MatchEach for a consumer that takes every tuple.
 func (e *Engine) MatchForEachOpts(ctx context.Context, pat *pattern.Pattern, opts MatchOptions, fn func(tuple []graph.VertexID)) error {
-	opts.CountOnly = false
-	_, err := e.run(ctx, pat, opts, fn)
+	_, err := e.MatchEach(ctx, pat, opts, func(tuple []graph.VertexID) bool {
+		fn(tuple)
+		return true
+	})
 	return err
 }
 
-// run is the engine's one execution path; MatchContext and MatchForEachOpts
-// are its two wrappers. It owns the per-match bookkeeping — total wall time,
-// the stage histograms, the expand-bytes counter — around execute, which
-// does the work. With a nil emit the match counts or collects into the
-// result; otherwise every tuple goes to emit and the result carries only
-// Count, Plan, ExpandStats and Timings.
+// run is the engine's one execution path; MatchContext and MatchEach are its
+// two wrappers. It owns the per-match bookkeeping — total wall time, the
+// stage histograms, the expand-bytes counter — around execute, which does
+// the work. With a nil emit the match counts or collects into the result;
+// otherwise every tuple goes to emit, until emit returns false, and the
+// result carries only Count, Plan, ExpandStats and Timings.
 //
 // When ctx carries an active trace (internal/telemetry), execution records
 // one span per operator call — "plan" for the planner build, one "expand"
@@ -210,7 +215,7 @@ func (e *Engine) MatchForEachOpts(ctx context.Context, pat *pattern.Pattern, opt
 // and memo hit/miss), "intersect" for the Generic Join, and "aggregate" for
 // the hand-off of the result (tuple count; the reorder of collected tuples
 // when materializing).
-func (e *Engine) run(ctx context.Context, pat *pattern.Pattern, opts MatchOptions, emit func(tuple []graph.VertexID)) (*MatchResult, error) {
+func (e *Engine) run(ctx context.Context, pat *pattern.Pattern, opts MatchOptions, emit func(tuple []graph.VertexID) bool) (*MatchResult, error) {
 	start := time.Now()
 	res := &MatchResult{}
 	for _, v := range pat.Vertices {
@@ -234,7 +239,7 @@ func (e *Engine) run(ctx context.Context, pat *pattern.Pattern, opts MatchOption
 // assembles the join input and runs the Generic Join and the join-order ->
 // declaration-order reorder on the calling goroutine: both consume every
 // expansion, so there is nothing to overlap them with.
-func (e *Engine) execute(ctx context.Context, qi *telemetry.QueryInfo, pat *pattern.Pattern, opts MatchOptions, emit func(tuple []graph.VertexID), res *MatchResult) error {
+func (e *Engine) execute(ctx context.Context, qi *telemetry.QueryInfo, pat *pattern.Pattern, opts MatchOptions, emit func(tuple []graph.VertexID) bool, res *MatchResult) error {
 	qi.SetPhase(telemetry.PhasePlan)
 	t0 := time.Now()
 	_, psp := telemetry.StartSpan(ctx, "plan")
@@ -262,14 +267,17 @@ func (e *Engine) execute(ctx context.Context, qi *telemetry.QueryInfo, pat *patt
 	buf := make([]graph.VertexID, n) // emit's reused tuple; reorder scratch when collecting
 	if n == 1 {
 		// Degenerate single-vertex pattern: candidates are the matches.
-		cands := plan.CandList[0]
-		res.Count = int64(len(cands))
-		for _, v := range cands {
-			if emit != nil {
+		for _, v := range plan.CandList[0] {
+			res.Count++
+			switch {
+			case emit != nil:
 				buf[0] = v
-				emit(buf)
+				more := emit(buf)
 				qi.AddRows(1)
-			} else if !opts.CountOnly {
+				if !more {
+					return nil
+				}
+			case !opts.CountOnly:
 				res.Tuples = append(res.Tuples, []graph.VertexID{v})
 			}
 		}
@@ -320,10 +328,11 @@ func (e *Engine) execute(ctx context.Context, qi *telemetry.QueryInfo, pat *patt
 		// client is still fetching (emit may block on transport
 		// backpressure between tuples).
 		jr = &mintersect.Result{}
-		err = mintersect.ForEachContext(ctx, in, jopts, func(tuple []graph.VertexID) {
+		err = mintersect.ForEachUntil(ctx, in, jopts, func(tuple []graph.VertexID) bool {
 			toDeclarationOrder(buf, tuple, plan.Order)
-			emit(buf)
+			more := emit(buf)
 			qi.AddRows(1)
+			return more
 		}, jr)
 	}
 	res.Timings.Intersect = time.Since(t2)

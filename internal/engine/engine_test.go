@@ -878,8 +878,8 @@ func TestWorkersDeterminism(t *testing.T) {
 	}
 }
 
-// TestMatchForEachStreamsSameTuples pins the engine's two wrappers against
-// each other: MatchContext and MatchForEachOpts are one execution path, so
+// TestMatchForEachStreamsSameTuples pins the engine's two entries against
+// each other: MatchContext and MatchEach are one execution path, so
 // across worker counts, cache settings and join orders they return the
 // same multiset of tuples.
 func TestMatchForEachStreamsSameTuples(t *testing.T) {
@@ -928,7 +928,7 @@ func TestMatchForEachStreamsSameTuples(t *testing.T) {
 	// Single-vertex streaming.
 	single := &pattern.Pattern{Vertices: []pattern.Vertex{{Name: "p", Labels: []string{"SIGB"}}}}
 	count := 0
-	if err := e.MatchForEach(single, func([]graph.VertexID) { count++ }); err != nil {
+	if err := e.MatchForEachOpts(context.Background(), single, MatchOptions{}, func([]graph.VertexID) { count++ }); err != nil {
 		t.Fatal(err)
 	}
 	if count != g.Label("SIGB").PopCount() {
@@ -937,7 +937,42 @@ func TestMatchForEachStreamsSameTuples(t *testing.T) {
 
 	// Errors propagate.
 	bad := &pattern.Pattern{Vertices: []pattern.Vertex{{Name: "p", Labels: []string{"NoSuch"}}}}
-	if err := e.MatchForEach(bad, func([]graph.VertexID) {}); err == nil {
+	if err := e.MatchForEachOpts(context.Background(), bad, MatchOptions{}, func([]graph.VertexID) {}); err == nil {
 		t.Fatal("unknown label accepted")
+	}
+}
+
+// TestMatchEachStops pins MatchEach's stop: once fn returns false the match
+// ends without an error, fn is not called again, and the result counts the
+// tuples fn received and still carries the plan and the stage timings.
+func TestMatchEachStops(t *testing.T) {
+	e := New(socialGraph(t), Options{})
+	single := &pattern.Pattern{Vertices: []pattern.Vertex{{Name: "p", Labels: []string{"SIGB"}}}}
+	for _, pat := range []*pattern.Pattern{single, trianglePattern(2)} {
+		full, err := e.MatchContext(context.Background(), pat, MatchOptions{CountOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const stopAt = 3
+		if full.Count <= stopAt {
+			t.Fatalf("%d matches, too few to stop early", full.Count)
+		}
+		calls := 0
+		res, err := e.MatchEach(context.Background(), pat, MatchOptions{}, func([]graph.VertexID) bool {
+			calls++
+			return calls < stopAt
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != stopAt || res.Count != stopAt {
+			t.Errorf("%d vertices: fn called %d times, Count %d, want %d", len(pat.Vertices), calls, res.Count, stopAt)
+		}
+		if res.Plan == nil || res.Timings.Scan <= 0 || res.Timings.Total <= 0 {
+			t.Errorf("%d vertices: stopped match lost its plan or timings: %+v", len(pat.Vertices), res.Timings)
+		}
+		if len(pat.Vertices) > 1 && res.Timings.Expand <= 0 {
+			t.Errorf("stopped join reports no expand time")
+		}
 	}
 }

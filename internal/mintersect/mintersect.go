@@ -226,10 +226,9 @@ func run(ctx context.Context, in *Input, opts Options) (*Result, error) {
 
 func runSerial(ctx context.Context, in *Input, opts Options) (*Result, error) {
 	res := &Result{}
-	err := forEach(ctx, in, opts, func(tuple []graph.VertexID) {
-		if !opts.CountOnly {
-			res.Tuples = append(res.Tuples, append([]graph.VertexID(nil), tuple...))
-		}
+	err := forEach(ctx, in, opts, func(tuple []graph.VertexID) bool {
+		res.Tuples = append(res.Tuples, append([]graph.VertexID(nil), tuple...))
+		return true
 	}, res)
 	if err != nil {
 		return nil, err
@@ -237,13 +236,22 @@ func runSerial(ctx context.Context, in *Input, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// ForEachContext runs the join serially on the calling goroutine, invoking
-// fn for each matched tuple (in join order; the slice is reused between
-// calls). When opts.CountOnly is set fn is never called and only statistics
-// and the count accumulate in res. Like RunContext it records an
-// "intersect" span under an active trace and observes ctx cooperatively,
-// returning its error when canceled mid-enumeration.
+// ForEachContext is ForEachUntil for a consumer that takes every tuple.
 func ForEachContext(ctx context.Context, in *Input, opts Options, fn func(tuple []graph.VertexID), res *Result) error {
+	return ForEachUntil(ctx, in, opts, func(tuple []graph.VertexID) bool {
+		fn(tuple)
+		return true
+	}, res)
+}
+
+// ForEachUntil runs the join serially on the calling goroutine, invoking fn
+// for each matched tuple (in join order; the slice is reused between calls)
+// until fn returns false, which ends the join without an error. When
+// opts.CountOnly is set fn is never called and only statistics and the count
+// accumulate in res. Like RunContext it records an "intersect" span under an
+// active trace and observes ctx cooperatively, returning its error when
+// canceled mid-enumeration.
+func ForEachUntil(ctx context.Context, in *Input, opts Options, fn func(tuple []graph.VertexID) bool, res *Result) error {
 	_, sp := telemetry.StartSpan(ctx, "intersect")
 	err := in.validate(opts)
 	if err == nil {
@@ -257,7 +265,7 @@ func ForEachContext(ctx context.Context, in *Input, opts Options, fn func(tuple 
 }
 
 // forEach runs the join over an input its caller has validated.
-func forEach(ctx context.Context, in *Input, opts Options, fn func(tuple []graph.VertexID), res *Result) error {
+func forEach(ctx context.Context, in *Input, opts Options, fn func(tuple []graph.VertexID) bool, res *Result) error {
 	e := &executor{
 		ctx:   ctx,
 		in:    in,
@@ -296,12 +304,12 @@ type executor struct {
 	ctx      context.Context
 	in       *Input
 	opts     Options
-	fn       func([]graph.VertexID)
+	fn       func([]graph.VertexID) bool
 	res      *Result
 	bound    []graph.VertexID
 	rowIndex []map[graph.VertexID]int
 	scratch  [][]uint64
-	stopped  bool
+	stopped  bool // a cancellation, or fn returning false, ends the join
 	// calls counts seeds and extend invocations for the periodic
 	// cancellation poll; err latches the context error that stopped the
 	// enumeration.
@@ -477,8 +485,8 @@ func (e *executor) extend(t int) {
 
 func (e *executor) emit() {
 	e.res.Count++
-	if !e.opts.CountOnly && e.fn != nil {
-		e.fn(e.bound)
+	if !e.opts.CountOnly && !e.fn(e.bound) {
+		e.stopped = true
 	}
 }
 

@@ -245,27 +245,35 @@ func TestSlowQueryLog(t *testing.T) {
 }
 
 // TestTimingsWallTime pins the toTimings fix: TotalMs is end-to-end wall
-// time, so it is at least as large as every engine-reported stage.
+// time, so it is at least as large as every engine-reported stage. The COUNT
+// fast path, a plain RETURN and a grouped one each report their scan and
+// expand: the last two stream the engine's tuples into the projector.
 func TestTimingsWallTime(t *testing.T) {
 	srv, _ := testServer(t)
-	resp, body := post(t, srv, "/query", QueryRequest{Query: countQuery})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var qr QueryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
-	tm := qr.Timings
-	if tm.TotalMs <= 0 {
-		t.Fatalf("TotalMs = %v", tm.TotalMs)
-	}
-	for name, stage := range map[string]float64{
-		"scan": tm.ScanMs, "expand": tm.ExpandMs, "update_visit": tm.UpdateVisitMs,
-		"intersect": tm.IntersectMs, "aggregate": tm.AggregateMs,
+	for _, src := range []string{
+		countQuery,
+		`MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN p, q`,
+		`MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN q, COUNT(p) AS c`,
 	} {
-		if stage > tm.TotalMs {
-			t.Errorf("%s %.3fms exceeds wall total %.3fms", name, stage, tm.TotalMs)
+		resp, body := post(t, srv, "/query", QueryRequest{Query: src})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%q: status %d: %s", src, resp.StatusCode, body)
+		}
+		var qr QueryResponse
+		if err := json.Unmarshal(body, &qr); err != nil {
+			t.Fatal(err)
+		}
+		tm := qr.Timings
+		if tm.TotalMs <= 0 || tm.ScanMs <= 0 || tm.ExpandMs <= 0 {
+			t.Fatalf("%q: TotalMs = %v, ScanMs = %v, ExpandMs = %v", src, tm.TotalMs, tm.ScanMs, tm.ExpandMs)
+		}
+		for name, stage := range map[string]float64{
+			"scan": tm.ScanMs, "expand": tm.ExpandMs, "update_visit": tm.UpdateVisitMs,
+			"intersect": tm.IntersectMs, "aggregate": tm.AggregateMs,
+		} {
+			if stage > tm.TotalMs {
+				t.Errorf("%q: %s %.3fms exceeds wall total %.3fms", src, name, stage, tm.TotalMs)
+			}
 		}
 	}
 }

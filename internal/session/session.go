@@ -36,7 +36,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cypher"
@@ -65,9 +65,8 @@ type Service struct {
 	eng  *engine.Engine
 	opts Options
 
-	mu       sync.Mutex
-	sessions map[uint64]*Session
-	nextSess uint64
+	lastID atomic.Uint64 // the most recent session id
+	open   atomic.Int64  // sessions opened and not yet closed
 }
 
 // NewService returns a service over eng.
@@ -75,7 +74,7 @@ func NewService(eng *engine.Engine, opts Options) *Service {
 	if opts.FetchBatch <= 0 {
 		opts.FetchBatch = DefaultFetchBatch
 	}
-	return &Service{eng: eng, opts: opts, sessions: make(map[uint64]*Session)}
+	return &Service{eng: eng, opts: opts}
 }
 
 // Engine returns the service's engine (transports need it for /stats).
@@ -85,11 +84,7 @@ func (s *Service) Engine() *engine.Engine { return s.eng }
 func (s *Service) FetchBatch() int { return s.opts.FetchBatch }
 
 // SessionCount reports the open sessions (introspection and tests).
-func (s *Service) SessionCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sessions)
-}
+func (s *Service) SessionCount() int { return int(s.open.Load()) }
 
 // queryContext derives the execution context: cancelable, with the
 // service-wide query deadline applied when configured.
@@ -121,12 +116,8 @@ func (s *Service) reserve(n int64) error {
 // streamed HTTP request). The caller must Close it — Close discards the
 // open cursor and releases its memory reservation.
 func (s *Service) OpenSession(client string) *Session {
-	s.mu.Lock()
-	s.nextSess++
-	sess := &Session{id: s.nextSess, svc: s, client: client}
-	s.sessions[sess.id] = sess
-	s.mu.Unlock()
-	return sess
+	s.open.Add(1)
+	return &Session{id: s.lastID.Add(1), svc: s, client: client}
 }
 
 // Session is one client's conversation with the service. It runs one query
@@ -214,7 +205,7 @@ func (s *Session) runStream(ctx context.Context, q *cypher.Query, params map[str
 }
 
 // Close discards the open cursor (canceling its producer and releasing its
-// memory reservation) and removes the session from the service.
+// memory reservation) and drops it from the service's open count.
 // Idempotent.
 func (s *Session) Close() {
 	if s.closed {
@@ -224,9 +215,7 @@ func (s *Session) Close() {
 	if s.cur != nil {
 		s.cur.Discard()
 	}
-	s.svc.mu.Lock()
-	delete(s.svc.sessions, s.id)
-	s.svc.mu.Unlock()
+	s.svc.open.Add(-1)
 }
 
 // rowBytes estimates the retained footprint of one buffered row: a slice

@@ -100,12 +100,10 @@ type Stats struct {
 	// IntermediateResults is the total number of set bits summed over
 	// every step's frontier matrix — the "Expand" row of Table 2.
 	IntermediateResults int64
-	// ExpandTime is time spent multiplying frontiers with the edge list.
-	ExpandTime time.Duration
 	// UpdateVisitTime is time spent maintaining the visited set
 	// (SHORTEST only; ANY spends none, matching Figure 8's C11/C12). The
 	// BFS kernel tests and marks visited as part of each edge visit, so it
-	// reports that work under ExpandTime and leaves this zero.
+	// leaves this zero.
 	UpdateVisitTime time.Duration
 	// MatrixBytes is the peak bit-matrix allocation, for the Table 2
 	// memory comparison.
@@ -455,7 +453,6 @@ func (e *expansion) runMatrix() (*Result, error) {
 		if err := e.ctx.Err(); err != nil {
 			return nil, err
 		}
-		t0 := time.Now()
 		if e.kernel == Strawman {
 			rowNext.reset()
 			strawmanStep(rowCur, rowNext, e.sets, e.d.Dir)
@@ -468,7 +465,6 @@ func (e *expansion) runMatrix() (*Result, error) {
 				e.parallelCOOStep(cur, next, coos)
 			}
 		}
-		res.Stats.ExpandTime += time.Since(t0)
 
 		if e.d.Type == pattern.Shortest {
 			t1 := time.Now()
@@ -655,9 +651,7 @@ func (e *expansion) runBFS() (*Result, error) {
 		wg.Add(1)
 		go func(st *bfsStats, lo, hi int) {
 			defer wg.Done()
-			t0 := time.Now()
 			e.bfsRows(res, st, lo, hi)
-			st.expand = time.Since(t0)
 		}(&stats[w], lo, hi)
 	}
 	wg.Wait()
@@ -667,9 +661,6 @@ func (e *expansion) runBFS() (*Result, error) {
 	for _, st := range stats {
 		res.Stats.Steps = max(res.Stats.Steps, st.steps)
 		res.Stats.IntermediateResults += st.intermediate
-		// The visited test is folded into the edge visit, so the BFS kernel
-		// has no separate UpdateVisitTime to report.
-		res.Stats.ExpandTime += st.expand
 	}
 	res.Stats.MatrixBytes = int64(res.Reach.SizeBytes())
 	return res, nil
@@ -679,7 +670,6 @@ func (e *expansion) runBFS() (*Result, error) {
 type bfsStats struct {
 	steps        int
 	intermediate int64
-	expand       time.Duration
 }
 
 // bfsRows expands sources[lo:hi], one BFS per row, on the calling worker.

@@ -190,19 +190,32 @@ if [ -z "${SKIP_SMOKE:-}" ]; then
     # is exhausted — in-flight back to 0, total incremented.
     await_idle "stream drained"
 
-    step "wire protocol smoke (vsquery -wire rows match the HTTP/JSON path, plain and grouped)"
+    step "wire protocol smoke (vsquery -wire rows match the HTTP/JSON path: plain, grouped, and LIMIT also over NDJSON)"
     wireaddr="$(sed -n 's/^wire protocol on //p' "$smokedir/stdout")"
     [ -n "$wireaddr" ] || { echo "vsserve never announced the wire listener" >&2; exit 1; }
     go build -o "$smokedir/vsquery" ./cmd/vsquery
-    # same_rows QUERY: both transports return the same non-empty rows.
-    same_rows() {
-        "$smokedir/vsquery" -wire "$wireaddr" -json -query "$1" \
-            | sort > "$smokedir/wire_rows"
+    # wire_rows, http_rows and ndjson_rows QUERY print QUERY's rows through
+    # vsquery -wire, /query and a {"stream":true} /query: one compact JSON
+    # array per line, sorted.
+    wire_rows() {
+        "$smokedir/vsquery" -wire "$wireaddr" -json -query "$1" | sort
+    }
+    http_rows() {
         curl -fsS "http://$hostport/query" -d "{\"query\":\"$1\"}" \
             | python3 -c 'import json,sys
 for row in json.load(sys.stdin)["rows"]:
-    print(json.dumps(row, separators=(",", ":")))' \
-            | sort > "$smokedir/http_rows"
+    print(json.dumps(row, separators=(",", ":")))' | sort
+    }
+    ndjson_rows() {
+        curl -fsS -N "http://$hostport/query" -d "{\"query\":\"$1\",\"stream\":true}" \
+            | sed '1d;$d' | python3 -c 'import json,sys
+for line in sys.stdin:
+    print(json.dumps(json.loads(line), separators=(",", ":")))' | sort
+    }
+    # same_rows QUERY: both transports return the same non-empty rows.
+    same_rows() {
+        wire_rows "$1" > "$smokedir/wire_rows"
+        http_rows "$1" > "$smokedir/http_rows"
         [ -s "$smokedir/wire_rows" ] || { echo "vsquery -wire returned no rows for $1" >&2; exit 1; }
         diff -u "$smokedir/http_rows" "$smokedir/wire_rows" \
             || { echo "wire and HTTP transports disagree on $1" >&2; exit 1; }
@@ -210,6 +223,16 @@ for row in json.load(sys.stdin)["rows"]:
     same_rows "$streamq"
     # A grouped aggregate runs the projector's fold end to end on both.
     same_rows 'MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN q, COUNT(p) AS c ORDER BY c DESC'
+    # A plain LIMIT without ORDER BY stops the match after its rows: /query,
+    # NDJSON and VSWP each return exactly 7, and the same 7.
+    limitq="$streamq LIMIT 7"
+    for path in http wire ndjson; do
+        "${path}_rows" "$limitq" > "$smokedir/limit_$path"
+        n="$(wc -l < "$smokedir/limit_$path")"
+        [ "$n" -eq 7 ] || { echo "$path returned $n rows for $limitq, want 7" >&2; exit 1; }
+        diff -u "$smokedir/limit_http" "$smokedir/limit_$path" \
+            || { echo "$path and HTTP disagree on $limitq" >&2; exit 1; }
+    done
     # vsquery has disconnected: its session must have closed its cursor.
     await_idle "the wire client disconnected"
     # The wire protocol carries rows only: EXPLAIN must fail, not print an

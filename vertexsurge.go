@@ -267,5 +267,5 @@ func (db *DB) VertexByID(id int64) (VertexID, error) {
 // declaration order) without materializing the full result set. The tuple
 // slice is reused between calls — copy it to retain it.
 func (db *DB) MatchForEach(pat *Pattern, fn func(tuple []VertexID)) error {
-	return db.eng.MatchForEach(pat, fn)
+	return db.eng.MatchForEachOpts(context.Background(), pat, engine.MatchOptions{}, fn)
 }
