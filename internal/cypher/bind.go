@@ -197,7 +197,7 @@ func drive(ctx context.Context, eng *engine.Engine, q *Query, params map[string]
 			if res, err = eng.MatchContext(ctx, b.pat, engine.MatchOptions{}); err != nil {
 				return t, err
 			}
-			lengths, err := pathLengths(ctx, eng, q, b, res)
+			lengths, err := pathLengths(ctx, eng, q, b, res.Tuples)
 			if err != nil {
 				return t, err
 			}

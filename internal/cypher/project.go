@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/vexpand"
 )
 
 // projector is the one consumer of matched tuples: add turns a tuple into a
@@ -21,10 +22,10 @@ type projector struct {
 	ids   graph.Int64Column // the "id" property bare variables project
 	hasID bool
 	// The current pass (one UNWIND value): its bound pattern, the alias's
-	// value, and each path variable's minimal walk lengths.
+	// value, and each path variable's per-step expansion (see pathLengths).
 	b       *boundQuery
 	unwound any
-	lengths map[string]map[[2]graph.VertexID]int
+	lengths map[string]*vexpand.Result
 	// seen deduplicates plain rows (VertexSurge queries return distinct
 	// rows, §2.2). It stays nil when, without UNWIND, every pattern vertex
 	// is projected bare: the row then determines the tuple, and tuples are
@@ -71,7 +72,7 @@ func newProjector(g *graph.Graph, q *Query) *projector {
 }
 
 // pass points the projector at one UNWIND value's binding.
-func (p *projector) pass(b *boundQuery, unwound any, lengths map[string]map[[2]graph.VertexID]int) {
+func (p *projector) pass(b *boundQuery, unwound any, lengths map[string]*vexpand.Result) {
 	p.b, p.unwound, p.lengths = b, unwound, lengths
 	if p.groups != nil || p.seen != nil {
 		return
@@ -90,13 +91,14 @@ func (p *projector) pass(b *boundQuery, unwound any, lengths map[string]map[[2]g
 // eval computes one expression for one tuple (pattern declaration order).
 func (p *projector) eval(e Expr, tuple []graph.VertexID) (any, error) {
 	if e.IsLength {
-		bp := p.b.paths[e.PathVar]
-		key := [2]graph.VertexID{tuple[p.b.varIdx[bp.srcVar]], tuple[p.b.varIdx[bp.dstVar]]}
-		l, ok := p.lengths[e.PathVar][key]
-		if !ok {
-			return nil, fmt.Errorf("cypher: no path length for %v", key)
+		bp, r := p.b.paths[e.PathVar], p.lengths[e.PathVar]
+		src, dst := tuple[p.b.varIdx[bp.srcVar]], tuple[p.b.varIdx[bp.dstVar]]
+		if row, ok := slices.BinarySearch(r.Sources, src); ok {
+			if l, ok := r.MinLength(row, dst); ok {
+				return int64(l), nil
+			}
 		}
-		return int64(l), nil
+		return nil, fmt.Errorf("cypher: no path length for %v", [2]graph.VertexID{src, dst})
 	}
 	if idx, ok := p.b.varIdx[e.Var]; ok {
 		v := tuple[idx]
@@ -246,52 +248,36 @@ func (a *acc) result(agg string) any {
 	return a.best
 }
 
-// pathLengths computes, for each path variable a length() projection names,
-// the minimal walk length of every (src, dst) pair of its relationship that
-// appears in the result tuples.
-func pathLengths(ctx context.Context, eng *engine.Engine, q *Query, b *boundQuery, res *engine.MatchResult) (map[string]map[[2]graph.VertexID]int, error) {
-	tables := map[string]map[[2]graph.VertexID]int{}
+// pathLengths expands, for each path variable a length() projection names,
+// its relationship from the distinct sources among the matched tuples, in
+// one batch with per-step layers. Sources are sorted, so eval finds a
+// tuple's row by binary search and reads its minimal walk length there.
+func pathLengths(ctx context.Context, eng *engine.Engine, q *Query, b *boundQuery, tuples [][]graph.VertexID) (map[string]*vexpand.Result, error) {
+	out := map[string]*vexpand.Result{}
 	for _, item := range q.Return {
 		for _, e := range item.Args {
-			if !e.IsLength {
+			if !e.IsLength || out[e.PathVar] != nil {
 				continue
 			}
 			bp, ok := b.paths[e.PathVar]
 			if !ok {
 				return nil, fmt.Errorf("cypher: length() references unknown path %q", e.PathVar)
 			}
-			srcIdx, dstIdx := b.varIdx[bp.srcVar], b.varIdx[bp.dstVar]
-			srcSet := map[graph.VertexID]bool{}
-			for _, t := range res.Tuples {
-				srcSet[t[srcIdx]] = true
-			}
-			sources := make([]graph.VertexID, 0, len(srcSet))
-			for v := range srcSet {
-				sources = append(sources, v)
+			srcIdx := b.varIdx[bp.srcVar]
+			sources := make([]graph.VertexID, len(tuples))
+			for i, t := range tuples {
+				sources[i] = t[srcIdx]
 			}
 			slices.Sort(sources)
-			rowOf := make(map[graph.VertexID]int, len(sources))
-			for i, v := range sources {
-				rowOf[v] = i
-			}
+			sources = slices.Compact(sources)
 			r, err := eng.ExpandContext(ctx, sources, bp.d, true)
 			if err != nil {
 				return nil, err
 			}
-			out := map[[2]graph.VertexID]int{}
-			for _, t := range res.Tuples {
-				key := [2]graph.VertexID{t[srcIdx], t[dstIdx]}
-				if _, done := out[key]; done {
-					continue
-				}
-				if l, ok := r.MinLength(rowOf[key[0]], key[1]); ok {
-					out[key] = l
-				}
-			}
-			tables[e.PathVar] = out
+			out[e.PathVar] = r
 		}
 	}
-	return tables, nil
+	return out, nil
 }
 
 // appendKey appends vals' key to buf: the seen set, the groups and the

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/vexpand"
 )
 
 // idGraph builds n vertices with ids 100+v, label A on even and B on odd
@@ -41,6 +42,40 @@ func checkRows(t *testing.T, e *engine.Engine, src string, params map[string]any
 	t.Helper()
 	if got := run(t, e, src, params).Rows; (len(got) > 0 || len(want) > 0) && !reflect.DeepEqual(got, want) {
 		t.Errorf("%s\n got %v\nwant %v", src, got, want)
+	}
+}
+
+// TestLengthBelowHopMinimum pins length(p) to the lengths the relationship
+// allows: on the undirected path 100-101-102, the shortest walk from 100 to
+// 101 has one edge, but under *3..3 the length is 3 (100-101-100-101), under
+// either kernel that records per-step reach.
+func TestLengthBelowHopMinimum(t *testing.T) {
+	b := graph.NewBuilder(3)
+	b.SetProp("id", graph.Int64Column{100, 101, 102})
+	for v := graph.VertexID(0); v < 3; v++ {
+		b.SetLabel(v, "P")
+	}
+	b.AddEdge("knows", 0, 1)
+	b.AddEdge("knows", 1, 2)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kernel := range []vexpand.Kernel{vexpand.BFS, vexpand.Hilbert} {
+		e := engine.New(g, engine.Options{Kernel: kernel})
+		for _, c := range []struct {
+			rel  string
+			want [][]any
+		}{
+			{"*1..3", [][]any{{int64(101), int64(1)}, {int64(102), int64(2)}}},
+			{"*3..3", [][]any{{int64(101), int64(3)}}},
+			{"*2..3", [][]any{{int64(101), int64(3)}, {int64(102), int64(2)}}},
+		} {
+			src := fmt.Sprintf("MATCH p=(a:P{id:100})-[:knows%s]-(b:P) RETURN b, length(p) ORDER BY b ASC", c.rel)
+			if got := run(t, e, src, nil).Rows; !reflect.DeepEqual(got, c.want) {
+				t.Errorf("%v: %s\n got %v\nwant %v", kernel, src, got, c.want)
+			}
+		}
 	}
 }
 
@@ -243,7 +278,10 @@ func bruteForce(t *testing.T, e *engine.Engine, q *Query, params map[string]any)
 			for i, item := range q.Return {
 				for _, a := range item.Args {
 					var v any = x
-					if idx, ok := b.varIdx[a.Var]; ok {
+					if a.IsLength {
+						bp := b.paths[a.PathVar]
+						v = minWalk(g, tuple[b.varIdx[bp.srcVar]], tuple[b.varIdx[bp.dstVar]], bp.d.KMin, bp.d.KMax)
+					} else if idx, ok := b.varIdx[a.Var]; ok {
 						v = ids[tuple[idx]]
 						if a.Prop == "w" {
 							v = w[tuple[idx]]
@@ -368,6 +406,38 @@ func bruteForce(t *testing.T, e *engine.Engine, q *Query, params map[string]any)
 	return out, len(in)
 }
 
+// minWalk is bruteForce's length() oracle: the fewest edges, at least kmin
+// and at most kmax, of a directed walk over "e" edges from src to dst, or
+// nil when no such walk exists.
+func minWalk(g *graph.Graph, src, dst graph.VertexID, kmin, kmax int) any {
+	es := g.Edges("e")
+	at := map[graph.VertexID]bool{src: true} // the walks' ends after k edges
+	for k := 1; k <= kmax; k++ {
+		next := map[graph.VertexID]bool{}
+		for v := range at {
+			for _, u := range es.Neighbors(v, graph.Forward) {
+				next[graph.VertexID(u)] = true
+			}
+		}
+		if k >= kmin && next[dst] {
+			return int64(k)
+		}
+		at = next
+	}
+	return nil
+}
+
+// lengthShapes lists the RETURN tails the differential test runs over a
+// path variable p.
+func lengthShapes() []string {
+	return []string{
+		"RETURN b, length(p)",
+		"RETURN a, b, length(p)",
+		"RETURN length(p) AS l, COUNT(a) AS c ORDER BY l ASC",
+		"RETURN b, MIN(length(p)), MAX(length(p))",
+	}
+}
+
 // projectionShapes lists the RETURN tails the differential test runs, each
 // without and with UNWIND. ORDER BY keys are total, so the limited answer is
 // unique.
@@ -396,9 +466,10 @@ func projectionShapes() []string {
 // TestProjectionAgainstBruteForce is a differential property test of the
 // RETURN pipeline: on random small labelled graphs, every shape, with and
 // without UNWIND, equals bruteForce's answer over the matched tuples, and
-// every streamable shape streams the same rows as a multiset.
+// every streamable shape streams the same rows as a multiset. The length()
+// shapes run at kmin 1 and at kmin ≥ 2.
 func TestProjectionAgainstBruteForce(t *testing.T) {
-	shapes := projectionShapes()
+	shapes, lengths := projectionShapes(), lengthShapes()
 	sorted := func(rows [][]any) []string {
 		out := make([]string, len(rows))
 		for i, row := range rows {
@@ -424,50 +495,59 @@ func TestProjectionAgainstBruteForce(t *testing.T) {
 		for i := rng.Intn(5); i > 0; i-- {
 			ids = append(ids, int64(100+rng.Intn(n+2))) // may repeat or miss
 		}
-		kmax := 1 + rng.Intn(3)
-		matches := []string{
-			fmt.Sprintf("MATCH (a:A)-[:e*1..%d]->(b:B) ", kmax),
-			fmt.Sprintf("UNWIND $ids AS x MATCH (a:A {id: x})-[:e*1..%d]->(b:B) ", kmax),
+		kmax, kmin := 1+rng.Intn(3), 2+rng.Intn(2)
+		rels := []struct {
+			rel    string
+			shapes []string
+		}{
+			{fmt.Sprintf("*1..%d", kmax), shapes},
+			{fmt.Sprintf("*1..%d", kmax), lengths},
+			{fmt.Sprintf("*%d..%d", kmin, kmin+rng.Intn(2)), lengths},
 		}
-		for _, m := range matches {
-			for _, shape := range shapes {
-				src := m + shape
-				q, err := Parse(src)
-				if err != nil {
-					t.Fatalf("parse %q: %v", src, err)
-				}
-				params := map[string]any{"ids": ids}
-				res, err := RunContext(context.Background(), e, q, params)
-				if err != nil {
-					t.Fatalf("seed %d: %s: %v", seed, src, err)
-				}
-				want, tuples := bruteForce(t, e, q, params)
-				runs++
-				if tuples > 0 {
-					matched++
-				}
-				same := reflect.DeepEqual(res.Rows, want)
-				if len(q.OrderBy) == 0 {
-					same = reflect.DeepEqual(sorted(res.Rows), sorted(want))
-				}
-				if !same {
-					t.Logf("seed %d: %s\n got %v\nwant %v", seed, src, res.Rows, want)
-					return false
-				}
-				if !Streamable(q) {
-					continue
-				}
-				var streamed [][]any
-				err = Stream(context.Background(), e, q, params, func(_ context.Context, row []any) error {
-					streamed = append(streamed, row)
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("stream %q: %v", src, err)
-				}
-				if !reflect.DeepEqual(sorted(streamed), sorted(res.Rows)) {
-					t.Logf("seed %d: %s: streamed %v, materialized %v", seed, src, streamed, res.Rows)
-					return false
+		for _, r := range rels {
+			for _, shape := range r.shapes {
+				for _, m := range []string{
+					"MATCH p=(a:A)-[:e%s]->(b:B) ",
+					"UNWIND $ids AS x MATCH p=(a:A {id: x})-[:e%s]->(b:B) ",
+				} {
+					src := fmt.Sprintf(m, r.rel) + shape
+					q, err := Parse(src)
+					if err != nil {
+						t.Fatalf("parse %q: %v", src, err)
+					}
+					params := map[string]any{"ids": ids}
+					res, err := RunContext(context.Background(), e, q, params)
+					if err != nil {
+						t.Fatalf("seed %d: %s: %v", seed, src, err)
+					}
+					want, tuples := bruteForce(t, e, q, params)
+					runs++
+					if tuples > 0 {
+						matched++
+					}
+					same := reflect.DeepEqual(res.Rows, want)
+					if len(q.OrderBy) == 0 {
+						same = reflect.DeepEqual(sorted(res.Rows), sorted(want))
+					}
+					if !same {
+						t.Logf("seed %d: %s\n got %v\nwant %v", seed, src, res.Rows, want)
+						return false
+					}
+					if !Streamable(q) {
+						continue
+					}
+					var streamed [][]any
+					err = Stream(context.Background(), e, q, params, func(_ context.Context, row []any) error {
+						streamed = append(streamed, row)
+						return nil
+					})
+					if err != nil {
+						t.Fatalf("stream %q: %v", src, err)
+					}
+					if !reflect.DeepEqual(sorted(streamed), sorted(res.Rows)) {
+						t.Logf("seed %d: %s: streamed %v, materialized %v", seed, src, streamed, res.Rows)
+						return false
+					}
 				}
 			}
 		}

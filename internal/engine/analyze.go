@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/pattern"
 	"repro/internal/telemetry"
 )
@@ -66,14 +67,19 @@ type Analysis struct {
 // the actual cardinalities, wall times, matrix bytes, and memo states
 // captured in the span tree — the runtime feedback that makes planner
 // misestimates directly visible (the §6 Fig-6 C7–C9 inversions show up as
-// err_ratio far from 1).
+// err_ratio far from 1). Without CountOnly the join enumerates every tuple,
+// as the analyzed query would, into a sink that keeps none of them.
 func (e *Engine) ExplainAnalyze(ctx context.Context, pat *pattern.Pattern, opts MatchOptions) (*Analysis, error) {
 	start := time.Now()
 	ctx2, root := telemetry.StartSpan(ctx, "query")
 	if root == nil {
 		ctx2, root = telemetry.NewTrace(ctx, "query")
 	}
-	res, err := e.MatchContext(ctx2, pat, opts)
+	var emit func([]graph.VertexID) bool // nil: the join only counts
+	if !opts.CountOnly {
+		emit = func([]graph.VertexID) bool { return true }
+	}
+	res, err := e.run(ctx2, pat, opts, emit)
 	root.End()
 	if err != nil {
 		return nil, err

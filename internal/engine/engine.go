@@ -5,10 +5,11 @@
 //
 // There is one execution path (run/execute in this file): plan, fan the
 // distinct expansions out through exec.RunExpands, assemble the join input,
-// and run the Generic Join on the calling goroutine with the consumer
-// plugged in at the leaf. MatchContext is that path with no consumer (the
-// join counts or collects), MatchEach the same path with a per-tuple
-// callback that may stop it; Match and MatchForEachOpts are shorthands. The
+// and run the Generic Join, which either counts (§5.1's popcount fast path)
+// or hands every tuple to a consumer plugged in at its leaf. MatchEach is
+// that path with a per-tuple callback that may stop it; MatchContext counts,
+// or collects through MatchEach with a sink that copies every tuple; Match
+// and MatchForEachOpts are shorthands. The
 // twelve evaluation queries of §6.2 (social cases 1–5, bank cases 6–7,
 // FinBench cases 8–12) are provided as methods in cases.go.
 package engine
@@ -16,6 +17,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/exec"
@@ -37,9 +39,9 @@ type Options struct {
 	// Workers bounds parallelism. For expansion, 0 = GOMAXPROCS: it bounds
 	// both VExpand's intra-operator workers (stack partitioning) and the
 	// scheduler's concurrently running expands. The join is different:
-	// MIntersect partitions its seed columns only when Workers > 1 (and the
-	// match does not stream), so at the default 0 — and at 1 — the join is
-	// single-threaded.
+	// MIntersect partitions its seed columns only for a CountOnly match with
+	// Workers > 1, so at the default 0 — and at 1, and whenever tuples are
+	// enumerated — the join is single-threaded.
 	Workers int
 	// Kernel pins the VExpand kernel; Auto by default.
 	Kernel vexpand.Kernel
@@ -147,7 +149,8 @@ type MatchResult struct {
 	// Names lists the pattern vertex names in tuple component order
 	// (pattern declaration order, not join order).
 	Names []string
-	// Tuples are the distinct matches; Tuples[i][k] binds Names[k].
+	// Tuples are the distinct matches; Tuples[i][k] binds Names[k]. Only
+	// MatchContext without CountOnly fills them.
 	Tuples [][]graph.VertexID
 	// Count is the number of distinct matches.
 	Count int64
@@ -169,12 +172,24 @@ func (e *Engine) Match(pat *pattern.Pattern, opts MatchOptions) (*MatchResult, e
 	return e.MatchContext(context.Background(), pat, opts)
 }
 
-// MatchContext is Match with cancellation and trace propagation: the
-// engine's execution core (see run) with no per-tuple consumer, so the join
-// counts (CountOnly) or collects, seed-partitioned across goroutines when
-// Options.Workers > 1.
+// MatchContext is Match with cancellation and trace propagation. Under
+// CountOnly the join only counts, seed-partitioned across goroutines when
+// Options.Workers > 1; otherwise it is MatchEach with a sink that copies
+// every tuple into Tuples, on one goroutine.
 func (e *Engine) MatchContext(ctx context.Context, pat *pattern.Pattern, opts MatchOptions) (*MatchResult, error) {
-	return e.run(ctx, pat, opts, nil)
+	if opts.CountOnly {
+		return e.run(ctx, pat, opts, nil)
+	}
+	var tuples [][]graph.VertexID
+	res, err := e.run(ctx, pat, opts, func(tuple []graph.VertexID) bool {
+		tuples = append(tuples, slices.Clone(tuple))
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Tuples = tuples
+	return res, nil
 }
 
 // MatchEach runs the pattern and streams every distinct matched tuple to
@@ -189,7 +204,6 @@ func (e *Engine) MatchContext(ctx context.Context, pat *pattern.Pattern, opts Ma
 // Order forces the join order (planner ablation). CountOnly is meaningless
 // when streaming (fn receives the tuples) and is ignored.
 func (e *Engine) MatchEach(ctx context.Context, pat *pattern.Pattern, opts MatchOptions, fn func(tuple []graph.VertexID) bool) (*MatchResult, error) {
-	opts.CountOnly = false
 	return e.run(ctx, pat, opts, fn)
 }
 
@@ -205,16 +219,15 @@ func (e *Engine) MatchForEachOpts(ctx context.Context, pat *pattern.Pattern, opt
 // run is the engine's one execution path; MatchContext and MatchEach are its
 // two wrappers. It owns the per-match bookkeeping — total wall time, the
 // stage histograms, the expand-bytes counter — around execute, which does
-// the work. With a nil emit the match counts or collects into the result;
-// otherwise every tuple goes to emit, until emit returns false, and the
-// result carries only Count, Plan, ExpandStats and Timings.
+// the work. With a nil emit the join only counts; otherwise every tuple goes
+// to emit, in declaration order, until emit returns false. Either way the
+// result carries Count, Plan, ExpandStats and Timings, and no Tuples.
 //
 // When ctx carries an active trace (internal/telemetry), execution records
 // one span per operator call — "plan" for the planner build, one "expand"
 // per planned edge (with kernel, source count, stack count, matrix bytes,
 // and memo hit/miss), "intersect" for the Generic Join, and "aggregate" for
-// the hand-off of the result (tuple count; the reorder of collected tuples
-// when materializing).
+// the hand-off of the result (its tuple count).
 func (e *Engine) run(ctx context.Context, pat *pattern.Pattern, opts MatchOptions, emit func(tuple []graph.VertexID) bool) (*MatchResult, error) {
 	start := time.Now()
 	res := &MatchResult{}
@@ -236,9 +249,10 @@ func (e *Engine) run(ctx context.Context, pat *pattern.Pattern, opts MatchOption
 
 // execute plans pat, fans its distinct expansions out through
 // exec.RunExpands (independent expands overlap, bounded by Options.Workers),
-// assembles the join input and runs the Generic Join and the join-order ->
-// declaration-order reorder on the calling goroutine: both consume every
-// expansion, so there is nothing to overlap them with.
+// assembles the join input and runs the Generic Join on the calling
+// goroutine: it consumes every expansion, so there is nothing to overlap it
+// with. emit, when set, receives each tuple reordered from join order to
+// declaration order.
 func (e *Engine) execute(ctx context.Context, qi *telemetry.QueryInfo, pat *pattern.Pattern, opts MatchOptions, emit func(tuple []graph.VertexID) bool, res *MatchResult) error {
 	qi.SetPhase(telemetry.PhasePlan)
 	t0 := time.Now()
@@ -264,25 +278,22 @@ func (e *Engine) execute(ctx context.Context, qi *telemetry.QueryInfo, pat *patt
 	qi.AddCPUNanos(int64(res.Timings.Scan))
 
 	n := len(pat.Vertices)
-	buf := make([]graph.VertexID, n) // emit's reused tuple; reorder scratch when collecting
+	buf := make([]graph.VertexID, n) // emit's reused tuple, in declaration order
 	if n == 1 {
 		// Degenerate single-vertex pattern: candidates are the matches.
+		if emit == nil {
+			res.Count = int64(len(plan.CandList[0]))
+			qi.AddRows(res.Count)
+			return nil
+		}
 		for _, v := range plan.CandList[0] {
 			res.Count++
-			switch {
-			case emit != nil:
-				buf[0] = v
-				more := emit(buf)
-				qi.AddRows(1)
-				if !more {
-					return nil
-				}
-			case !opts.CountOnly:
-				res.Tuples = append(res.Tuples, []graph.VertexID{v})
+			buf[0] = v
+			more := emit(buf)
+			qi.AddRows(1)
+			if !more {
+				return nil
 			}
-		}
-		if emit == nil {
-			qi.AddRows(res.Count)
 		}
 		return nil
 	}
@@ -295,8 +306,8 @@ func (e *Engine) execute(ctx context.Context, qi *telemetry.QueryInfo, pat *patt
 	}
 	collectExpandStats(res, ops)
 
-	// Assembly, join and reorder run here, outside RunExpands' operator
-	// boundaries — attribute their busy time to the query on every exit.
+	// Assembly and join run here, outside RunExpands' operator boundaries —
+	// attribute their busy time to the query on every exit.
 	t1 := time.Now()
 	defer func() { qi.AddCPUNanos(int64(time.Since(t1))) }()
 	iop := &exec.IntersectOp{
@@ -317,19 +328,19 @@ func (e *Engine) execute(ctx context.Context, qi *telemetry.QueryInfo, pat *patt
 	defer e.acct.Release(cloned)
 
 	t2 := time.Now()
-	jopts := mintersect.Options{CountOnly: opts.CountOnly}
 	var jr *mintersect.Result
 	if emit == nil {
-		jopts.Workers = e.opts.Workers
-		jr, err = mintersect.RunContext(ctx, in, jopts)
+		jr, err = mintersect.RunContext(ctx, in, mintersect.Options{CountOnly: true, Workers: e.opts.Workers})
 	} else {
 		// Rows count live, per delivered tuple, so SHOW QUERIES and
 		// /debug/queries report a streaming query's progress while the
 		// client is still fetching (emit may block on transport
 		// backpressure between tuples).
 		jr = &mintersect.Result{}
-		err = mintersect.ForEachUntil(ctx, in, jopts, func(tuple []graph.VertexID) bool {
-			toDeclarationOrder(buf, tuple, plan.Order)
+		err = mintersect.ForEachUntil(ctx, in, mintersect.Options{}, func(tuple []graph.VertexID) bool {
+			for pos, v := range tuple { // plan.Order[pos] is the vertex at join position pos
+				buf[plan.Order[pos]] = v
+			}
 			more := emit(buf)
 			qi.AddRows(1)
 			return more
@@ -344,26 +355,12 @@ func (e *Engine) execute(ctx context.Context, qi *telemetry.QueryInfo, pat *patt
 	t3 := time.Now()
 	_, asp := telemetry.StartSpan(ctx, "aggregate")
 	if emit == nil {
-		// The join's tuples are private copies: permute each in place.
-		for _, tuple := range jr.Tuples {
-			copy(buf, tuple)
-			toDeclarationOrder(tuple, buf, plan.Order)
-		}
-		res.Tuples = jr.Tuples
 		qi.AddRows(res.Count)
 	}
 	asp.SetInt("tuples", res.Count)
 	asp.End()
 	res.Timings.Aggregate = time.Since(t3)
 	return nil
-}
-
-// toDeclarationOrder writes a join-order tuple into dst in pattern
-// declaration order (order[pos] = pattern-vertex index at join position pos).
-func toDeclarationOrder(dst, tuple []graph.VertexID, order []int) {
-	for pos, v := range tuple {
-		dst[order[pos]] = v
-	}
 }
 
 // lowerExpands builds one ExpandOp per distinct expansion of the plan
@@ -444,6 +441,7 @@ func (e *Engine) ExpandContext(ctx context.Context, sources []graph.VertexID, d 
 		Kernel:      e.opts.Kernel,
 		Workers:     e.opts.Workers,
 		KeepPerStep: keepPerStep,
+		Budget:      e.acct,
 	})
 }
 

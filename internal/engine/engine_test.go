@@ -2,12 +2,14 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/pattern"
 )
@@ -829,8 +831,9 @@ func TestExpansionMemoSharesSymmetricEdges(t *testing.T) {
 	}
 }
 
-// TestWorkersDeterminism pins that multi-worker execution (expand stacks +
-// MIntersect seed partitions) returns identical results to single-worker.
+// TestWorkersDeterminism pins that multi-worker execution (expand stacks,
+// and MIntersect seed partitions when counting) returns identical results
+// to single-worker.
 func TestWorkersDeterminism(t *testing.T) {
 	g := socialGraph(t)
 	d := knowsDet(1, 2)
@@ -858,6 +861,17 @@ func TestWorkersDeterminism(t *testing.T) {
 	}
 	if r1.Count != r4.Count {
 		t.Fatalf("counts differ: %d vs %d", r1.Count, r4.Count)
+	}
+	c1, err := e1.Match(pat, MatchOptions{CountOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c4, err := e4.Match(pat, MatchOptions{CountOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c1.Count != r1.Count || c4.Count != r1.Count {
+		t.Fatalf("counted %d (1 worker) and %d (4 workers), enumerated %d", c1.Count, c4.Count, r1.Count)
 	}
 	sortTuples(r1.Tuples)
 	sortTuples(r4.Tuples)
@@ -974,5 +988,24 @@ func TestMatchEachStops(t *testing.T) {
 		if len(pat.Vertices) > 1 && res.Timings.Expand <= 0 {
 			t.Errorf("stopped join reports no expand time")
 		}
+	}
+}
+
+// TestExpandContextUnderBudget pins that a direct expansion — DB.Expand,
+// and the per-step expansion behind a Cypher length() — reserves its
+// matrices against the engine's memory budget: a budget smaller than one
+// matrix fails it with the budget error and leaves nothing reserved.
+func TestExpandContextUnderBudget(t *testing.T) {
+	g := figure3(t)
+	sources := []graph.VertexID{0, 1}
+	e := New(g, Options{MemoryBudget: 64})
+	if _, err := e.ExpandContext(context.Background(), sources, knowsDet(1, 2), true); !errors.Is(err, exec.ErrBudgetExceeded) {
+		t.Fatalf("expansion under a 64-byte budget: err = %v, want %v", err, exec.ErrBudgetExceeded)
+	}
+	if n := e.MemoryInUse(); n != 0 {
+		t.Fatalf("%d bytes still reserved after the failed expansion", n)
+	}
+	if _, err := New(g, Options{}).ExpandContext(context.Background(), sources, knowsDet(1, 2), true); err != nil {
+		t.Fatalf("unbudgeted expansion: %v", err)
 	}
 }

@@ -60,12 +60,12 @@ type Input struct {
 
 // Options configures Run.
 type Options struct {
-	// CountOnly skips tuple materialization and uses the SIMD-popcount
-	// fast path on the final intersection (§5.1's counting optimization).
+	// CountOnly counts the final intersection with the SIMD-popcount fast
+	// path instead of enumerating its tuples (§5.1's counting optimization).
 	CountOnly bool
-	// Workers partitions the seed-pair enumeration across goroutines
-	// (each owns a FirstCols slice, so no writes conflict). Ignored when
-	// ≤ 1.
+	// Workers partitions Run's seed columns across goroutines (each owns a
+	// FirstCols slice, so no writes conflict). Ignored when ≤ 1, and by
+	// ForEachUntil, which hands tuples to one consumer in order.
 	Workers int
 }
 
@@ -77,11 +77,12 @@ type Stats struct {
 	SeedPairs int64
 }
 
-// Result is the operator output: distinct matched tuples in join order.
+// Result is the operator output: the number of distinct matched tuples and
+// the effort spent finding them. The tuples themselves go to ForEachUntil's
+// consumer; Run keeps none.
 type Result struct {
-	Count  int64
-	Tuples [][]graph.VertexID
-	Stats  Stats
+	Count int64
+	Stats Stats
 }
 
 // validate checks the input's shape and, for the two-vertex count, the order
@@ -134,21 +135,21 @@ func ascending(list []graph.VertexID) bool {
 	return true
 }
 
-// Run executes the Generic Join and returns the distinct matched tuples (or
-// only their count). Tuples are in join order; callers map positions back
-// to pattern vertex names. Matched vertices within one tuple are pairwise
-// distinct (Definition 3 requires the match to be a bijection).
+// Run executes the Generic Join and returns the number of distinct matched
+// tuples, by the popcount fast path under CountOnly and by enumeration
+// otherwise. Matched vertices within one tuple are pairwise distinct
+// (Definition 3 requires the match to be a bijection); ForEachUntil hands
+// the tuples themselves to a consumer.
 //
 // With Options.Workers > 1, the seed columns are partitioned across
-// goroutines; the merged result is deterministic because partitions
-// preserve FirstCols order.
+// goroutines and their counts and statistics summed.
 func Run(in *Input, opts Options) (*Result, error) {
 	return RunContext(context.Background(), in, opts)
 }
 
 // RunContext is Run with trace propagation: when ctx carries an active
 // trace, the join records an "intersect" span with the worker count,
-// seed pairs, column intersections, and tuples emitted.
+// seed pairs, column intersections, and tuples matched.
 func RunContext(ctx context.Context, in *Input, opts Options) (*Result, error) {
 	_, sp := telemetry.StartSpan(ctx, "intersect")
 	res, err := run(ctx, in, opts)
@@ -217,7 +218,6 @@ func run(ctx context.Context, in *Input, opts Options) (*Result, error) {
 			continue
 		}
 		res.Count += parts[w].Count
-		res.Tuples = append(res.Tuples, parts[w].Tuples...)
 		res.Stats.Intersections += parts[w].Stats.Intersections
 		res.Stats.SeedPairs += parts[w].Stats.SeedPairs
 	}
@@ -226,11 +226,7 @@ func run(ctx context.Context, in *Input, opts Options) (*Result, error) {
 
 func runSerial(ctx context.Context, in *Input, opts Options) (*Result, error) {
 	res := &Result{}
-	err := forEach(ctx, in, opts, func(tuple []graph.VertexID) bool {
-		res.Tuples = append(res.Tuples, append([]graph.VertexID(nil), tuple...))
-		return true
-	}, res)
-	if err != nil {
+	if err := forEach(ctx, in, opts, func([]graph.VertexID) bool { return true }, res); err != nil {
 		return nil, err
 	}
 	return res, nil

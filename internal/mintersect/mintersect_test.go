@@ -1,6 +1,7 @@
 package mintersect
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -34,6 +35,18 @@ func figure3(t testing.TB) *graph.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// collect runs the join through ForEachUntil and returns a copy of every
+// tuple it hands over, in join order, with the result.
+func collect(in *Input) ([][]graph.VertexID, *Result, error) {
+	res := &Result{}
+	var tuples [][]graph.VertexID
+	err := ForEachUntil(context.Background(), in, Options{}, func(tuple []graph.VertexID) bool {
+		tuples = append(tuples, slices.Clone(tuple))
+		return true
+	}, res)
+	return tuples, res, err
 }
 
 // edgeMatrix expands from the candidates of the later endpoint toward the
@@ -77,12 +90,11 @@ func TestCommunityTriangleOnFigure3(t *testing.T) {
 			{EarlierPos: 1, M: mBC},
 		}},
 	}
-	res, err := Run(in, Options{})
+	got, res, err := collect(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := [][]graph.VertexID{{1, 2, 3}, {1, 2, 4}}
-	got := res.Tuples
 	sort.Slice(got, func(i, j int) bool {
 		if got[i][0] != got[j][0] {
 			return got[i][0] < got[j][0]
@@ -96,13 +108,13 @@ func TestCommunityTriangleOnFigure3(t *testing.T) {
 		t.Fatalf("Count = %d, want 2", res.Count)
 	}
 
-	// Count-only must agree and populate no tuples.
+	// Count-only must agree.
 	cres, err := Run(in, Options{CountOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cres.Count != 2 || cres.Tuples != nil {
-		t.Fatalf("count-only: Count=%d Tuples=%v", cres.Count, cres.Tuples)
+	if cres.Count != 2 {
+		t.Fatalf("count-only: Count=%d", cres.Count)
 	}
 }
 
@@ -119,7 +131,7 @@ func TestTwoVertexPattern(t *testing.T) {
 		RowCandidates:      [][]graph.VertexID{nil, siga},
 		Ext:                [][]*EdgeMatrix{nil, nil},
 	}
-	res, err := Run(in, Options{})
+	got, res, err := collect(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +139,6 @@ func TestTwoVertexPattern(t *testing.T) {
 	// pairs with p != q: (0,1) and (1,0). Walk semantics also lets 0
 	// reach itself (0-1-0), but bijection excludes self pairs.
 	want := [][]graph.VertexID{{0, 1}, {1, 0}}
-	got := res.Tuples
 	sort.Slice(got, func(i, j int) bool { return got[i][0] < got[j][0] })
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tuples = %v, want %v", got, want)
@@ -331,7 +342,7 @@ func TestQuickGenericJoinMatchesBruteForce(t *testing.T) {
 		}
 
 		want := bruteForce(nP, cands, refs)
-		res, err := Run(in, Options{})
+		got, _, err := collect(in)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -347,7 +358,6 @@ func TestQuickGenericJoinMatchesBruteForce(t *testing.T) {
 			})
 		}
 		sortTuples(want)
-		got := res.Tuples
 		sortTuples(got)
 		if len(want) == 0 && len(got) == 0 {
 			// fall through to count check
@@ -389,8 +399,9 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-// Property: parallel Run equals serial Run (counts, tuple multiset, and —
-// because partitions preserve order — the exact tuple sequence).
+// Property: parallel Run equals serial Run — count, seed pairs and column
+// intersections, enumerating and counting — and both count what
+// ForEachUntil hands over.
 func TestQuickParallelRunEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -423,18 +434,24 @@ func TestQuickParallelRunEquivalence(t *testing.T) {
 			RowCandidates:      [][]graph.VertexID{nil, cands1},
 			Ext:                [][]*EdgeMatrix{nil, nil},
 		}
-		serial, err1 := Run(in, Options{})
-		par, err2 := Run(in, Options{Workers: 3})
-		if err1 != nil || err2 != nil {
+		tuples, _, err := collect(in)
+		if err != nil {
 			return false
 		}
-		if serial.Count != par.Count || !reflect.DeepEqual(serial.Tuples, par.Tuples) {
-			t.Logf("seed %d: serial %d vs parallel %d tuples", seed, serial.Count, par.Count)
-			return false
+		for _, opts := range []Options{{}, {CountOnly: true}} {
+			serial, err1 := Run(in, opts)
+			opts.Workers = 3
+			par, err2 := Run(in, opts)
+			if err1 != nil || err2 != nil {
+				return false
+			}
+			if serial.Count != int64(len(tuples)) || par.Count != serial.Count || par.Stats != serial.Stats {
+				t.Logf("seed %d, countOnly=%v: serial %d %+v, parallel %d %+v, enumerated %d",
+					seed, opts.CountOnly, serial.Count, serial.Stats, par.Count, par.Stats, len(tuples))
+				return false
+			}
 		}
-		cSerial, _ := Run(in, Options{CountOnly: true})
-		cPar, _ := Run(in, Options{CountOnly: true, Workers: 4})
-		return cSerial.Count == cPar.Count
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -507,11 +524,11 @@ func TestTwoVertexCountMatchesEnumeration(t *testing.T) {
 		if (self > 0) != c.selfMatches {
 			t.Fatalf("%s: fixture has %d self-matches", c.name, self)
 		}
-		enumerated, err := Run(in, Options{})
+		enumerated, _, err := collect(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tuple := range enumerated.Tuples {
+		for _, tuple := range enumerated {
 			if tuple[0] == tuple[1] {
 				t.Fatalf("%s: enumerated a self pair %v", c.name, tuple)
 			}
@@ -527,9 +544,9 @@ func TestTwoVertexCountMatchesEnumeration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if counted.Count != int64(len(enumerated.Tuples)) || counted.Stats.SeedPairs != counted.Count {
+			if counted.Count != int64(len(enumerated)) || counted.Stats.SeedPairs != counted.Count {
 				t.Errorf("%s, workers=%d: counted %d (seed pairs %d), enumerated %d",
-					c.name, workers, counted.Count, counted.Stats.SeedPairs, len(enumerated.Tuples))
+					c.name, workers, counted.Count, counted.Stats.SeedPairs, len(enumerated))
 			}
 		}
 	}

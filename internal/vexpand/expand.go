@@ -123,9 +123,12 @@ type Result struct {
 	// is step 1). The BFS kernel records sparse per-row distance maps
 	// instead (its row counts are small); use MinLength either way.
 	PerStep []*bitmatrix.Matrix
-	// bfsDist[i][j] is the minimal walk length from Sources[i] to j when
-	// the BFS kernel ran with KeepPerStep.
+	// bfsDist[i][j] is the minimal walk length of at least kmin from
+	// Sources[i] to j when the BFS kernel ran with KeepPerStep.
 	bfsDist []map[graph.VertexID]int
+	// kmin is the determiner's minimum hop count: MinLength skips the
+	// matrix kernels' retained steps below it.
+	kmin int
 	// Spilled step matrices (matrix kernels with Options.Spill).
 	spill        *storage.SpillManager
 	spillHandles []storage.Handle
@@ -171,8 +174,9 @@ func (r *Result) ForEachStep(fn func(step int, m *bitmatrix.Matrix) error) error
 	return nil
 }
 
-// MinLength returns the minimal walk length from Sources[row] to dst, and
-// false if unreachable or per-step data was not retained (KeepPerStep).
+// MinLength returns the minimal walk length from Sources[row] to dst among
+// the determiner's lengths (at least its kmin), and false if there is none
+// or per-step data was not retained (KeepPerStep).
 // With spilled steps each probe loads matrices from disk; batch consumers
 // should use ForEachStep.
 func (r *Result) MinLength(row int, dst graph.VertexID) (int, bool) {
@@ -180,7 +184,7 @@ func (r *Result) MinLength(row int, dst graph.VertexID) (int, bool) {
 		l, ok := r.bfsDist[row][dst]
 		return l, ok
 	}
-	for c := 0; c < r.StepCount(); c++ {
+	for c := max(r.kmin, 1) - 1; c < r.StepCount(); c++ {
 		m, err := r.StepMatrix(c)
 		if err != nil {
 			return 0, false
@@ -385,6 +389,7 @@ func (e *expansion) runMatrix() (*Result, error) {
 	res := &Result{
 		Sources: e.sources,
 		Reach:   bitmatrix.New(rows, n),
+		kmin:    e.d.KMin,
 	}
 	res.Stats.Kernel = e.kernel
 	if rows == 0 {
@@ -756,7 +761,7 @@ func (e *expansion) bfsRows(res *Result, st *bfsStats, lo, hi int) {
 					}
 				}
 			}
-			if e.opts.KeepPerStep {
+			if e.opts.KeepPerStep && step >= e.d.KMin {
 				dist := res.bfsDist[r]
 				for _, j := range reached {
 					if _, known := dist[j]; !known {

@@ -399,7 +399,7 @@ func TestQuickKernelEquivalence(t *testing.T) {
 }
 
 // oracleRun is referenceExpand extended to everything a kernel reports:
-// the reach pairs, the minimal walk length of every reachable pair, and the
+// the reach pairs, the minimal walk length (at least kmin) of each, and the
 // Steps / IntermediateResults a kernel family must count. The matrix rungs
 // step all rows together over true frontiers (walk frontiers for ANY,
 // newly-reached ones for SHORTEST); the BFS kernel steps each row on its
@@ -453,9 +453,10 @@ func oracle(g *graph.Graph, sources []graph.VertexID, d pattern.Determiner, maxS
 			}
 			perStep[step] += int64(len(next))
 			for v := range next {
-				if step >= d.KMin {
-					o.reach[[2]int{i, v}] = true
+				if step < d.KMin {
+					continue
 				}
+				o.reach[[2]int{i, v}] = true
 				if _, ok := o.minLen[[2]int{i, v}]; !ok {
 					o.minLen[[2]int{i, v}] = step
 				}

@@ -158,6 +158,16 @@ if [ -z "${SKIP_SMOKE:-}" ]; then
     [ -n "$hits" ] && [ "$hits" -ge 1 ] \
         || { echo "repeated query produced no matrix-cache hits (vs_matrix_cache_hits_total=$hits)" >&2; exit 1; }
 
+    # length() is the last Cypher query that collects its tuples before
+    # projecting them: /query must return rows, each a vertex and a length
+    # inside the relationship's 1..2.
+    lengthq='MATCH p=(a:SIGA)-[:knows*1..2]-(b:SIGB) RETURN b, length(p) LIMIT 5'
+    curl -fsS "http://$hostport/query" -d "{\"query\":\"$lengthq\"}" \
+        | python3 -c 'import json,sys
+rows = json.load(sys.stdin)["rows"]
+sys.exit(not rows or any(len(r) != 2 or r[1] not in (1, 2) for r in rows))' \
+        || { echo "length() via /query returned no rows, or a length outside 1..2: $lengthq" >&2; exit 1; }
+
     step "NDJSON streaming smoke (rows exceed one fetch batch, in-flight drains)"
     # A streamable MATCH with "stream":true returns NDJSON: a columns header,
     # one JSON array per row, and a summary trailer. The server was started

@@ -243,7 +243,8 @@ func (db *DB) MatchCount(pat *Pattern) (int64, error) {
 
 // Expand runs the VExpand operator from the given sources under d and
 // returns the reachability matrix (rows = sources, columns = vertices).
-// keepPerStep retains per-distance matrices for MinLength queries.
+// keepPerStep retains per-distance matrices for MinLength queries. The
+// expansion's matrices count against the DB's memory budget.
 func (db *DB) Expand(sources []VertexID, d Determiner, keepPerStep bool) (*Reachability, error) {
 	return db.eng.Expand(sources, d, keepPerStep)
 }
