@@ -14,6 +14,7 @@ package vertexsurge
 // edge ordering happen outside the timed region (the paper's warm-up).
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -25,7 +26,9 @@ import (
 	"repro/internal/cypher"
 	"repro/internal/datagen"
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/graph"
+	"repro/internal/mintersect"
 	"repro/internal/pattern"
 	"repro/internal/planner"
 	"repro/internal/telemetry"
@@ -560,6 +563,72 @@ func BenchmarkExpandLedgerShapes(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkJoinLedgerShapes runs the Generic Join behind the perf ledger's
+// triangle_join workload (benchmark/workloads.go) at the ledger's dataset
+// scale and 512-id span, warm: the plan, the three expansions and the join
+// input are built once outside the timed loop, so each op is the counting
+// join a cached ledger query runs. It reports the column ANDs per op and the
+// count — the seconds-long loop for join work. It is not a gate.
+func BenchmarkJoinLedgerShapes(b *testing.B) {
+	g := datasetAt(b, "LDBC-SN-SF100", 0.02).Graph
+	// Datagen ids are vertex index + 1000; a mid-graph range, as the
+	// ledger's uniform draws average out to.
+	lo := int64(1000 + g.NumVertices()/2)
+	a := pattern.Vertex{Name: "a", Labels: []string{"Person"}, PropCmp: []pattern.PropFilter{
+		{Prop: "id", Op: pattern.CmpGe, Value: lo},
+		{Prop: "id", Op: pattern.CmpLt, Value: lo + 512},
+	}}
+	pat := &pattern.Pattern{
+		Vertices: []pattern.Vertex{a,
+			{Name: "b", Labels: []string{"Person", "SIGB"}},
+			{Name: "c", Labels: []string{"Person", "SIGC"}},
+		},
+		Edges: []pattern.Edge{
+			{Src: "a", Dst: "b", D: socialDet(1, 2)},
+			{Src: "b", Dst: "c", D: socialDet(1, 2)},
+			{Src: "a", Dst: "c", D: socialDet(1, 2)},
+		},
+	}
+	plan, err := planner.Build(g, pat)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Lower the plan as the engine does: one expansion per distinct edge,
+	// serving every plan edge that shares it.
+	n := len(plan.Order)
+	iop := &exec.IntersectOp{NumPatternVertices: n, FirstCols: plan.CandList[plan.Order[0]],
+		RowCandidates: make([][]graph.VertexID, n)}
+	for t := 1; t < n; t++ {
+		iop.RowCandidates[t] = plan.CandList[plan.Order[t]]
+	}
+	for _, spec := range plan.Operators() {
+		pe := &plan.Edges[spec.Edges[0]]
+		r, err := vexpand.Expand(g, plan.CandList[pe.ExpandFrom], pe.D, vexpand.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := &exec.ExpandOp{Result: r}
+		for _, ei := range spec.Edges {
+			iop.Edges = append(iop.Edges, exec.JoinEdge{EarlierPos: plan.Edges[ei].EarlierPos, LaterPos: plan.Edges[ei].LaterPos, Src: src})
+		}
+	}
+	acct := exec.NewAccountant(0)
+	in, cloned, err := iop.Assemble(exec.NewQueryContext(context.Background(), acct, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer acct.Release(cloned)
+	b.Run("triangle_join", func(b *testing.B) {
+		var res *mintersect.Result
+		run(b, func() (err error) {
+			res, err = mintersect.Run(in, mintersect.Options{CountOnly: true, Workers: 1})
+			return err
+		})
+		b.ReportMetric(float64(res.Stats.Intersections), "intersections/op")
+		b.ReportMetric(float64(res.Count), "tuples")
+	})
 }
 
 // BenchmarkPlanLedgerShapes runs planner.Build on the perf ledger's five

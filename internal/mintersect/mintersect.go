@@ -8,7 +8,9 @@
 // *columns* are all graph vertices. Enumerating the first edge's pairs and
 // then, for each later vertex, AND-ing together one column from each matrix
 // that connects it to already-bound vertices (Figure 5's intersec_col)
-// yields exactly the matched tuples, each produced once.
+// yields exactly the matched tuples, each produced once. A column selected
+// by a vertex bound before t-1 is ANDed once per binding of the vertices
+// before t-1 (hoisted), not once per extension of t.
 package mintersect
 
 import (
@@ -48,9 +50,8 @@ type Input struct {
 	// RowCandidates[t] lists the candidates of position t (t ≥ 1); row i
 	// of every matrix for position t corresponds to RowCandidates[t][i].
 	// Lists come from planner.Plan.CandList and are strictly ascending; the
-	// two-vertex count relies on that order for FirstCols and
-	// RowCandidates[1] (it merges them), and a hand-built input without it
-	// is rejected.
+	// join merges them, and a hand-built input without that order is
+	// rejected.
 	RowCandidates [][]graph.VertexID
 	// Ext[t] (t ≥ 2) holds one EdgeMatrix per pattern edge between
 	// position t and an earlier position. Every position ≥ 2 must have at
@@ -71,7 +72,10 @@ type Options struct {
 
 // Stats reports operator effort.
 type Stats struct {
-	// Intersections is the number of column-AND operations performed.
+	// Intersections is the number of column ANDs run, counting the column
+	// copy that starts a set. A matrix joining position t to t-1 is ANDed
+	// once per extension of t; one joining t to an earlier position is
+	// hoisted and ANDed once per binding of positions 0..t-2.
 	Intersections int64
 	// SeedPairs is the number of first-edge pairs enumerated.
 	SeedPairs int64
@@ -85,9 +89,10 @@ type Result struct {
 	Stats Stats
 }
 
-// validate checks the input's shape and, for the two-vertex count, the order
-// its merge relies on. It runs once per join, before any partitioning.
-func (in *Input) validate(opts Options) error {
+// validate checks the input's shape and the strictly ascending candidate
+// lists that the join's merges (the two-vertex count's self-matches, the
+// row arrays) rely on. It runs once per join, before any partitioning.
+func (in *Input) validate() error {
 	n := in.NumPatternVertices
 	if n < 2 {
 		return fmt.Errorf("mintersect: need at least 2 pattern vertices, got %d", n)
@@ -119,8 +124,13 @@ func (in *Input) validate(opts Options) error {
 		return fmt.Errorf("mintersect: first matrix has %d rows, want %d",
 			in.First.M.Rows(), len(in.RowCandidates[1]))
 	}
-	if n == 2 && opts.CountOnly && !(ascending(in.FirstCols) && ascending(in.RowCandidates[1])) {
-		return fmt.Errorf("mintersect: two-vertex count needs strictly ascending FirstCols and RowCandidates[1]")
+	if !ascending(in.FirstCols) {
+		return fmt.Errorf("mintersect: FirstCols must be strictly ascending")
+	}
+	for t := 1; t < n; t++ {
+		if !ascending(in.RowCandidates[t]) {
+			return fmt.Errorf("mintersect: RowCandidates[%d] must be strictly ascending", t)
+		}
 	}
 	return nil
 }
@@ -177,7 +187,7 @@ func annotateSpan(sp *telemetry.Span, res *Result, opts Options) {
 }
 
 func run(ctx context.Context, in *Input, opts Options) (*Result, error) {
-	if err := in.validate(opts); err != nil {
+	if err := in.validate(); err != nil {
 		return nil, err
 	}
 	workers := opts.Workers
@@ -249,7 +259,7 @@ func ForEachContext(ctx context.Context, in *Input, opts Options, fn func(tuple 
 // canceled mid-enumeration.
 func ForEachUntil(ctx context.Context, in *Input, opts Options, fn func(tuple []graph.VertexID) bool, res *Result) error {
 	_, sp := telemetry.StartSpan(ctx, "intersect")
-	err := in.validate(opts)
+	err := in.validate()
 	if err == nil {
 		err = forEach(ctx, in, opts, fn, res)
 	}
@@ -262,32 +272,84 @@ func ForEachUntil(ctx context.Context, in *Input, opts Options, fn func(tuple []
 
 // forEach runs the join over an input its caller has validated.
 func forEach(ctx context.Context, in *Input, opts Options, fn func(tuple []graph.VertexID) bool, res *Result) error {
+	n := in.NumPatternVertices
 	e := &executor{
 		ctx:   ctx,
 		in:    in,
 		opts:  opts,
 		fn:    fn,
 		res:   res,
-		bound: make([]graph.VertexID, in.NumPatternVertices),
+		bound: make([]graph.VertexID, n),
+		rows:  make([]int, n),
 	}
-	// Row-index maps for bijection enforcement in extend: position → vertex
-	// → row. Position 1 needs none: its rows are bound by the seed loop,
-	// which compares vertices directly.
-	e.rowIndex = make([]map[graph.VertexID]int, in.NumPatternVertices)
-	for t := 2; t < in.NumPatternVertices; t++ {
-		idx := make(map[graph.VertexID]int, len(in.RowCandidates[t]))
-		for i, v := range in.RowCandidates[t] {
-			idx[v] = i
+	// A two-vertex join never extends past the seed loop, so only a longer
+	// one pays for the levels.
+	if n > 2 {
+		e.levels = make([]level, n)
+		for t := 2; t < n; t++ {
+			e.levels[t] = newLevel(in, t)
 		}
-		e.rowIndex[t] = idx
-	}
-	// Scratch intersection buffers, one per recursion level.
-	e.scratch = make([][]uint64, in.NumPatternVertices)
-	for t := 2; t < in.NumPatternVertices; t++ {
-		stacks := in.Ext[t][0].M.Stacks()
-		e.scratch[t] = make([]uint64, stacks*bitmatrix.WordsPerColumn)
 	}
 	return e.run()
+}
+
+// level is join position t's state (t ≥ 2). Ext[t] splits by what binds
+// its column: an early matrix's earlier endpoint precedes t-1, so its
+// column holds across every binding of t-1 and is ANDed once into hoisted
+// (GraphMini's auxiliary-set pruning, in bitmap form); a late one is joined
+// to t-1 and ANDed per extension.
+type level struct {
+	early, late []*EdgeMatrix
+	// hoisted is the AND of the early columns under the current binding of
+	// positions 0..t-2, with their own rows cleared; nil without early
+	// matrices.
+	hoisted []uint64
+	// scratch is the candidate set of the current extension.
+	scratch []uint64
+	// rowAt[p][i] is the row at t of position p's i-th candidate (FirstCols
+	// for p = 0, RowCandidates[p] otherwise), or -1 when that vertex is not
+	// among t's candidates: the bijection's row lookup.
+	rowAt [][]int32
+}
+
+// newLevel splits Ext[t] into early and late matrices and builds the
+// level's buffers and row arrays, once per join.
+func newLevel(in *Input, t int) level {
+	words := in.Ext[t][0].M.Stacks() * bitmatrix.WordsPerColumn
+	lv := level{scratch: make([]uint64, words)}
+	for _, em := range in.Ext[t] {
+		if em.EarlierPos == t-1 {
+			lv.late = append(lv.late, em)
+		} else {
+			lv.early = append(lv.early, em)
+		}
+	}
+	if len(lv.early) > 0 {
+		lv.hoisted = make([]uint64, words)
+	}
+	lv.rowAt = make([][]int32, t)
+	lv.rowAt[0] = rowsAt(in.FirstCols, in.RowCandidates[t])
+	for p := 1; p < t; p++ {
+		lv.rowAt[p] = rowsAt(in.RowCandidates[p], in.RowCandidates[t])
+	}
+	return lv
+}
+
+// rowsAt maps every vertex of list to its row in cands, or -1, by one merge
+// of the two strictly ascending lists.
+func rowsAt(list, cands []graph.VertexID) []int32 {
+	out := make([]int32, len(list))
+	j := 0
+	for i, v := range list {
+		for j < len(cands) && cands[j] < v {
+			j++
+		}
+		out[i] = -1
+		if j < len(cands) && cands[j] == v {
+			out[i] = int32(j)
+		}
+	}
+	return out
 }
 
 // cancelCheckMask gates how often the join polls the context: seeds and
@@ -297,15 +359,18 @@ func forEach(ctx context.Context, in *Input, opts Options, fn func(tuple []graph
 const cancelCheckMask = 1<<10 - 1
 
 type executor struct {
-	ctx      context.Context
-	in       *Input
-	opts     Options
-	fn       func([]graph.VertexID) bool
-	res      *Result
-	bound    []graph.VertexID
-	rowIndex []map[graph.VertexID]int
-	scratch  [][]uint64
-	stopped  bool // a cancellation, or fn returning false, ends the join
+	ctx   context.Context
+	in    *Input
+	opts  Options
+	fn    func([]graph.VertexID) bool
+	res   *Result
+	bound []graph.VertexID
+	// rows[p] is position p's bound row: its index in FirstCols for p = 0,
+	// its matrix row for p ≥ 1.
+	rows []int
+	// levels is indexed by position (0 and 1 unused); nil when n = 2.
+	levels  []level
+	stopped bool // a cancellation, or fn returning false, ends the join
 	// calls counts seeds and extend invocations for the periodic
 	// cancellation poll; err latches the context error that stopped the
 	// enumeration.
@@ -353,11 +418,15 @@ func (e *executor) run() error {
 		e.res.Stats.SeedPairs += pairs
 		return nil
 	}
-	for _, c0 := range e.in.FirstCols {
+	for i, c0 := range e.in.FirstCols {
 		if e.stopped || e.canceled() {
 			break
 		}
 		e.bound[0] = c0
+		if e.levels != nil { // n > 2: position 2 may hoist columns of c0
+			e.rows[0] = i
+			e.hoist(2)
+		}
 		first.ForEachInColumn(int(c0), func(row int) {
 			if e.stopped {
 				return
@@ -368,6 +437,7 @@ func (e *executor) run() error {
 			}
 			e.res.Stats.SeedPairs++
 			e.bound[1] = v1
+			e.rows[1] = row
 			e.extend(2)
 		})
 	}
@@ -400,8 +470,40 @@ func selfMatches(first *bitmatrix.Matrix, seeds, rows []graph.VertexID) int64 {
 	return n
 }
 
-// extend binds join position t by intersecting the columns selected by the
-// already-bound vertices, then recurses (Generic Join's extension step).
+// hoist ANDs position t's early columns into its hoisted set and clears
+// the rows of positions 0..t-2, once per binding of those positions; a
+// no-op without early matrices or when t ≥ n.
+//
+//vs:hotpath
+func (e *executor) hoist(t int) {
+	if uint(t) >= uint(len(e.levels)) {
+		return
+	}
+	lv := &e.levels[t]
+	early := lv.early
+	if len(early) == 0 {
+		return
+	}
+	dst, bound := lv.hoisted, e.bound
+	if p := early[0].EarlierPos; uint(p) < uint(len(bound)) {
+		copyColumn(dst, early[0].M, int(bound[p]))
+	}
+	for _, em := range early[1:] {
+		if p := em.EarlierPos; uint(p) < uint(len(bound)) {
+			andColumn(dst, em.M, int(bound[p]))
+		}
+	}
+	e.res.Stats.Intersections += int64(len(early))
+	for p := 0; p < t-1; p++ {
+		clearRow(dst, lv.rowAt, e.rows, p)
+	}
+}
+
+// extend binds join position t: its candidate set is the hoisted early
+// columns AND the columns of the late matrices selected by bound[t-1]
+// (Figure 5's intersec_col), minus the rows of already-bound vertices.
+// It then counts the set, at the last position under CountOnly, or binds
+// each member and recurses (Generic Join's extension step).
 //
 //vs:hotpath
 func (e *executor) extend(t int) {
@@ -413,44 +515,44 @@ func (e *executor) extend(t int) {
 		e.emit()
 		return
 	}
-	// validate() sizes every per-position table to NumPatternVertices, so
-	// none of these guards ever fire; restating the invariant as uint
-	// compares lets the prove pass drop the bounds checks below.
-	if uint(t) >= uint(len(e.in.Ext)) ||
-		uint(t) >= uint(len(e.scratch)) ||
-		uint(t) >= uint(len(e.rowIndex)) ||
+	// validate() and forEach size every per-position table to
+	// NumPatternVertices, so none of these guards ever fire; restating the
+	// invariant as uint compares lets the prove pass drop the bounds checks
+	// below.
+	if uint(t) >= uint(len(e.levels)) ||
 		uint(t) >= uint(len(e.in.RowCandidates)) ||
-		uint(t) >= uint(len(e.bound)) {
+		uint(t) >= uint(len(e.rows)) ||
+		uint(t) >= uint(len(e.bound)) || t < 1 {
 		return
 	}
-	mats := e.in.Ext[t]
-	scratch := e.scratch[t]
-	rowIdx := e.rowIndex[t]
+	lv := &e.levels[t]
+	scratch := lv.scratch
 	cands := e.in.RowCandidates[t]
-	bound := e.bound
-	if len(mats) == 0 {
-		return
+	bound, rows := e.bound, e.rows
+	c := int(bound[t-1])
+	late := lv.late
+	switch {
+	case len(late) == 0:
+		copy(scratch, lv.hoisted)
+	case lv.hoisted != nil:
+		andFrom(scratch, lv.hoisted, late[0].M, c)
+		late = late[1:]
+	default:
+		copyColumn(scratch, late[0].M, c)
+		late = late[1:]
 	}
-	// Seed with the first matrix's column, AND the rest (intersec_col).
-	firstMat := mats[0]
-	if p := firstMat.EarlierPos; uint(p) < uint(len(bound)) {
-		copyColumn(scratch, firstMat.M, int(bound[p]))
+	for _, em := range late {
+		andColumn(scratch, em.M, c)
 	}
-	e.res.Stats.Intersections++
-	for _, em := range mats[1:] {
-		if p := em.EarlierPos; uint(p) < uint(len(bound)) {
-			andColumn(scratch, em.M, int(bound[p]))
-		}
-		e.res.Stats.Intersections++
+	e.res.Stats.Intersections += int64(len(lv.late))
+	// Bijection: clear the rows of already-bound vertices that are among
+	// this position's candidates; the hoist cleared those of 0..t-2.
+	from := 0
+	if lv.hoisted != nil {
+		from = t - 1
 	}
-	// Bijection: clear rows of already-bound vertices that appear among
-	// this position's candidates.
-	for _, bv := range bound[:t] {
-		if row, ok := rowIdx[bv]; ok {
-			if w := row / 64; uint(w) < uint(len(scratch)) {
-				scratch[w] &^= 1 << uint(row%64)
-			}
-		}
+	for p := from; p < t; p++ {
+		clearRow(scratch, lv.rowAt, rows, p)
 	}
 	if t == n-1 && e.opts.CountOnly {
 		// Last position and only the count is needed: popcount the
@@ -462,6 +564,7 @@ func (e *executor) extend(t int) {
 		e.res.Count += int64(total)
 		return
 	}
+	e.hoist(t + 1)
 	for wi, word := range scratch {
 		for word != 0 {
 			tz := bits.TrailingZeros64(word)
@@ -471,9 +574,26 @@ func (e *executor) extend(t int) {
 				break
 			}
 			bound[t] = cands[row]
+			rows[t] = row
 			e.extend(t + 1)
 			if e.stopped {
 				return
+			}
+		}
+	}
+}
+
+// clearRow clears from set the row, at the level rowAt belongs to, of
+// position p's bound vertex, if it is a candidate there.
+func clearRow(set []uint64, rowAt [][]int32, rows []int, p int) {
+	if uint(p) >= uint(len(rowAt)) || uint(p) >= uint(len(rows)) {
+		return
+	}
+	at := rowAt[p]
+	if i := rows[p]; uint(i) < uint(len(at)) {
+		if r := at[i]; r >= 0 {
+			if w := uint(r) / 64; w < uint(len(set)) {
+				set[w] &^= 1 << (uint(r) % 64)
 			}
 		}
 	}
@@ -526,5 +646,30 @@ func andColumn(dst []uint64, m *bitmatrix.Matrix, c int) {
 		d[5] &= w[5]
 		d[6] &= w[6]
 		d[7] &= w[7]
+	}
+}
+
+// andFrom writes src AND column c of m into dst: the hoisted set and a late
+// column fused into one pass, so an extension copies no invariant column.
+//
+//vs:hotpath
+func andFrom(dst, src []uint64, m *bitmatrix.Matrix, c int) {
+	for s := 0; s < m.Stacks(); s++ {
+		w := m.ColumnWords(s, c)
+		base := s * bitmatrix.WordsPerColumn
+		hi := base + bitmatrix.WordsPerColumn
+		if len(w) < bitmatrix.WordsPerColumn || base < 0 || hi < base ||
+			hi > len(dst) || hi > cap(dst) || hi > len(src) || hi > cap(src) {
+			return
+		}
+		d, a := dst[base:hi:hi], src[base:hi:hi]
+		d[0] = a[0] & w[0]
+		d[1] = a[1] & w[1]
+		d[2] = a[2] & w[2]
+		d[3] = a[3] & w[3]
+		d[4] = a[4] & w[4]
+		d[5] = a[5] & w[5]
+		d[6] = a[6] & w[6]
+		d[7] = a[7] & w[7]
 	}
 }

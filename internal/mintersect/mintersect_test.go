@@ -210,6 +210,16 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := Run(in3, Options{}); err == nil {
 		t.Error("invalid EarlierPos accepted")
 	}
+
+	// A three-vertex join whose later list is unsorted: the row arrays merge
+	// it, so every join rejects it, counting or enumerating.
+	in3.Ext[2] = []*EdgeMatrix{{EarlierPos: 0, M: bitmatrix.New(2, 6)}}
+	in3.RowCandidates[2] = []graph.VertexID{1, 0}
+	for _, opts := range []Options{{}, {CountOnly: true}} {
+		if _, err := Run(in3, opts); err == nil || !strings.Contains(err.Error(), "strictly ascending") {
+			t.Errorf("unsorted RowCandidates[2] with %+v: err %v, want it rejected", opts, err)
+		}
+	}
 }
 
 // buildReference enumerates all tuples by brute force from boolean reach
@@ -277,10 +287,10 @@ func TestQuickGenericJoinMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
-		if nP == 2 {
-			// The two-vertex count merges these lists and rejects unsorted ones.
-			slices.Sort(cands[0])
-			slices.Sort(cands[1])
+		// The join merges these lists and rejects unsorted ones; they keep
+		// their overlaps, which exercise the bijection.
+		for _, c := range cands {
+			slices.Sort(c)
 		}
 
 		// Random symmetric-ish reachability per pattern edge: first edge
@@ -346,16 +356,6 @@ func TestQuickGenericJoinMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
-		}
-		sortTuples := func(ts [][]graph.VertexID) {
-			sort.Slice(ts, func(i, j int) bool {
-				for k := range ts[i] {
-					if ts[i][k] != ts[j][k] {
-						return ts[i][k] < ts[j][k]
-					}
-				}
-				return false
-			})
 		}
 		sortTuples(want)
 		sortTuples(got)
@@ -492,7 +492,8 @@ func vertexRange(lo, hi int) []graph.VertexID {
 // The two-vertex COUNT (column popcounts minus one merge for the
 // self-matches) equals the enumerated count however the seed and row lists
 // overlap, serial and partitioned; lists that are not strictly ascending —
-// which the planner never produces — are rejected, never miscounted.
+// which the planner never produces — are rejected by every join, never
+// miscounted.
 func TestTwoVertexCountMatchesEnumeration(t *testing.T) {
 	reversed := func(l []graph.VertexID) []graph.VertexID {
 		out := slices.Clone(l)
@@ -525,7 +526,11 @@ func TestTwoVertexCountMatchesEnumeration(t *testing.T) {
 			t.Fatalf("%s: fixture has %d self-matches", c.name, self)
 		}
 		enumerated, _, err := collect(in)
-		if err != nil {
+		if c.rejected {
+			if err == nil || !strings.Contains(err.Error(), "strictly ascending") {
+				t.Errorf("%s: enumerated %d tuples, err %v; want the input rejected", c.name, len(enumerated), err)
+			}
+		} else if err != nil {
 			t.Fatal(err)
 		}
 		for _, tuple := range enumerated {
