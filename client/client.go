@@ -129,7 +129,9 @@ func (c *Conn) hello() error {
 
 // Run starts a query. Param values may be int64, int, bool, float64,
 // string, []int64, or []any of those. The returned Rows is valid until the
-// next Run or Close.
+// next Run or Close. Run fails on a syntax error or a query the server
+// cannot run on a cursor (EXPLAIN, PROFILE); execution errors, whatever the
+// query's shape, arrive from the first Rows.Next.
 func (c *Conn) Run(query string, params map[string]any) (*Rows, error) {
 	if c.rows != nil {
 		c.rows.closed = true
@@ -278,8 +280,9 @@ type Rows struct {
 // Columns returns the result's column names.
 func (r *Rows) Columns() []string { return r.cols }
 
-// Streaming reports whether the server streams this result with constant
-// memory (versus serving a materialized set).
+// Streaming reports whether the server produces this result in memory
+// constant in its size; false when the query holds rows (aggregate groups,
+// ORDER BY) until its match ends. Every result arrives batch by batch.
 func (r *Rows) Streaming() bool { return r.streaming }
 
 // Next returns the next row, fetching a batch from the server when the

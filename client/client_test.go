@@ -111,8 +111,8 @@ func TestWireMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestWireAggregate runs a non-streamable query (materialized server-side)
-// with parameters through the same client API.
+// TestWireAggregate runs an aggregate, which holds its groups server-side
+// and so reports streaming=false, through the same client API.
 func TestWireAggregate(t *testing.T) {
 	addr, _ := startServer(t, session.Options{})
 	c, err := client.Dial(addr, client.Options{DialTimeout: 5 * time.Second})
@@ -168,18 +168,21 @@ func TestWireErrors(t *testing.T) {
 	if got := acct.InUse(); got != base {
 		t.Fatalf("after a failed RUN the replaced stream still holds %d bytes", got-base)
 	}
-	// Non-streamable queries bind eagerly, so a bad label fails at Run.
-	if _, err := c.Run("MATCH (p:NoSuchLabel)-[:knows]-(q) RETURN COUNT(q)", nil); !errors.As(err, &serr) || serr.Code != "query_error" {
-		t.Fatalf("query error = %v", err)
-	}
-	// A streamable query's binding failure surfaces on the first fetch (the
-	// RUN/FETCH split) as a query_error after zero rows.
-	rows, err := c.Run("MATCH (p:NoSuchLabel)-[:knows]-(q) RETURN p, q", nil)
-	if err != nil {
-		t.Fatalf("streamable RUN should succeed, got %v", err)
-	}
-	if _, err := rows.Next(); !errors.As(err, &serr) || serr.Code != "query_error" {
-		t.Fatalf("streamed bind error = %v", err)
+	// Every execution error, a bad label included, surfaces on the first
+	// fetch (the RUN/FETCH split) as a query_error after zero rows,
+	// whatever the query's shape.
+	for _, query := range []string{
+		"MATCH (p:NoSuchLabel)-[:knows]-(q) RETURN p, q",
+		"MATCH (p:NoSuchLabel)-[:knows]-(q) RETURN COUNT(q)",
+		"MATCH (p:NoSuchLabel)-[:knows]-(q) RETURN p, q ORDER BY q",
+	} {
+		rows, err := c.Run(query, nil)
+		if err != nil {
+			t.Fatalf("RUN %q should succeed, got %v", query, err)
+		}
+		if _, err := rows.Next(); !errors.As(err, &serr) || serr.Code != "query_error" {
+			t.Fatalf("%q: first fetch error = %v, want a query_error", query, err)
+		}
 	}
 	// VSWP carries rows only: EXPLAIN, EXPLAIN ANALYZE and PROFILE fail at
 	// Run instead of answering with an empty or profile-less result.

@@ -2,6 +2,7 @@ package cypher
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/pattern"
 )
@@ -34,7 +35,7 @@ type Query struct {
 	Where []Predicate
 	// Return lists the projection items.
 	Return []ReturnItem
-	// OrderBy lists sort keys referencing return aliases or variables.
+	// OrderBy lists sort keys, each naming an output column (Columns).
 	OrderBy []OrderKey
 	// Limit caps rows; 0 = unlimited.
 	Limit int
@@ -223,6 +224,12 @@ func (q *Query) validate() error {
 			if r.KMin < 0 || (r.KMax != pattern.Unbounded && r.KMax < r.KMin) {
 				return fmt.Errorf("cypher: invalid hop bounds %d..%d", r.KMin, r.KMax)
 			}
+		}
+	}
+	cols := Columns(q)
+	for _, key := range q.OrderBy {
+		if !slices.Contains(cols, key.Ref) {
+			return fmt.Errorf("cypher: ORDER BY references unknown column %q", key.Ref)
 		}
 	}
 	return nil

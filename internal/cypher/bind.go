@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/pattern"
 	"repro/internal/telemetry"
@@ -75,9 +76,6 @@ func RunContext(ctx context.Context, eng *engine.Engine, q *Query, params map[st
 			res.Rows = append(res.Rows, row)
 			return nil
 		})
-		if err == nil {
-			err = orderAndLimit(res, q)
-		}
 		// End the profiling root on the failure path too: leaving it open
 		// would wedge the trace tree for the next query on this context.
 		root.End()
@@ -126,34 +124,47 @@ func registered(ctx context.Context, q *Query, run func(ctx context.Context, row
 	return run(telemetry.WithQuery(qctx, qi), &rows)
 }
 
-// drive executes a query's MATCH and RETURN for RunContext and Stream. For
-// each UNWIND value (a single pass without UNWIND) it binds, matches and
-// hands every tuple to one projector as the engine emits it; every row the
-// projector returns goes to sink, and after the last pass so do the closed
-// groups. Without ORDER BY the match stops once sink has taken LIMIT rows.
-// It returns the engine's timings.
+// drive executes a query's MATCH and RETURN for its two sinks, RunContext
+// and Stream. For each UNWIND value (a single pass without UNWIND) it binds,
+// matches and hands every tuple to one projector as the engine emits it;
+// every row the projector returns goes to sink, and after the last pass so
+// do the closed groups. Without ORDER BY the match stops once sink has
+// taken LIMIT rows; with it, drive holds every row, sorts them at the end
+// and hands sink the first LIMIT. Held rows and groups are charged to the
+// engine accountant as they grow (heldRows). It returns the engine's timings.
 func drive(ctx context.Context, eng *engine.Engine, q *Query, params map[string]any, sink func(row []any) error) (engine.Timings, error) {
 	var t engine.Timings
 	values, err := unwindValues(q, params)
 	if err != nil {
 		return t, err
 	}
+	held := heldRows{acct: eng.Accountant(), size: rowBytes(len(q.Return))}
+	defer held.release()
 	limit := q.Limit
+	var ordered [][]any // with ORDER BY, the first row is known only once every row is
+	emit := sink
 	if len(q.OrderBy) > 0 {
-		limit = 0 // the first row is known only once every row is
+		limit = 0
+		emit = func(row []any) error {
+			ordered = append(ordered, row)
+			return held.cover(len(ordered))
+		}
 	}
 	var proj *projector // built by the first match: the COUNT fast path needs none
 	sent := 0
 	var stopErr error
 	more := func() bool { return stopErr == nil && (limit == 0 || sent < limit) }
-	// put hands sink one row and reports whether matching goes on.
+	// put hands emit one row and reports whether matching goes on.
 	put := func(row []any) bool {
-		stopErr = sink(row)
+		stopErr = emit(row)
 		sent++
 		return more()
 	}
 	each := func(tuple []graph.VertexID) bool {
 		row, err := proj.add(tuple)
+		if err == nil {
+			err = held.cover(len(proj.out)) // groups are held until the last pass
+		}
 		if err != nil {
 			stopErr = err
 			return false
@@ -193,25 +204,13 @@ func drive(ctx context.Context, eng *engine.Engine, q *Query, params map[string]
 		}
 		var res *engine.MatchResult
 		if projectsLength(q) {
-			// pathLengths needs every tuple before the first row.
-			if res, err = eng.MatchContext(ctx, b.pat, engine.MatchOptions{}); err != nil {
-				return t, err
-			}
-			lengths, err := pathLengths(ctx, eng, q, b, res.Tuples)
-			if err != nil {
-				return t, err
-			}
-			proj.pass(b, v, lengths)
-			for _, tuple := range res.Tuples {
-				if !each(tuple) {
-					break
-				}
-			}
+			res, err = lengthPass(ctx, eng, q, b, v, proj, each)
 		} else {
 			proj.pass(b, v, nil)
-			if res, err = eng.MatchEach(ctx, b.pat, engine.MatchOptions{}, each); err != nil {
-				return t, err
-			}
+			res, err = eng.MatchEach(ctx, b.pat, engine.MatchOptions{}, each)
+		}
+		if err != nil {
+			return t, err
 		}
 		t.Add(res.Timings)
 	}
@@ -224,8 +223,77 @@ func drive(ctx context.Context, eng *engine.Engine, q *Query, params map[string]
 		}
 		put(row)
 	}
-	return t, stopErr
+	if stopErr != nil || len(q.OrderBy) == 0 {
+		return t, stopErr
+	}
+	order(q, ordered)
+	if q.Limit > 0 && len(ordered) > q.Limit {
+		ordered = ordered[:q.Limit]
+	}
+	for _, row := range ordered {
+		if err := sink(row); err != nil {
+			return t, err
+		}
+	}
+	return t, nil
 }
+
+// lengthPass runs one pass of a query that projects length(p): pathLengths
+// needs every tuple before the first row, so the pass holds its tuples,
+// charged, until it ends. LIMIT cannot stop this match.
+func lengthPass(ctx context.Context, eng *engine.Engine, q *Query, b *boundQuery, unwound any, proj *projector, each func([]graph.VertexID) bool) (*engine.MatchResult, error) {
+	res, err := eng.MatchContext(ctx, b.pat, engine.MatchOptions{})
+	if err != nil {
+		return nil, err
+	}
+	// A tuple is a slice header and one 4-byte VertexID per vertex.
+	held := heldRows{acct: eng.Accountant(), size: 24 + 4*int64(len(b.pat.Vertices))}
+	defer held.release()
+	if err := held.cover(len(res.Tuples)); err != nil {
+		return nil, err
+	}
+	lengths, err := pathLengths(ctx, eng, q, b, res.Tuples)
+	if err != nil {
+		return nil, err
+	}
+	proj.pass(b, unwound, lengths)
+	for _, tuple := range res.Tuples {
+		if !each(tuple) {
+			break
+		}
+	}
+	return res, nil
+}
+
+// heldChunk is the rows one accountant reservation of heldRows covers.
+const heldChunk = 64
+
+// heldRows charges the rows a query holds to the engine accountant, size
+// bytes a row, heldChunk rows at a time as their count grows.
+type heldRows struct {
+	acct *exec.Accountant
+	size int64
+	n    int // rows the reservation covers
+}
+
+// cover grows the reservation to at least rows rows.
+func (h *heldRows) cover(rows int) error {
+	if rows <= h.n {
+		return nil
+	}
+	step := (rows - h.n + heldChunk - 1) / heldChunk * heldChunk
+	if err := h.acct.Reserve(int64(step) * h.size); err != nil {
+		return fmt.Errorf("cypher: held result rows: %w", err)
+	}
+	h.n += step
+	return nil
+}
+
+func (h *heldRows) release() { h.acct.Release(int64(h.n) * h.size) }
+
+// rowBytes estimates one result row's footprint, a slice header plus one
+// interface value per column: the session meters its batches the same way.
+func rowBytes(cols int) int64 { return 24 + 24*int64(cols) }
 
 // unwindValues lists the values UNWIND binds its alias to, one per pass:
 // a single nil without UNWIND.

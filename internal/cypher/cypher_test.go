@@ -108,6 +108,9 @@ func TestParseErrors(t *testing.T) {
 		`UNWIND ids AS x MATCH (a) RETURN a`,
 		`MATCH (a)-[:t]-(b) WHERE RETURN a`,
 		`MATCH (a)-[:t]-(b) RETURN COUNT(*)`,
+		// ORDER BY names an output column, checked before the query runs.
+		`MATCH (a)-[:t]-(b) RETURN a ORDER BY nope`,
+		`MATCH (a)-[:t]-(b) RETURN a, COUNT(b) AS c ORDER BY c, b`,
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -556,8 +559,8 @@ func TestDistinctRowsAreDistinct(t *testing.T) {
 }
 
 // TestStreamMatchesRunContext pins the two cypher entry points against each
-// other: they share one projector over one engine path, so every streamable
-// query returns the same rows either way.
+// other: they are two sinks of drive, so every query returns the same rows
+// either way, in the same order under ORDER BY.
 func TestStreamMatchesRunContext(t *testing.T) {
 	type parityCase struct {
 		eng    *engine.Engine
@@ -574,6 +577,9 @@ func TestStreamMatchesRunContext(t *testing.T) {
 		{social, `MATCH (p:SIGA)-[:knows]-(q:Person) RETURN p, q.id`, nil},
 		// Single-vertex pattern (no join).
 		{social, `MATCH (p:SIGA) RETURN p`, nil},
+		// Held shapes: groups, and ORDER BY (compared in order).
+		{social, `MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN q, COUNT(p) AS c`, nil},
+		{social, `MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN q, COUNT(p) AS c ORDER BY c DESC, q LIMIT 9`, nil},
 	}
 	// Plus every streamable query of the paper's twelve.
 	for i, src := range paperQueries {
@@ -624,7 +630,11 @@ func TestStreamMatchesRunContext(t *testing.T) {
 		if len(got) == 0 {
 			t.Fatalf("%q returned no rows; the fixture proves nothing", c.src)
 		}
-		if !reflect.DeepEqual(sorted(got), sorted(want.Rows)) {
+		same := reflect.DeepEqual(got, want.Rows)
+		if len(q.OrderBy) == 0 {
+			same = reflect.DeepEqual(sorted(got), sorted(want.Rows))
+		}
+		if !same {
 			t.Fatalf("%q: Stream returned %d rows, RunContext %d, or they differ", c.src, len(got), len(want.Rows))
 		}
 	}

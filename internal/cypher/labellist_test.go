@@ -91,9 +91,6 @@ func TestLabelVerticesListsSurviveQueries(t *testing.T) {
 			if _, err := Run(eng, q, queries[i].params); err != nil {
 				t.Fatalf("workers=%d query %d: %v", workers, i+1, err)
 			}
-			if !Streamable(q) {
-				continue
-			}
 			err = Stream(context.Background(), eng, q, queries[i].params, func(context.Context, []any) error { return nil })
 			if err != nil {
 				t.Fatalf("workers=%d streamed query %d: %v", workers, i+1, err)

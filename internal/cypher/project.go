@@ -14,8 +14,7 @@ import (
 
 // projector is the one consumer of matched tuples: add turns a tuple into a
 // plain output row or folds it into its group, and rows closes the groups.
-// RunContext feeds it every tuple of every UNWIND value, Stream every tuple
-// of its one pass.
+// drive feeds it every tuple of every UNWIND value.
 type projector struct {
 	g     *graph.Graph
 	q     *Query
@@ -302,34 +301,26 @@ func toFloat(v any) (float64, bool) {
 	}
 }
 
-// orderAndLimit applies ORDER BY and LIMIT to a result in place.
-func orderAndLimit(res *Result, q *Query) error {
-	if len(q.OrderBy) > 0 {
-		idxs := make([]int, len(q.OrderBy))
-		for i, key := range q.OrderBy {
-			idx := slices.Index(res.Columns, key.Ref)
-			if idx < 0 {
-				return fmt.Errorf("cypher: ORDER BY references unknown column %q", key.Ref)
+// order sorts rows by q's ORDER BY keys, which validate has matched to
+// output columns; rows that tie keep their order.
+func order(q *Query, rows [][]any) {
+	cols := Columns(q)
+	idxs := make([]int, len(q.OrderBy))
+	for i, key := range q.OrderBy {
+		idxs[i] = slices.Index(cols, key.Ref)
+	}
+	slices.SortStableFunc(rows, func(a, b []any) int {
+		for i, idx := range idxs {
+			c := compareValues(a[idx], b[idx])
+			if q.OrderBy[i].Desc {
+				c = -c
 			}
-			idxs[i] = idx
+			if c != 0 {
+				return c
+			}
 		}
-		slices.SortStableFunc(res.Rows, func(a, b []any) int {
-			for i, idx := range idxs {
-				c := compareValues(a[idx], b[idx])
-				if q.OrderBy[i].Desc {
-					c = -c
-				}
-				if c != 0 {
-					return c
-				}
-			}
-			return 0
-		})
-	}
-	if q.Limit > 0 && len(res.Rows) > q.Limit {
-		res.Rows = res.Rows[:q.Limit]
-	}
-	return nil
+		return 0
+	})
 }
 
 func compareValues(a, b any) int {

@@ -7,20 +7,14 @@ import (
 	"repro/internal/engine"
 )
 
-// ErrNotStreamable reports that a query cannot execute row-at-a-time and
-// must go through the materializing path (RunContext): aggregation, ORDER
-// BY, UNWIND, shortestPath, length() projections, and the EXPLAIN/PROFILE
-// variants all need the complete result (or a different execution shape)
-// before the first output row exists.
-var ErrNotStreamable = errors.New("cypher: query is not streamable")
-
-// Streamable reports whether q can execute row-at-a-time with constant
-// server-side result memory: a plain projection of pattern variables (bare
+// Streamable reports whether q executes with server-side result memory
+// constant in the result size: a plain projection of pattern variables (bare
 // or property accesses) with no aggregation, ORDER BY, UNWIND,
 // shortestPath, or length() expressions, and not an EXPLAIN/PROFILE
-// variant. LIMIT is fine — the stream stops early.
+// variant. LIMIT is fine — the stream stops early. Every other query runs
+// through Stream too, but may hold groups, dedup keys or rows.
 func Streamable(q *Query) bool {
-	if q.Explain || q.Analyze || q.Profile || q.Unwind != nil || len(q.OrderBy) > 0 {
+	if q.Explain || q.Profile || q.Unwind != nil || len(q.OrderBy) > 0 || projectsLength(q) {
 		return false
 	}
 	for _, p := range q.Parts {
@@ -28,15 +22,12 @@ func Streamable(q *Query) bool {
 			return false
 		}
 	}
-	if len(q.Return) == 0 {
-		return false
-	}
 	for _, item := range q.Return {
 		if item.Agg != "" {
 			return false
 		}
 	}
-	return !projectsLength(q)
+	return len(q.Return) > 0
 }
 
 // projectsLength reports whether a RETURN item reads length(p).
@@ -62,18 +53,20 @@ func Columns(q *Query) []string {
 	return cols
 }
 
-// Stream executes a streamable query row-at-a-time through drive, as
-// RunContext does, with emit as its sink: every projected row is passed to
-// emit, in join order, without materializing the result set, and LIMIT
-// stops the match. Rows deduplicate exactly as RunContext's do, so when the
-// projection covers every pattern vertex with a bare variable no dedup
-// state is kept at all and server-side memory is constant in the result
-// cardinality.
+// Stream executes a query through drive, as RunContext does, with emit as
+// its sink: every row goes to emit as drive produces it — in join order, or
+// in ORDER BY order once the match ends — and without ORDER BY, LIMIT stops
+// the match. Rows are exactly RunContext's rows. A Streamable query whose
+// projection covers every pattern vertex with a bare variable keeps no
+// result state at all; other shapes hold what drive holds, charged to the
+// engine accountant.
 //
 // Stream runs under the same registry/metrics wrapper as RunContext (see
 // registered): it counts into vs_queries_total/failed/in_flight, is visible
 // in SHOW QUERIES and /debug/queries with live row counts, killable by id,
 // and lands in the history ring on completion with the emitted row count.
+// EXPLAIN, EXPLAIN ANALYZE and PROFILE are refused: they answer with a
+// plan, an analysis or a span tree, not rows.
 //
 // emit returning an error stops the stream and surfaces that error; emit
 // may block, but must watch the context it receives — that context is the
@@ -81,8 +74,8 @@ func Columns(q *Query) []string {
 // by Stream's own unwinding, so a blocked emit (a cursor handing off a
 // batch no client fetches) unblocks the moment the query dies.
 func Stream(ctx context.Context, eng *engine.Engine, q *Query, params map[string]any, emit func(ctx context.Context, row []any) error) error {
-	if !Streamable(q) {
-		return ErrNotStreamable
+	if q.Explain || q.Profile {
+		return errors.New("cypher: EXPLAIN, EXPLAIN ANALYZE and PROFILE cannot stream: they return a plan, an analysis or a span tree, not rows")
 	}
 	if err := q.validate(); err != nil {
 		return err

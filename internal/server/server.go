@@ -30,9 +30,10 @@
 // The server is a transport front end: queries execute through a
 // session.Service (shared with the wire-protocol listener), never by
 // calling the cypher execution entry points directly. The classic JSON
-// response materializes through Service.Execute; {"stream": true} opens a
-// per-request session and drives a cursor batch-by-batch, so server-side
-// result memory stays bounded at one fetch batch however large the result.
+// response collects its rows through Service.Execute; {"stream": true}
+// opens a per-request session and drives a cursor batch-by-batch, so a
+// streamable query's server-side result memory stays bounded at one fetch
+// batch however large the result.
 package server
 
 import (
@@ -428,9 +429,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // streamHeader is an NDJSON response's first line.
 type streamHeader struct {
 	Columns []string `json:"columns"`
-	// Streaming is false when the query shape forced materialization
-	// (aggregates, ORDER BY, …) — rows still arrive as NDJSON, but the
-	// server held the full result while producing them.
+	// Streaming is false when the query holds rows until its match ends
+	// (aggregate groups, ORDER BY, …) — rows still arrive as NDJSON batch
+	// by batch, but server memory grew with the result before the first.
 	Streaming bool `json:"streaming"`
 }
 
@@ -480,9 +481,8 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, q *cypher.Q
 		}
 		switch {
 		case ferr != nil:
-			// A streamable query's execution errors surface on Fetch (the
-			// RUN/FETCH split); the 200 is already out, so the error rides
-			// the trailer line.
+			// Execution errors surface on Fetch (the RUN/FETCH split);
+			// the 200 is already out, so the error rides the trailer line.
 			_ = enc.Encode(streamTrailer{Error: ferr.Error()})
 			return
 		case !more:

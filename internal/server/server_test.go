@@ -215,6 +215,26 @@ func TestQueryStreamNDJSON(t *testing.T) {
 		t.Fatalf("streamed rows differ from the materialized response:\ngot  %v\nwant %v", got, want)
 	}
 
+	// An execution error arrives in the trailer, after the 200 and the
+	// header, whatever the query's shape; an aggregate's header says it
+	// holds its groups.
+	for _, bad := range []string{
+		`MATCH (p:NoSuchLabel)-[:knows]-(q) RETURN p, q`,
+		`MATCH (p:NoSuchLabel)-[:knows]-(q) RETURN q, COUNT(p)`,
+	} {
+		rec := serve(QueryRequest{Query: bad, Stream: true})
+		lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
+		var hdr streamHeader
+		var tr streamTrailer
+		if rec.Code != http.StatusOK || len(lines) != 2 ||
+			json.Unmarshal([]byte(lines[0]), &hdr) != nil || json.Unmarshal([]byte(lines[1]), &tr) != nil {
+			t.Fatalf("%s: status %d, body %s; want 200, a header and a trailer", bad, rec.Code, rec.Body)
+		}
+		if tr.Error == "" || hdr.Streaming != strings.HasSuffix(bad, "p, q") {
+			t.Fatalf("%s: header %+v, trailer %s; want the error in the trailer", bad, hdr, lines[1])
+		}
+	}
+
 	// The cursor behind the stream carries rows only, so a plan, an
 	// analysis or a span tree is an error, never an empty 200.
 	for _, prefix := range []string{"PROFILE ", "EXPLAIN ", "EXPLAIN ANALYZE "} {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cypher"
 	"repro/internal/engine"
@@ -13,53 +14,47 @@ import (
 var ErrCursorClosed = errors.New("session: cursor is closed")
 
 // Cursor is one query's result, consumed in client-driven batches. A
-// streaming cursor is fed by a producer goroutine running cypher.Stream,
-// which hands its rows over one batch at a time; a materialized cursor
-// pages through rows already in memory. Fetch and Discard are safe to call
-// from the transport's goroutine while the producer runs; a cursor is
+// producer goroutine runs the query through cypher.Stream and hands its rows
+// over one batch at a time. Fetch and Discard are safe to call from the
+// transport's goroutine while the producer runs; a cursor is
 // single-consumer.
 type Cursor struct {
-	svc  *Service
-	cols []string
+	svc       *Service
+	cols      []string
+	streaming bool // see Streaming
 
-	// Streaming state: the producer sends batches of FetchBatch rows (the
-	// last may be shorter) on the unbuffered ch and closes it after
-	// recording perr (ordering: perr, then close). left is the consumer's
-	// part of the last batch received that no Fetch has returned yet.
-	streaming bool
-	ch        chan [][]any
-	cancel    context.CancelFunc
-	perr      error
-	left      [][]any
-
-	// Materialized state.
-	rows [][]any
+	// The producer sends full batches of FetchBatch rows on the unbuffered
+	// ch and closes it after recording the last, shorter batch and perr
+	// (ordering: last and perr, then close). left is the consumer's part of
+	// the last batch received that no Fetch has returned yet.
+	ch     chan [][]any
+	cancel context.CancelFunc
+	last   [][]any
+	perr   error
+	left   [][]any
 
 	reserved int64
 	release  sync.Once
-
-	mu        sync.Mutex
-	pos       int
-	discarded bool
-	exhausted bool
+	closed   atomic.Bool // discarded or exhausted
 }
 
 // Columns returns the result's column names, known before the first row.
 func (c *Cursor) Columns() []string { return c.cols }
 
-// Streaming reports whether the cursor streams (constant server memory) or
-// serves a materialized result.
+// Streaming reports whether the server holds result memory constant in the
+// result size (cypher.Streamable): false when the query's groups, ORDER BY
+// rows or length() tuples are held until its match ends.
 func (c *Cursor) Streaming() bool { return c.streaming }
 
-// produce runs the streaming query, collecting rows into batches of
-// FetchBatch and handing each full batch to Fetch. The handoff blocks until
-// a Fetch takes the batch — that backpressure holds the engine's join at
-// one batch ahead of the client. A canceled context (Discard, client
-// disconnect, KILL, QueryTimeout) unblocks the handoff and unwinds the
-// engine at its cooperative poll points.
+// produce runs the query, collecting rows into batches of FetchBatch and
+// handing each full batch to Fetch. The handoff blocks until a Fetch takes
+// the batch — that backpressure holds the engine's join at one batch ahead
+// of the client. A canceled context (Discard, client disconnect, KILL,
+// QueryTimeout) unblocks the handoff and unwinds the engine at its
+// cooperative poll points.
 func (c *Cursor) produce(ctx context.Context, eng *engine.Engine, q *cypher.Query, params map[string]any) {
 	size := c.svc.opts.FetchBatch
-	batch := make([][]any, 0, size)
+	var batch [][]any // grows by append until the first handoff: most results are short
 	// The emit callback hands off on the query context Stream provides (a
 	// child of ctx that KILL also cancels), not ctx itself — a kill must
 	// unblock a producer waiting on a batch no one is fetching.
@@ -74,10 +69,11 @@ func (c *Cursor) produce(ctx context.Context, eng *engine.Engine, q *cypher.Quer
 		batch = make([][]any, 0, size)
 		return nil
 	})
-	// Stream cancels its query context on return, so the last, partial
-	// batch goes out on the cursor's own context.
-	if err == nil && len(batch) > 0 {
-		err = c.handoff(ctx, batch)
+	// The last, partial batch is published by the close rather than handed
+	// off, so the producer never waits at the end and a one-batch result
+	// costs Fetch a single receive.
+	if err == nil {
+		c.last = batch
 	}
 	c.perr = err
 	close(c.ch)
@@ -100,44 +96,29 @@ func (c *Cursor) handoff(ctx context.Context, batch [][]any) error {
 }
 
 // Fetch returns up to max rows (max <= 0 = the service's FetchBatch),
-// blocking on a streaming cursor until that many rows arrive or the stream
-// ends. more=false means the result is complete — the cursor closed itself
-// and released its memory reservation; err carries the producer's failure
-// (including a KILL's context.Canceled) when the stream ended abnormally.
+// blocking until that many rows arrive or the stream ends. more=false means
+// the result is complete — the cursor closed itself and released its
+// memory reservation; err carries the producer's failure (an execution
+// error, a budget overrun, a KILL's context.Canceled) when the stream ended
+// abnormally. Every execution error surfaces here, never at Run.
 func (c *Cursor) Fetch(max int) (rows [][]any, more bool, err error) {
 	if max <= 0 {
 		max = c.svc.opts.FetchBatch
 	}
-	c.mu.Lock()
-	if c.discarded || c.exhausted {
-		c.mu.Unlock()
+	if c.closed.Load() {
 		return nil, false, ErrCursorClosed
 	}
-	if !c.streaming {
-		end := min(c.pos+max, len(c.rows))
-		rows = c.rows[c.pos:end]
-		c.pos = end
-		more = c.pos < len(c.rows)
-		if !more {
-			c.exhausted = true
-		}
-		c.mu.Unlock()
-		if !more {
-			c.close()
-		}
-		return rows, more, nil
-	}
-	c.mu.Unlock()
 
 	for len(rows) < max {
 		if len(c.left) == 0 {
 			batch, ok := <-c.ch
+			if !ok && len(c.last) > 0 {
+				batch, ok, c.last = c.last, true, nil
+			}
 			if !ok {
-				// Producer finished: perr was written before the close.
+				// Producer finished: last and perr were written before the close.
 				err = c.perr
-				c.mu.Lock()
-				c.exhausted = true
-				c.mu.Unlock()
+				c.closed.Store(true)
 				c.close()
 				return rows, false, err
 			}
@@ -156,29 +137,17 @@ func (c *Cursor) Fetch(max int) (rows [][]any, more bool, err error) {
 
 // Discard abandons the result: the producer is canceled (the engine
 // unwinds cooperatively) and the memory reservation is released. Fetch
-// afterwards returns ErrCursorClosed.
-// Idempotent.
+// afterwards returns ErrCursorClosed. Idempotent.
 func (c *Cursor) Discard() {
-	c.mu.Lock()
-	if c.discarded {
-		c.mu.Unlock()
-		return
-	}
-	c.discarded = true
-	c.mu.Unlock()
-	if c.cancel != nil {
-		c.cancel()
-	}
+	c.closed.Store(true)
 	c.close()
 }
 
-// close releases the reservation exactly once across the exhaustion,
-// discard, next-Run and session-close paths.
+// close cancels the producer and releases the reservation exactly once
+// across the exhaustion, discard, next-Run and session-close paths.
 func (c *Cursor) close() {
 	c.release.Do(func() {
-		if c.cancel != nil {
-			c.cancel()
-		}
+		c.cancel()
 		c.svc.eng.Accountant().Release(c.reserved)
 	})
 }

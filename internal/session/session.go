@@ -5,31 +5,27 @@
 // execution entry points directly.
 //
 // The model is Bolt-shaped, with one query per session: a Session is one
-// client's conversation (sessions are cheap — the HTTP transport opens one
-// per streamed request, the wire transport one per connection),
-// Session.Run starts a query and returns a Cursor, and the client drives
-// the result with Fetch(n) / Discard. A second Run discards the previous
-// cursor if it is still open. The cypher layer has two entry points over
-// one execution path (one engine core, one projector, one registry/metrics
-// wrapper), differing only in who consumes the rows. Streamable queries
-// (see cypher.Streamable) execute through cypher.Stream, whose per-row
-// callback fills a batch of FetchBatch rows and hands each full batch to
-// Fetch — server-side result memory is capped at one fetch batch regardless
-// of result cardinality, and a handoff no Fetch takes blocks the join
-// itself (it runs on the producer's goroutine) when the client fetches
-// slower than the join produces. Everything else
-// (aggregates, ORDER BY, UNWIND) needs the complete result first: it
-// collects through cypher.RunContext and serves the rows through the same
-// Cursor interface, so transports never branch on query shape.
+// client's conversation (the HTTP transport opens one per streamed request,
+// the wire transport one per connection), Session.Run starts a query and
+// returns a Cursor, and the client drives the result with Fetch(n) /
+// Discard; a second Run discards the previous cursor. There is one kind of
+// cursor: a producer goroutine runs every query through cypher.Stream and
+// hands Fetch one batch of FetchBatch rows at a time, blocking the query
+// itself when the client fetches slower than it produces. Run fails only on
+// what it sees before executing (a closed session, EXPLAIN or PROFILE, a
+// cursor buffer over the budget); every execution error arrives on the
+// first Fetch, whatever the query's shape. Service.Execute runs the same
+// pipeline to completion for request/response callers.
 //
-// Cursor buffers and materialized results are metered through the engine's
-// shared Accountant, the only record of cursor bytes: a streamed cursor
-// reserves one batch's worth of row bytes for its lifetime, a materialized
-// cursor its full row footprint, and both release on exhaustion, discard,
-// the next Run, client disconnect, or session close. Queries register with
+// The engine's Accountant is the one record of result bytes. A cursor
+// reserves one batch of rows for its lifetime, released on exhaustion,
+// discard, the next Run, client disconnect or session close. The rows a
+// query holds before it can emit (aggregate groups, ORDER BY rows, a
+// length() query's tuples) are charged inside cypher as they grow, so a
+// result over the budget fails while it grows. Cursor.Streaming reports
+// the queries that hold nothing (cypher.Streamable). Queries register with
 // telemetry.DefaultQueries inside the cypher layer, so SHOW QUERIES and
-// /debug/queries see streamed queries with live row counts and can KILL
-// them mid-stream.
+// /debug/queries see them with live row counts and can KILL them.
 package session
 
 import (
@@ -95,21 +91,14 @@ func (s *Service) queryContext(ctx context.Context) (context.Context, context.Ca
 	return context.WithCancel(ctx)
 }
 
-// Execute runs a parsed query to completion and returns the materialized
-// result — the classic request/response path. The query registers with the
-// telemetry registry and honors the service's QueryTimeout.
+// Execute runs a parsed query to completion and returns the result in
+// memory — the classic request/response path. The query registers with the
+// telemetry registry, honors the service's QueryTimeout, and fails with the
+// budget error when the rows it holds while running outgrow the budget.
 func (s *Service) Execute(ctx context.Context, q *cypher.Query, params map[string]any) (*cypher.Result, error) {
 	ctx, cancel := s.queryContext(ctx)
 	defer cancel()
 	return cypher.RunContext(ctx, s.eng, q, params)
-}
-
-// reserve claims a cursor's bytes against the engine accountant.
-func (s *Service) reserve(n int64) error {
-	if err := s.eng.Accountant().Reserve(n); err != nil {
-		return fmt.Errorf("session: result buffer: %w", err)
-	}
-	return nil
 }
 
 // OpenSession starts a session for one client (a wire connection, one
@@ -146,12 +135,12 @@ func (s *Session) Run(ctx context.Context, query string, params map[string]any) 
 	return s.RunParsed(ctx, q, params)
 }
 
-// RunParsed starts an already-parsed query, first discarding the previous
-// cursor if it is still open. Streamable queries return immediately with a
-// producing cursor (execution errors surface on the first Fetch, like a
-// Bolt RUN/PULL split); everything else materializes first, so errors
-// surface here. EXPLAIN and PROFILE are refused: a cursor carries rows, not
-// the plan, analysis or span tree they answer with.
+// RunParsed starts an already-parsed query on a new cursor, first
+// discarding the previous one if it is still open, and returns without
+// executing: execution errors surface on the first Fetch, like a Bolt
+// RUN/PULL split. The cursor reserves one batch of row bytes (plus one row)
+// for its lifetime. EXPLAIN and PROFILE are refused: a cursor carries rows,
+// not the plan, analysis or span tree they answer with.
 func (s *Session) RunParsed(ctx context.Context, q *cypher.Query, params map[string]any) (*Cursor, error) {
 	if s.closed {
 		return nil, fmt.Errorf("session: session %d is closed", s.id)
@@ -162,40 +151,16 @@ func (s *Session) RunParsed(ctx context.Context, q *cypher.Query, params map[str
 	if q.Explain || q.Profile {
 		return nil, errors.New("session: EXPLAIN, EXPLAIN ANALYZE and PROFILE cannot run on a cursor: they return a plan, an analysis or a span tree, not rows")
 	}
-
-	if cypher.Streamable(q) {
-		return s.runStream(ctx, q, params)
-	}
-
-	res, err := s.svc.Execute(ctx, q, params)
-	if err != nil {
-		return nil, err
-	}
-	reserve := rowBytes(len(res.Columns)) * int64(len(res.Rows))
-	if err := s.svc.reserve(reserve); err != nil {
-		return nil, err
-	}
-	s.cur = &Cursor{svc: s.svc, cols: res.Columns, rows: res.Rows, reserved: reserve}
-	return s.cur, nil
-}
-
-// runStream starts a streamable query: the producer hands the engine's
-// streaming join to the client's Fetch calls one batch of FetchBatch rows
-// at a time. One batch of bytes (plus one row) is reserved against the
-// engine accountant for the cursor's lifetime — the reservation is
-// constant in the result cardinality.
-func (s *Session) runStream(ctx context.Context, q *cypher.Query, params map[string]any) (*Cursor, error) {
-	batch := s.svc.opts.FetchBatch
 	cols := cypher.Columns(q)
-	reserve := rowBytes(len(cols)) * int64(batch+1)
-	if err := s.svc.reserve(reserve); err != nil {
-		return nil, err
+	reserve := rowBytes(len(cols)) * int64(s.svc.opts.FetchBatch+1)
+	if err := s.svc.eng.Accountant().Reserve(reserve); err != nil {
+		return nil, fmt.Errorf("session: cursor buffer: %w", err)
 	}
 	cctx, cancel := s.svc.queryContext(ctx)
 	s.cur = &Cursor{
 		svc:       s.svc,
 		cols:      cols,
-		streaming: true,
+		streaming: cypher.Streamable(q),
 		ch:        make(chan [][]any),
 		cancel:    cancel,
 		reserved:  reserve,
@@ -222,4 +187,5 @@ func (s *Session) Close() {
 // header plus one interface value per column. The estimate is what the
 // accountant meters — deliberately simple, stable across value types, and
 // proportional to the only dimension the session controls (rows buffered).
+// The cypher tier charges the rows a query holds with the same estimate.
 func rowBytes(cols int) int64 { return 24 + 24*int64(cols) }

@@ -208,7 +208,9 @@ func (h *connHandler) loop() {
 }
 
 // handleRun discards the previous query's cursor, then parses and starts a
-// query, answering SUCCESS {columns, streaming} — rows only move on FETCH.
+// query, answering SUCCESS {columns, streaming} — rows only move on FETCH,
+// and so do execution errors: RUN fails only on a syntax error or a query
+// the session refuses to start.
 // The discard comes first so that a RUN that fails to parse still ends the
 // query before it.
 func (h *connHandler) handleRun(ctx context.Context, body map[string]any) error {

@@ -200,7 +200,7 @@ sys.exit(not rows or any(len(r) != 2 or r[1] not in (1, 2) for r in rows))' \
     # is exhausted — in-flight back to 0, total incremented.
     await_idle "stream drained"
 
-    step "wire protocol smoke (vsquery -wire rows match the HTTP/JSON path: plain, grouped, and LIMIT also over NDJSON)"
+    step "wire protocol smoke (vsquery -wire and NDJSON rows match the HTTP/JSON path: plain, grouped, ORDER BY ... LIMIT, LIMIT)"
     wireaddr="$(sed -n 's/^wire protocol on //p' "$smokedir/stdout")"
     [ -n "$wireaddr" ] || { echo "vsserve never announced the wire listener" >&2; exit 1; }
     go build -o "$smokedir/vsquery" ./cmd/vsquery
@@ -222,17 +222,30 @@ for row in json.load(sys.stdin)["rows"]:
 for line in sys.stdin:
     print(json.dumps(json.loads(line), separators=(",", ":")))' | sort
     }
-    # same_rows QUERY: both transports return the same non-empty rows.
+    # same_rows QUERY: /query, NDJSON and VSWP return the same non-empty
+    # rows. Every query runs through the same cursor on the two streamed
+    # paths, whatever its shape.
     same_rows() {
-        wire_rows "$1" > "$smokedir/wire_rows"
         http_rows "$1" > "$smokedir/http_rows"
-        [ -s "$smokedir/wire_rows" ] || { echo "vsquery -wire returned no rows for $1" >&2; exit 1; }
-        diff -u "$smokedir/http_rows" "$smokedir/wire_rows" \
-            || { echo "wire and HTTP transports disagree on $1" >&2; exit 1; }
+        [ -s "$smokedir/http_rows" ] || { echo "/query returned no rows for $1" >&2; exit 1; }
+        for path in wire ndjson; do
+            "${path}_rows" "$1" > "$smokedir/${path}_rows"
+            diff -u "$smokedir/http_rows" "$smokedir/${path}_rows" \
+                || { echo "$path and HTTP disagree on $1" >&2; exit 1; }
+        done
     }
     same_rows "$streamq"
-    # A grouped aggregate runs the projector's fold end to end on both.
-    same_rows 'MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN q, COUNT(p) AS c ORDER BY c DESC'
+    # Grouped aggregates run the projector's fold end to end on all three;
+    # ORDER BY ... LIMIT sorts and cuts in the cursor's producer (with a
+    # total order, so the cut is the same rows everywhere).
+    groupq='MATCH (p:SIGA)-[:knows*1..2]-(q:SIGB) RETURN q, COUNT(p) AS c'
+    same_rows "$groupq"
+    same_rows "$groupq ORDER BY c DESC"
+    same_rows "$streamq ORDER BY q DESC, p LIMIT 9"
+    # A grouped query holds its groups: its NDJSON header says so.
+    curl -fsS -N "http://$hostport/query" -d "{\"query\":\"$groupq\",\"stream\":true}" \
+        | head -1 | grep -q '"streaming":false' \
+        || { echo "NDJSON header of $groupq did not say streaming:false" >&2; exit 1; }
     # A plain LIMIT without ORDER BY stops the match after its rows: /query,
     # NDJSON and VSWP each return exactly 7, and the same 7.
     limitq="$streamq LIMIT 7"
