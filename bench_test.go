@@ -725,13 +725,15 @@ func BenchmarkBitmatrixPrimitives(b *testing.B) {
 
 func newRandomMatrix(rows, cols int) *bitmatrix.Matrix {
 	m := bitmatrix.New(rows, cols)
-	w := m.Words()
 	x := uint64(0x9e3779b97f4a7c15)
-	for i := range w {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		w[i] = x
+	for s := 0; s < m.Stacks(); s++ {
+		w := m.StackWords(s)
+		for i := range w {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			w[i] = x
+		}
 	}
 	return m
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/pattern"
+	"repro/internal/vexpand"
 )
 
 // bruteForceMatch enumerates all matches of pat on g directly from the
@@ -131,63 +133,70 @@ func sortTuples(ts [][]graph.VertexID) {
 	})
 }
 
+// randomMatchCase draws a graph of nV vertices with four vertex labels and
+// two edge labels, and a connected pattern of 2–4 vertices with mixed
+// determiners over them.
+func randomMatchCase(rng *rand.Rand, nV int) (*graph.Graph, *pattern.Pattern) {
+	labels := []string{"L0", "L1", "L2", "L3"}
+	b := graph.NewBuilder(nV)
+	for v := 0; v < nV; v++ {
+		// Round-robin base labels guarantee every label exists (an
+		// entirely-unused label is a query error by design), plus a
+		// random extra label on some vertices.
+		b.SetLabel(graph.VertexID(v), labels[v%len(labels)])
+		if rng.Intn(3) == 0 {
+			b.SetLabel(graph.VertexID(v), labels[rng.Intn(len(labels))])
+		}
+	}
+	// Two edge labels, both guaranteed present.
+	b.AddEdge("e1", 0, uint32(1%nV))
+	b.AddEdge("e2", uint32(1%nV), 0)
+	m := rng.Intn(3 * nV)
+	for i := 0; i < m; i++ {
+		label := []string{"e1", "e2"}[rng.Intn(2)]
+		b.AddEdge(label, uint32(rng.Intn(nV)), uint32(rng.Intn(nV)))
+	}
+	g := b.MustBuild()
+
+	nP := 2 + rng.Intn(3)
+	pat := &pattern.Pattern{}
+	for i := 0; i < nP; i++ {
+		pat.Vertices = append(pat.Vertices, pattern.Vertex{
+			Name:   string(rune('a' + i)),
+			Labels: []string{labels[rng.Intn(len(labels))]},
+		})
+	}
+	mkDet := func() pattern.Determiner {
+		d := pattern.Determiner{
+			KMin:       1 + rng.Intn(2),
+			Dir:        graph.Direction(rng.Intn(3)),
+			Type:       pattern.PathType(rng.Intn(2)),
+			EdgeLabels: [][]string{{"e1"}, {"e2"}, {"e1", "e2"}}[rng.Intn(3)],
+		}
+		d.KMax = d.KMin + rng.Intn(3)
+		return d
+	}
+	// Spanning tree + occasional extra edge.
+	for i := 1; i < nP; i++ {
+		j := rng.Intn(i)
+		pat.Edges = append(pat.Edges, pattern.Edge{
+			Src: pat.Vertices[j].Name, Dst: pat.Vertices[i].Name, D: mkDet(),
+		})
+	}
+	if nP > 2 && rng.Intn(2) == 0 {
+		pat.Edges = append(pat.Edges, pattern.Edge{
+			Src: pat.Vertices[0].Name, Dst: pat.Vertices[nP-1].Name, D: mkDet(),
+		})
+	}
+	return g, pat
+}
+
 // Property: Match agrees with brute force on random graphs and random
 // connected patterns of 2–4 vertices with mixed determiners.
 func TestQuickMatchAgainstBruteForce(t *testing.T) {
-	labels := []string{"L0", "L1", "L2", "L3"}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		nV := 15 + rng.Intn(25)
-		b := graph.NewBuilder(nV)
-		for v := 0; v < nV; v++ {
-			// Round-robin base labels guarantee every label exists (an
-			// entirely-unused label is a query error by design), plus a
-			// random extra label on some vertices.
-			b.SetLabel(graph.VertexID(v), labels[v%len(labels)])
-			if rng.Intn(3) == 0 {
-				b.SetLabel(graph.VertexID(v), labels[rng.Intn(len(labels))])
-			}
-		}
-		// Two edge labels, both guaranteed present.
-		b.AddEdge("e1", 0, uint32(1%nV))
-		b.AddEdge("e2", uint32(1%nV), 0)
-		m := rng.Intn(3 * nV)
-		for i := 0; i < m; i++ {
-			label := []string{"e1", "e2"}[rng.Intn(2)]
-			b.AddEdge(label, uint32(rng.Intn(nV)), uint32(rng.Intn(nV)))
-		}
-		g := b.MustBuild()
-
-		nP := 2 + rng.Intn(3)
-		pat := &pattern.Pattern{}
-		for i := 0; i < nP; i++ {
-			pat.Vertices = append(pat.Vertices, pattern.Vertex{
-				Name:   string(rune('a' + i)),
-				Labels: []string{labels[rng.Intn(len(labels))]},
-			})
-		}
-		mkDet := func() pattern.Determiner {
-			d := pattern.Determiner{
-				KMin:       1 + rng.Intn(2),
-				Dir:        graph.Direction(rng.Intn(3)),
-				Type:       pattern.PathType(rng.Intn(2)),
-				EdgeLabels: [][]string{{"e1"}, {"e2"}, {"e1", "e2"}}[rng.Intn(3)],
-			}
-			d.KMax = d.KMin + rng.Intn(3)
-			return d
-		}
-		// Spanning tree + occasional extra edge.
-		for i := 1; i < nP; i++ {
-			j := rng.Intn(i)
-			pat.Edges = append(pat.Edges, pattern.Edge{
-				Src: pat.Vertices[j].Name, Dst: pat.Vertices[i].Name, D: mkDet(),
-			})
-		}
-		if nP > 2 && rng.Intn(2) == 0 {
-			pat.Edges = append(pat.Edges, pattern.Edge{
-				Src: pat.Vertices[0].Name, Dst: pat.Vertices[nP-1].Name, D: mkDet(),
-			})
-		}
+		g, pat := randomMatchCase(rng, 15+rng.Intn(25))
 
 		eng := New(g, Options{})
 		res, err := eng.Match(pat, MatchOptions{})
@@ -210,6 +219,57 @@ func TestQuickMatchAgainstBruteForce(t *testing.T) {
 			return false
 		}
 		return cres.Count == int64(len(want))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: MatchEach hands over the identical tuple sequence, and the same
+// count, whether VExpand runs the BFS kernel (sparse stacks) or Hilbert
+// (dense ones), on graphs large enough for several 512-row stacks; and
+// every query gives back all it reserved: the accountant returns to zero
+// without a cache and to the cache's residency with one.
+func TestQuickMatchEachSameSequenceAcrossKernels(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		nV := 15 + rng.Intn(25)
+		if rng.Intn(2) == 0 {
+			nV = 1200 + rng.Intn(2000) // label candidate sets past one 512-row stack
+		}
+		g, pat := randomMatchCase(rng, nV)
+		var seqs [][][]graph.VertexID
+		var counts []int64
+		for _, k := range []vexpand.Kernel{vexpand.BFS, vexpand.Hilbert} {
+			for _, cacheBytes := range []int64{0, DefaultCacheBytes} {
+				eng := New(g, Options{Kernel: k, CacheBytes: cacheBytes})
+				for run := 0; run < 2; run++ { // the second run reads the cache when there is one
+					var seq [][]graph.VertexID
+					res, err := eng.MatchEach(context.Background(), pat, MatchOptions{}, func(tuple []graph.VertexID) bool {
+						seq = append(seq, append([]graph.VertexID(nil), tuple...))
+						return true
+					})
+					if err != nil {
+						t.Logf("seed %d: %v: %v", seed, k, err)
+						return false
+					}
+					if in, cached := eng.Accountant().InUse(), eng.cache.Bytes(); in != cached {
+						t.Logf("seed %d: %v: %d bytes reserved after the query, cache holds %d", seed, k, in, cached)
+						return false
+					}
+					seqs = append(seqs, seq)
+					counts = append(counts, res.Count)
+				}
+			}
+		}
+		for i := range seqs {
+			if !reflect.DeepEqual(seqs[i], seqs[0]) || counts[i] != counts[0] || counts[i] != int64(len(seqs[i])) {
+				t.Logf("seed %d: run %d gave %d tuples (count %d), run 0 gave %d (count %d)",
+					seed, i, len(seqs[i]), counts[i], len(seqs[0]), counts[0])
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

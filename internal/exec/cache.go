@@ -50,9 +50,9 @@ func NewCacheKey(epoch uint64, d pattern.Determiner, sources []graph.VertexID) C
 // Cached results are shared across queries and must never be mutated —
 // the engine's join assembly clones before AND-ing (copy-on-AND).
 //
-// Entry sizes are the result's reachability-matrix bytes; residency is
-// charged to the shared Accountant (when set) so cached matrices and live
-// intermediates compete for one budget.
+// An entry's size is its result's reachability-matrix bytes plus
+// cacheEntryOverhead; residency is charged to the shared Accountant (when
+// set) so cached matrices and live intermediates compete for one budget.
 type MatrixCache struct {
 	mu      sync.Mutex
 	limit   int64
@@ -61,6 +61,15 @@ type MatrixCache struct {
 	entries map[CacheKey]*list.Element
 	lru     *list.List // front = most recent; values are *cacheEntry
 }
+
+// cacheEntryOverhead is what one entry costs beyond its matrix's bits, by
+// Go's size classes on amd64: the map slot and its share of the buckets
+// (~64 B), the list element (48), the cacheEntry (64), the vexpand.Result
+// (160) and its Matrix header (80), a sparse matrix's stack table (112),
+// and the determiner key string (32). Without it a cache of ~300-byte
+// sparse results would hold ~200k entries whose bookkeeping outweighs
+// their bits and that nobody charges.
+const cacheEntryOverhead = 512
 
 type cacheEntry struct {
 	key  CacheKey
@@ -106,8 +115,8 @@ func (c *MatrixCache) Put(k CacheKey, r *vexpand.Result) {
 	if c == nil || r == nil || r.Reach == nil {
 		return
 	}
-	size := int64(r.Reach.SizeBytes())
-	if size <= 0 || size > c.limit {
+	size := int64(r.Reach.SizeBytes()) + cacheEntryOverhead
+	if size > c.limit {
 		return
 	}
 	c.mu.Lock()

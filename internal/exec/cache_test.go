@@ -17,6 +17,11 @@ func result64(cols int) *vexpand.Result {
 	return &vexpand.Result{Reach: bitmatrix.New(64, cols)}
 }
 
+// entrySize is what the cache charges for holding r.
+func entrySize(r *vexpand.Result) int64 {
+	return int64(r.Reach.SizeBytes()) + cacheEntryOverhead
+}
+
 func cacheKey(i int) CacheKey {
 	return CacheKey{Epoch: 1, Det: "d", SrcLen: 1, SrcHash: uint64(i)}
 }
@@ -36,7 +41,7 @@ func TestMatrixCachePutGet(t *testing.T) {
 	if hits := telemetry.MatrixCacheHits.Value() - hits0; hits != 1 {
 		t.Fatalf("hit counter advanced by %d, want 1", hits)
 	}
-	if c.Len() != 1 || c.Bytes() != int64(r.Reach.SizeBytes()) {
+	if c.Len() != 1 || c.Bytes() != entrySize(r) {
 		t.Fatalf("Len=%d Bytes=%d", c.Len(), c.Bytes())
 	}
 	// Duplicate keys are skipped, not replaced.
@@ -47,7 +52,7 @@ func TestMatrixCachePutGet(t *testing.T) {
 }
 
 func TestMatrixCacheLRUEviction(t *testing.T) {
-	size := int64(result64(64).Reach.SizeBytes())
+	size := entrySize(result64(64))
 	c := NewMatrixCache(2*size, nil)
 	ev0 := telemetry.MatrixCacheEvictions.Value()
 	c.Put(cacheKey(1), result64(64))
@@ -88,7 +93,7 @@ func TestMatrixCacheOversizeSkipped(t *testing.T) {
 }
 
 func TestMatrixCacheChargesAccountant(t *testing.T) {
-	size := int64(result64(64).Reach.SizeBytes())
+	size := entrySize(result64(64))
 	acct := NewAccountant(size) // room for exactly one resident matrix
 	c := NewMatrixCache(1<<20, acct)
 	c.Put(cacheKey(1), result64(64))
@@ -112,7 +117,7 @@ func TestMatrixCacheChargesAccountant(t *testing.T) {
 }
 
 func TestMatrixCacheEvictBytesUnderPressure(t *testing.T) {
-	size := int64(result64(64).Reach.SizeBytes())
+	size := entrySize(result64(64))
 	acct := NewAccountant(2 * size)
 	c := NewMatrixCache(1<<20, acct)
 	acct.OnPressure = c.EvictBytes
@@ -180,4 +185,37 @@ func TestDeterminerKeyMapOrderStable(t *testing.T) {
 		}
 	}
 	_ = fmt.Sprint(want)
+}
+
+// Many tiny entries are charged their bookkeeping too: a limit that would
+// hold 4,000 sparse one-pair matrices by their bits alone holds only as many
+// as fit with cacheEntryOverhead each, and the accountant agrees.
+func TestMatrixCacheChargesEntryOverhead(t *testing.T) {
+	tiny := func() *vexpand.Result {
+		m := bitmatrix.NewSparse(1, 162000)
+		sb := m.BuildStack(0)
+		sb.AddRow(0, []uint32{7})
+		sb.Finish()
+		return &vexpand.Result{Reach: m}
+	}
+	bits := int64(tiny().Reach.SizeBytes())
+	limit := 4000 * bits
+	acct := NewAccountant(1 << 30)
+	c := NewMatrixCache(limit, acct)
+	for i := 0; i < 4000; i++ {
+		c.Put(cacheKey(i), tiny())
+		if c.Bytes() > limit || acct.InUse() != c.Bytes() {
+			t.Fatalf("after %d puts: Bytes=%d InUse=%d limit=%d", i+1, c.Bytes(), acct.InUse(), limit)
+		}
+	}
+	if c.Len() >= 4000/10 {
+		t.Fatalf("Len=%d: a %d-byte limit holds %d-byte entries as if their bookkeeping were free", c.Len(), limit, bits)
+	}
+	if want := int(limit / (bits + cacheEntryOverhead)); c.Len() != want {
+		t.Fatalf("Len=%d, want %d entries of %d+%d bytes under %d", c.Len(), want, bits, cacheEntryOverhead, limit)
+	}
+	c.EvictBytes(limit)
+	if c.Len() != 0 || c.Bytes() != 0 || acct.InUse() != 0 {
+		t.Fatalf("after full eviction: Len=%d Bytes=%d InUse=%d", c.Len(), c.Bytes(), acct.InUse())
+	}
 }

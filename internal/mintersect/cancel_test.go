@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/bitmatrix"
 	"repro/internal/graph"
@@ -82,31 +82,49 @@ func TestRunContextPreCanceled(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelsMidIntersect cancels a long join shortly after it
-// starts and requires a prompt cooperative return — seeds and extend calls
-// together poll the context every cancelCheckMask+1 units. Run under -race
-// this proves the cancellation path is race-free across partition workers.
+// pollCtx is a context whose Err turns on at its switchAt-th call, with no
+// timer: a cancellation that lands at a point the join's own counter
+// decides, not the scheduler. It counts the calls made after the switch.
+type pollCtx struct {
+	context.Context
+	switchAt int64
+	polls    atomic.Int64
+	late     atomic.Int64
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls.Add(1) >= c.switchAt {
+		c.late.Add(1)
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunContextCancelsMidIntersect cancels a long join halfway through its
+// polls and bounds the work done after the cancel in the join's own units:
+// every worker polls once per cancelCheckMask+1 seeds and extension calls
+// and stops at the first poll that sees the cancel, so no more than one
+// poll per worker may come after the switch. Run under -race this also
+// proves the cancellation path is race-free across partition workers.
 func TestRunContextCancelsMidIntersect(t *testing.T) {
 	mk := cancelInput(t, 3600, 3)
-	t0 := time.Now()
-	if _, err := Run(mk(), Options{CountOnly: true, Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
-	full := time.Since(t0)
-	if full < 5*time.Millisecond {
-		t.Skipf("full join took only %v; too fast to cancel mid-run", full)
-	}
 	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithTimeout(context.Background(), full/20)
-		t1 := time.Now()
-		_, err := RunContext(ctx, mk(), Options{CountOnly: true, Workers: workers})
-		elapsed := time.Since(t1)
-		cancel()
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("workers=%d: mid-join cancel = %v, want context.DeadlineExceeded", workers, err)
+		count := &pollCtx{Context: context.Background(), switchAt: 1 << 62}
+		if _, err := RunContext(count, mk(), Options{CountOnly: true, Workers: workers}); err != nil {
+			t.Fatal(err)
 		}
-		if elapsed > full {
-			t.Fatalf("workers=%d: canceled join still took %v (full run: %v)", workers, elapsed, full)
+		total := count.polls.Load()
+		if total < 16 {
+			t.Fatalf("workers=%d: full join polled only %d times; too short to cancel mid-run", workers, total)
+		}
+		ctx := &pollCtx{Context: context.Background(), switchAt: total / 2}
+		_, err := RunContext(ctx, mk(), Options{CountOnly: true, Workers: workers})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: mid-join cancel = %v, want context.Canceled", workers, err)
+		}
+		if late := ctx.late.Load(); late > int64(workers) {
+			t.Fatalf("workers=%d: %d polls after the cancel; each worker must stop at its first (at most %d units later)",
+				workers, late, cancelCheckMask+1)
 		}
 	}
 }

@@ -315,8 +315,8 @@ type level struct {
 // newLevel splits Ext[t] into early and late matrices and builds the
 // level's buffers and row arrays, once per join.
 func newLevel(in *Input, t int) level {
-	words := in.Ext[t][0].M.Stacks() * bitmatrix.WordsPerColumn
-	lv := level{scratch: make([]uint64, words)}
+	m := in.Ext[t][0].M
+	lv := level{scratch: m.NewColumn()}
 	for _, em := range in.Ext[t] {
 		if em.EarlierPos == t-1 {
 			lv.late = append(lv.late, em)
@@ -325,7 +325,7 @@ func newLevel(in *Input, t int) level {
 		}
 	}
 	if len(lv.early) > 0 {
-		lv.hoisted = make([]uint64, words)
+		lv.hoisted = m.NewColumn()
 	}
 	lv.rowAt = make([][]int32, t)
 	lv.rowAt[0] = rowsAt(in.FirstCols, in.RowCandidates[t])
@@ -403,44 +403,51 @@ func (e *executor) run() error {
 	}
 	first := e.in.First.M
 	cand1 := e.in.RowCandidates[1]
+	cols := e.in.FirstCols
 	if e.in.NumPatternVertices == 2 && e.opts.CountOnly {
 		// Counting fast path: popcount every seed column, then take out the
 		// self-matches (bijection) in one merge over the two lists, which
 		// validate has checked are ascending.
-		pairs := -selfMatches(first, e.in.FirstCols, cand1)
-		for _, c0 := range e.in.FirstCols {
+		pairs := -selfMatches(first, cols, cand1)
+		bitmatrix.SeedCounts(first, cols, func(_, n int) bool {
 			if e.canceled() {
-				return e.err
+				return false
 			}
-			pairs += int64(first.ColumnPopCount(int(c0)))
+			pairs += int64(n)
+			return true
+		})
+		if e.err != nil {
+			return e.err
 		}
 		e.res.Count += pairs
 		e.res.Stats.SeedPairs += pairs
 		return nil
 	}
-	for i, c0 := range e.in.FirstCols {
+	// bitmatrix owns the seed loop: it visits every seed column of a dense
+	// matrix, and only the non-empty ones of a sparse one.
+	var c0 graph.VertexID
+	bitmatrix.ForEachSeed(first, cols, func(i int) bool {
 		if e.stopped || e.canceled() {
-			break
+			return false
 		}
+		c0 = cols[i]
 		e.bound[0] = c0
 		if e.levels != nil { // n > 2: position 2 may hoist columns of c0
 			e.rows[0] = i
 			e.hoist(2)
 		}
-		first.ForEachInColumn(int(c0), func(row int) {
-			if e.stopped {
-				return
-			}
-			v1 := cand1[row]
-			if v1 == c0 {
-				return // bijection: θ must be injective
-			}
-			e.res.Stats.SeedPairs++
-			e.bound[1] = v1
-			e.rows[1] = row
-			e.extend(2)
-		})
-	}
+		return true
+	}, func(row int) bool {
+		v1 := cand1[row]
+		if v1 == c0 {
+			return true // bijection: θ must be injective
+		}
+		e.res.Stats.SeedPairs++
+		e.bound[1] = v1
+		e.rows[1] = row
+		e.extend(2)
+		return !e.stopped
+	})
 	return e.err
 }
 
@@ -486,11 +493,11 @@ func (e *executor) hoist(t int) {
 	}
 	dst, bound := lv.hoisted, e.bound
 	if p := early[0].EarlierPos; uint(p) < uint(len(bound)) {
-		copyColumn(dst, early[0].M, int(bound[p]))
+		early[0].M.CopyColumn(dst, int(bound[p]))
 	}
 	for _, em := range early[1:] {
 		if p := em.EarlierPos; uint(p) < uint(len(bound)) {
-			andColumn(dst, em.M, int(bound[p]))
+			em.M.AndColumn(dst, int(bound[p]))
 		}
 	}
 	e.res.Stats.Intersections += int64(len(early))
@@ -535,14 +542,14 @@ func (e *executor) extend(t int) {
 	case len(late) == 0:
 		copy(scratch, lv.hoisted)
 	case lv.hoisted != nil:
-		andFrom(scratch, lv.hoisted, late[0].M, c)
+		late[0].M.AndFrom(scratch, lv.hoisted, c)
 		late = late[1:]
 	default:
-		copyColumn(scratch, late[0].M, c)
+		late[0].M.CopyColumn(scratch, c)
 		late = late[1:]
 	}
 	for _, em := range late {
-		andColumn(scratch, em.M, c)
+		em.M.AndColumn(scratch, c)
 	}
 	e.res.Stats.Intersections += int64(len(lv.late))
 	// Bijection: clear the rows of already-bound vertices that are among
@@ -603,73 +610,5 @@ func (e *executor) emit() {
 	e.res.Count++
 	if !e.opts.CountOnly && !e.fn(e.bound) {
 		e.stopped = true
-	}
-}
-
-// copyColumn copies column c of m (all stacks) into dst.
-//
-//vs:hotpath
-func copyColumn(dst []uint64, m *bitmatrix.Matrix, c int) {
-	for s := 0; s < m.Stacks(); s++ {
-		w := m.ColumnWords(s, c)
-		base := s * bitmatrix.WordsPerColumn
-		// hi is computed once so the guard compares the exact SSA values
-		// the slice expressions use (see ColumnWords); it never fires.
-		hi := base + bitmatrix.WordsPerColumn
-		if len(w) < bitmatrix.WordsPerColumn || base < 0 || hi < base ||
-			hi > len(dst) || hi > cap(dst) {
-			return
-		}
-		copy(dst[base:hi], w[:bitmatrix.WordsPerColumn])
-	}
-}
-
-// andColumn ANDs column c of m into dst, the Go stand-in for the paper's
-// SIMD bitwise-AND of matrix columns.
-//
-//vs:hotpath
-func andColumn(dst []uint64, m *bitmatrix.Matrix, c int) {
-	for s := 0; s < m.Stacks(); s++ {
-		w := m.ColumnWords(s, c)
-		base := s * bitmatrix.WordsPerColumn
-		hi := base + bitmatrix.WordsPerColumn
-		if len(w) < bitmatrix.WordsPerColumn || base < 0 || hi < base ||
-			hi > len(dst) || hi > cap(dst) {
-			return
-		}
-		d := dst[base:hi:hi]
-		d[0] &= w[0]
-		d[1] &= w[1]
-		d[2] &= w[2]
-		d[3] &= w[3]
-		d[4] &= w[4]
-		d[5] &= w[5]
-		d[6] &= w[6]
-		d[7] &= w[7]
-	}
-}
-
-// andFrom writes src AND column c of m into dst: the hoisted set and a late
-// column fused into one pass, so an extension copies no invariant column.
-//
-//vs:hotpath
-func andFrom(dst, src []uint64, m *bitmatrix.Matrix, c int) {
-	for s := 0; s < m.Stacks(); s++ {
-		w := m.ColumnWords(s, c)
-		base := s * bitmatrix.WordsPerColumn
-		hi := base + bitmatrix.WordsPerColumn
-		if len(w) < bitmatrix.WordsPerColumn || base < 0 || hi < base ||
-			hi > len(dst) || hi > cap(dst) || hi > len(src) || hi > cap(src) {
-			return
-		}
-		d, a := dst[base:hi:hi], src[base:hi:hi]
-		d[0] = a[0] & w[0]
-		d[1] = a[1] & w[1]
-		d[2] = a[2] & w[2]
-		d[3] = a[3] & w[3]
-		d[4] = a[4] & w[4]
-		d[5] = a[5] & w[5]
-		d[6] = a[6] & w[6]
-		d[7] = a[7] & w[7]
 	}
 }

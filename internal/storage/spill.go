@@ -2,7 +2,6 @@ package storage
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -41,10 +40,9 @@ type Budget interface {
 }
 
 type spillRecord struct {
-	worker     int
-	offset     int64
-	rows, cols int
-	words      int64
+	worker int
+	offset int64
+	size   int64 // bytes of the matrix's bitmatrix encoding
 }
 
 // Handle identifies a spilled matrix.
@@ -127,17 +125,14 @@ func (s *SpillManager) SpillContext(ctx context.Context, worker int, m *bitmatri
 	if err != nil {
 		return 0, fmt.Errorf("storage: %w", err)
 	}
-	words := m.Words()
+	size := int64(m.EncodedLen())
 	if s.Budget != nil {
-		if err := s.Budget.Reserve(int64(len(words) * 8)); err != nil {
+		if err := s.Budget.Reserve(size); err != nil {
 			return 0, err
 		}
-		defer s.Budget.Release(int64(len(words) * 8))
+		defer s.Budget.Release(size)
 	}
-	buf := make([]byte, len(words)*8)
-	for i, w := range words {
-		binary.LittleEndian.PutUint64(buf[i*8:], w)
-	}
+	buf := m.AppendBinary(make([]byte, 0, size))
 	if _, err := f.Write(buf); err != nil {
 		return 0, fmt.Errorf("storage: %w", err)
 	}
@@ -145,7 +140,7 @@ func (s *SpillManager) SpillContext(ctx context.Context, worker int, m *bitmatri
 	s.mu.Lock()
 	s.handles[id] = spillRecord{
 		worker: worker, offset: off,
-		rows: m.Rows(), cols: m.Cols(), words: int64(len(words)),
+		size: size,
 	}
 	s.bytes += int64(len(buf))
 	s.mu.Unlock()
@@ -186,25 +181,21 @@ func (s *SpillManager) LoadContext(ctx context.Context, h Handle) (*bitmatrix.Ma
 		return nil, fmt.Errorf("storage: spill file for worker %d already closed", rec.worker)
 	}
 	if s.Budget != nil {
-		if err := s.Budget.Reserve(rec.words * 8); err != nil {
+		if err := s.Budget.Reserve(rec.size); err != nil {
 			return nil, err
 		}
-		defer s.Budget.Release(rec.words * 8)
+		defer s.Budget.Release(rec.size)
 	}
-	buf := make([]byte, rec.words*8)
+	buf := make([]byte, rec.size)
 	if _, err := f.ReadAt(buf, rec.offset); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
 	telemetry.SpillReadBytes.Add(int64(len(buf)))
 	telemetry.CurrentQuery(ctx).AddSpillReadBytes(int64(len(buf)))
 	sp.SetInt("bytes", int64(len(buf)))
-	m := bitmatrix.New(rec.rows, rec.cols)
-	words := m.Words()
-	if int64(len(words)) != rec.words {
-		return nil, fmt.Errorf("storage: spill record shape mismatch")
-	}
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(buf[i*8:])
+	m, err := bitmatrix.Decode(buf)
+	if err != nil {
+		return nil, fmt.Errorf("storage: spill record: %w", err)
 	}
 	return m, nil
 }

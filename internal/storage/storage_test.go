@@ -181,6 +181,43 @@ func TestSpillRoundTrip(t *testing.T) {
 	}
 }
 
+// A matrix with a sparse stack and a dense one spills and loads back with
+// its bits, its stack forms (so its size) and its reservation intact.
+func TestSpillRoundTripMixedForms(t *testing.T) {
+	sm, err := NewSpillManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sm.Close()
+	m := bitmatrix.NewSparse(900, 5000)
+	sb := m.BuildStack(0)
+	sb.AddRow(3, []uint32{4999, 17, 17, 0})
+	sb.AddRow(400, []uint32{17})
+	sb.Finish()
+	sb = m.BuildStack(1)
+	all := make([]uint32, 5000)
+	for i := range all {
+		all[i] = uint32(i)
+	}
+	sb.AddRow(899, all) // past the sparse bound: this stack is dense
+	sb.Finish()
+	h, err := sm.Spill(0, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := sm.Load(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !back.Equal(m) || back.PopCount() != 5004 || back.SizeBytes() != m.SizeBytes() {
+		t.Fatalf("mixed round trip: equal %v, %d bits, %d bytes (want %d)",
+			back.Equal(m), back.PopCount(), back.SizeBytes(), m.SizeBytes())
+	}
+	if m.SizeBytes() >= bitmatrix.New(900, 5000).SizeBytes() {
+		t.Fatalf("the sparse stack is not sparse: %d bytes", m.SizeBytes())
+	}
+}
+
 func TestSpillConcurrentWorkers(t *testing.T) {
 	sm, err := NewSpillManager(t.TempDir())
 	if err != nil {

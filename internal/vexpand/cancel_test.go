@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/pattern"
@@ -50,10 +50,29 @@ func TestExpandContextPreCanceled(t *testing.T) {
 	}
 }
 
+// pollCtx is a context whose Err turns on at its switchAt-th call, with no
+// timer, and counts the calls made after the switch.
+type pollCtx struct {
+	context.Context
+	switchAt int64
+	polls    atomic.Int64
+	late     atomic.Int64
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls.Add(1) >= c.switchAt {
+		c.late.Add(1)
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestExpandContextCancelsMidExpand cancels a deliberately large expansion
-// shortly after it starts and requires a prompt cooperative return — the
-// step loops and BFS workers poll the context. Run under -race this also
-// proves the cancellation paths are data-race-free.
+// halfway through its context polls and requires that no worker starts a
+// new step or row after the cancel: the matrix kernels poll once per step
+// and each BFS worker once per row and per step, so after the switch each
+// worker makes one poll, and the expansion one closing check. Run under
+// -race this also proves the cancellation paths are data-race-free.
 func TestExpandContextCancelsMidExpand(t *testing.T) {
 	ensureParallel(t)
 	g := raceGraph(t, 4000, 60000)
@@ -61,30 +80,26 @@ func TestExpandContextCancelsMidExpand(t *testing.T) {
 	for i := range sources {
 		sources[i] = graph.VertexID(i)
 	}
+	const workers = 4
 	for _, tc := range cancelCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			// Calibrate: the uncancelled expansion must be slow enough that
-			// a cancellation a fraction in lands mid-run.
-			t0 := time.Now()
-			if _, err := Expand(g, sources, tc.d, Options{Kernel: tc.kernel, Workers: 4}); err != nil {
+			opts := Options{Kernel: tc.kernel, Workers: workers}
+			count := &pollCtx{Context: context.Background(), switchAt: 1 << 62}
+			if _, err := ExpandContext(count, g, sources, tc.d, opts); err != nil {
 				t.Fatal(err)
 			}
-			full := time.Since(t0)
-			if full < 5*time.Millisecond {
-				t.Skipf("full expansion took only %v; too fast to cancel mid-run", full)
+			total := count.polls.Load()
+			if total < 4 {
+				t.Fatalf("full expansion polled only %d times; too short to cancel mid-run", total)
 			}
-
-			ctx, cancel := context.WithTimeout(context.Background(), full/20)
-			defer cancel()
-			t1 := time.Now()
-			_, err := ExpandContext(ctx, g, sources, tc.d, Options{Kernel: tc.kernel, Workers: 4})
-			elapsed := time.Since(t1)
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("mid-expand cancel = %v, want context.DeadlineExceeded", err)
+			ctx := &pollCtx{Context: context.Background(), switchAt: total / 2}
+			_, err := ExpandContext(ctx, g, sources, tc.d, opts)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("mid-expand cancel = %v, want context.Canceled", err)
 			}
-			// "Prompt" = well before the full runtime (one step of slack).
-			if elapsed > full {
-				t.Fatalf("canceled expansion still took %v (full run: %v)", elapsed, full)
+			if late := ctx.late.Load(); late > workers+1 {
+				t.Fatalf("%d polls after the cancel (of %d in a full run); at most %d, one per worker and the closing check",
+					late, total, workers+1)
 			}
 		})
 	}

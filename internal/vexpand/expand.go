@@ -118,17 +118,19 @@ type Result struct {
 	// Reach has Reach[i][j] = 1 iff D(Sources[i], j) holds.
 	Reach *bitmatrix.Matrix
 	// PerStep, when requested from a matrix kernel, holds the
-	// newly-reached matrix of each step: PerStep[c][i][j] = 1 iff the
-	// shortest walk from Sources[i] to j has exactly c+1 edges (index 0
-	// is step 1). The BFS kernel records sparse per-row distance maps
-	// instead (its row counts are small); use MinLength either way.
+	// newly-reached matrix of each step from the determiner's kmin on (no
+	// length below it is ever asked for): PerStep[c][i][j] = 1 iff the
+	// shortest walk from Sources[i] to j has exactly max(kmin,1)+c edges.
+	// ForEachStep reports each with its step number. The BFS kernel
+	// records sparse per-row distance maps instead; use MinLength either
+	// way.
 	PerStep []*bitmatrix.Matrix
 	// bfsDist[i][j] is the minimal walk length of at least kmin from
 	// Sources[i] to j when the BFS kernel ran with KeepPerStep.
 	bfsDist []map[graph.VertexID]int
-	// kmin is the determiner's minimum hop count: MinLength skips the
-	// matrix kernels' retained steps below it.
-	kmin int
+	// firstStep is the step number of the first retained step matrix,
+	// max(kmin, 1).
+	firstStep int
 	// Spilled step matrices (matrix kernels with Options.Spill).
 	spill        *storage.SpillManager
 	spillHandles []storage.Handle
@@ -149,9 +151,9 @@ func (r *Result) StepCount() int {
 	return len(r.PerStep)
 }
 
-// StepMatrix returns the newly-reached matrix of step c (1-indexed step
-// c+1), loading it from the spill manager when spilled. Spilled loads
-// allocate; prefer ForEachStep for sequential scans.
+// StepMatrix returns the c-th retained newly-reached matrix, that of step
+// max(kmin,1)+c, loading it from the spill manager when spilled. Spilled
+// loads allocate; prefer ForEachStep for sequential scans.
 func (r *Result) StepMatrix(c int) (*bitmatrix.Matrix, error) {
 	if r.spill != nil {
 		return r.spill.Load(r.spillHandles[c])
@@ -159,15 +161,16 @@ func (r *Result) StepMatrix(c int) (*bitmatrix.Matrix, error) {
 	return r.PerStep[c], nil
 }
 
-// ForEachStep calls fn with each retained step matrix in order, loading
-// spilled matrices one at a time so memory stays bounded by one step.
+// ForEachStep calls fn with each retained step matrix and its step number,
+// in order, loading spilled matrices one at a time so memory stays bounded
+// by one step.
 func (r *Result) ForEachStep(fn func(step int, m *bitmatrix.Matrix) error) error {
 	for c := 0; c < r.StepCount(); c++ {
 		m, err := r.StepMatrix(c)
 		if err != nil {
 			return err
 		}
-		if err := fn(c+1, m); err != nil {
+		if err := fn(r.firstStep+c, m); err != nil {
 			return err
 		}
 	}
@@ -184,13 +187,13 @@ func (r *Result) MinLength(row int, dst graph.VertexID) (int, bool) {
 		l, ok := r.bfsDist[row][dst]
 		return l, ok
 	}
-	for c := max(r.kmin, 1) - 1; c < r.StepCount(); c++ {
+	for c := 0; c < r.StepCount(); c++ {
 		m, err := r.StepMatrix(c)
 		if err != nil {
 			return 0, false
 		}
 		if m.Get(row, int(dst)) {
-			return c + 1, true
+			return r.firstStep + c, true
 		}
 	}
 	return 0, false
@@ -342,6 +345,9 @@ type expansion struct {
 	query *telemetry.QueryInfo
 	// reserved tracks bytes claimed on opts.Budget, released at return.
 	reserved int64
+	// budgetMu serializes the BFS workers' reservations, so a Budget
+	// need not be safe for concurrent use by one expansion.
+	budgetMu sync.Mutex
 }
 
 func (e *expansion) maxSteps() int {
@@ -387,9 +393,9 @@ func (e *expansion) runMatrix() (*Result, error) {
 	n := e.g.NumVertices()
 	rows := len(e.sources)
 	res := &Result{
-		Sources: e.sources,
-		Reach:   bitmatrix.New(rows, n),
-		kmin:    e.d.KMin,
+		Sources:   e.sources,
+		Reach:     bitmatrix.New(rows, n),
+		firstStep: max(e.d.KMin, 1),
 	}
 	res.Stats.Kernel = e.kernel
 	if rows == 0 {
@@ -503,7 +509,7 @@ func (e *expansion) runMatrix() (*Result, error) {
 			}
 			break
 		}
-		if e.opts.KeepPerStep {
+		if e.opts.KeepPerStep && step >= res.firstStep {
 			if e.opts.Spill != nil {
 				h, err := e.opts.Spill.SpillContext(e.ctx, 0, next)
 				if err != nil {
@@ -611,23 +617,23 @@ func insertionCOO(es *graph.EdgeSet) (src, dst []uint32) {
 // runBFS executes the per-source BFS kernel over CSR adjacency. A source's
 // frontier is a vertex list and its seen set a |V|-bit bitmap that is
 // cleaned by un-setting exactly the bits that source set, so a source costs
-// O(edges visited) however large the graph is. Sources are partitioned
-// across workers; each writes only its own matrix rows.
+// O(edges visited) however large the graph is. Each row's reach list goes
+// to its stack's builder, which keeps the stack sparse until it fills, so
+// the matrix costs its set bits rather than |V| per stack. Sources are
+// partitioned across workers on stack boundaries; each builds its own
+// stacks and reserves their bytes as they grow.
 func (e *expansion) runBFS() (*Result, error) {
 	n := e.g.NumVertices()
 	rows := len(e.sources)
 	res := &Result{
 		Sources: e.sources,
-		Reach:   bitmatrix.New(rows, n),
+		Reach:   bitmatrix.NewSparse(rows, n),
 	}
 	res.Stats.Kernel = BFS
 	if rows == 0 {
 		return res, nil
 	}
 	defer e.releaseAll()
-	if err := e.reserve(int64(res.Reach.SizeBytes())); err != nil {
-		return nil, err
-	}
 	if e.opts.KeepPerStep {
 		// The BFS kernel records sparse per-row distances rather than
 		// 512-row-padded step matrices; each worker writes disjoint rows.
@@ -637,31 +643,42 @@ func (e *expansion) runBFS() (*Result, error) {
 		}
 	}
 
-	// Workers are partitioned on 512-row STACK boundaries, not plain row
-	// ranges: two rows of the same stack share backing words in the
-	// stacked-columnar Reach matrix, so row-level partitioning would race
-	// on Matrix.Set's read-modify-write.
-	stackCount := (rows + bitmatrix.StackRows - 1) / bitmatrix.StackRows
+	stackCount := res.Reach.Stacks()
 	workers := max(1, min(e.workers(), stackCount))
 
 	stats := make([]bfsStats, workers)
 	var wg sync.WaitGroup
 	perStacks := (stackCount + workers - 1) / workers
 	per := perStacks * bitmatrix.StackRows
-	for w := 0; w < workers; w++ {
-		lo, hi := w*per, min((w+1)*per, rows)
-		if lo >= hi {
-			continue
+	if workers == 1 {
+		// One worker runs on the caller: a point lookup spawns nothing.
+		e.bfsRows(res, &stats[0], 0, rows)
+	} else {
+		for w := 0; w < workers; w++ {
+			lo, hi := w*per, min((w+1)*per, rows)
+			if lo >= hi {
+				continue
+			}
+			wg.Add(1)
+			go func(st *bfsStats, lo, hi int) {
+				defer wg.Done()
+				e.bfsRows(res, st, lo, hi)
+			}(&stats[w], lo, hi)
 		}
-		wg.Add(1)
-		go func(st *bfsStats, lo, hi int) {
-			defer wg.Done()
-			e.bfsRows(res, st, lo, hi)
-		}(&stats[w], lo, hi)
+		wg.Wait()
 	}
-	wg.Wait()
+	var budgetErr error
+	for _, st := range stats {
+		e.reserved += st.reserved
+		if budgetErr == nil {
+			budgetErr = st.err
+		}
+	}
 	if err := e.ctx.Err(); err != nil {
 		return nil, err
+	}
+	if budgetErr != nil {
+		return nil, budgetErr
 	}
 	for _, st := range stats {
 		res.Stats.Steps = max(res.Stats.Steps, st.steps)
@@ -675,11 +692,35 @@ func (e *expansion) runBFS() (*Result, error) {
 type bfsStats struct {
 	steps        int
 	intermediate int64
+	// reserved is what the worker holds on the budget; err is the
+	// reservation it was refused.
+	reserved int64
+	err      error
 }
 
-// bfsRows expands sources[lo:hi], one BFS per row, on the calling worker.
-// It cannot return an error: on cancellation it drains quietly and runBFS
-// reports ctx.Err() after the join.
+// reserveTo brings the worker's reservation on the expansion's budget to
+// n bytes, releasing any excess; it reports false once a reservation is
+// refused.
+func (e *expansion) reserveTo(st *bfsStats, n int64) bool {
+	if e.opts.Budget == nil || n == st.reserved {
+		return true
+	}
+	e.budgetMu.Lock()
+	defer e.budgetMu.Unlock()
+	if n < st.reserved {
+		e.opts.Budget.Release(st.reserved - n)
+	} else if err := e.opts.Budget.Reserve(n - st.reserved); err != nil {
+		st.err = err
+		return false
+	}
+	st.reserved = n
+	return true
+}
+
+// bfsRows expands sources[lo:hi], one BFS per row, on the calling worker,
+// building the stacks of res.Reach those rows fill. It cannot return an
+// error: on cancellation or a refused reservation it drains quietly and
+// runBFS reports the error after the join.
 func (e *expansion) bfsRows(res *Result, st *bfsStats, lo, hi int) {
 	maxSteps := e.maxSteps()
 	// Visited pruning is mandatory for SHORTEST; for ANY with kmin ≤ 1 it
@@ -697,8 +738,9 @@ func (e *expansion) bfsRows(res *Result, st *bfsStats, lo, hi int) {
 	seen := make([]uint64, (e.g.NumVertices()+63)/64)
 	// queue[level:] is the current frontier; each step appends the next
 	// one behind it. With pruning a vertex enters at most once, so the
-	// queue is also the list of bits to clear when the row is done.
-	var queue []uint32
+	// queue is also the list of bits to clear when the row is done. It
+	// starts at 4 KiB so a row's first steps do not each reallocate it.
+	queue := make([]uint32, 0, 1024)
 	// visit appends the not-yet-seen vertices of one adjacency list and
 	// marks them seen. It is branch-free per edge (whether a neighbour was
 	// seen is a coin flip on dense frontiers): every neighbour is written
@@ -723,9 +765,16 @@ func (e *expansion) bfsRows(res *Result, st *bfsStats, lo, hi int) {
 			seen[j>>6] &^= 1 << (j & 63)
 		}
 	}
+	// held is what the finished stacks keep; the open stack's builder
+	// holds the rest of the reservation.
+	var sb *bitmatrix.StackBuilder
+	var held int64
 	for r := lo; r < hi; r++ {
 		if e.ctx.Err() != nil {
 			return
+		}
+		if sb == nil {
+			sb = res.Reach.BuildStack(r / bitmatrix.StackRows)
 		}
 		src := e.sources[r]
 		queue = append(queue[:0], src)
@@ -734,11 +783,8 @@ func (e *expansion) bfsRows(res *Result, st *bfsStats, lo, hi int) {
 			seen[src>>6] |= 1 << (src & 63)
 		}
 		if e.d.KMin == 0 {
-			res.Reach.Set(r, int(src))
+			sb.AddRow(r, queue[:1])
 		}
-		// Row r's bit within a column of its stack of the Reach matrix.
-		reachWin := stackWindow(res.Reach, r/bitmatrix.StackRows)
-		reachWord, reachBit := r%bitmatrix.StackRows/64, uint64(1)<<(r%64)
 		rowSteps := 0
 		for step := 1; step <= maxSteps; step++ {
 			if e.ctx.Err() != nil {
@@ -755,11 +801,7 @@ func (e *expansion) bfsRows(res *Result, st *bfsStats, lo, hi int) {
 			st.intermediate += int64(len(reached))
 			e.query.AddPairs(int64(len(reached)))
 			if step >= e.d.KMin {
-				for _, j := range reached {
-					if col := column(reachWin, j); reachWord < len(col) {
-						col[reachWord] |= reachBit
-					}
-				}
+				sb.AddRow(r, reached)
 			}
 			if e.opts.KeepPerStep && step >= e.d.KMin {
 				dist := res.bfsDist[r]
@@ -786,6 +828,16 @@ func (e *expansion) bfsRows(res *Result, st *bfsStats, lo, hi int) {
 		// cleaned up after itself.
 		if prune {
 			unsee(queue)
+		}
+		if !e.reserveTo(st, held+sb.Bytes()) {
+			return
+		}
+		if r+1 == hi || (r+1)%bitmatrix.StackRows == 0 {
+			held += int64(sb.Finish())
+			sb = nil
+			if !e.reserveTo(st, held) {
+				return
+			}
 		}
 	}
 }

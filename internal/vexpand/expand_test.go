@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitmatrix"
 	"repro/internal/graph"
 	"repro/internal/pattern"
 )
@@ -862,6 +863,69 @@ func TestBFSMultiStackWorkers(t *testing.T) {
 			l2, ok2 := r4.MinLength(row, graph.VertexID(v))
 			if l1 != l2 || ok1 != ok2 {
 				t.Fatalf("MinLength(%d,%d) differs across workers", row, v)
+			}
+		}
+	}
+}
+
+// peakBudget records the most it ever had reserved at once.
+type peakBudget struct{ used, peak int64 }
+
+func (b *peakBudget) Reserve(n int64) error {
+	b.used += n
+	b.peak = max(b.peak, b.used)
+	return nil
+}
+
+func (b *peakBudget) Release(n int64) { b.used -= n }
+
+// A matrix kernel under KeepPerStep retains and reserves only the steps
+// MinLength can read, those from kmin on, and still reports them under
+// their own step numbers; MinLength agrees with the BFS kernel's distances.
+func TestKeepPerStepRetainsStepsFromKMin(t *testing.T) {
+	g := raceGraph(t, 1400, 7000)
+	sources := make([]graph.VertexID, 600)
+	for i := range sources {
+		sources[i] = graph.VertexID(i)
+	}
+	for _, tc := range []struct {
+		kmin, kmax int
+		steps      []int
+	}{{3, 3, []int{3}}, {2, 4, []int{2, 3, 4}}} {
+		d := pattern.Determiner{KMin: tc.kmin, KMax: tc.kmax, Dir: graph.Both, Type: pattern.Any, EdgeLabels: []string{"knows"}}
+		b := &peakBudget{}
+		r, err := Expand(g, sources, d, Options{Kernel: Hilbert, KeepPerStep: true, Budget: b, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.PerStep) != len(tc.steps) {
+			t.Fatalf("*%d..%d: retained %d step matrices, want %d", tc.kmin, tc.kmax, len(r.PerStep), len(tc.steps))
+		}
+		// cur, next and Reach, then one clone per retained step.
+		if want := int64(3+len(tc.steps)) * int64(r.Reach.SizeBytes()); b.peak != want || b.used != 0 {
+			t.Fatalf("*%d..%d: peak reservation %d, want %d; %d left reserved", tc.kmin, tc.kmax, b.peak, want, b.used)
+		}
+		var steps []int
+		if err := r.ForEachStep(func(step int, _ *bitmatrix.Matrix) error {
+			steps = append(steps, step)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(steps, tc.steps) {
+			t.Fatalf("*%d..%d: ForEachStep reported steps %v, want %v", tc.kmin, tc.kmax, steps, tc.steps)
+		}
+		bfs, err := Expand(g, sources, d, Options{Kernel: BFS, KeepPerStep: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for row := range sources {
+			for dst := 0; dst < g.NumVertices(); dst++ {
+				l, ok := r.MinLength(row, graph.VertexID(dst))
+				wl, wok := bfs.MinLength(row, graph.VertexID(dst))
+				if l != wl || ok != wok {
+					t.Fatalf("*%d..%d: MinLength(%d, %d) = %d,%v; BFS says %d,%v", tc.kmin, tc.kmax, row, dst, l, ok, wl, wok)
+				}
 			}
 		}
 	}

@@ -154,23 +154,8 @@ func strawmanStep(cur, next *rowMatrix, sets []*graph.EdgeSet, dir graph.Directi
 	}
 }
 
-// stackWindow returns the words of stack s of m — the contiguous run holding
-// every column of that 512-row band — or nil when s is out of range. The
-// COO kernels take it once per stack so the edge loop only has to add
-// column*8 to a base it already holds.
-func stackWindow(m *bitmatrix.Matrix, s int) []uint64 {
-	w := m.Words()
-	span := m.Cols() * bitmatrix.WordsPerColumn
-	lo := s * span
-	hi := lo + span
-	if s < 0 || span < 0 || lo < 0 || hi < lo || hi > len(w) || hi > cap(w) {
-		return nil
-	}
-	return w[lo:hi:hi]
-}
-
-// column returns the eight words of column c inside a stack window, or nil
-// when c lies outside it. As with Matrix.ColumnWords, the explicit guard is
+// column returns the eight words of column c inside a stack window
+// (Matrix.StackWords), or nil when c lies outside it. The explicit guard is
 // what lets the prove pass drop the bounds checks here and on the constant
 // indices the callers apply after one len test.
 func column(win []uint64, c uint32) []uint64 {
@@ -196,7 +181,7 @@ func cooStep(cur, next *bitmatrix.Matrix, from, to []uint32, stackLo, stackHi in
 		return
 	}
 	for s := stackLo; s < stackHi; s++ {
-		cw, nw := stackWindow(cur, s), stackWindow(next, s)
+		cw, nw := cur.StackWords(s), next.StackWords(s)
 		for x := range from {
 			src, dst := column(cw, from[x]), column(nw, to[x])
 			if len(src) < bitmatrix.WordsPerColumn || len(dst) < bitmatrix.WordsPerColumn {

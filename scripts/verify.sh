@@ -74,6 +74,7 @@ if [ -z "${SKIP_FUZZ:-}" ]; then
     go test -run='^$' -fuzz=FuzzCypherParse -fuzztime="$FUZZTIME" ./internal/cypher
     go test -run='^$' -fuzz=FuzzHilbertRoundTrip -fuzztime="$FUZZTIME" ./internal/hilbert
     go test -run='^$' -fuzz=FuzzWireDecode -fuzztime="$FUZZTIME" ./internal/wire
+    go test -run='^$' -fuzz=FuzzMatrixForms -fuzztime="$FUZZTIME" ./internal/bitmatrix
 fi
 
 if [ -z "${SKIP_SMOKE:-}" ]; then
