@@ -701,11 +701,6 @@ func BenchmarkBitmatrixPrimitives(b *testing.B) {
 	const rows, cols = 2048, 8192
 	m1 := newRandomMatrix(rows, cols)
 	m2 := newRandomMatrix(rows, cols)
-	b.Run("OrColumnFrom", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m1.OrColumnFrom(m2, i%4, i%cols, (i*7)%cols)
-		}
-	})
 	b.Run("ElementwiseOr", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m1.Or(m2)

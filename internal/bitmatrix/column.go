@@ -1,32 +1,20 @@
 package bitmatrix
 
-import "math/bits"
-
 // This file holds the column kernels of MIntersect's Generic Join (Figure
 // 5's intersec_col) and its seed enumeration. A column set is a []uint64 of
 // Stacks()×8 words, bit r of stack s at word s*8 + r/64 (NewColumn).
 
 // NewColumn returns an empty column set sized for m's columns.
 func (m *Matrix) NewColumn() []uint64 {
-	return make([]uint64, m.stacks*WordsPerColumn)
+	return make([]uint64, len(m.stacks)*WordsPerColumn)
 }
 
 // ColumnPopCount returns the number of set bits in column c across all
 // stacks.
 func (m *Matrix) ColumnPopCount(c int) int {
-	if m.mixed != nil {
-		n := 0
-		for s := range m.mixed {
-			n += m.mixed[s].columnPopCount(c)
-		}
-		return n
-	}
 	n := 0
-	for s := 0; s < m.stacks; s++ {
-		base := m.columnBase(s, c)
-		for w := 0; w < WordsPerColumn; w++ {
-			n += bits.OnesCount64(m.words[base+w])
-		}
+	for s := range m.stacks {
+		n += m.stacks[s].columnPopCount(c)
 	}
 	return n
 }
@@ -44,49 +32,42 @@ func (m *Matrix) ForEachInColumn(c int, fn func(row int)) {
 // forEachInColumn is ForEachInColumn with a stop: it returns false once fn
 // has.
 func (m *Matrix) forEachInColumn(c int, fn func(row int) bool) bool {
-	if m.mixed != nil {
-		for s := range m.mixed {
-			if !m.mixed[s].forEachInColumn(c, s*StackRows, fn) {
-				return false
-			}
-		}
-		return true
-	}
-	for s := 0; s < m.stacks; s++ {
-		base := m.columnBase(s, c)
-		rowBase := s * StackRows
-		for w := 0; w < WordsPerColumn; w++ {
-			word := m.words[base+w]
-			for word != 0 {
-				if !fn(rowBase + w*64 + bits.TrailingZeros64(word)) {
-					return false
-				}
-				word &= word - 1
-			}
+	for s := range m.stacks {
+		if !m.stacks[s].forEachInColumn(c, s*StackRows, fn) {
+			return false
 		}
 	}
 	return true
 }
 
+// The column kernels below take, per stack, the eight words of dst (and
+// src) and of column c. On a dense stack they apply eight constant-index
+// word operations through array pointers, which carry no bounds check; a
+// sparse stack goes to its own (cold) code. The guard on dst has
+// stack.columnWords's shape and never fires on a set from NewColumn; an
+// out-of-range column stops the kernel.
+
 // CopyColumn copies column c of m (all stacks) into dst.
 //
 //vs:hotpath
 func (m *Matrix) CopyColumn(dst []uint64, c int) {
-	if m.mixed != nil {
-		m.columnMixed(dst, nil, c, colCopy)
-		return
-	}
-	for s := 0; s < m.stacks; s++ {
-		w := m.columnWords(s, c)
+	stacks := m.stacks
+	for s := range stacks {
 		base := s * WordsPerColumn
-		// hi is computed once so the guard compares the exact SSA values
-		// the slice expressions use (see columnWords); it never fires.
 		hi := base + WordsPerColumn
-		if len(w) < WordsPerColumn || base < 0 || hi < base ||
-			hi > len(dst) || hi > cap(dst) {
+		if base < 0 || hi < base || hi > len(dst) || hi > cap(dst) {
 			return
 		}
-		copy(dst[base:hi], w[:WordsPerColumn])
+		d := (*[WordsPerColumn]uint64)(dst[base:hi:hi])
+		w := stacks[s].columnWords(c)
+		if w == nil {
+			if !stacks[s].dense {
+				stacks[s].column(d, c)
+				continue
+			}
+			return
+		}
+		*d = *w
 	}
 }
 
@@ -95,19 +76,22 @@ func (m *Matrix) CopyColumn(dst []uint64, c int) {
 //
 //vs:hotpath
 func (m *Matrix) AndColumn(dst []uint64, c int) {
-	if m.mixed != nil {
-		m.columnMixed(dst, nil, c, colAnd)
-		return
-	}
-	for s := 0; s < m.stacks; s++ {
-		w := m.columnWords(s, c)
+	stacks := m.stacks
+	for s := range stacks {
 		base := s * WordsPerColumn
 		hi := base + WordsPerColumn
-		if len(w) < WordsPerColumn || base < 0 || hi < base ||
-			hi > len(dst) || hi > cap(dst) {
+		if base < 0 || hi < base || hi > len(dst) || hi > cap(dst) {
 			return
 		}
-		d := dst[base:hi:hi]
+		d := (*[WordsPerColumn]uint64)(dst[base:hi:hi])
+		w := stacks[s].columnWords(c)
+		if w == nil {
+			if !stacks[s].dense {
+				stacks[s].andColumn(d, d, c)
+				continue
+			}
+			return
+		}
 		d[0] &= w[0]
 		d[1] &= w[1]
 		d[2] &= w[2]
@@ -124,19 +108,22 @@ func (m *Matrix) AndColumn(dst []uint64, c int) {
 //
 //vs:hotpath
 func (m *Matrix) AndFrom(dst, src []uint64, c int) {
-	if m.mixed != nil {
-		m.columnMixed(dst, src, c, colAndFrom)
-		return
-	}
-	for s := 0; s < m.stacks; s++ {
-		w := m.columnWords(s, c)
+	stacks := m.stacks
+	for s := range stacks {
 		base := s * WordsPerColumn
 		hi := base + WordsPerColumn
-		if len(w) < WordsPerColumn || base < 0 || hi < base ||
-			hi > len(dst) || hi > cap(dst) || hi > len(src) || hi > cap(src) {
+		if base < 0 || hi < base || hi > len(dst) || hi > cap(dst) || hi > len(src) || hi > cap(src) {
 			return
 		}
-		d, a := dst[base:hi:hi], src[base:hi:hi]
+		d, a := (*[WordsPerColumn]uint64)(dst[base:hi:hi]), (*[WordsPerColumn]uint64)(src[base:hi:hi])
+		w := stacks[s].columnWords(c)
+		if w == nil {
+			if !stacks[s].dense {
+				stacks[s].andColumn(d, a, c)
+				continue
+			}
+			return
+		}
 		d[0] = a[0] & w[0]
 		d[1] = a[1] & w[1]
 		d[2] = a[2] & w[2]
@@ -145,45 +132,6 @@ func (m *Matrix) AndFrom(dst, src []uint64, c int) {
 		d[5] = a[5] & w[5]
 		d[6] = a[6] & w[6]
 		d[7] = a[7] & w[7]
-	}
-}
-
-// The column kernels of columnMixed.
-const (
-	colCopy = iota
-	colAnd
-	colAndFrom
-)
-
-// columnMixed is CopyColumn, AndColumn or AndFrom on a matrix with
-// per-stack forms: each stack's column is read whole (a binary search on a
-// sparse stack) and applied to its eight words of dst. It allocates
-// nothing; it is kept apart from the dense kernels' gate because a sparse
-// column's rows are indexed by value.
-//
-//vs:coldpath
-func (m *Matrix) columnMixed(dst, src []uint64, c int, kernel int) {
-	if uint(c) >= uint(m.cols) || len(dst) < len(m.mixed)*WordsPerColumn ||
-		(kernel == colAndFrom && len(src) < len(dst)) {
-		return
-	}
-	var col [WordsPerColumn]uint64
-	for s := range m.mixed {
-		m.mixed[s].column(col[:], c)
-		d := dst[s*WordsPerColumn : (s+1)*WordsPerColumn]
-		switch kernel {
-		case colCopy:
-			copy(d, col[:])
-		case colAnd:
-			for i, w := range col {
-				d[i] &= w
-			}
-		case colAndFrom:
-			a := src[s*WordsPerColumn : (s+1)*WordsPerColumn]
-			for i, w := range col {
-				d[i] = a[i] & w
-			}
-		}
 	}
 }
 
@@ -238,20 +186,17 @@ type sparseSeeds[C ~uint32] struct {
 // newSparseSeeds returns the merge over cols, or nil when m has a dense
 // stack: a dense stack may hold a bit in any column.
 func newSparseSeeds[C ~uint32](m *Matrix, cols []C) *sparseSeeds[C] {
-	if m.mixed == nil {
-		return nil
-	}
 	union := 0
-	for s := range m.mixed {
-		if m.mixed[s].dense {
+	for s := range m.stacks {
+		if m.stacks[s].dense {
 			return nil
 		}
-		union += len(m.mixed[s].col)
+		union += len(m.stacks[s].col)
 	}
-	it := &sparseSeeds[C]{m: m, cols: cols, pos: make([]int, len(m.mixed)),
-		gallopCols: len(cols) > gallopRatio*union, gallopStacks: make([]bool, len(m.mixed))}
-	for s := range m.mixed {
-		it.gallopStacks[s] = len(m.mixed[s].col) > gallopRatio*len(cols)
+	it := &sparseSeeds[C]{m: m, cols: cols, pos: make([]int, len(m.stacks)),
+		gallopCols: len(cols) > gallopRatio*union, gallopStacks: make([]bool, len(m.stacks))}
+	for s := range m.stacks {
+		it.gallopStacks[s] = len(m.stacks[s].col) > gallopRatio*len(cols)
 	}
 	return it
 }
@@ -259,13 +204,13 @@ func newSparseSeeds[C ~uint32](m *Matrix, cols []C) *sparseSeeds[C] {
 // next moves to the next entry of cols that some stack holds and returns
 // its index, or -1 when there is none.
 func (it *sparseSeeds[C]) next() int {
-	mixed := it.m.mixed
+	stacks := it.m.stacks
 	for it.i < len(it.cols) {
 		target := uint32(it.cols[it.i])
 		// The smallest non-empty column at or after target.
 		u, any := uint32(0), false
-		for s := range mixed {
-			col := mixed[s].col
+		for s := range stacks {
+			col := stacks[s].col
 			p := seekGE(col, it.pos[s], target, it.gallopStacks[s])
 			it.pos[s] = p
 			if p < len(col) && (!any || col[p] < u) {
@@ -288,7 +233,7 @@ func (it *sparseSeeds[C]) next() int {
 
 // onColumn reports whether stack s's cursor sits on column c, and its index.
 func (it *sparseSeeds[C]) onColumn(s int, c uint32) (int, bool) {
-	st := &it.m.mixed[s]
+	st := &it.m.stacks[s]
 	p := it.pos[s]
 	return p, p < len(st.col) && st.col[p] == c
 }
@@ -316,9 +261,9 @@ func ForEachSeed[C ~uint32](m *Matrix, cols []C, seed func(i int) bool, row func
 		if !seed(i) {
 			return
 		}
-		for s := range m.mixed {
+		for s := range m.stacks {
 			if p, ok := it.onColumn(s, uint32(cols[i])); ok {
-				if !forEachRow(m.mixed[s].rowsAt(p), s*StackRows, row) {
+				if !forEachRow(m.stacks[s].rowsAt(p), s*StackRows, row) {
 					return
 				}
 			}
@@ -340,9 +285,9 @@ func SeedCounts[C ~uint32](m *Matrix, cols []C, fn func(i, n int) bool) {
 	}
 	for i := it.next(); i >= 0; i = it.next() {
 		n := 0
-		for s := range m.mixed {
+		for s := range m.stacks {
 			if p, ok := it.onColumn(s, uint32(cols[i])); ok {
-				n += int(m.mixed[s].off[p+1] - m.mixed[s].off[p])
+				n += int(m.stacks[s].off[p+1] - m.stacks[s].off[p])
 			}
 		}
 		if !fn(i, n) {

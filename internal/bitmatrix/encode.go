@@ -19,13 +19,13 @@ const (
 // EncodedLen returns the length of m's encoding.
 func (m *Matrix) EncodedLen() int {
 	n := 16
-	for s := 0; s < m.stacks; s++ {
-		st := m.stackAt(s)
+	for s := range m.stacks {
+		st := &m.stacks[s]
 		n++
 		if st.dense {
 			n += len(st.words) * 8
 		} else {
-			n += 4 + st.sizeBytes()
+			n += 8 + len(st.col)*8 + len(st.row)*2 // count, first offset, then a column and an offset each
 		}
 	}
 	return n
@@ -36,8 +36,8 @@ func (m *Matrix) AppendBinary(buf []byte) []byte {
 	le := binary.LittleEndian
 	buf = le.AppendUint64(buf, uint64(m.rows))
 	buf = le.AppendUint64(buf, uint64(m.cols))
-	for s := 0; s < m.stacks; s++ {
-		st := m.stackAt(s)
+	for s := range m.stacks {
+		st := &m.stacks[s]
 		if st.dense {
 			buf = append(buf, formDense)
 			for _, w := range st.words {
@@ -50,8 +50,10 @@ func (m *Matrix) AppendBinary(buf []byte) []byte {
 		for _, c := range st.col {
 			buf = le.AppendUint32(buf, c)
 		}
-		for _, o := range st.off {
-			buf = le.AppendUint32(buf, o)
+		// The first offset is always 0; the empty stack has no off array.
+		buf = le.AppendUint32(buf, 0)
+		for k := range st.col {
+			buf = le.AppendUint32(buf, st.off[k+1])
 		}
 		for _, r := range st.row {
 			buf = le.AppendUint16(buf, r)
@@ -62,8 +64,7 @@ func (m *Matrix) AppendBinary(buf []byte) []byte {
 
 var errShort = errors.New("bitmatrix: encoding truncated")
 
-// Decode parses an encoding made by AppendBinary. Stacks keep their forms;
-// a matrix whose stacks are all dense gets the shared dense backing.
+// Decode parses an encoding made by AppendBinary. Stacks keep their forms.
 func Decode(buf []byte) (*Matrix, error) {
 	le := binary.LittleEndian
 	if len(buf) < 16 {
@@ -76,8 +77,7 @@ func Decode(buf []byte) (*Matrix, error) {
 	rows, cols := int(rows64), int(cols64)
 	buf = buf[16:]
 	m := NewSparse(rows, cols)
-	allDense := true
-	for s := range m.mixed {
+	for s := range m.stacks {
 		if len(buf) < 1 {
 			return nil, errShort
 		}
@@ -90,7 +90,6 @@ func Decode(buf []byte) (*Matrix, error) {
 			st, buf, err = decodeDense(buf, cols)
 		case formSparse:
 			st, buf, err = decodeSparse(buf, cols, min(StackRows, rows-s*StackRows))
-			allDense = false
 		default:
 			err = fmt.Errorf("bitmatrix: unknown stack form %d", form)
 		}
@@ -100,17 +99,10 @@ func Decode(buf []byte) (*Matrix, error) {
 		if st.dense && !ghostRowsClear(st.words, rows-s*StackRows) {
 			return nil, errors.New("bitmatrix: encoding sets a row past the matrix")
 		}
-		m.mixed[s] = st
+		m.stacks[s] = st
 	}
 	if len(buf) != 0 {
 		return nil, errors.New("bitmatrix: trailing bytes after encoding")
-	}
-	if allDense {
-		d := New(rows, cols)
-		for s := range m.mixed {
-			copy(d.StackWords(s), m.mixed[s].words)
-		}
-		return d, nil
 	}
 	return m, nil
 }
@@ -170,6 +162,9 @@ func decodeSparse(buf []byte, cols, rows int) (stack, []byte, error) {
 				return stack{}, nil, errors.New("bitmatrix: sparse rows not ascending in range")
 			}
 		}
+	}
+	if k == 0 {
+		st = stack{}
 	}
 	return st, buf[2*n:], nil
 }

@@ -6,11 +6,12 @@ import (
 	"slices"
 )
 
-// stack is one 512-row band of a Matrix that keeps its own form: dense, as
+// stack is one 512-row band of a Matrix, in one of two forms: dense, as
 // cols × 8 words, or sparse, as its non-empty columns in ascending order,
 // each with its ascending in-stack rows. A sparse stack's column col[k]
-// holds the rows row[off[k]:off[k+1]]; the zero value is an empty sparse
-// stack.
+// holds the rows row[off[k]:off[k+1]]. The zero value is the empty sparse
+// stack, its one form: every producer of an empty sparse stack (Reset,
+// StackBuilder.Finish, Decode, And's filter) leaves col, off and row nil.
 type stack struct {
 	dense bool
 	words []uint64
@@ -46,7 +47,10 @@ func (st *stack) hasRow(k, r int) bool {
 	return ok
 }
 
-// get reports whether in-stack row r of column c is set.
+// get reports whether in-stack row r of column c is set. Get calls it
+// on a sparse stack only.
+//
+//vs:coldpath
 func (st *stack) get(r, c int) bool {
 	if st.dense {
 		return st.words[c*WordsPerColumn+r/64]&(1<<uint(r%64)) != 0
@@ -55,21 +59,55 @@ func (st *stack) get(r, c int) bool {
 	return ok && st.hasRow(k, r)
 }
 
-// column writes column c of the stack into the eight words of dst.
-func (st *stack) column(dst []uint64, c int) {
-	if st.dense {
-		copy(dst[:WordsPerColumn], st.words[c*WordsPerColumn:])
-		return
+// columnWords returns the eight words of column c of a dense stack, or nil
+// when c is out of range or the stack is sparse (its words are nil). The
+// explicit range guard, on one load of the field and on the exact values
+// the slice expression uses, drops the bounds checks here and in the column
+// kernels, which index the array through a pointer; the cap clause and the
+// three-index slice spare the slice its pointer mask.
+func (st *stack) columnWords(c int) *[WordsPerColumn]uint64 {
+	w := st.words
+	base := c * WordsPerColumn
+	hi := base + WordsPerColumn
+	if base < 0 || hi < base || hi > len(w) || hi > cap(w) {
+		return nil
 	}
-	clear(dst[:WordsPerColumn])
+	return (*[WordsPerColumn]uint64)(w[base:hi:hi])
+}
+
+// column writes column c of the stack, in either form, into col and
+// returns it; a column out of range reads as empty.
+//
+//vs:coldpath
+func (st *stack) column(col *[WordsPerColumn]uint64, c int) *[WordsPerColumn]uint64 {
+	if w := st.columnWords(c); w != nil {
+		*col = *w
+		return col
+	}
+	*col = [WordsPerColumn]uint64{}
 	if k, ok := st.find(c); ok {
 		for _, r := range st.rowsAt(k) {
-			dst[r/64] |= 1 << (r % 64)
+			col[r/64] |= 1 << (r % 64)
 		}
+	}
+	return col
+}
+
+// andColumn writes a AND column c of the stack into d, which may be a: the
+// AND kernels' code for a sparse stack.
+//
+//vs:coldpath
+func (st *stack) andColumn(d, a *[WordsPerColumn]uint64, c int) {
+	var col [WordsPerColumn]uint64
+	for i, w := range st.column(&col, c) {
+		d[i] = a[i] & w
 	}
 }
 
 // orInto sets a sparse stack's bits in the dense words of a stack.
+//
+//vs:coldpath
+//go:noinline
 func (st *stack) orInto(words []uint64) {
 	for k, c := range st.col {
 		base := int(c) * WordsPerColumn
@@ -77,6 +115,53 @@ func (st *stack) orInto(words []uint64) {
 			words[base+int(r/64)] |= 1 << (r % 64)
 		}
 	}
+}
+
+// densify turns a sparse stack of a cols-column matrix dense in place.
+// It and orInto stay out of line: inlined, their allocation and checked
+// stores would land in the hot kernels that call them on a cold branch.
+//
+//vs:coldpath
+//go:noinline
+func (st *stack) densify(cols int) {
+	words := make([]uint64, cols*WordsPerColumn)
+	st.orInto(words)
+	*st = stack{dense: true, words: words}
+}
+
+// and applies And of o to st, or AndNot when not is set, for two stacks of
+// a cols-column matrix that are not both dense. A sparse st stays sparse,
+// its bits filtered.
+//
+//vs:coldpath
+func (st *stack) and(o *stack, cols int, not bool) {
+	if !st.dense {
+		st.filter(func(r, c int) bool { return o.get(r, c) != not })
+		return
+	}
+	if not {
+		o.forEach(0, func(r, c int) {
+			st.words[c*WordsPerColumn+r/64] &^= 1 << uint(r%64)
+		})
+		return
+	}
+	for c := 0; c < cols; c++ {
+		d := st.columnWords(c)
+		o.andColumn(d, d, c)
+	}
+}
+
+// any reports whether the stack has a set bit.
+func (st *stack) any() bool {
+	if !st.dense {
+		return len(st.row) > 0
+	}
+	for _, w := range st.words {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // popCount is the number of set bits in the stack.
@@ -180,9 +265,7 @@ func (st *stack) equal(o *stack, cols int) bool {
 	}
 	var a, b [WordsPerColumn]uint64
 	for c := 0; c < cols; c++ {
-		st.column(a[:], c)
-		o.column(b[:], c)
-		if a != b {
+		if *st.column(&a, c) != *o.column(&b, c) {
 			return false
 		}
 	}
@@ -190,7 +273,7 @@ func (st *stack) equal(o *stack, cols int) bool {
 }
 
 // filter keeps the bits of a sparse stack for which keep(r, c) holds, in
-// place.
+// place; a stack left with no bits becomes the zero value.
 func (st *stack) filter(keep func(r, c int) bool) {
 	nc, nr := 0, 0
 	for k, c := range st.col {
@@ -207,90 +290,12 @@ func (st *stack) filter(keep func(r, c int) bool) {
 			nc++
 		}
 	}
+	if nc == 0 {
+		*st = stack{}
+		return
+	}
 	st.col, st.row = st.col[:nc], st.row[:nr]
 	st.off = append(st.off[:nc], uint32(nr))
-}
-
-// setMixed sets (set) or clears in-stack row r of column c in stack s of a
-// matrix with per-stack forms, making the stack dense.
-//
-//vs:coldpath
-func (m *Matrix) setMixed(s, r, c int, set bool) {
-	w := &m.densify(s)[c*WordsPerColumn+r/64]
-	if set {
-		*w |= 1 << uint(r%64)
-	} else {
-		*w &^= 1 << uint(r%64)
-	}
-}
-
-// getMixed is Get on a matrix with per-stack forms.
-//
-//vs:coldpath
-func (m *Matrix) getMixed(s, r, c int) bool {
-	mixed := m.mixed
-	return uint(s) < uint(len(mixed)) && mixed[s].get(r, c)
-}
-
-// The element-wise operations of combineMixed.
-const (
-	opOr = iota
-	opAnd
-	opAndNot
-	opXor
-)
-
-// combineMixed applies one element-wise operation when either matrix has
-// per-stack forms. A dense stack of m stays dense, in place; a sparse one
-// stays sparse under And and AndNot (its bits are filtered) and turns dense
-// under Or and Xor.
-//
-//vs:coldpath
-func (m *Matrix) combineMixed(other *Matrix, op int) {
-	var col [WordsPerColumn]uint64
-	for s := 0; s < m.stacks; s++ {
-		b := other.stackAt(s)
-		words := m.StackWords(s)
-		if words == nil && (op == opAnd || op == opAndNot) {
-			want := op == opAnd
-			m.mixed[s].filter(func(r, c int) bool { return b.get(r, c) == want })
-			continue
-		}
-		if words == nil {
-			words = m.densify(s)
-		}
-		if b.dense {
-			for i, w := range b.words {
-				switch op {
-				case opOr:
-					words[i] |= w
-				case opAnd:
-					words[i] &= w
-				case opAndNot:
-					words[i] &^= w
-				case opXor:
-					words[i] ^= w
-				}
-			}
-			continue
-		}
-		for c := 0; c < m.cols; c++ {
-			d := words[c*WordsPerColumn : (c+1)*WordsPerColumn]
-			b.column(col[:], c)
-			for i, w := range col {
-				switch op {
-				case opOr:
-					d[i] |= w
-				case opAnd:
-					d[i] &= w
-				case opAndNot:
-					d[i] &^= w
-				case opXor:
-					d[i] ^= w
-				}
-			}
-		}
-	}
 }
 
 // sparseShare bounds a sparse stack: the builder promotes a stack to dense
@@ -312,9 +317,10 @@ const sparseShare = 16
 // and sparse, to be filled stack by stack through BuildStack. It panics if
 // either dimension is negative.
 func NewSparse(rows, cols int) *Matrix {
-	checkDims(rows, cols)
-	stacks := (rows + StackRows - 1) / StackRows
-	return &Matrix{rows: rows, cols: cols, stacks: stacks, mixed: make([]stack, stacks)}
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("bitmatrix: invalid dimensions %d×%d", rows, cols))
+	}
+	return &Matrix{rows: rows, cols: cols, stacks: make([]stack, (rows+StackRows-1)/StackRows)}
 }
 
 // StackBuilder fills one stack of a matrix from NewSparse with per-row
@@ -388,17 +394,17 @@ func (b *StackBuilder) Bytes() int64 {
 // Finish installs the built stack in the matrix, sorting a sparse buffer
 // into its column lists, and returns the stack's bytes.
 func (b *StackBuilder) Finish() int {
-	m := b.m
+	st := &b.m.stacks[b.s]
 	if b.words != nil {
-		if m.stacks == 1 {
-			// One dense stack is the shared layout already.
-			m.words, m.mixed = b.words, nil
-		} else {
-			m.mixed[b.s] = stack{dense: true, words: b.words}
-		}
+		*st = stack{dense: true, words: b.words}
 		return len(b.words) * 8
 	}
 	keys := slices.Compact(radixSort(b.keys))
+	b.keys = nil
+	if len(keys) == 0 {
+		*st = stack{}
+		return 0
+	}
 	ncols := 0
 	for i, k := range keys {
 		if i == 0 || k>>9 != keys[i-1]>>9 {
@@ -407,7 +413,7 @@ func (b *StackBuilder) Finish() int {
 	}
 	// One allocation holds the columns and the offsets.
 	colOff := make([]uint32, 2*ncols+1)
-	st := stack{col: colOff[:0:ncols], off: colOff[ncols:ncols:len(colOff)], row: make([]uint16, len(keys))}
+	*st = stack{col: colOff[:0:ncols], off: colOff[ncols:ncols:len(colOff)], row: make([]uint16, len(keys))}
 	for i, k := range keys {
 		if i == 0 || k>>9 != keys[i-1]>>9 {
 			st.col = append(st.col, uint32(k>>9))
@@ -416,8 +422,6 @@ func (b *StackBuilder) Finish() int {
 		st.row[i] = uint16(k & 511)
 	}
 	st.off = append(st.off, uint32(len(keys)))
-	m.mixed[b.s] = st
-	b.keys = nil
 	return st.sizeBytes()
 }
 

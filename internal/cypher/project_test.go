@@ -486,6 +486,10 @@ func TestProjectionAgainstBruteForce(t *testing.T) {
 		for i := rng.Intn(3 * n); i >= 0; i-- {
 			edges = append(edges, [2]graph.VertexID{graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))})
 		}
+		// One A→B edge (even vertices are A, odd ones B), so that every
+		// graph matches the one-hop patterns and the share of runs that
+		// project something does not hang on the edge draws.
+		edges = append(edges, [2]graph.VertexID{graph.VertexID(2 * rng.Intn((n+1)/2)), graph.VertexID(2*rng.Intn(n/2) + 1)})
 		w := make(graph.Int64Column, n)
 		for v := range w {
 			w[v] = int64(rng.Intn(5))

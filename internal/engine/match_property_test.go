@@ -2,12 +2,14 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitmatrix"
 	"repro/internal/graph"
 	"repro/internal/pattern"
 	"repro/internal/vexpand"
@@ -191,34 +193,99 @@ func randomMatchCase(rng *rand.Rand, nV int) (*graph.Graph, *pattern.Pattern) {
 	return g, pat
 }
 
+// matchDiffers runs pat on g under opts, as tuples and as a count, and
+// describes how the result differs from brute force ("" when it agrees).
+func matchDiffers(t *testing.T, g *graph.Graph, pat *pattern.Pattern, opts Options) string {
+	eng := New(g, opts)
+	res, err := eng.Match(pat, MatchOptions{})
+	if err != nil {
+		return err.Error()
+	}
+	want := bruteForceMatch(t, g, pat)
+	got := res.Tuples
+	sortTuples(got)
+	sortTuples(want)
+	if (len(got) > 0 || len(want) > 0) && !reflect.DeepEqual(got, want) {
+		return fmt.Sprintf("got %d tuples, want %d", len(got), len(want))
+	}
+	cres, err := eng.Match(pat, MatchOptions{CountOnly: true})
+	if err != nil {
+		return err.Error()
+	}
+	if cres.Count != int64(len(want)) {
+		return fmt.Sprintf("count %d, want %d", cres.Count, len(want))
+	}
+	return ""
+}
+
+// mixedFormsCase is a graph whose BFS reach matrices hold a dense stack
+// beside a sparse one, and two patterns that AND two such matrices. The 600
+// sources (label S) fill two 512-row stacks. Over e1 the first stack's
+// sources reach a hub and, through it, 400 targets (label T), which
+// promotes that stack to dense; over e2 every source reaches one target,
+// and a second one a hop later, which keeps a stack sparse. The patterns
+// put a {e1,e2} edge and a one-hop e2 edge between the same two vertices
+// (parallel edges, in both orders), so the join clones the first matrix
+// and ANDs the second into it: a dense stack with a sparse one, and a
+// sparse stack with a dense one.
+func mixedFormsCase() (*graph.Graph, []*pattern.Pattern) {
+	const nV, sources, hub = 1500, 600, 1499
+	b := graph.NewBuilder(nV)
+	for v := 0; v < nV; v++ {
+		b.SetLabel(graph.VertexID(v), []string{"S", "T"}[min(v/sources, 1)])
+	}
+	for i := uint32(0); i < sources; i++ {
+		if i < bitmatrix.StackRows {
+			b.AddEdge("e1", i, hub)
+			if i%3 == 0 {
+				b.AddEdge("e1", i, hub) // a parallel graph edge
+			}
+		}
+		b.AddEdge("e2", i, sources+i%400)
+		b.AddEdge("e2", sources+i%400, sources+(7*i+1)%400)
+	}
+	for v := uint32(sources); v < sources+400; v++ {
+		b.AddEdge("e1", hub, v)
+	}
+	wide := pattern.Edge{Src: "a", Dst: "b", D: pattern.Determiner{KMin: 1, KMax: 2, EdgeLabels: []string{"e1", "e2"}}}
+	narrow := pattern.Edge{Src: "a", Dst: "b", D: pattern.Determiner{KMin: 1, KMax: 1, EdgeLabels: []string{"e2"}}}
+	var pats []*pattern.Pattern
+	for _, edges := range [][]pattern.Edge{{wide, narrow}, {narrow, wide}} {
+		pats = append(pats, &pattern.Pattern{
+			Vertices: []pattern.Vertex{{Name: "a", Labels: []string{"S"}}, {Name: "b", Labels: []string{"T"}}},
+			Edges:    edges,
+		})
+	}
+	return b.MustBuild(), pats
+}
+
 // Property: Match agrees with brute force on random graphs and random
-// connected patterns of 2–4 vertices with mixed determiners.
+// connected patterns of 2–4 vertices with mixed determiners, and on
+// mixedFormsCase under BFS (builder-made stacks) and Auto.
 func TestQuickMatchAgainstBruteForce(t *testing.T) {
+	g, pats := mixedFormsCase()
+	for i, pat := range pats {
+		for _, k := range []vexpand.Kernel{vexpand.BFS, vexpand.Auto} {
+			if msg := matchDiffers(t, g, pat, Options{Kernel: k}); msg != "" {
+				t.Errorf("mixed forms, pattern %d, %v: %s", i, k, msg)
+			}
+		}
+		// The BFS matrices must really mix forms: one dense stack (|V|×64
+		// bytes) among four, the other three sparse.
+		res, err := New(g, Options{Kernel: vexpand.BFS}).Match(pat, MatchOptions{CountOnly: true})
+		if dense := int64(g.NumVertices()) * 64; err != nil || res.ExpandStats.MatrixBytes <= dense || res.ExpandStats.MatrixBytes >= 2*dense {
+			t.Errorf("mixed forms, pattern %d: matrix bytes %d (%v), want one dense stack of %d and sparse ones",
+				i, res.ExpandStats.MatrixBytes, err, dense)
+		}
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g, pat := randomMatchCase(rng, 15+rng.Intn(25))
-
-		eng := New(g, Options{})
-		res, err := eng.Match(pat, MatchOptions{})
-		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
+		if msg := matchDiffers(t, g, pat, Options{}); msg != "" {
+			t.Logf("seed %d: %s", seed, msg)
 			return false
 		}
-		want := bruteForceMatch(t, g, pat)
-		got := res.Tuples
-		sortTuples(got)
-		sortTuples(want)
-		if len(got) == 0 && len(want) == 0 {
-			// continue to count check
-		} else if !reflect.DeepEqual(got, want) {
-			t.Logf("seed %d: got %d tuples, want %d", seed, len(got), len(want))
-			return false
-		}
-		cres, err := eng.Match(pat, MatchOptions{CountOnly: true})
-		if err != nil {
-			return false
-		}
-		return cres.Count == int64(len(want))
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

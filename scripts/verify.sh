@@ -59,11 +59,14 @@ step "benchmark module (go vet + go test -C benchmark)"
 # refactor can break the perf ledger's compile surface and still pass.
 go vet -C benchmark ./... && go test -C benchmark ./...
 
-step "paper-figure and wire benchmarks, one iteration each"
+step "paper-figure, kernel and wire benchmarks, one iteration each"
 # bench_test.go is the only harness behind EXPERIMENTS.md's tables; one
-# pass keeps every family compiling and running. BenchmarkWireStream is
-# the transport's in-repo rows/s and allocs/op.
-go test -run '^$' -bench 'Fig|Table|Ablation|Cache' -benchtime 1x .
+# pass keeps every family compiling and running. The ledger-shape and
+# primitive benchmarks (about 10 s more on 2 vCPUs) are what kernel changes
+# are timed with, so they must not panic unnoticed either.
+# BenchmarkWireStream is the transport's in-repo rows/s and allocs/op.
+go test -run '^$' -bench 'Fig|Table|Ablation|Cache|JoinLedgerShapes|ExpandLedgerShapes|BitmatrixPrimitives' -benchtime 1x .
+go test -run '^$' -bench StackForms -benchtime 1x ./internal/bitmatrix
 go test -run '^$' -bench Wire -benchtime 1x ./client
 
 step "go test -race ./..."
