@@ -2,6 +2,7 @@ package cypher
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/pattern"
+	"repro/internal/planner"
 	"repro/internal/telemetry"
 )
 
@@ -18,9 +20,8 @@ type Result struct {
 	Columns []string
 	Rows    [][]any
 	Timings engine.Timings
-	// Profile is the per-operator span tree, set when the query was a
-	// `PROFILE <query>` (or the caller attached its own trace and asked
-	// for it); nil otherwise.
+	// Profile is the per-operator span tree of a `PROFILE <query>` or an
+	// `EXPLAIN ANALYZE <query>`; nil otherwise.
 	Profile *telemetry.SpanSnapshot
 	// Plan is the rendered plan of an `EXPLAIN <query>` (no execution;
 	// Columns/Rows are empty).
@@ -37,12 +38,12 @@ func Run(eng *engine.Engine, q *Query, params map[string]any) (*Result, error) {
 	return RunContext(context.Background(), eng, q, params)
 }
 
-// RunContext is Run with trace propagation. When q.Profile is set and ctx
-// has no trace yet, a trace is created and its snapshot attached to
-// Result.Profile; when the caller already traces ctx (the server's
-// slow-query path), its spans accumulate there instead and Profile is left
-// for the caller to fill. Every executed query runs registered and metered
-// (see registered).
+// RunContext is Run with trace propagation. PROFILE and EXPLAIN ANALYZE run
+// the query once under a "query" span — a child of the caller's trace when
+// ctx carries one, else the root of a new trace — whose snapshot fills
+// Result.Profile. EXPLAIN ANALYZE keeps no rows: it joins that run's spans
+// to the plan EXPLAIN renders into Result.Analysis. Every executed query
+// runs registered and metered (see registered).
 func RunContext(ctx context.Context, eng *engine.Engine, q *Query, params map[string]any) (*Result, error) {
 	// Plain EXPLAIN renders the plan without executing — no metrics and no
 	// registry entry, the query never runs.
@@ -54,35 +55,47 @@ func RunContext(ctx context.Context, eng *engine.Engine, q *Query, params map[st
 		return &Result{Plan: plan}, nil
 	}
 
-	var res *Result
+	res := &Result{}
 	err := registered(ctx, q, func(ctx context.Context, rows *int64) error {
-		if q.Explain && q.Analyze {
-			a, err := analyzeQuery(ctx, eng, q, params)
-			if err != nil {
-				return err
-			}
-			res = &Result{Analysis: a}
-			*rows = a.Count
-			return nil
-		}
-
-		var root *telemetry.Span
-		if q.Profile && telemetry.CurrentSpan(ctx) == nil {
-			ctx, root = telemetry.NewTrace(ctx, "query")
-		}
-		res = &Result{Columns: Columns(q)}
-		var err error
-		res.Timings, err = drive(ctx, eng, q, params, func(row []any) error {
+		sink := func(row []any) error {
 			res.Rows = append(res.Rows, row)
 			return nil
-		})
-		// End the profiling root on the failure path too: leaving it open
-		// would wedge the trace tree for the next query on this context.
-		root.End()
-		if root != nil {
-			res.Profile = root.Snapshot()
 		}
+		var pat *pattern.Pattern
+		var plan *planner.Plan
+		if q.Analyze {
+			if q.Unwind != nil {
+				return errors.New("cypher: EXPLAIN ANALYZE does not support UNWIND")
+			}
+			var err error
+			if pat, plan, err = planQuery(eng, q, params); err != nil {
+				return err
+			}
+			if plan == nil {
+				return errors.New("cypher: EXPLAIN ANALYZE does not support shortestPath")
+			}
+			sink = func([]any) error { return nil }
+		} else {
+			res.Columns = Columns(q)
+		}
+		var span *telemetry.Span
+		if q.Profile || q.Analyze {
+			ctx, span = telemetry.StartSpan(ctx, "query")
+			if span == nil {
+				ctx, span = telemetry.NewTrace(ctx, "query")
+			}
+		}
+		var err error
+		res.Timings, err = drive(ctx, eng, q, params, sink)
+		// End the span on the failure path too: left open, it would wedge
+		// the caller's trace tree.
+		span.End()
+		res.Profile = span.Snapshot()
 		*rows = int64(len(res.Rows))
+		if err == nil && q.Analyze {
+			res.Analysis = engine.Analyze(pat, plan, res.Profile)
+			*rows = res.Analysis.Count
+		}
 		return err
 	})
 	if err != nil {
@@ -138,7 +151,7 @@ func drive(ctx context.Context, eng *engine.Engine, q *Query, params map[string]
 	if err != nil {
 		return t, err
 	}
-	held := heldRows{acct: eng.Accountant(), size: rowBytes(len(q.Return))}
+	held := heldRows{acct: eng.Accountant(), size: RowBytes(len(q.Return))}
 	defer held.release()
 	limit := q.Limit
 	var ordered [][]any // with ORDER BY, the first row is known only once every row is
@@ -291,9 +304,12 @@ func (h *heldRows) cover(rows int) error {
 
 func (h *heldRows) release() { h.acct.Release(int64(h.n) * h.size) }
 
-// rowBytes estimates one result row's footprint, a slice header plus one
-// interface value per column: the session meters its batches the same way.
-func rowBytes(cols int) int64 { return 24 + 24*int64(cols) }
+// RowBytes estimates the retained footprint of one result row: a slice
+// header plus one interface value per column. The estimate is what the
+// accountant meters for the rows a query holds and for a session's cursor
+// batches — deliberately simple, stable across value types, and
+// proportional to the row count.
+func RowBytes(cols int) int64 { return 24 + 24*int64(cols) }
 
 // unwindValues lists the values UNWIND binds its alias to, one per pass:
 // a single nil without UNWIND.
@@ -552,33 +568,25 @@ func runShortest(ctx context.Context, eng *engine.Engine, q *Query, b *boundQuer
 // ExplainQuery binds a parsed query's pattern against the engine's graph
 // and renders the planner's decisions without executing.
 func ExplainQuery(eng *engine.Engine, q *Query, params map[string]any) (string, error) {
-	b, err := bind(q, params)
+	pat, plan, err := planQuery(eng, q, params)
 	if err != nil {
 		return "", err
 	}
-	if b.shortest != nil {
+	if plan == nil {
 		return "shortestPath query: frontier BFS with early exit (no join plan)\n", nil
 	}
-	return eng.Explain(b.pat)
+	return plan.Explain(pat), nil
 }
 
-// analyzeQuery executes the query's pattern with tracing forced on and
-// returns the planner-estimate-vs-actual operator table. UNWIND and
-// shortestPath queries are rejected: the former runs the pattern many
-// times (no single plan to analyze), the latter has no join plan. Only
-// RunContext calls it, inside registered, so every analysis is counted.
-func analyzeQuery(ctx context.Context, eng *engine.Engine, q *Query, params map[string]any) (*engine.Analysis, error) {
-	if q.Unwind != nil {
-		return nil, fmt.Errorf("cypher: EXPLAIN ANALYZE does not support UNWIND")
-	}
+// planQuery binds q and builds the plan its match runs (§5.2's decisions:
+// candidate sizes, join order, expansion orientations and estimates). The
+// planner is deterministic, so this is the plan drive's match builds too. A
+// shortestPath query has no join plan: its plan is nil.
+func planQuery(eng *engine.Engine, q *Query, params map[string]any) (*pattern.Pattern, *planner.Plan, error) {
 	b, err := bind(q, params)
-	if err != nil {
-		return nil, err
+	if err != nil || b.shortest != nil {
+		return nil, nil, err
 	}
-	if b.shortest != nil {
-		return nil, fmt.Errorf("cypher: EXPLAIN ANALYZE does not support shortestPath")
-	}
-	// Take the execution a plain run would take (drive's COUNT fast path).
-	opts := engine.MatchOptions{CountOnly: countsWholePattern(q, b)}
-	return eng.ExplainAnalyze(ctx, b.pat, opts)
+	plan, err := planner.Build(eng.Graph(), b.pat)
+	return b.pat, plan, err
 }

@@ -1,13 +1,11 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"strings"
-	"time"
 
-	"repro/internal/graph"
 	"repro/internal/pattern"
+	"repro/internal/planner"
 	"repro/internal/telemetry"
 )
 
@@ -54,56 +52,29 @@ type AnalyzedOp struct {
 // a struct or scalar so the HTTP surface can return it as JSON directly.
 type Analysis struct {
 	Ops []AnalyzedOp `json:"operators"`
-	// Count is the query's result cardinality (distinct matches).
+	// Count is the distinct matches the run produced: all of them, or
+	// those before LIMIT stopped the match.
 	Count int64 `json:"count"`
-	// TotalMs is the end-to-end wall time of the traced execution.
+	// TotalMs is the wall time of the traced execution.
 	TotalMs float64 `json:"total_ms"`
 	// Profile is the raw span tree the actuals were extracted from.
 	Profile *telemetry.SpanSnapshot `json:"profile,omitempty"`
 }
 
-// ExplainAnalyze executes pat with tracing forced on and joins the
-// planner's estimates (candidate-scan sizes, per-edge EstPairs) against
-// the actual cardinalities, wall times, matrix bytes, and memo states
-// captured in the span tree — the runtime feedback that makes planner
-// misestimates directly visible (the §6 Fig-6 C7–C9 inversions show up as
-// err_ratio far from 1). Without CountOnly the join enumerates every tuple,
-// as the analyzed query would, into a sink that keeps none of them.
-func (e *Engine) ExplainAnalyze(ctx context.Context, pat *pattern.Pattern, opts MatchOptions) (*Analysis, error) {
-	start := time.Now()
-	ctx2, root := telemetry.StartSpan(ctx, "query")
-	if root == nil {
-		ctx2, root = telemetry.NewTrace(ctx, "query")
-	}
-	var emit func([]graph.VertexID) bool // nil: the join only counts
-	if !opts.CountOnly {
-		emit = func([]graph.VertexID) bool { return true }
-	}
-	res, err := e.run(ctx2, pat, opts, emit)
-	root.End()
-	if err != nil {
-		return nil, err
-	}
-	snap := root.Snapshot()
-	a := &Analysis{
-		Count:   res.Count,
-		TotalMs: float64(time.Since(start)) / float64(time.Millisecond),
-		Profile: snap,
-	}
-	a.Ops = joinPlanAndSpans(pat, res, snap)
-	return a, nil
-}
-
-// joinPlanAndSpans builds the operator rows: the plan supplies estimates
-// and operator identity, the span tree supplies the actuals. Expand spans
+// Analyze joins the planner's estimates (candidate-scan sizes, per-edge
+// EstPairs) against the actual cardinalities, wall times, matrix bytes, and
+// memo states a traced run of pat under plan recorded in snap — the runtime
+// feedback that makes planner misestimates directly visible (the §6 Fig-6
+// C7–C9 inversions show up as err_ratio far from 1). The plan supplies
+// estimates and operator identity, the span tree the actuals; expand spans
 // carry an "edge" attribute (the pattern-edge index) so the join is by
-// identity.
-func joinPlanAndSpans(pat *pattern.Pattern, res *MatchResult, snap *telemetry.SpanSnapshot) []AnalyzedOp {
-	var ops []AnalyzedOp
-	plan := res.Plan
-
+// identity. Count is the matches the run handed off (its "aggregate"
+// span) and TotalMs is snap's duration.
+func Analyze(pat *pattern.Pattern, plan *planner.Plan, snap *telemetry.SpanSnapshot) *Analysis {
+	a := &Analysis{TotalMs: snap.DurationMs, Profile: snap}
+	a.Count, _ = snap.Find("aggregate").Int("tuples")
 	if psp := snap.Find("plan"); psp != nil {
-		ops = append(ops, AnalyzedOp{
+		a.Ops = append(a.Ops, AnalyzedOp{
 			Op: "plan", EstRows: -1, ActualRows: -1, TimeMs: psp.DurationMs,
 		})
 	}
@@ -111,26 +82,24 @@ func joinPlanAndSpans(pat *pattern.Pattern, res *MatchResult, snap *telemetry.Sp
 	// Candidate scans: the planner's numbers are exact counts (scans run at
 	// plan time), so estimate == actual by construction and the ratio pins
 	// at 1 — the row exists to show the sizes every estimate derives from.
-	if plan != nil {
-		for i, v := range pat.Vertices {
-			n := int64(len(plan.CandList[i]))
-			var d strings.Builder
-			d.WriteString(v.Name)
-			for _, l := range v.Labels {
-				d.WriteString(":" + l)
-			}
-			if len(v.PropEq) > 0 {
-				fmt.Fprintf(&d, " props=%v", v.PropEq)
-			}
-			op := AnalyzedOp{
-				Op: "scan", Detail: d.String(),
-				EstRows: float64(n), ActualRows: n,
-			}
-			if n > 0 {
-				op.ErrRatio = 1
-			}
-			ops = append(ops, op)
+	for i, v := range pat.Vertices {
+		n := int64(len(plan.CandList[i]))
+		var d strings.Builder
+		d.WriteString(v.Name)
+		for _, l := range v.Labels {
+			d.WriteString(":" + l)
 		}
+		if len(v.PropEq) > 0 {
+			fmt.Fprintf(&d, " props=%v", v.PropEq)
+		}
+		op := AnalyzedOp{
+			Op: "scan", Detail: d.String(),
+			EstRows: float64(n), ActualRows: n,
+		}
+		if n > 0 {
+			op.ErrRatio = 1
+		}
+		a.Ops = append(a.Ops, op)
 	}
 
 	// Expands: EstPairs vs the span's measured pair count.
@@ -140,31 +109,29 @@ func joinPlanAndSpans(pat *pattern.Pattern, res *MatchResult, snap *telemetry.Sp
 			byEdge[ei] = es
 		}
 	}
-	if plan != nil {
-		for _, pe := range plan.Edges {
-			pedge := pat.Edges[pe.PatternEdge]
-			op := AnalyzedOp{
-				Op: "expand",
-				Detail: fmt.Sprintf("%s-%s from %s %s", pedge.Src, pedge.Dst,
-					pat.Vertices[pe.ExpandFrom].Name, pe.D),
-				EstRows:    pe.EstPairs,
-				ActualRows: -1,
-			}
-			if es := byEdge[int64(pe.PatternEdge)]; es != nil {
-				op.TimeMs = es.DurationMs
-				op.Kernel, _ = es.Str("kernel")
-				op.Memo, _ = es.Str("memo")
-				op.Cache, _ = es.Str("cache")
-				op.MatrixBytes, _ = es.Int("matrix_bytes")
-				if pairs, ok := es.Int("pairs"); ok {
-					op.ActualRows = pairs
-					if pairs > 0 {
-						op.ErrRatio = op.EstRows / float64(pairs)
-					}
+	for _, pe := range plan.Edges {
+		pedge := pat.Edges[pe.PatternEdge]
+		op := AnalyzedOp{
+			Op: "expand",
+			Detail: fmt.Sprintf("%s-%s from %s %s", pedge.Src, pedge.Dst,
+				pat.Vertices[pe.ExpandFrom].Name, pe.D),
+			EstRows:    pe.EstPairs,
+			ActualRows: -1,
+		}
+		if es := byEdge[int64(pe.PatternEdge)]; es != nil {
+			op.TimeMs = es.DurationMs
+			op.Kernel, _ = es.Str("kernel")
+			op.Memo, _ = es.Str("memo")
+			op.Cache, _ = es.Str("cache")
+			op.MatrixBytes, _ = es.Int("matrix_bytes")
+			if pairs, ok := es.Int("pairs"); ok {
+				op.ActualRows = pairs
+				if pairs > 0 {
+					op.ErrRatio = op.EstRows / float64(pairs)
 				}
 			}
-			ops = append(ops, op)
 		}
+		a.Ops = append(a.Ops, op)
 	}
 
 	// Intersect and aggregate: no plan-time estimate (the planner estimates
@@ -183,9 +150,9 @@ func joinPlanAndSpans(pat *pattern.Pattern, res *MatchResult, snap *telemetry.Sp
 				op.Detail = fmt.Sprintf("workers=%d", w)
 			}
 		}
-		ops = append(ops, op)
+		a.Ops = append(a.Ops, op)
 	}
-	return ops
+	return a
 }
 
 // Render draws the analysis as an aligned table, the CLI/REPL shape of

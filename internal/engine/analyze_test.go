@@ -26,6 +26,19 @@ func trianglePattern(kmax int) *pattern.Pattern {
 	}
 }
 
+// analyze runs pat under a new trace, as a PROFILE or EXPLAIN ANALYZE query
+// does, and joins the run's spans to the plan it executed.
+func analyze(t *testing.T, e *Engine, pat *pattern.Pattern, opts MatchOptions) *Analysis {
+	t.Helper()
+	ctx, root := telemetry.NewTrace(context.Background(), "query")
+	res, err := e.MatchContext(ctx, pat, opts)
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Analyze(pat, res.Plan, root.Snapshot())
+}
+
 // TestExplainAnalyzeJoinsEstimatesAndActuals is the regression test for
 // the estimate→actual join on a fixed query: the fig-6-style community
 // triangle. It pins the operator sequence, that each expand row carries
@@ -36,10 +49,7 @@ func TestExplainAnalyzeJoinsEstimatesAndActuals(t *testing.T) {
 	e := New(g, Options{})
 	pat := trianglePattern(2)
 
-	a, err := e.ExplainAnalyze(context.Background(), pat, MatchOptions{CountOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := analyze(t, e, pat, MatchOptions{CountOnly: true})
 	if a.Count <= 0 {
 		t.Fatalf("Count = %d, want > 0 (the triangle query matches on the social graph)", a.Count)
 	}
@@ -155,10 +165,7 @@ func TestExplainAnalyzeActualsMatchProfile(t *testing.T) {
 	e := New(g, Options{})
 	pat := trianglePattern(2)
 
-	a, err := e.ExplainAnalyze(context.Background(), pat, MatchOptions{CountOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := analyze(t, e, pat, MatchOptions{CountOnly: true})
 
 	ctx, root := telemetry.NewTrace(context.Background(), "query")
 	if _, err := e.MatchContext(ctx, pat, MatchOptions{CountOnly: true}); err != nil {
@@ -198,10 +205,7 @@ func TestExplainAnalyzeActualsMatchProfile(t *testing.T) {
 func TestAnalysisJSONRoundTrip(t *testing.T) {
 	g := socialGraph(t)
 	e := New(g, Options{})
-	a, err := e.ExplainAnalyze(context.Background(), trianglePattern(2), MatchOptions{CountOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := analyze(t, e, trianglePattern(2), MatchOptions{CountOnly: true})
 	raw, err := json.Marshal(a)
 	if err != nil {
 		t.Fatalf("analysis does not marshal: %v", err)
@@ -223,41 +227,13 @@ func TestAnalysisJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeUnderExistingTrace pins nesting: when the caller
-// already traces the context (the server's slow-query path), analyze
-// attaches its query span under it instead of starting a new trace, and
-// still extracts a complete table.
-func TestExplainAnalyzeUnderExistingTrace(t *testing.T) {
-	g := socialGraph(t)
-	e := New(g, Options{})
-	ctx, root := telemetry.NewTrace(context.Background(), "outer")
-	a, err := e.ExplainAnalyze(ctx, trianglePattern(2), MatchOptions{CountOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	root.End()
-	if a.Profile.Name != "query" {
-		t.Fatalf("analysis rooted at %q, want the analyze-owned query span", a.Profile.Name)
-	}
-	outer := root.Snapshot()
-	if outer.Find("query") == nil {
-		t.Fatal("analyze span not nested under the caller's trace")
-	}
-	if got := len(a.Ops); got == 0 {
-		t.Fatal("no operator rows under an existing trace")
-	}
-}
-
 // TestExplainAnalyzeSingleVertex pins the degenerate path: a one-vertex
-// pattern has no expands or joins, just the plan and its scan.
+// pattern has no expands or joins, just the plan, its scan and the hand-off.
 func TestExplainAnalyzeSingleVertex(t *testing.T) {
 	g := socialGraph(t)
 	e := New(g, Options{})
 	pat := &pattern.Pattern{Vertices: []pattern.Vertex{{Name: "p", Labels: []string{"SIGA"}}}}
-	a, err := e.ExplainAnalyze(context.Background(), pat, MatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := analyze(t, e, pat, MatchOptions{})
 	if a.Count <= 0 {
 		t.Fatalf("Count = %d, want the SIGA candidate count", a.Count)
 	}

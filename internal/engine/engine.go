@@ -160,8 +160,8 @@ type MatchResult struct {
 	// Timings is the per-stage breakdown.
 	Timings Timings
 	// Plan is the physical plan the match executed (candidate scans, join
-	// order, per-edge estimates). EXPLAIN ANALYZE joins its estimates
-	// against the actual cardinalities recorded in the span tree.
+	// order, per-edge estimates). Analyze joins a plan's estimates against
+	// the actual cardinalities recorded in the span tree.
 	Plan *planner.Plan
 }
 
@@ -283,18 +283,18 @@ func (e *Engine) execute(ctx context.Context, qi *telemetry.QueryInfo, pat *patt
 		// Degenerate single-vertex pattern: candidates are the matches.
 		if emit == nil {
 			res.Count = int64(len(plan.CandList[0]))
-			qi.AddRows(res.Count)
-			return nil
-		}
-		for _, v := range plan.CandList[0] {
-			res.Count++
-			buf[0] = v
-			more := emit(buf)
-			qi.AddRows(1)
-			if !more {
-				return nil
+		} else {
+			for _, v := range plan.CandList[0] {
+				res.Count++
+				buf[0] = v
+				more := emit(buf)
+				qi.AddRows(1)
+				if !more {
+					break
+				}
 			}
 		}
+		aggregate(ctx, qi, res, emit == nil)
 		return nil
 	}
 
@@ -351,16 +351,22 @@ func (e *Engine) execute(ctx context.Context, qi *telemetry.QueryInfo, pat *patt
 		return fmt.Errorf("intersect: %w", err)
 	}
 	res.Count = jr.Count
+	aggregate(ctx, qi, res, emit == nil)
+	return nil
+}
 
-	t3 := time.Now()
-	_, asp := telemetry.StartSpan(ctx, "aggregate")
-	if emit == nil {
+// aggregate hands off a match's result: the "aggregate" span records its
+// tuple count, and a match that only counted reports its rows to the
+// registry here (an emitting match reported them tuple by tuple).
+func aggregate(ctx context.Context, qi *telemetry.QueryInfo, res *MatchResult, counted bool) {
+	t := time.Now()
+	_, sp := telemetry.StartSpan(ctx, "aggregate")
+	if counted {
 		qi.AddRows(res.Count)
 	}
-	asp.SetInt("tuples", res.Count)
-	asp.End()
-	res.Timings.Aggregate = time.Since(t3)
-	return nil
+	sp.SetInt("tuples", res.Count)
+	sp.End()
+	res.Timings.Aggregate = time.Since(t)
 }
 
 // lowerExpands builds one ExpandOp per distinct expansion of the plan
@@ -452,15 +458,4 @@ func (e *Engine) vertexByID(id int64) (graph.VertexID, error) {
 		return 0, fmt.Errorf("engine: no vertex with id %d", id)
 	}
 	return v, nil
-}
-
-// Explain plans pat and renders the plan (§5.2's decisions: candidate
-// sizes, join order, expansion orientations and estimates) without
-// executing it.
-func (e *Engine) Explain(pat *pattern.Pattern) (string, error) {
-	plan, err := planner.Build(e.g, pat)
-	if err != nil {
-		return "", err
-	}
-	return plan.Explain(pat), nil
 }

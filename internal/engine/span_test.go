@@ -162,7 +162,7 @@ func TestStreamedMatchSameOperatorRows(t *testing.T) {
 		return e.MatchForEachOpts(ctx, pat, MatchOptions{}, func([]graph.VertexID) {})
 	})
 	rows := func(snap *telemetry.SpanSnapshot) []AnalyzedOp {
-		ops := joinPlanAndSpans(pat, res, snap)
+		ops := Analyze(pat, res.Plan, snap).Ops
 		for i := range ops {
 			ops[i].TimeMs = 0
 		}

@@ -368,17 +368,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Trace when the query text asked for a profile, the request for a
-	// chrome trace export, or when the slow-query log may need the span
-	// tree.
-	wantProfile := q.Profile
+	// Trace when the request asked for a chrome trace export, or when the
+	// slow-query log may need the span tree. A PROFILE query traces itself
+	// (Result.Profile), nested under this root when there is one.
 	wantChrome := req.Trace == "chrome"
 	// r.Context() is canceled when the client disconnects, so an
 	// abandoned query stops consuming the engine; the session service adds
 	// its QueryTimeout deadline on top.
 	ctx := r.Context()
 	var root *telemetry.Span
-	if wantProfile || wantChrome || s.opts.SlowQuery > 0 {
+	if wantChrome || s.opts.SlowQuery > 0 {
 		ctx, root = telemetry.NewTrace(ctx, "query")
 		// The access-log request id on the trace root joins slow-query
 		// reports and /debug/queries entries to the access-log line.
@@ -393,17 +392,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var profile *telemetry.SpanSnapshot
-	if root != nil {
-		profile = root.Snapshot()
-	}
+	trace := root.Snapshot()
 	if s.opts.SlowQuery > 0 && wall > s.opts.SlowQuery && s.opts.Logger != nil {
 		s.opts.Logger.Warn("slow query",
 			"id", w.Header().Get("X-Request-Id"),
 			"duration", wall,
 			"threshold", s.opts.SlowQuery,
 			"query", req.Query,
-			"spans", "\n"+profile.Render(),
+			"spans", "\n"+trace.Render(),
 		)
 	}
 	rows := res.Rows
@@ -417,11 +413,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Plan:     res.Plan,
 		Analysis: res.Analysis,
 	}
-	if wantProfile {
-		resp.Profile = profile
+	if q.Profile {
+		resp.Profile = res.Profile
 	}
 	if wantChrome {
-		resp.ChromeTrace = telemetry.ChromeTraceFromSnapshot(profile)
+		resp.ChromeTrace = telemetry.ChromeTraceFromSnapshot(trace)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

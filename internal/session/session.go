@@ -152,7 +152,7 @@ func (s *Session) RunParsed(ctx context.Context, q *cypher.Query, params map[str
 		return nil, errors.New("session: EXPLAIN, EXPLAIN ANALYZE and PROFILE cannot run on a cursor: they return a plan, an analysis or a span tree, not rows")
 	}
 	cols := cypher.Columns(q)
-	reserve := rowBytes(len(cols)) * int64(s.svc.opts.FetchBatch+1)
+	reserve := cypher.RowBytes(len(cols)) * int64(s.svc.opts.FetchBatch+1)
 	if err := s.svc.eng.Accountant().Reserve(reserve); err != nil {
 		return nil, fmt.Errorf("session: cursor buffer: %w", err)
 	}
@@ -182,10 +182,3 @@ func (s *Session) Close() {
 	}
 	s.svc.open.Add(-1)
 }
-
-// rowBytes estimates the retained footprint of one buffered row: a slice
-// header plus one interface value per column. The estimate is what the
-// accountant meters — deliberately simple, stable across value types, and
-// proportional to the only dimension the session controls (rows buffered).
-// The cypher tier charges the rows a query holds with the same estimate.
-func rowBytes(cols int) int64 { return 24 + 24*int64(cols) }

@@ -270,7 +270,7 @@ func TestHeldRowsChargedToBudget(t *testing.T) {
 			svc := NewService(engine.New(g, engine.Options{MemoryBudget: budget}), Options{FetchBatch: 8})
 			acct := svc.Engine().Accountant()
 			base := acct.InUse()
-			fits := budget > rowBytes(len(want.Columns))*int64(len(want.Rows))
+			fits := budget > cypher.RowBytes(len(want.Columns))*int64(len(want.Rows))
 			check := func(via string, rows [][]any, err error) {
 				t.Helper()
 				switch {
@@ -337,7 +337,7 @@ func TestStreamingReservationConstant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantReserve := rowBytes(len(cur.Columns())) * int64(batch+1)
+			wantReserve := cypher.RowBytes(len(cur.Columns())) * int64(batch+1)
 
 			var total int
 			for {
@@ -431,7 +431,7 @@ func TestRunDiscardsOpenCursor(t *testing.T) {
 	if _, _, err := cur.Fetch(1); err != nil {
 		t.Fatal(err)
 	}
-	want := rowBytes(len(cur.Columns())) * (batch + 1)
+	want := cypher.RowBytes(len(cur.Columns())) * (batch + 1)
 	if got := acct.InUse() - base; got != want {
 		t.Fatalf("accountant holds %d bytes, want the new cursor's %d", got, want)
 	}

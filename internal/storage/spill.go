@@ -31,11 +31,14 @@ type SpillManager struct {
 	bytes   int64
 }
 
-// Budget meters transient buffer memory against a shared limit. It is
-// satisfied by exec.Accountant; the interface is structural so storage (a
-// leaf package) never imports the execution layer.
+// Budget meters memory against a shared limit: spill buffers here, bit
+// matrices in vexpand. It is satisfied by exec.Accountant; the interface is
+// structural so the leaf packages never import the execution layer.
 type Budget interface {
+	// Reserve claims n bytes, returning an error when the limit cannot be
+	// met even after pressure relief.
 	Reserve(n int64) error
+	// Release returns n previously reserved bytes.
 	Release(n int64)
 }
 

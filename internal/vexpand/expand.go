@@ -44,17 +44,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Budget meters bit-matrix memory against a shared limit. It is satisfied
-// by exec.Accountant; the interface is structural so vexpand (a leaf
-// operator package) never imports the execution layer.
-type Budget interface {
-	// Reserve claims n bytes, returning an error when the limit cannot be
-	// met even after pressure relief.
-	Reserve(n int64) error
-	// Release returns n previously reserved bytes.
-	Release(n int64)
-}
-
 // Options configures a VExpand invocation.
 type Options struct {
 	// Kernel selects the expand kernel; Auto (the zero value) chooses
@@ -80,7 +69,7 @@ type Options struct {
 	// clones) against a shared limit. The reservation is released when
 	// the expansion returns: the budget bounds in-flight expansion
 	// memory, so concurrent expansions compete for it.
-	Budget Budget
+	Budget storage.Budget
 	// DetectFixpoint stops an ANY expansion early when the frontier
 	// matrix reaches a fixpoint (M(c+1) == M(c)): every further step
 	// would reproduce the same matrix, so its contribution folds in at

@@ -246,9 +246,12 @@ for line in sys.stdin:
     same_rows "$groupq"
     same_rows "$groupq ORDER BY c DESC"
     same_rows "$streamq ORDER BY q DESC, p LIMIT 9"
-    # A grouped query holds its groups: its NDJSON header says so.
+    # A grouped query holds its groups: its NDJSON header says so. The body
+    # goes to a file first: piped into head, curl can exit 23 when head
+    # closes the pipe, and pipefail would fail the step.
     curl -fsS -N "http://$hostport/query" -d "{\"query\":\"$groupq\",\"stream\":true}" \
-        | head -1 | grep -q '"streaming":false' \
+        > "$smokedir/group_ndjson"
+    head -1 "$smokedir/group_ndjson" | grep -q '"streaming":false' \
         || { echo "NDJSON header of $groupq did not say streaming:false" >&2; exit 1; }
     # A plain LIMIT without ORDER BY stops the match after its rows: /query,
     # NDJSON and VSWP each return exactly 7, and the same 7.
